@@ -134,10 +134,6 @@ class ChannelOccupancy:
                 return burst
         return None
 
-    @property
-    def horizon_us(self) -> int:
-        return max((b.end_us for b in self.bursts), default=0)
-
 
 @dataclass(frozen=True)
 class LbtResult:

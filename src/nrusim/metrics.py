@@ -147,7 +147,7 @@ class PingProbe:
 
     def schedule(self, net, start_us: int, ident: int) -> int:
         """Queue all echo requests; returns a completion-time estimate."""
-        dst_ip = net.resolve_dst(self.dst, self.src)
+        dst_ip = net.resolve_dst(self.dst)
         phase_max = net.calib.ping_phase_max_us
         for seq in range(self.count):
             at = start_us + seq * self.interval_ms * 1000 + self.rng.randrange(phase_max)

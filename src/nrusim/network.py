@@ -5,6 +5,21 @@ carries real timestamps for each milestone and the same scenario always
 unfolds identically.  Fixed processing costs come from the calibration
 file; per-traversal jitter comes from the probe's own substream so one
 probe's draws never depend on unrelated activity.
+
+The access leg of each link is one hop table per direction, built once:
+
+    UL: (UE processing, RADIO, GNB, gNB + core processing)
+    DL: (gNB + core processing, GNB, RADIO, UE processing)
+
+``_traverse`` walks it for packets and bulk ticks alike, adding delays.
+At RADIO it takes the LBT grant on the link's substream, aligns it to the
+direction's TDD slot, then checks the relay: a payload the relay does not
+pass is logged as ``radio_drop`` at the current time and draws nothing
+further.  A surviving packet draws its jitter from the probe's substream.
+At GNB a packet stops as a scheduled event that logs ``gtpu_ul`` or
+``gtpu_dl`` and feeds the N3 tap; bulk ticks carry no bytes and skip it.
+The event loop breaks timestamp ties by insertion order, so the walk
+keeps one ``schedule_at`` per stop, in path order.
 """
 
 from __future__ import annotations
@@ -31,6 +46,10 @@ from .userplane import (
     upf_forward,
 )
 
+# Hop-table stops; every other entry is a fixed delay in microseconds.
+RADIO = "radio"
+GNB = "gnb"
+
 
 @dataclass
 class RadioLink:
@@ -42,6 +61,8 @@ class RadioLink:
     drop_fraction: float
     rsrp_dbm: float
     rng: Random  # LBT backoff substream for this link
+    radio_us: int  # radio processing plus the over-air extra
+    hops: dict[str, tuple]  # direction -> hop table
 
 
 class SimNetwork:
@@ -72,6 +93,9 @@ class SimNetwork:
                 ue.medium,
                 carrier_mhz=carrier_mhz,
             )
+            ue_us = calib.ue_proc_us + ue.host.added_latency_us
+            core_us = calib.gnb_proc_us + gnb.host.added_latency_us + calib.core_proc_us
+            air_us = calib.over_air_extra_us if isinstance(ue.medium, rflink.OverAir) else 0
             self.links[ue.name] = RadioLink(
                 ue=ue,
                 gnb=gnb,
@@ -81,16 +105,13 @@ class SimNetwork:
                 drop_fraction=drop,
                 rsrp_dbm=rsrp,
                 rng=derive_rng(scenario.seed, f"lbt:{ue.name}"),
+                radio_us=calib.radio_proc_us + air_us,
+                hops={"UL": (ue_us, RADIO, GNB, core_us), "DL": (core_us, GNB, RADIO, ue_us)},
             )
 
         self.taps: dict[str, list[tuple[int, bytes]]] = {t: [] for t in scenario.taps}
         self.ue_ip: dict[str, str] = {}
         self.attach_states: dict[str, access.UeState] = {}
-        self.counters = {
-            "upf_dropped_no_session": 0,
-            "radio_dropped_bulk": 0,
-            "lbt_deferred": 0,
-        }
         self._icmp_handlers: dict[tuple[str, int], object] = {}
         self._nat: dict[tuple[str, int | None], str] = {}
         self._ip_ident = 0
@@ -138,7 +159,7 @@ class SimNetwork:
 
     # -- address resolution ----------------------------------------------------
 
-    def resolve_dst(self, dst: str, src_ue: str | None = None) -> str | None:
+    def resolve_dst(self, dst: str) -> str | None:
         if dst == "core-gateway":
             return str(self.core.pool.gateway)
         if dst == "external":
@@ -161,29 +182,15 @@ class SimNetwork:
                 return
             inner = icmp_echo_request(src_ip, dst_ip, ident, seq)
             self.log.append(self.loop.now_us, ue_name, "ping_tx", dst=dst_ip, seq=seq, ident=ident)
-            self._uplink(ue_name, inner, rng)
+            self._send(ue_name, "UL", inner, rng)
 
         self.loop.schedule_at(at_us, emit)
 
     def schedule_bulk_tick(self, ue_name, direction, at_us, nbytes, tag, delivered_cb) -> None:
-        if direction == "UL":
-            self.loop.schedule_at(at_us, lambda: self._bulk_uplink(ue_name, nbytes, tag, delivered_cb))
-        else:
-            self.loop.schedule_at(at_us, lambda: self._bulk_downlink(ue_name, nbytes, tag, delivered_cb))
+        self.loop.schedule_at(at_us, lambda: self._bulk(ue_name, direction, nbytes, tag,
+                                                        delivered_cb))
 
-    # -- uplink chain -------------------------------------------------------------
-
-    def _radio_departure(self, link: RadioLink, direction: str, ready_us: int) -> int | None:
-        """LBT grant plus TDD alignment; None when the gate defers."""
-        gate = access.lbt_gate(self.scenario.occupancy, self.scenario.cell.lbt, ready_us, link.rng)
-        if not gate.granted:
-            self.counters["lbt_deferred"] += 1
-            self.log.append(self.loop.now_us, link.gnb.name, "lbt_deferred", direction=direction)
-            return None
-        return access.next_transmit_time(self.scenario.cell.tdd, direction, gate.grant_us)
-
-    def _air_extra_us(self, link: RadioLink) -> int:
-        return self.calib.over_air_extra_us if isinstance(link.medium, rflink.OverAir) else 0
+    # -- access leg -----------------------------------------------------------------
 
     def _with_ident(self, pkt: InnerPacket) -> InnerPacket:
         """Assign the originating stack's IP identification, once."""
@@ -192,48 +199,87 @@ class SimNetwork:
         self._ip_ident = (self._ip_ident + 1) & 0xFFFF or 1
         return replace(pkt, ident=self._ip_ident)
 
-    def _uplink(self, ue_name: str, inner: InnerPacket, rng: Random) -> None:
-        """UE stack -> radio -> gNB -> N3 tunnel -> UPF ingress."""
-        link = self.links[ue_name]
+    def _send(self, ue_name: str, direction: str, inner: InnerPacket, rng: Random) -> None:
+        """One packet over the access leg: UE -> UPF ingress ("UL") or UPF -> UE ("DL")."""
         now = self.loop.now_us
         inner = self._with_ident(inner)
-        inner_bytes = encode_ip(inner)
-        self._tap(f"ue:{ue_name}", now, inner_bytes)
-        ready = now + self.calib.ue_proc_us + link.ue.host.added_latency_us
-        tx_at = self._radio_departure(link, "UL", ready)
-        if tx_at is None:
+        wire = encode_ip(inner)
+        if direction == "UL":
+            self._tap(f"ue:{ue_name}", now, wire)
+            done = lambda: self._upf_ingress(inner, rng)
+        else:
+            done = lambda: self._deliver_to_ue(ue_name, inner, rng)
+        self._traverse(self.links[ue_name], direction, now, len(wire), done, rng, wire)
+
+    def _bulk(self, ue_name, direction, nbytes, tag, delivered_cb) -> None:
+        """One aggregate tick over the access leg; no bytes, no jitter, no gNB stop."""
+        if self.ue_ip.get(ue_name) is None:
             return
-        if link.relay.relay("UL", inner_bytes) is None:
-            self.counters["radio_dropped_bulk"] += 1
-            self.log.append(now, link.gnb.name, "radio_drop", direction="UL", size=len(inner_bytes))
-            return
-        arrive_gnb = (tx_at + self.calib.radio_proc_us + self._air_extra_us(link)
-                      + rng.randint(0, self.calib.jitter_max_us))
+        link = self.links[ue_name]
+        sender, receiver = (ue_name, "core") if direction == "UL" else ("core", ue_name)
+        self.log.append(self.loop.now_us, sender, "bulk_tx", direction=direction, size=nbytes,
+                        window=tag[0], sub=tag[1])
+        delivered = nbytes if link.drop_fraction == 0 else round(nbytes * (1 - link.drop_fraction))
 
-        def gnb_step():
-            t = self.loop.now_us
-            session = self.core.sessions.get(ue_name)
-            teid = session.teid_uplink if session else 0
-            self.log.append(t, link.gnb.name, "gtpu_ul", teid=teid, size=len(inner_bytes))
-            if f"n3:{link.gnb.name}" in self.taps:
-                outer = self._outer_bytes(link, teid, inner_bytes, uplink=True)
-                self._tap(f"n3:{link.gnb.name}", t, outer)
-            delay = (self.calib.gnb_proc_us + link.gnb.host.added_latency_us
-                     + self.calib.core_proc_us)
-            self.loop.schedule_after(delay, lambda: self._upf_ingress(inner, rng))
+        def rx():
+            self.log.append(self.loop.now_us, receiver, "bulk_rx", direction=direction,
+                            size=delivered, window=tag[0], sub=tag[1])
+            delivered_cb(tag, delivered)
 
-        self.loop.schedule_at(arrive_gnb, gnb_step)
+        self._traverse(link, direction, self.loop.now_us, nbytes, rx)
 
-    def _outer_bytes(self, link: RadioLink, teid: int, inner_bytes: bytes, uplink: bool) -> bytes:
-        gnb_addr = link.gnb.n3_address or self.core.config.amf_address
-        upf_addr = self.core.config.upf_address
-        src, dst = (gnb_addr, upf_addr) if uplink else (upf_addr, gnb_addr)
-        tunnel = encode_gtpu(teid, inner_bytes)
-        outer = self._with_ident(
-            InnerPacket(src=src, dst=dst, protocol="UDP", payload=tunnel,
-                        sport=userplane.GTPU_PORT, dport=userplane.GTPU_PORT)
-        )
-        return encode_ip(outer)
+    def _traverse(self, link: RadioLink, direction: str, t: int, size: int, done,
+                  rng: Random | None = None, wire: bytes | None = None, start: int = 0) -> None:
+        """Walk the hop table from ``start`` at time ``t``; ``done`` runs on arrival.
+
+        ``wire`` and ``rng`` are set for packets only: they add jitter and
+        the gNB stop.
+        """
+        hops = link.hops[direction]
+        for index in range(start, len(hops)):
+            hop = hops[index]
+            if hop is RADIO:
+                gate = access.lbt_gate(self.scenario.occupancy, self.scenario.cell.lbt, t, link.rng)
+                t = access.next_transmit_time(self.scenario.cell.tdd, direction, gate.grant_us)
+                if not link.relay.passes(size):
+                    self.log.append(self.loop.now_us, link.gnb.name, "radio_drop",
+                                    direction=direction, size=size)
+                    return
+                t += link.radio_us
+                if rng is not None:
+                    t += rng.randint(0, self.calib.jitter_max_us)
+            elif hop is GNB:
+                if wire is not None:
+                    def gnb_step():
+                        self._gnb_step(link, direction, wire)
+                        self._traverse(link, direction, self.loop.now_us, size, done, rng, wire,
+                                       index + 1)
+
+                    self.loop.schedule_at(t, gnb_step)
+                    return
+            else:
+                t += hop
+        self.loop.schedule_at(t, done)
+
+    def _gnb_step(self, link: RadioLink, direction: str, wire: bytes) -> None:
+        """The gNB relays a packet between radio and N3: log it and feed the N3 tap."""
+        t = self.loop.now_us
+        uplink = direction == "UL"
+        session = self.core.sessions.get(link.ue.name)
+        teid = (session.teid_uplink if uplink else session.teid_downlink) if session else 0
+        self.log.append(t, link.gnb.name, "gtpu_ul" if uplink else "gtpu_dl", teid=teid,
+                        size=len(wire))
+        tap = f"n3:{link.gnb.name}"
+        if tap in self.taps:
+            gnb_addr = link.gnb.n3_address or self.core.config.amf_address
+            upf_addr = self.core.config.upf_address
+            src, dst = (gnb_addr, upf_addr) if uplink else (upf_addr, gnb_addr)
+            tunnel = encode_gtpu(teid, wire)
+            outer = self._with_ident(
+                InnerPacket(src=src, dst=dst, protocol="UDP", payload=tunnel,
+                            sport=userplane.GTPU_PORT, dport=userplane.GTPU_PORT)
+            )
+            self._tap(tap, t, encode_ip(outer))
 
     # -- UPF --------------------------------------------------------------------
 
@@ -242,7 +288,6 @@ class SimNetwork:
             pool_cidr=self.core.pool.cidr,
             sessions={s.ip: s for s in self.core.active_sessions()},
             upf_address=self.core.config.upf_address,
-            external_gateway=self.scenario.external.address,
         )
 
     def _upf_ingress(self, inner: InnerPacket, rng: Random) -> None:
@@ -260,14 +305,13 @@ class SimNetwork:
     def _apply_forward(self, decision: ForwardDecision, inner: InnerPacket, rng: Random) -> None:
         now = self.loop.now_us
         if decision.action == userplane.FORWARD_DROP:
-            self.counters["upf_dropped_no_session"] += 1
             self.log.append(now, "upf", "upf_drop", dst=inner.dst)
             return
         if decision.action == userplane.FORWARD_TUNNEL:
             session = decision.session
             self.log.append(now, "upf", "upf_tunnel", dst=inner.dst,
                             teid=session.teid_downlink)
-            self._downlink(session.ue_id, decision.packet, rng)
+            self._send(session.ue_id, "DL", decision.packet, rng)
             return
         # Egress toward the external network with the UPF as visible source.
         rewritten = decision.packet
@@ -296,44 +340,12 @@ class SimNetwork:
         self._tap("n6", now, encode_ip(pkt))
         original = self._nat.get((pkt.protocol, pkt.icmp_id))
         if original is None:
-            self.counters["upf_dropped_no_session"] += 1
-            self.log.append(now, "upf", "upf_drop", dst=pkt.dst)
+            self._apply_forward(ForwardDecision(action=userplane.FORWARD_DROP), pkt, rng)
             return
         restored = replace(pkt, dst=original)
         self._apply_forward(upf_forward(restored, self._routes()), restored, rng)
 
-    # -- downlink chain ------------------------------------------------------------
-
-    def _downlink(self, ue_name: str, inner: InnerPacket, rng: Random) -> None:
-        """UPF -> N3 tunnel -> gNB -> radio -> UE stack -> delivery."""
-        link = self.links[ue_name]
-        inner = self._with_ident(inner)
-        inner_bytes = encode_ip(inner)
-        arrive_gnb = (self.loop.now_us + self.calib.core_proc_us
-                      + self.calib.gnb_proc_us + link.gnb.host.added_latency_us)
-
-        def gnb_step():
-            t = self.loop.now_us
-            session = self.core.sessions.get(ue_name)
-            teid = session.teid_downlink if session else 0
-            self.log.append(t, link.gnb.name, "gtpu_dl", teid=teid, size=len(inner_bytes))
-            if f"n3:{link.gnb.name}" in self.taps:
-                outer = self._outer_bytes(link, teid, inner_bytes, uplink=False)
-                self._tap(f"n3:{link.gnb.name}", t, outer)
-            tx_at = self._radio_departure(link, "DL", t)
-            if tx_at is None:
-                return
-            if link.relay.relay("DL", inner_bytes) is None:
-                self.counters["radio_dropped_bulk"] += 1
-                self.log.append(t, link.gnb.name, "radio_drop", direction="DL",
-                                size=len(inner_bytes))
-                return
-            arrive_ue = (tx_at + self.calib.radio_proc_us + self._air_extra_us(link)
-                         + rng.randint(0, self.calib.jitter_max_us)
-                         + self.calib.ue_proc_us + link.ue.host.added_latency_us)
-            self.loop.schedule_at(arrive_ue, lambda: self._deliver_to_ue(ue_name, inner, rng))
-
-        self.loop.schedule_at(arrive_gnb, gnb_step)
+    # -- UE stack -----------------------------------------------------------------
 
     def _deliver_to_ue(self, ue_name: str, inner: InnerPacket, rng: Random) -> None:
         now = self.loop.now_us
@@ -348,69 +360,7 @@ class SimNetwork:
         if inner.icmp_type == userplane.ICMP_ECHO_REQUEST:
             # Standard stack behaviour: answer pings addressed to us.
             self.log.append(now, ue_name, "ue_echo", src=inner.src, seq=inner.icmp_seq)
-            self._uplink(ue_name, echo_reply_for(inner), rng)
-
-    # -- bulk (aggregate) traffic -----------------------------------------------
-
-    def _bulk_delivered(self, link: RadioLink, nbytes: int) -> int:
-        if link.drop_fraction == 0:
-            return nbytes
-        return round(nbytes * (1 - link.drop_fraction))
-
-    def _bulk_uplink(self, ue_name, nbytes, tag, delivered_cb) -> None:
-        link = self.links[ue_name]
-        now = self.loop.now_us
-        if self.ue_ip.get(ue_name) is None:
-            return
-        self.log.append(now, ue_name, "bulk_tx", direction="UL", size=nbytes,
-                        window=tag[0], sub=tag[1])
-        ready = now + self.calib.ue_proc_us + link.ue.host.added_latency_us
-        tx_at = self._radio_departure(link, "UL", ready)
-        if tx_at is None:
-            return
-        if not link.relay.passes(nbytes):
-            link.relay.dropped_bulk += 1
-            self.counters["radio_dropped_bulk"] += 1
-            self.log.append(now, link.gnb.name, "radio_drop", direction="UL", size=nbytes)
-            return
-        delivered = self._bulk_delivered(link, nbytes)
-        arrive = (tx_at + self.calib.radio_proc_us + self._air_extra_us(link)
-                  + self.calib.gnb_proc_us + link.gnb.host.added_latency_us
-                  + self.calib.core_proc_us)
-
-        def core_rx():
-            self.log.append(self.loop.now_us, "core", "bulk_rx", direction="UL",
-                            size=delivered, window=tag[0], sub=tag[1])
-            delivered_cb(tag, delivered)
-
-        self.loop.schedule_at(arrive, core_rx)
-
-    def _bulk_downlink(self, ue_name, nbytes, tag, delivered_cb) -> None:
-        link = self.links[ue_name]
-        now = self.loop.now_us
-        if self.ue_ip.get(ue_name) is None:
-            return
-        self.log.append(now, "core", "bulk_tx", direction="DL", size=nbytes,
-                        window=tag[0], sub=tag[1])
-        ready = now + self.calib.core_proc_us + self.calib.gnb_proc_us + link.gnb.host.added_latency_us
-        tx_at = self._radio_departure(link, "DL", ready)
-        if tx_at is None:
-            return
-        if not link.relay.passes(nbytes):
-            link.relay.dropped_bulk += 1
-            self.counters["radio_dropped_bulk"] += 1
-            self.log.append(now, link.gnb.name, "radio_drop", direction="DL", size=nbytes)
-            return
-        delivered = self._bulk_delivered(link, nbytes)
-        arrive = (tx_at + self.calib.radio_proc_us + self._air_extra_us(link)
-                  + self.calib.ue_proc_us + link.ue.host.added_latency_us)
-
-        def ue_rx():
-            self.log.append(self.loop.now_us, ue_name, "bulk_rx", direction="DL",
-                            size=delivered, window=tag[0], sub=tag[1])
-            delivered_cb(tag, delivered)
-
-        self.loop.schedule_at(arrive, ue_rx)
+            self._send(ue_name, "UL", echo_reply_for(inner), rng)
 
     # -- taps ---------------------------------------------------------------------
 

@@ -8,6 +8,7 @@ substream of the scenario seed, and serialisation sorts its keys.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -163,6 +164,7 @@ def _build_report(scenario: Scenario, net: SimNetwork, probes, log: EventLog) ->
                 for s in monitored.sessions
             ],
         }
+    actions = Counter(record["action"] for record in log.records)
     return {
         "schema": REPORT_SCHEMA,
         "scenario": scenario.name,
@@ -182,7 +184,11 @@ def _build_report(scenario: Scenario, net: SimNetwork, probes, log: EventLog) ->
         "pings": pings,
         "throughput": throughput,
         "passive": passive,
-        "counters": dict(net.counters),
+        "counters": {
+            "upf_dropped_no_session": actions["upf_drop"],
+            "radio_dropped_bulk": actions["radio_drop"],
+            "lbt_deferred": actions["lbt_deferred"],
+        },
         "event_count": len(log),
     }
 

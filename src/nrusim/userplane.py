@@ -293,12 +293,11 @@ FORWARD_DROP = "drop"
 
 @dataclass
 class RouteTable:
-    """UPF routing state: the UE pool, per-address sessions, and the N6 side."""
+    """UPF routing state: the UE pool, per-address sessions, and the UPF's own address."""
 
     pool_cidr: str
     sessions: dict[str, PduSession]  # UE ip -> active session
     upf_address: str
-    external_gateway: str = ""
 
     def in_pool(self, ip: str) -> bool:
         return ipaddress.IPv4Address(ip) in ipaddress.IPv4Network(self.pool_cidr)
@@ -316,7 +315,7 @@ def upf_forward(packet: InnerPacket, routes: RouteTable) -> ForwardDecision:
 
     Depends only on the destination address and route state, never on the
     source.  Pool destinations without an active session are dropped (the
-    caller counts them); external destinations leave with the UPF as the
+    caller logs them); external destinations leave with the UPF as the
     visible on-path source.
     """
     if routes.in_pool(packet.dst):
@@ -345,21 +344,9 @@ class GnbRelay:
     viable: bool = True
     drop_fraction: float = 0.0
     bulk_cutoff: int = BULK_SIZE_CUTOFF
-    forwarded: int = 0
-    dropped_bulk: int = 0
 
     def passes(self, size_bytes: int) -> bool:
         """Whether a payload of this size survives the radio link."""
         if self.viable:
             return True
         return size_bytes <= self.bulk_cutoff
-
-    def relay(self, direction: str, data: bytes) -> bytes | None:
-        """Forward bytes unchanged, or None when the link drops them."""
-        if direction not in ("UL", "DL"):
-            raise ValueError(f"direction must be 'UL' or 'DL', got {direction!r}")
-        if not self.passes(len(data)):
-            self.dropped_bulk += 1
-            return None
-        self.forwarded += 1
-        return data

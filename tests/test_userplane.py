@@ -12,6 +12,7 @@ from nrusim.errors import (
     VersionError,
 )
 from nrusim.userplane import (
+    BULK_SIZE_CUTOFF,
     FORWARD_DROP,
     FORWARD_EGRESS,
     FORWARD_TUNNEL,
@@ -143,7 +144,6 @@ def make_routes(sessions: dict[str, PduSession] | None = None) -> RouteTable:
         pool_cidr="12.1.1.0/24",
         sessions=sessions if sessions is not None else {},
         upf_address="192.168.70.134",
-        external_gateway="192.168.70.129",
     )
 
 
@@ -192,17 +192,11 @@ class TestUpfForward:
 
 class TestGnbRelay:
     def test_viable_link_is_transparent(self):
-        relay = GnbRelay(viable=True)
-        data = ping_packet()
-        assert relay.relay("UL", data) == data
-        assert relay.forwarded == 1
+        assert GnbRelay(viable=True).passes(1400)
 
     def test_non_viable_drops_bulk_keeps_icmp(self):
         relay = GnbRelay(viable=False, drop_fraction=0.015)
-        assert relay.relay("DL", b"\x00" * 1400) is None
-        assert relay.relay("UL", ping_packet()) is not None
-        assert relay.dropped_bulk == 1
-
-    def test_direction_validated(self):
-        with pytest.raises(ValueError):
-            GnbRelay().relay("sideways", b"")
+        assert relay.passes(len(ping_packet()))
+        assert relay.passes(BULK_SIZE_CUTOFF)
+        assert not relay.passes(BULK_SIZE_CUTOFF + 1)
+        assert not relay.passes(1400)
