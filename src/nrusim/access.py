@@ -12,7 +12,9 @@ decisions.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from random import Random
 
 from .corenet import CoreNetwork, PduSession
@@ -120,18 +122,34 @@ class Burst:
 
 
 class ChannelOccupancy:
-    """Timeline of foreign transmissions, sorted by start time."""
+    """Timeline of foreign transmissions, sorted by (start, end).
+
+    ``blocker`` answers from a per-threshold index, built on the first
+    query at that threshold: the bursts at or above it, in timeline
+    order, and the running maximum of their ends.  A linear scan would
+    return the first of those bursts that ends after ``t0`` and starts
+    before ``t1``.  Every loud burst before ``bisect_right(max_end, t0)``
+    ends at or before ``t0``; the burst at that index is the first to end
+    after it; every later one starts no earlier, so if that burst starts
+    at or after ``t1`` none overlaps.  Same burst, O(log B) per query.
+    """
 
     def __init__(self, bursts: list[Burst] | tuple[Burst, ...] = ()):
         self.bursts = tuple(sorted(bursts, key=lambda b: (b.start_us, b.end_us)))
+        self._index: dict[float, tuple[tuple[Burst, ...], list[int]]] = {}
 
     def blocker(self, t0: int, t1: int, threshold_dbm: float) -> Burst | None:
         """First burst at/above threshold overlapping the open window [t0, t1)."""
-        for burst in self.bursts:
-            if burst.start_us >= t1:
-                break
-            if burst.end_us > t0 and burst.power_dbm >= threshold_dbm:
-                return burst
+        index = self._index.get(threshold_dbm)
+        if index is None:
+            loud = tuple(b for b in self.bursts if b.power_dbm >= threshold_dbm)
+            # Seeded from the first end, not 0: burst times may be negative.
+            max_end = list(accumulate((b.end_us for b in loud), max))
+            index = self._index[threshold_dbm] = (loud, max_end)
+        loud, max_end = index
+        i = bisect_right(max_end, t0)
+        if i < len(loud) and loud[i].start_us < t1:
+            return loud[i]
         return None
 
 

@@ -100,7 +100,7 @@ class SimNetwork:
                 ue=ue,
                 gnb=gnb,
                 medium=ue.medium,
-                relay=GnbRelay(viable=viable, drop_fraction=drop),
+                relay=GnbRelay(viable=viable),
                 required_msps=required,
                 drop_fraction=drop,
                 rsrp_dbm=rsrp,

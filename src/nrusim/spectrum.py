@@ -260,6 +260,11 @@ def validate_channel(band: BandPlan, arfcn: int, link: str = "DL") -> bool:
 
 def ss_scan_candidates(band: BandPlan) -> list[tuple[int, float]]:
     """Every (GSCN, MHz) a UE would examine on this band, ascending."""
+    return list(_scan_candidates(band))
+
+
+@functools.lru_cache(maxsize=16)
+def _scan_candidates(band: BandPlan) -> tuple[tuple[int, float], ...]:
     if not band.sync_entries:
         raise ConfigError(f"band {band.band_id} has no sync raster entries")
     seen: set[int] = set()
@@ -270,7 +275,7 @@ def ss_scan_candidates(band: BandPlan) -> list[tuple[int, float]]:
                 seen.add(gscn)
                 out.append((gscn, gscn_to_ss_frequency(gscn)))
     out.sort()
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)

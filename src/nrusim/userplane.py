@@ -342,7 +342,6 @@ class GnbRelay:
     """Transparent relay between the radio leg and the core tunnel leg."""
 
     viable: bool = True
-    drop_fraction: float = 0.0
     bulk_cutoff: int = BULK_SIZE_CUTOFF
 
     def passes(self, size_bytes: int) -> bool:

@@ -158,6 +158,66 @@ class TestLbtGate:
             Burst(10, 10, -40.0)
 
 
+def _linear_blocker(bursts, t0, t1, threshold):
+    """Reference: the linear scan the indexed ``blocker`` replaced."""
+    for burst in bursts:
+        if burst.start_us >= t1:
+            break
+        if burst.end_us > t0 and burst.power_dbm >= threshold:
+            return burst
+    return None
+
+
+class _LinearOccupancy(ChannelOccupancy):
+    def blocker(self, t0, t1, threshold_dbm):
+        return _linear_blocker(self.bursts, t0, t1, threshold_dbm)
+
+
+class TestBlockerIndex:
+    POWERS = (-90.0, -80.0, -72.0, -60.0, -40.0)
+
+    # Narrow ranges make equal starts, nested and overlapping intervals
+    # common; starts reach below zero.
+    @given(
+        st.lists(
+            st.tuples(st.integers(-60, 60), st.integers(1, 80), st.sampled_from(POWERS)),
+            max_size=12,
+        ),
+        st.lists(st.sampled_from(POWERS + (-72.5, -30.0)), min_size=1, max_size=4),
+        st.sampled_from((1, 25, 200)),
+    )
+    @settings(max_examples=300)
+    def test_same_burst_as_linear_scan(self, spans, thresholds, cca):
+        occupancy = ChannelOccupancy([Burst(s, s + d, p) for s, d, p in spans])
+        probes = {-200, 200}
+        for b in occupancy.bursts:
+            probes |= {b.start_us - 1, b.start_us, (b.start_us + b.end_us) // 2,
+                       b.end_us - 1, b.end_us, b.end_us + 1}
+        for threshold in thresholds:  # repeats hit the cached index
+            for t0 in sorted(probes):
+                expected = _linear_blocker(occupancy.bursts, t0, t0 + cca, threshold)
+                got = occupancy.blocker(t0, t0 + cca, threshold)
+                assert got is expected, (t0, cca, threshold)
+
+    def test_lbt_gate_matches_linear_occupancy(self):
+        cfg = LbtConfig()
+        gen = Random(7)
+        bursts = []
+        for _ in range(2000):
+            start = gen.randrange(-5_000, 400_000)
+            bursts.append(Burst(start, start + gen.randint(100, 2_000),
+                                cfg.cca_threshold_dbm + gen.uniform(-12.0, 12.0)))
+        indexed, linear = ChannelOccupancy(bursts), _LinearOccupancy(bursts)
+        busy = 0
+        for seed in range(300):
+            now = Random(seed).randrange(-6_000, 402_000)
+            horizon = None if seed % 3 else now + 3_000
+            got = lbt_gate(indexed, cfg, now, Random(seed), horizon_us=horizon)
+            assert got == lbt_gate(linear, cfg, now, Random(seed), horizon_us=horizon), seed
+            busy += got.busy_observations
+        assert busy > 0
+
+
 class TestTdd:
     CFG = TddConfig()
 

@@ -195,7 +195,7 @@ class TestGnbRelay:
         assert GnbRelay(viable=True).passes(1400)
 
     def test_non_viable_drops_bulk_keeps_icmp(self):
-        relay = GnbRelay(viable=False, drop_fraction=0.015)
+        relay = GnbRelay(viable=False)
         assert relay.passes(len(ping_packet()))
         assert relay.passes(BULK_SIZE_CUTOFF)
         assert not relay.passes(BULK_SIZE_CUTOFF + 1)
