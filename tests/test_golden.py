@@ -92,6 +92,31 @@ def _sessionless() -> dict:
     return raw
 
 
+def _own_address() -> dict:
+    """A UE pinging its own literal address: the UPF hairpins both legs to it."""
+    raw = variant(**{"name": "golden_own_address", "traffic.0.dst": "12.1.1.2"})
+    raw["taps"] = ["ue:ue1", "n3:gnb1"]
+    return raw
+
+
+def _long_burst() -> dict:
+    """Two 1 s UL plans under one loud burst that outlasts the first plan.
+
+    Ticks of plan ``a`` granted after the burst arrive during plan ``b``,
+    so the per-plan delivered bytes (1,237,500 and 1,687,500) differ from
+    an attribution of ``bulk_rx`` records by arrival time (1,125,000 and
+    1,800,000): the probe's own tally is what this pins.
+    """
+    raw = variant(name="golden_long_burst")
+    raw["occupancy"] = [{"start_us": 781_000, "end_us": 3_781_000, "power_dbm": -40.0}]
+    raw["traffic"] = [
+        {"probe": "throughput", "label": label, "ue": "ue1", "direction": "UL",
+         "duration_s": 1}
+        for label in ("a", "b")
+    ]
+    return raw
+
+
 INLINE_CASES = {
     "contended": (
         _contended,
@@ -107,6 +132,16 @@ INLINE_CASES = {
         _sessionless,
         "a7d936b2bcf4d1c5abd8eddbacdafbd912b332f915f36450979ea172d4fdfa3a",
         "3193450ed7ce480b459bfdf854bb823572f8bae95296dcdf1bd326003916a217",
+    ),
+    "own_address": (
+        _own_address,
+        "fb4467629cfe42a4505dc52fb61779066a2f106fbc3ed27edf8415cb2bfa0812",
+        "a71282f8ce185aae9ca0ae51882d44a2ce544d651b7750a92755cd815dcdaca3",
+    ),
+    "long_burst": (
+        _long_burst,
+        "1dc9101076ad9e3604ee7fb87669344f2bdda3c076e60a3a27a8f9c62128a029",
+        "356802a0c6bd1f7561633d9f8bd8d02940f87a524c196aac3ff1d2c32c6bd4e8",
     ),
 }
 
