@@ -220,10 +220,6 @@ class TddConfig:
     def ul_fraction(self) -> float:
         return self.ul_slots / self.period_slots
 
-    @property
-    def period_us(self) -> int:
-        return self.period_slots * self.slot_us
-
 
 def slot_duration_us(scs_khz: int) -> int:
     """NR slot duration for a subcarrier spacing (15 kHz -> 1 ms)."""

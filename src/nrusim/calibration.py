@@ -42,9 +42,6 @@ class Calibration:
     window_burst_low: float
     window_burst_high: float
     tick_ms: int
-    # External responder defaults.
-    external_one_way_us: int
-    external_ttl: int
 
 
 @functools.lru_cache(maxsize=1)
@@ -54,7 +51,6 @@ def load_calibration() -> Calibration:
         raw = yaml.safe_load(handle)
     lat = raw["latency_us"]
     thr = raw["throughput"]
-    ext = raw["external"]
     return Calibration(
         ue_proc_us=int(lat["ue_proc"]),
         gnb_proc_us=int(lat["gnb_proc"]),
@@ -74,6 +70,4 @@ def load_calibration() -> Calibration:
         window_burst_low=float(thr["window_burst_fraction"][0]),
         window_burst_high=float(thr["window_burst_fraction"][1]),
         tick_ms=int(thr["tick_ms"]),
-        external_one_way_us=int(ext["default_one_way_delay_us"]),
-        external_ttl=int(ext["ttl"]),
     )

@@ -124,9 +124,15 @@ class CoreConfig:
     ue_pool_cidr: str = "12.1.1.0/24"
 
     def __post_init__(self):
-        subnet = ipaddress.IPv4Network(self.core_subnet)
-        for label, addr in (("AMF", self.amf_address), ("UPF", self.upf_address)):
-            if ipaddress.IPv4Address(addr) not in subnet:
+        try:
+            subnet = ipaddress.IPv4Network(self.core_subnet)
+            ipaddress.IPv4Network(self.ue_pool_cidr)
+            addrs = [(label, ipaddress.IPv4Address(addr))
+                     for label, addr in (("AMF", self.amf_address), ("UPF", self.upf_address))]
+        except ValueError as exc:
+            raise ConfigError(f"bad core addressing: {exc}") from None
+        for label, addr in addrs:
+            if addr not in subnet:
                 raise ConfigError(f"{label} address {addr} not inside core subnet {self.core_subnet}")
 
 
@@ -216,9 +222,3 @@ class CoreNetwork:
 
     def active_sessions(self) -> list[PduSession]:
         return [s for s in self.sessions.values() if s.active]
-
-    def session_by_ip(self, ip: str) -> PduSession | None:
-        for session in self.sessions.values():
-            if session.active and session.ip == ip:
-                return session
-        return None

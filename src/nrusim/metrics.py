@@ -1,8 +1,9 @@
 """Active probes, passive RTT monitoring, and report shaping.
 
-The ping and throughput probes are simulation actors: they inject real
-traffic through the simulated stack and fold whatever comes back into
-the same statistics the command-line tools print.  The passive monitor
+Ping and throughput plans inject real traffic through the simulated
+stack.  Ping results are a fold over the event log's ``ping_tx`` and
+``rtt_sample`` records; the throughput probe keeps its own per-window
+tally, because bulk records carry no probe key.  The passive monitor
 is a pure fold over an observed packet stream (live tap or pcap export),
 pairing ICMP echoes by (id, seq) even when they ride inside GTP-U.
 """
@@ -19,6 +20,7 @@ from .access import TddConfig
 from .calibration import Calibration
 from .errors import CodecError
 from .rflink import Cable, LinkMedium, SdrModel
+from .scenario import PingPlan, ThroughputPlan
 from .userplane import (
     GTPU_PORT,
     ICMP_ECHO_REPLY,
@@ -131,41 +133,43 @@ def link_capacity_mbps(
 # ---------------------------------------------------------------------------
 
 
-class PingProbe:
-    """ICMP echo train from one node through the full simulated stack."""
+def ping_ident(index: int) -> int:
+    """ICMP identifier of the ping plan at ``index`` in the scenario's traffic."""
+    return 0x1000 + index
 
-    def __init__(self, label: str, src: str, dst: str, count: int, interval_ms: int, rng: Random):
-        self.label = label
-        self.src = src
-        self.dst = dst
-        self.count = count
-        self.interval_ms = interval_ms
-        self.rng = rng
-        self.sent = 0
-        self.rtts_us: list[int] = []
-        self._send_at: dict[int, int] = {}
 
-    def schedule(self, net, start_us: int, ident: int) -> int:
-        """Queue all echo requests; returns a completion-time estimate."""
-        dst_ip = net.resolve_dst(self.dst)
-        phase_max = net.calib.ping_phase_max_us
-        for seq in range(self.count):
-            at = start_us + seq * self.interval_ms * 1000 + self.rng.randrange(phase_max)
-            if dst_ip is None:
-                self.sent += 1  # no route: emitted into the void, 100% loss
-                continue
-            self._send_at[seq] = at
-            self.sent += 1
-            net.schedule_icmp_echo(self.src, dst_ip, ident, seq, at, self.rng, self._on_reply)
-        return start_us + self.count * self.interval_ms * 1000 + phase_max + 1_000_000
+def schedule_pings(net, plan: PingPlan, start_us: int, ident: int, rng: Random) -> int:
+    """Queue the plan's echo requests; returns a completion-time estimate.
 
-    def _on_reply(self, seq: int, now_us: int) -> None:
-        sent_at = self._send_at.pop(seq, None)
-        if sent_at is not None:
-            self.rtts_us.append(now_us - sent_at)
+    A destination without an address draws the same phases and sends
+    nothing: 100% loss.
+    """
+    dst_ip = net.resolve_dst(plan.dst)
+    phase_max = net.calib.ping_phase_max_us
+    for seq in range(plan.count):
+        at = start_us + seq * plan.interval_ms * 1000 + rng.randrange(phase_max)
+        if dst_ip is not None:
+            net.schedule_icmp_echo(plan.src, dst_ip, ident, seq, at, rng)
+    return start_us + plan.count * plan.interval_ms * 1000 + phase_max + 1_000_000
 
-    def stats(self) -> PingStats:
-        return ping_stats(self.sent, [r / 1000 for r in self.rtts_us])
+
+def ping_rtts_ms(records: Iterable[dict]) -> dict[int, list[float]]:
+    """RTTs in ms per ICMP identifier, folded from event-log records.
+
+    Each ``ping_tx`` pairs with the first ``rtt_sample`` on the same
+    (actor, ident, seq); a later duplicate reply pairs with nothing.
+    """
+    sent_at: dict[tuple[str, int, int], int] = {}
+    rtts: dict[int, list[float]] = {}
+    for record in records:
+        action = record["action"]
+        if action == "ping_tx":
+            sent_at[(record["actor"], record["ident"], record["seq"])] = record["t_us"]
+        elif action == "rtt_sample":
+            t0 = sent_at.pop((record["actor"], record["ident"], record["seq"]), None)
+            if t0 is not None:
+                rtts.setdefault(record["ident"], []).append((record["t_us"] - t0) / 1000)
+    return rtts
 
 
 class ThroughputProbe:
@@ -180,12 +184,9 @@ class ThroughputProbe:
 
     SUBS_PER_WINDOW = 10  # 100 ms peak-detection sub-windows
 
-    def __init__(self, label: str, ue: str, direction: str, duration_s: int,
-                 capacity_mbps: float, calib: Calibration, rng: Random):
-        self.label = label
-        self.ue = ue
-        self.direction = direction
-        self.duration_s = duration_s
+    def __init__(self, plan: ThroughputPlan, capacity_mbps: float, calib: Calibration,
+                 rng: Random):
+        self.plan = plan
         self.capacity_mbps = capacity_mbps
         self.calib = calib
         self.rng = rng
@@ -196,15 +197,15 @@ class ThroughputProbe:
         ticks_per_window = 1_000_000 // tick_us
         bytes_per_tick = round(self.capacity_mbps * 1e6 * self.calib.tick_ms / 1000 / 8)
         sub_ticks = ticks_per_window // self.SUBS_PER_WINDOW
-        for window in range(self.duration_s):
+        for window in range(self.plan.duration_s):
             burst = self.rng.uniform(self.calib.window_burst_low, self.calib.window_burst_high)
             on_ticks = round(burst * ticks_per_window)
             for j in range(on_ticks):
                 at = start_us + window * 1_000_000 + j * tick_us
                 tag = (window, j // sub_ticks)
-                net.schedule_bulk_tick(self.ue, self.direction, at, bytes_per_tick, tag,
-                                       self._on_delivered)
-        return start_us + self.duration_s * 1_000_000 + 1_000_000
+                net.schedule_bulk_tick(self.plan.ue, self.plan.direction, at, bytes_per_tick,
+                                       tag, self._on_delivered)
+        return start_us + self.plan.duration_s * 1_000_000 + 1_000_000
 
     def _on_delivered(self, tag: tuple[int, int], nbytes: int) -> None:
         self.delivered[tag] = self.delivered.get(tag, 0) + nbytes
@@ -212,11 +213,11 @@ class ThroughputProbe:
     def stats(self) -> ThroughputStats:
         sub_s = 1.0 / self.SUBS_PER_WINDOW
         peak = max((b * 8 / sub_s / 1e6 for b in self.delivered.values()), default=0.0)
-        windows = [0.0] * self.duration_s
+        windows = [0.0] * self.plan.duration_s
         for (window, _sub), nbytes in self.delivered.items():
             windows[window] += nbytes * 8 / 1e6
         return ThroughputStats(
-            direction=self.direction,
+            direction=self.plan.direction,
             peak_mbps=round(peak, 3),
             avg_low_mbps=round(min(windows, default=0.0), 3),
             avg_high_mbps=round(max(windows, default=0.0), 3),

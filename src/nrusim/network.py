@@ -112,7 +112,6 @@ class SimNetwork:
         self.taps: dict[str, list[tuple[int, bytes]]] = {t: [] for t in scenario.taps}
         self.ue_ip: dict[str, str] = {}
         self.attach_states: dict[str, access.UeState] = {}
-        self._icmp_handlers: dict[tuple[str, int], object] = {}
         self._nat: dict[tuple[str, int | None], str] = {}
         self._ip_ident = 0
         self.attach_complete_us = 0
@@ -172,9 +171,7 @@ class SimNetwork:
 
     # -- probe entry points ------------------------------------------------------
 
-    def schedule_icmp_echo(self, ue_name, dst_ip, ident, seq, at_us, rng, reply_cb) -> None:
-        self._icmp_handlers[(ue_name, ident)] = reply_cb
-
+    def schedule_icmp_echo(self, ue_name, dst_ip, ident, seq, at_us, rng) -> None:
         def emit():
             src_ip = self.ue_ip.get(ue_name)
             if src_ip is None:
@@ -351,11 +348,8 @@ class SimNetwork:
         now = self.loop.now_us
         self._tap(f"ue:{ue_name}", now, encode_ip(inner))
         if inner.icmp_type == userplane.ICMP_ECHO_REPLY:
-            handler = self._icmp_handlers.get((ue_name, inner.icmp_id))
-            if handler is not None:
-                self.log.append(now, ue_name, "rtt_sample", ident=inner.icmp_id,
-                                seq=inner.icmp_seq, session=flow_session_id("ICMP", inner.icmp_id))
-                handler(inner.icmp_seq, now)
+            self.log.append(now, ue_name, "rtt_sample", ident=inner.icmp_id,
+                            seq=inner.icmp_seq, session=flow_session_id("ICMP", inner.icmp_id))
             return
         if inner.icmp_type == userplane.ICMP_ECHO_REQUEST:
             # Standard stack behaviour: answer pings addressed to us.

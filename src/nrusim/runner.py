@@ -9,17 +9,20 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .calibration import load_calibration
 from .engine import EventLog, EventLoop, derive_rng
 from .errors import ConfigError, InvariantBreach
 from .metrics import (
-    PingProbe,
     ThroughputProbe,
     link_capacity_mbps,
     passive_monitor,
+    ping_ident,
+    ping_rtts_ms,
+    ping_stats,
+    schedule_pings,
 )
 from .network import SimNetwork
 from .pcapio import write_pcap
@@ -50,14 +53,12 @@ def run_scenario(scenario: Scenario) -> RunResult:
     net = SimNetwork(scenario, loop, log, calib)
     net.attach_all()
 
-    probes: list[tuple[str, PingProbe | ThroughputProbe]] = []
+    tallies: list[ThroughputProbe] = []
     cursor = net.attach_complete_us
     for index, plan in enumerate(scenario.traffic):
         rng = derive_rng(scenario.seed, f"probe:{plan.label}")
         if isinstance(plan, PingPlan):
-            probe = PingProbe(plan.label, plan.src, plan.dst, plan.count, plan.interval_ms, rng)
-            cursor = probe.schedule(net, cursor, ident=0x1000 + index)
-            probes.append(("ping", probe))
+            cursor = schedule_pings(net, plan, cursor, ping_ident(index), rng)
         elif isinstance(plan, ThroughputPlan):
             link = net.links[plan.ue]
             capacity = link_capacity_mbps(
@@ -70,10 +71,9 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 link.medium,
                 calib,
             )
-            probe = ThroughputProbe(plan.label, plan.ue, plan.direction, plan.duration_s,
-                                    capacity, calib, rng)
+            probe = ThroughputProbe(plan, capacity, calib, rng)
             cursor = probe.schedule(net, cursor)
-            probes.append(("throughput", probe))
+            tallies.append(probe)
         else:  # pragma: no cover - loader rejects unknown probes
             raise ConfigError(f"unknown traffic plan {plan!r}")
 
@@ -81,7 +81,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     _check_invariants(net, log)
     return RunResult(
         scenario=scenario,
-        report=_build_report(scenario, net, probes, log),
+        report=_build_report(scenario, net, tallies, log),
         log=log,
         taps=net.taps,
     )
@@ -104,7 +104,8 @@ def _check_invariants(net: SimNetwork, log: EventLog) -> None:
         last = record["t_us"]
 
 
-def _build_report(scenario: Scenario, net: SimNetwork, probes, log: EventLog) -> dict:
+def _build_report(scenario: Scenario, net: SimNetwork, tallies: list[ThroughputProbe],
+                  log: EventLog) -> dict:
     attach_rows = []
     for ue in scenario.ues():
         state = net.attach_states[ue.name]
@@ -117,37 +118,17 @@ def _build_report(scenario: Scenario, net: SimNetwork, probes, log: EventLog) ->
                 "failure": state.failure,
             }
         )
-    pings = []
-    throughput = []
-    for kind, probe in probes:
-        if kind == "ping":
-            stats = probe.stats()
-            pings.append(
-                {
-                    "label": probe.label,
-                    "src": probe.src,
-                    "dst": probe.dst,
-                    "sent": stats.sent,
-                    "received": stats.received,
-                    "min_ms": stats.min_ms,
-                    "max_ms": stats.max_ms,
-                    "avg_ms": stats.avg_ms,
-                    "mdev_ms": stats.mdev_ms,
-                }
-            )
-        else:
-            stats = probe.stats()
-            throughput.append(
-                {
-                    "label": probe.label,
-                    "ue": probe.ue,
-                    "direction": stats.direction,
-                    "peak_mbps": stats.peak_mbps,
-                    "avg_low_mbps": stats.avg_low_mbps,
-                    "avg_high_mbps": stats.avg_high_mbps,
-                    "delivered_bytes": stats.delivered_bytes,
-                }
-            )
+    rtts = ping_rtts_ms(log.records)
+    pings = [
+        {"label": plan.label, "src": plan.src, "dst": plan.dst,
+         **asdict(ping_stats(plan.count, rtts.get(ping_ident(index), [])))}
+        for index, plan in enumerate(scenario.traffic)
+        if isinstance(plan, PingPlan)
+    ]
+    throughput = [
+        {"label": probe.plan.label, "ue": probe.plan.ue, **asdict(probe.stats())}
+        for probe in tallies
+    ]
     passive = {}
     for tap, frames in net.taps.items():
         monitored = passive_monitor(sorted(frames, key=lambda f: f[0]))
@@ -169,7 +150,9 @@ def _build_report(scenario: Scenario, net: SimNetwork, probes, log: EventLog) ->
         "schema": REPORT_SCHEMA,
         "scenario": scenario.name,
         "seed": scenario.seed,
-        "event_log": "events.jsonl",  # sibling artifact every stat is recomputable from
+        # Sibling log: everything but throughput, a no-cell UE's scan_steps
+        # and passive (tap frames) is recomputable from it.
+        "event_log": "events.jsonl",
         "notes": list(scenario.notes),
         "attach": attach_rows,
         "rsrp_dbm": {name: round(link.rsrp_dbm, 2) for name, link in net.links.items()},

@@ -8,6 +8,7 @@ configuration-class failures cannot surface mid-simulation.
 
 from __future__ import annotations
 
+import ipaddress
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -114,60 +115,126 @@ class Scenario:
     def ues(self) -> list[NodeConfig]:
         return [n for n in self.nodes if n.role == "ue"]
 
-    def gnbs(self) -> list[NodeConfig]:
-        return [n for n in self.nodes if n.role == "gnb"]
+
+def _ipv4(value) -> str:
+    """A dotted-quad IPv4 address, kept as written."""
+    text = str(value)
+    ipaddress.IPv4Address(text)
+    return text
 
 
-def _require(raw: dict, key: str, context: str):
+def _flag(value) -> bool:
+    """A YAML boolean, strictly: ``bool("false")`` would read as true."""
+    if not isinstance(value, bool):
+        raise TypeError(f"not a boolean: {value!r}")
+    return value
+
+
+_REQUIRED = object()
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", _flag: "true or false",
+               dict: "a mapping", list: "a list", _ipv4: "a dotted-quad IPv4 address"}
+
+
+def _field(raw: dict, key: str, context: str, kind=str, default=_REQUIRED,
+           low: int | None = None, high: int | None = None):
+    """``raw[key]`` as ``kind``, or ``default`` when the key is absent.
+
+    Scalars are converted by ``kind`` and checked against ``low`` and
+    ``high``; mappings and lists are checked, not converted.  A missing
+    required field or a value of the wrong shape or range raises a
+    ScenarioError that names the field.
+    """
     if key not in raw:
-        raise ScenarioError(f"{context}: missing required field {key!r}")
-    return raw[key]
+        if default is _REQUIRED:
+            raise ScenarioError(f"{context}: missing required field {key!r}")
+        return default
+    value = raw[key]
+    if kind is dict or kind is list:
+        if isinstance(value, kind):
+            return value
+        raise ScenarioError(f"{context}: {key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    try:
+        parsed = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(
+            f"{context}: {key} must be {_KIND_NAMES[kind]}, got {value!r}"
+        ) from None
+    if (low is not None and parsed < low) or (high is not None and parsed > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ScenarioError(f"{context}: {key} must be {bound}, got {parsed!r}")
+    return parsed
+
+
+def _entries(raw: dict, key: str, context: str, default=_REQUIRED) -> list[dict]:
+    """The list at ``raw[key]``, each entry checked to be a mapping."""
+    items = _field(raw, key, context, list, default)
+    for idx, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ScenarioError(f"{context}: {key}[{idx}] must be a mapping, got {item!r}")
+    return items
 
 
 def _parse_medium(raw: dict, context: str) -> LinkMedium:
-    kind = _require(raw, "kind", context)
+    kind = _field(raw, "kind", context)
     if kind == "over_air":
-        return OverAir(distance_m=float(_require(raw, "distance_m", context)))
+        return OverAir(distance_m=_field(raw, "distance_m", context, float))
     if kind == "cable":
         return Cable(
-            length_cm=float(_require(raw, "length_cm", context)),
-            attenuator_db=float(raw.get("attenuator_db", 0.0)),
+            length_cm=_field(raw, "length_cm", context, float),
+            attenuator_db=_field(raw, "attenuator_db", context, float, 0.0),
         )
     raise ScenarioError(f"{context}: unknown medium kind {kind!r}")
 
 
+def _parse_bursts(entries: list[dict]) -> list[Burst]:
+    """Foreign bursts from occupancy entries.
+
+    Occupancy can list tens of thousands of bursts, so the entries are
+    converted directly first; only when that fails are they walked again
+    through ``_field``, which names the first faulty one.
+    """
+    try:
+        return [Burst(start_us=int(e["start_us"]), end_us=int(e["end_us"]),
+                      power_dbm=float(e["power_dbm"])) for e in entries]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        for idx, entry in enumerate(entries):
+            for key, kind in (("start_us", int), ("end_us", int), ("power_dbm", float)):
+                _field(entry, key, f"occupancy[{idx}]", kind)
+        raise
+
+
 def _parse_cell(raw: dict) -> CellConfig:
     try:
-        band = get_band(str(_require(raw, "band", "cell")))
+        band = get_band(_field(raw, "band", "cell"))
     except ConfigError as exc:
         raise ScenarioError(f"cell: {exc}") from None
-    tdd_raw = raw.get("tdd", {})
-    lbt_raw = raw.get("lbt", {})
-    scs_khz = int(raw.get("scs_khz", 30))
+    tdd_raw = _field(raw, "tdd", "cell", dict, {})
+    lbt_raw = _field(raw, "lbt", "cell", dict, {})
+    scs_khz = _field(raw, "scs_khz", "cell", int, 30)
     try:
         tdd = TddConfig(
-            period_slots=int(tdd_raw.get("period_slots", 10)),
-            dl_slots=int(tdd_raw.get("dl_slots", 7)),
-            ul_slots=int(tdd_raw.get("ul_slots", 2)),
+            period_slots=_field(tdd_raw, "period_slots", "cell.tdd", int, 10),
+            dl_slots=_field(tdd_raw, "dl_slots", "cell.tdd", int, 7),
+            ul_slots=_field(tdd_raw, "ul_slots", "cell.tdd", int, 2),
             slot_us=slot_duration_us(scs_khz),
         )
         lbt = LbtConfig(
-            cca_threshold_dbm=float(lbt_raw.get("cca_threshold_dbm", -72.0)),
-            cca_duration_us=int(lbt_raw.get("cca_duration_us", 25)),
-            cw_min=int(lbt_raw.get("cw_min", 15)),
-            cw_max=int(lbt_raw.get("cw_max", 1023)),
+            cca_threshold_dbm=_field(lbt_raw, "cca_threshold_dbm", "cell.lbt", float, -72.0),
+            cca_duration_us=_field(lbt_raw, "cca_duration_us", "cell.lbt", int, 25),
+            cw_min=_field(lbt_raw, "cw_min", "cell.lbt", int, 15, low=0),
+            cw_max=_field(lbt_raw, "cw_max", "cell.lbt", int, 1023),
         )
     except ConfigError as exc:
         raise ScenarioError(f"cell: {exc}") from None
     cell = CellConfig(
         band_id=band.band_id,
-        arfcn=int(_require(raw, "arfcn", "cell")),
-        bandwidth_mhz=float(_require(raw, "bandwidth_mhz", "cell")),
+        arfcn=_field(raw, "arfcn", "cell", int),
+        bandwidth_mhz=_field(raw, "bandwidth_mhz", "cell", float),
         scs_khz=scs_khz,
-        tx_power_dbm=float(_require(raw, "tx_power_dbm", "cell")),
-        attenuation_factor=float(raw.get("attenuation_factor", 0.0)),
-        ssb_gscn=int(_require(raw, "ssb_gscn", "cell")),
-        indoor=bool(raw.get("indoor", False)),
+        tx_power_dbm=_field(raw, "tx_power_dbm", "cell", float),
+        attenuation_factor=_field(raw, "attenuation_factor", "cell", float, 0.0),
+        ssb_gscn=_field(raw, "ssb_gscn", "cell", int),
+        indoor=_field(raw, "indoor", "cell", _flag, False),
         tdd=tdd,
         lbt=lbt,
     )
@@ -226,65 +293,68 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     if schema != SCHEMA_VERSION:
         raise ScenarioError(f"{name_hint}: schema must be {SCHEMA_VERSION}, got {schema!r}")
     notes: list[str] = []
-    name = str(raw.get("name", name_hint))
-    if "seed" in raw:
-        seed = int(raw["seed"])
-    else:
+    name = _field(raw, "name", name_hint, str, name_hint)
+    seed = _field(raw, "seed", name, int, None)
+    if seed is None:
         seed = 0
         notes.append("seed defaulted to 0")
-    duration_s = int(raw.get("duration_s", 30))
-    jurisdiction = str(raw.get("jurisdiction", "AU"))
-    allow_noncompliant = bool(raw.get("allow_noncompliant", False))
+    duration_s = _field(raw, "duration_s", name, int, 30, low=0)
+    jurisdiction = _field(raw, "jurisdiction", name, str, "AU")
+    allow_noncompliant = _field(raw, "allow_noncompliant", name, _flag, False)
 
-    cell = _parse_cell(_require(raw, "cell", name))
+    cell = _parse_cell(_field(raw, "cell", name, dict))
     _check_compliance(cell, jurisdiction, allow_noncompliant, notes)
 
-    core_raw = _require(raw, "core", name)
+    core_raw = _field(raw, "core", name, dict)
     try:
         core = CoreConfig(
-            core_subnet=str(core_raw.get("subnet", "192.168.70.128/26")),
-            amf_address=str(core_raw.get("amf_address", "192.168.70.132")),
-            upf_address=str(core_raw.get("upf_address", "192.168.70.134")),
-            ue_pool_cidr=str(core_raw.get("ue_pool", "12.1.1.0/24")),
+            core_subnet=_field(core_raw, "subnet", "core", str, "192.168.70.128/26"),
+            amf_address=_field(core_raw, "amf_address", "core", str, "192.168.70.132"),
+            upf_address=_field(core_raw, "upf_address", "core", str, "192.168.70.134"),
+            ue_pool_cidr=_field(core_raw, "ue_pool", "core", str, "12.1.1.0/24"),
         )
         subscribers = tuple(
-            SubscriberRecord(imsi=str(row["imsi"]), enabled=bool(row.get("enabled", True)))
-            for row in core_raw.get("subscribers", [])
+            SubscriberRecord(
+                imsi=_field(row, "imsi", f"core.subscribers[{idx}]"),
+                enabled=_field(row, "enabled", f"core.subscribers[{idx}]", _flag, True),
+            )
+            for idx, row in enumerate(_entries(core_raw, "subscribers", "core", []))
         )
     except ConfigError as exc:
         raise ScenarioError(f"core: {exc}") from None
-    prior_allocations = int(core_raw.get("prior_allocations", 0))
+    prior_allocations = _field(core_raw, "prior_allocations", "core", int, 0, low=0)
 
     nodes: list[NodeConfig] = []
     seen_names: set[str] = set()
-    for node_raw in _require(raw, "nodes", name):
-        node_name = str(_require(node_raw, "name", "nodes"))
+    for node_raw in _entries(raw, "nodes", name):
+        node_name = _field(node_raw, "name", "nodes")
         if node_name in seen_names:
             raise ScenarioError(f"nodes: duplicate node name {node_name!r}")
         seen_names.add(node_name)
-        role = str(_require(node_raw, "role", node_name))
+        role = _field(node_raw, "role", node_name)
         if role not in ("gnb", "ue"):
             raise ScenarioError(f"node {node_name}: role must be 'gnb' or 'ue', got {role!r}")
         try:
-            host = get_host(str(_require(node_raw, "host", node_name)))
-            sdr = get_sdr(str(_require(node_raw, "sdr", node_name)))
+            host = get_host(_field(node_raw, "host", node_name))
+            sdr = get_sdr(_field(node_raw, "sdr", node_name))
         except ConfigError as exc:
             raise ScenarioError(f"node {node_name}: {exc}") from None
         medium = None
         if role == "ue":
-            medium = _parse_medium(_require(node_raw, "medium", f"node {node_name}"), node_name)
+            medium = _parse_medium(_field(node_raw, "medium", f"node {node_name}", dict),
+                                   node_name)
         nodes.append(
             NodeConfig(
                 name=node_name,
                 role=role,
                 host=host,
                 sdr=sdr,
-                imsi=str(node_raw["imsi"]) if "imsi" in node_raw else None,
-                gnb=str(node_raw["gnb"]) if "gnb" in node_raw else None,
+                imsi=_field(node_raw, "imsi", node_name, str, None),
+                gnb=_field(node_raw, "gnb", node_name, str, None),
                 medium=medium,
-                n3_address=str(node_raw["n3_address"]) if "n3_address" in node_raw else None,
-                on_air=bool(node_raw.get("on_air", True)),
-                unprovisioned=bool(node_raw.get("unprovisioned", False)),
+                n3_address=_field(node_raw, "n3_address", node_name, _ipv4, None),
+                on_air=_field(node_raw, "on_air", node_name, _flag, True),
+                unprovisioned=_field(node_raw, "unprovisioned", node_name, _flag, False),
             )
         )
 
@@ -307,58 +377,65 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
 
     ue_names = {n.name for n in nodes if n.role == "ue"}
     traffic: list[PingPlan | ThroughputPlan] = []
-    for idx, step in enumerate(raw.get("traffic", [])):
-        probe = str(_require(step, "probe", f"traffic[{idx}]"))
+    for idx, step in enumerate(_entries(raw, "traffic", name, [])):
+        context = f"traffic[{idx}]"
+        probe = _field(step, "probe", context)
         if probe == "ping":
-            src = str(_require(step, "src", f"traffic[{idx}]"))
+            src = _field(step, "src", context)
             if src not in ue_names:
-                raise ScenarioError(f"traffic[{idx}]: ping src {src!r} is not a UE node")
+                raise ScenarioError(f"{context}: ping src {src!r} is not a UE node")
+            dst = _field(step, "dst", context)
+            if dst not in seen_names and dst not in ("core-gateway", "external"):
+                try:
+                    _ipv4(dst)
+                except ValueError:
+                    raise ScenarioError(
+                        f"{context}: ping dst {dst!r} is not a node name, 'core-gateway', "
+                        f"'external' or a dotted-quad IPv4 address"
+                    ) from None
             traffic.append(
                 PingPlan(
-                    label=str(step.get("label", f"ping-{idx}")),
+                    label=_field(step, "label", context, str, f"ping-{idx}"),
                     src=src,
-                    dst=str(_require(step, "dst", f"traffic[{idx}]")),
-                    count=int(step.get("count", 100)),
-                    interval_ms=int(step.get("interval_ms", 200)),
+                    dst=dst,
+                    # ICMP sequence numbers are 16 bits wide.
+                    count=_field(step, "count", context, int, 100, low=0, high=0x10000),
+                    interval_ms=_field(step, "interval_ms", context, int, 200, low=0),
                 )
             )
         elif probe == "throughput":
-            ue = str(_require(step, "ue", f"traffic[{idx}]"))
+            ue = _field(step, "ue", context)
             if ue not in ue_names:
-                raise ScenarioError(f"traffic[{idx}]: throughput ue {ue!r} is not a UE node")
-            direction = str(_require(step, "direction", f"traffic[{idx}]")).upper()
+                raise ScenarioError(f"{context}: throughput ue {ue!r} is not a UE node")
+            direction = _field(step, "direction", context).upper()
             if direction not in ("UL", "DL"):
-                raise ScenarioError(f"traffic[{idx}]: direction must be UL or DL")
+                raise ScenarioError(f"{context}: direction must be UL or DL")
             traffic.append(
                 ThroughputPlan(
-                    label=str(step.get("label", f"throughput-{direction.lower()}-{idx}")),
+                    label=_field(step, "label", context, str,
+                                 f"throughput-{direction.lower()}-{idx}"),
                     ue=ue,
                     direction=direction,
-                    duration_s=int(step.get("duration_s", duration_s)),
+                    duration_s=_field(step, "duration_s", context, int, duration_s, low=0),
                 )
             )
         else:
-            raise ScenarioError(f"traffic[{idx}]: unknown probe {probe!r}")
+            raise ScenarioError(f"{context}: unknown probe {probe!r}")
 
-    ext_raw = raw.get("external_host", {})
+    ext_raw = _field(raw, "external_host", name, dict, {})
     external = ExternalHostConfig(
-        address=str(ext_raw.get("address", ExternalHostConfig.address)),
-        one_way_delay_us=int(ext_raw.get("one_way_delay_us", ExternalHostConfig.one_way_delay_us)),
-        ttl=int(ext_raw.get("ttl", ExternalHostConfig.ttl)),
+        address=_field(ext_raw, "address", "external_host", _ipv4, ExternalHostConfig.address),
+        one_way_delay_us=_field(ext_raw, "one_way_delay_us", "external_host", int,
+                                ExternalHostConfig.one_way_delay_us, low=0),
+        ttl=_field(ext_raw, "ttl", "external_host", int, ExternalHostConfig.ttl, low=0, high=255),
     )
 
     try:
-        occupancy = ChannelOccupancy(
-            [
-                Burst(start_us=int(b["start_us"]), end_us=int(b["end_us"]),
-                      power_dbm=float(b["power_dbm"]))
-                for b in raw.get("occupancy", [])
-            ]
-        )
+        occupancy = ChannelOccupancy(_parse_bursts(_entries(raw, "occupancy", name, [])))
     except ConfigError as exc:
         raise ScenarioError(f"occupancy: {exc}") from None
 
-    taps = [str(t) for t in raw.get("taps", [])]
+    taps = [str(t) for t in _field(raw, "taps", name, list, [])]
     valid_taps = {f"ue:{n}" for n in ue_names} | {f"n3:{g}" for g in gnb_names} | {"n6"}
     for tap in taps:
         if tap not in valid_taps:

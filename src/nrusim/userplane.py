@@ -153,10 +153,6 @@ class InnerPacket:
     sport: int | None = None
     dport: int | None = None
 
-    @property
-    def payload_len(self) -> int:
-        return len(self.payload)
-
 
 def internet_checksum(data: bytes) -> int:
     if len(data) % 2:

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 import yaml
 
 from nrusim.cli import main
 from nrusim.scenario import bundled_scenario_path
-from tests.test_scenario import variant
+from tests.test_scenario import HOSTILE, variant
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*args) -> int:
@@ -65,6 +72,26 @@ class TestScenarioCommands:
         path.write_text(yaml.safe_dump(raw), encoding="utf-8")
         assert run_cli("validate", str(path)) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", [case[1] for case in HOSTILE],
+                             ids=[case[0] for case in HOSTILE])
+    def test_validate_rejects_hostile_values_with_exit_1(self, tmp_path, capsys, raw):
+        path = tmp_path / "hostile.yaml"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        assert run_cli("validate", str(path)) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["non-integer seed", "ping dst not an IPv4"])
+    def test_validate_subprocess_prints_no_traceback(self, tmp_path, case):
+        raw = dict((name, raw) for name, raw, _needle in HOSTILE)[case]
+        path = tmp_path / "hostile.yaml"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "nrusim.cli", "validate", str(path)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_run_writes_report_and_prints_table(self, tmp_path, capsys):
         path = tmp_path / "unit.yaml"

@@ -1,9 +1,15 @@
 import copy
 import json
+import statistics
+from collections import Counter
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrusim.errors import ConfigError
+from nrusim.metrics import ping_ident, ping_stats
 from nrusim.pcapio import read_pcap, write_pcap
 from nrusim.runner import (
     compare_reports,
@@ -12,7 +18,8 @@ from nrusim.runner import (
     run_scenario,
     write_outputs,
 )
-from nrusim.scenario import scenario_from_dict
+from nrusim.scenario import BUNDLED, PingPlan, scenario_from_dict
+from nrusim.userplane import ICMP_ECHO_REPLY, ICMP_ECHO_REQUEST, decode_ip
 from tests.test_scenario import variant
 
 
@@ -25,10 +32,43 @@ class TestRunBasics:
         assert report["pings"][0]["received"] == 5
         assert report["event_count"] == len(result.log)
 
-    def test_every_report_number_recomputable_from_the_log(self):
-        result = run_scenario(scenario_from_dict(variant()))
-        samples = [r for r in result.log.records if r["action"] == "rtt_sample"]
-        assert len(samples) == result.report["pings"][0]["received"]
+    def test_every_report_number_recomputable_from_the_log(self, bundled_results):
+        """Every ping row of the six bundled reports, from the events.jsonl text alone."""
+        rows = 0
+        for name in BUNDLED:
+            result = bundled_results[name]
+            sent, sent_at, rtts = Counter(), {}, {}
+            for line in result.events_jsonl().splitlines():
+                record = json.loads(line)
+                key = (record["actor"], record.get("ident"), record.get("seq"))
+                if record["action"] == "ping_tx":
+                    sent[record["ident"]] += 1
+                    sent_at[key] = record["t_us"]
+                elif record["action"] == "rtt_sample" and key in sent_at:
+                    rtt = (record["t_us"] - sent_at.pop(key)) / 1000
+                    rtts.setdefault(record["ident"], []).append(rtt)
+            idents = [ping_ident(index) for index, plan in enumerate(result.scenario.traffic)
+                      if isinstance(plan, PingPlan)]
+            assert len(idents) == len(result.report["pings"])
+            for ident, row in zip(idents, result.report["pings"]):
+                got = rtts.get(ident, [])
+                assert (row["sent"], row["received"]) == (sent[ident], len(got)), name
+                if got:
+                    avg = statistics.fmean(got)
+                    mdev = statistics.fmean(abs(r - avg) for r in got)
+                    assert (row["min_ms"], row["avg_ms"], row["max_ms"], row["mdev_ms"]) == (
+                        round(min(got), 3), round(avg, 3), round(max(got), 3), round(mdev, 3)
+                    ), name
+                    rows += 1
+        assert rows >= len(BUNDLED)
+
+    def test_zero_counts_and_durations_report_zero_rows(self):
+        raw = variant(**{"traffic.0.count": 0, "traffic.0.interval_ms": 0})
+        raw["traffic"].append({"probe": "throughput", "ue": "ue1", "direction": "UL",
+                               "duration_s": 0})
+        report = run_scenario(scenario_from_dict(raw)).report
+        assert (report["pings"][0]["sent"], report["pings"][0]["received"]) == (0, 0)
+        assert report["throughput"][0]["delivered_bytes"] == 0
 
     def test_throughput_totals_recomputable_from_the_log(self, bundled_results):
         result = bundled_results["test_a"]
@@ -208,3 +248,69 @@ class TestCompare:
         assert extract_metric(a, "rtt_min_ms") == a["pings"][0]["min_ms"]
         assert extract_metric(a, "dl_peak_mbps") == a["throughput"][0]["peak_mbps"]
         assert extract_metric({}, "rtt_min_ms") is None
+
+
+# ---------------------------------------------------------------------------
+# Ping rows against an independent oracle: the frames at the source UE's tap
+# ---------------------------------------------------------------------------
+
+OWN_ADDRESS = {"ue1": "12.1.1.2", "ue2": "12.1.1.3"}  # attach order fixes the pool address
+PEER = {"ue1": "ue2", "ue2": "ue1"}
+
+
+@st.composite
+def ping_scenarios(draw) -> dict:
+    """Two UEs pinging a peer, the external host, the gateway, themselves or
+    a sessionless pool address, optionally under foreign bursts."""
+    raw = variant(name="oracle", seed=draw(st.integers(0, 2**16)))
+    raw["core"]["subscribers"].append({"imsi": "001010000000002"})
+    raw["nodes"].append({"name": "ue2", "role": "ue", "host": "nuc-i5", "sdr": "b210",
+                         "imsi": "001010000000002", "gnb": "gnb1",
+                         "medium": {"kind": "cable", "length_cm": 50}})
+    raw["traffic"] = []
+    for src, dst, count, interval_ms in draw(st.lists(st.tuples(
+            st.sampled_from(["ue1", "ue2"]),
+            st.sampled_from(["peer", "external", "core-gateway", "own", "12.1.1.99"]),
+            st.integers(1, 4), st.integers(0, 150)), min_size=1, max_size=3)):
+        dst = {"peer": PEER[src], "own": OWN_ADDRESS[src]}.get(dst, dst)
+        raw["traffic"].append({"probe": "ping", "src": src, "dst": dst, "count": count,
+                               "interval_ms": interval_ms})
+    bursts = draw(st.lists(st.tuples(st.integers(0, 2_000_000), st.integers(1, 40_000),
+                                     st.sampled_from([-80.0, -50.0])), max_size=30))
+    raw["occupancy"] = [{"start_us": start, "end_us": start + length, "power_dbm": power}
+                        for start, length, power in bursts]
+    return raw
+
+
+def tap_rtts_ms(frames, ident: int) -> list[float]:
+    """RTTs of one echo train, paired by (id, seq) at the sender's own tap.
+
+    The request is the first frame of its seq; the reply the UE receives
+    is the last, since a UE pinging itself also sends the reply out first.
+    """
+    sent, replied = {}, {}
+    for t_us, raw in sorted(frames, key=lambda frame: frame[0]):
+        pkt = decode_ip(raw)
+        if pkt.protocol != "ICMP" or pkt.icmp_id != ident:
+            continue
+        if pkt.icmp_type == ICMP_ECHO_REQUEST:
+            sent.setdefault(pkt.icmp_seq, t_us)
+        elif pkt.icmp_type == ICMP_ECHO_REPLY:
+            replied[pkt.icmp_seq] = t_us
+    return [(t_us - sent[seq]) / 1000 for seq, t_us in replied.items()]
+
+
+class TestPingOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(raw=ping_scenarios())
+    def test_ping_rows_match_the_ue_tap(self, raw):
+        untapped = run_scenario(scenario_from_dict(raw)).report["pings"]
+        raw["taps"] = sorted({f"ue:{step['src']}" for step in raw["traffic"]})
+        result = run_scenario(scenario_from_dict(raw))
+        # A ue: tap draws no RNG and logs nothing, so it cannot move a row.
+        assert result.report["pings"] == untapped
+        for index, (plan, row) in enumerate(zip(result.scenario.traffic,
+                                                result.report["pings"])):
+            rtts = tap_rtts_ms(result.taps[f"ue:{plan.src}"], ping_ident(index))
+            expected = asdict(ping_stats(plan.count, rtts))
+            assert {key: row[key] for key in expected} == expected

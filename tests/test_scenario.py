@@ -60,6 +60,67 @@ def variant(**overrides) -> dict:
     return raw
 
 
+def _with(key: str, value, **overrides) -> dict:
+    raw = variant(**overrides)
+    raw[key] = value
+    return raw
+
+
+def _occupancy(**burst) -> dict:
+    entry = {"start_us": 0, "end_us": 10, "power_dbm": -50.0, **burst}
+    return _with("occupancy", [{k: v for k, v in entry.items() if v is not ...}])
+
+
+# (case, raw scenario, text the ScenarioError must contain)
+MALFORMED = [
+    ("burst without power_dbm", _occupancy(power_dbm=...), "occupancy[0]: missing required"),
+    ("non-integer start_us", _occupancy(start_us="x"), "occupancy[0]: start_us"),
+    ("second burst malformed",
+     _with("occupancy", [{"start_us": 0, "end_us": 10, "power_dbm": -50.0},
+                         {"start_us": 20, "end_us": "late", "power_dbm": -50.0}]),
+     "occupancy[1]: end_us"),
+    ("non-integer seed", variant(seed="abc"), "seed"),
+    ("infinite seed", variant(seed=float("inf")), "seed"),
+    ("non-integer duration_s", variant(duration_s="long"), "duration_s"),
+    ("non-integer ping count", variant(**{"traffic.0.count": "many"}), "traffic[0]: count"),
+    ("occupancy not a list", _with("occupancy", 5), "occupancy must be a list"),
+    ("traffic item not a mapping", _with("traffic", [5]), "traffic[0] must be a mapping"),
+    ("traffic null", _with("traffic", None), "traffic must be a list"),
+    ("cell.tdd not a mapping", variant(**{"cell.tdd": "x"}), "tdd must be a mapping"),
+    ("cell not a mapping", _with("cell", [1]), "cell must be a mapping"),
+    ("nodes not a list", _with("nodes", "abc"), "nodes must be a list"),
+    ("subscriber not a mapping", variant(**{"core.subscribers": ["x"]}), "subscribers[0]"),
+    ("medium not a mapping", variant(**{"nodes.1.medium": "air"}), "medium must be a mapping"),
+    ("malformed UPF address", variant(**{"core.upf_address": "nowhere"}), "core"),
+    ("malformed UE pool", variant(**{"core.ue_pool": "nowhere"}), "core"),
+    ("malformed n3_address", variant(**{"nodes.0.n3_address": "nowhere"}), "n3_address"),
+    ("quoted boolean", variant(**{"cell.indoor": "false"}), "indoor must be true or false"),
+]
+
+# Scenarios that used to load, then failed or reported silently wrong
+# numbers at run time.
+UNRUNNABLE = [
+    ("negative ping interval", variant(**{"traffic.0.interval_ms": -1}), "interval_ms"),
+    ("negative external delay",
+     _with("external_host", {"one_way_delay_us": -10}, **{"traffic.0.dst": "external"}),
+     "one_way_delay_us"),
+    ("external ttl out of range", _with("external_host", {"ttl": 300}), "ttl"),
+    ("malformed external address", _with("external_host", {"address": "nowhere"}), "address"),
+    ("ping dst not a node", variant(**{"traffic.0.dst": "nowhere"}), "ping dst 'nowhere'"),
+    ("ping dst not an IPv4", variant(**{"traffic.0.dst": "999.1.1.1"}), "ping dst"),
+    ("negative ping count", variant(**{"traffic.0.count": -2}), "count"),
+    ("ping count past 16-bit seq", variant(**{"traffic.0.count": 70_000}), "count"),
+    ("negative throughput duration",
+     _with("traffic", [{"probe": "throughput", "ue": "ue1", "direction": "UL",
+                        "duration_s": -1}]),
+     "duration_s"),
+    ("negative default duration", variant(duration_s=-5), "duration_s"),
+    ("negative contention window", variant(**{"cell.lbt": {"cw_min": -1}}), "cw_min"),
+]
+
+HOSTILE = MALFORMED + UNRUNNABLE
+
+
 class TestBundled:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_every_bundled_scenario_loads(self, name):
@@ -144,6 +205,26 @@ class TestValidation:
         raw["taps"] = ["ue:ue9"]
         with pytest.raises(ScenarioError, match="unknown tap"):
             scenario_from_dict(raw)
+
+    @pytest.mark.parametrize("raw, needle", [case[1:] for case in HOSTILE],
+                             ids=[case[0] for case in HOSTILE])
+    def test_hostile_value_names_its_field(self, raw, needle):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(raw)
+        assert needle in str(err.value)
+
+    def test_zero_counts_intervals_and_durations_still_load(self):
+        raw = variant(**{"traffic.0.count": 0, "traffic.0.interval_ms": 0})
+        raw["traffic"].append({"probe": "throughput", "ue": "ue1", "direction": "DL",
+                               "duration_s": 0})
+        raw["external_host"] = {"one_way_delay_us": 0}
+        scenario = scenario_from_dict(raw)
+        assert (scenario.traffic[0].count, scenario.traffic[0].interval_ms) == (0, 0)
+        assert scenario.traffic[1].duration_s == 0
+
+    @pytest.mark.parametrize("dst", ["gnb1", "ue1", "core-gateway", "external", "8.8.8.8"])
+    def test_ping_dst_forms_accepted(self, dst):
+        assert scenario_from_dict(variant(**{"traffic.0.dst": dst})).traffic[0].dst == dst
 
     def test_schema_version_enforced(self):
         with pytest.raises(ScenarioError, match="schema"):
