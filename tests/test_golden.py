@@ -117,6 +117,37 @@ def _long_burst() -> dict:
     return raw
 
 
+def _attach_failures() -> dict:
+    """Three UEs that each fail attach in a different phase, and each ping.
+
+    ue1 sits behind an off-air gNB and sweeps the whole raster (538
+    steps); ue2 is unprovisioned; ue3 registers, then finds the /30 pool's
+    one host already taken by a prior allocation.
+    """
+    raw = variant(name="golden_attach_failures")
+    raw["core"]["ue_pool"] = "12.1.1.0/30"
+    raw["core"]["prior_allocations"] = 1
+    raw["core"]["subscribers"].append({"imsi": "001010000000003"})
+    raw["nodes"].append({"name": "gnb2", "role": "gnb", "host": "precision-5820-core",
+                         "sdr": "n300", "on_air": False})
+    raw["nodes"][1]["gnb"] = "gnb2"
+    raw["nodes"] += [
+        {"name": "ue2", "role": "ue", "host": "nuc-i5", "sdr": "b210",
+         "imsi": "001010000000002", "gnb": "gnb1", "unprovisioned": True,
+         "medium": {"kind": "cable", "length_cm": 50}},
+        {"name": "ue3", "role": "ue", "host": "nuc-i5", "sdr": "b210",
+         "imsi": "001010000000003", "gnb": "gnb1",
+         "medium": {"kind": "over_air", "distance_m": 2.0}},
+    ]
+    raw["taps"] = ["ue:ue3", "n3:gnb1"]
+    raw["traffic"] = [
+        {"probe": "ping", "label": f"from-{ue}", "src": ue, "dst": "core-gateway",
+         "count": 2, "interval_ms": 100}
+        for ue in ("ue1", "ue2", "ue3")
+    ]
+    return raw
+
+
 INLINE_CASES = {
     "contended": (
         _contended,
@@ -142,6 +173,11 @@ INLINE_CASES = {
         _long_burst,
         "1dc9101076ad9e3604ee7fb87669344f2bdda3c076e60a3a27a8f9c62128a029",
         "356802a0c6bd1f7561633d9f8bd8d02940f87a524c196aac3ff1d2c32c6bd4e8",
+    ),
+    "attach_failures": (
+        _attach_failures,
+        "9fc9fc9fd9365813f35e7febde45045f662cadd99d4607d49108b4389941d3fa",
+        "665b73957a4ef9e16ae0cec924d4c4c2e7be38e36a21e0e7c6d0751275b922d5",
     ),
 }
 
