@@ -62,6 +62,6 @@ from .spectrum import (
     ss_scan_candidates,
     validate_channel,
 )
-from .userplane import GnbRelay, InnerPacket, RouteTable, decode_gtpu, encode_gtpu, upf_forward
+from .userplane import InnerPacket, RouteTable, decode_gtpu, encode_gtpu, relay_passes, upf_forward
 
 __version__ = "0.1.0"

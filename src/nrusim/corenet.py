@@ -66,6 +66,13 @@ class PduSession:
         return self.state == "ACTIVE"
 
 
+def pool_capacity(cidr: str) -> int:
+    """Allocatable host count of a pool over ``cidr``, counted without listing hosts."""
+    network = ipaddress.IPv4Network(cidr)
+    hosts = network.num_addresses if network.prefixlen >= 31 else network.num_addresses - 2
+    return hosts - 1  # the first host is the gateway
+
+
 class IpPool:
     """Host-address pool over one IPv4 subnet; first host is the gateway."""
 
@@ -126,7 +133,7 @@ class CoreConfig:
     def __post_init__(self):
         try:
             subnet = ipaddress.IPv4Network(self.core_subnet)
-            ipaddress.IPv4Network(self.ue_pool_cidr)
+            capacity = pool_capacity(self.ue_pool_cidr)
             addrs = [(label, ipaddress.IPv4Address(addr))
                      for label, addr in (("AMF", self.amf_address), ("UPF", self.upf_address))]
         except ValueError as exc:
@@ -134,6 +141,10 @@ class CoreConfig:
         for label, addr in addrs:
             if addr not in subnet:
                 raise ConfigError(f"{label} address {addr} not inside core subnet {self.core_subnet}")
+        if capacity < 1:
+            raise ConfigError(
+                f"pool {self.ue_pool_cidr} too small: needs a gateway plus at least one host"
+            )
 
 
 class CoreNetwork:
@@ -143,7 +154,6 @@ class CoreNetwork:
         self,
         config: CoreConfig | None = None,
         subscribers: tuple[SubscriberRecord, ...] | list[SubscriberRecord] = (),
-        teid_start: int = 1,
     ):
         self.config = config or CoreConfig()
         self.subscribers: dict[str, SubscriberRecord] = {}
@@ -152,7 +162,7 @@ class CoreNetwork:
                 raise ConfigError(f"duplicate IMSI {record.imsi} in subscriber store")
             self.subscribers[record.imsi] = record
         self.pool = IpPool(self.config.ue_pool_cidr)
-        self._teids = itertools.count(teid_start)
+        self._teids = itertools.count(1)
         self._registered: dict[str, str] = {}  # ue_id -> imsi
         self.sessions: dict[str, PduSession] = {}  # ue_id -> session
 

@@ -66,7 +66,3 @@ class EventLoop:
             at_us, _seq, fn = heapq.heappop(self._heap)
             self.now_us = at_us
             fn()
-
-    @property
-    def pending(self) -> int:
-        return len(self._heap)

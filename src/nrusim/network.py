@@ -13,8 +13,8 @@ The access leg of each link is one hop table per direction, built once:
 
 ``_traverse`` walks it for packets and bulk ticks alike, adding delays.
 At RADIO it takes the LBT grant on the link's substream, aligns it to the
-direction's TDD slot, then checks the relay: a payload the relay does not
-pass is logged as ``radio_drop`` at the current time and draws nothing
+direction's TDD slot, then checks the relay: a payload the gNB does not
+relay is logged as ``radio_drop`` at the current time and draws nothing
 further.  A surviving packet draws its jitter from the probe's substream.
 At GNB a packet stops as a scheduled event that logs ``gtpu_ul`` or
 ``gtpu_dl`` and feeds the N3 tap; bulk ticks carry no bytes and skip it.
@@ -36,13 +36,13 @@ from .scenario import NodeConfig, Scenario
 from .spectrum import arfcn_to_frequency, get_band
 from .userplane import (
     ForwardDecision,
-    GnbRelay,
     InnerPacket,
     RouteTable,
     echo_reply_for,
     encode_gtpu,
     encode_ip,
     icmp_echo_request,
+    relay_passes,
     upf_forward,
 )
 
@@ -55,8 +55,7 @@ GNB = "gnb"
 class RadioLink:
     ue: NodeConfig
     gnb: NodeConfig
-    medium: rflink.LinkMedium
-    relay: GnbRelay
+    viable: bool  # the host drains the sample stream: bulk data survives
     required_msps: float
     drop_fraction: float
     rsrp_dbm: float
@@ -86,7 +85,6 @@ class SimNetwork:
                 rflink.sample_drop_fraction(ue.host, required),
                 rflink.sample_drop_fraction(gnb.host, required),
             )
-            viable = rflink.link_viable(drop)
             rsrp = rflink.compute_rsrp(
                 scenario.cell.tx_power_dbm,
                 scenario.cell.attenuation_factor,
@@ -99,8 +97,7 @@ class SimNetwork:
             self.links[ue.name] = RadioLink(
                 ue=ue,
                 gnb=gnb,
-                medium=ue.medium,
-                relay=GnbRelay(viable=viable),
+                viable=rflink.link_viable(drop),
                 required_msps=required,
                 drop_fraction=drop,
                 rsrp_dbm=rsrp,
@@ -110,16 +107,19 @@ class SimNetwork:
             )
 
         self.taps: dict[str, list[tuple[int, bytes]]] = {t: [] for t in scenario.taps}
-        self.ue_ip: dict[str, str] = {}
-        self.attach_states: dict[str, access.UeState] = {}
+        self.routes: RouteTable | None = None  # set once attach completes
         self._nat: dict[tuple[str, int | None], str] = {}
         self._ip_ident = 0
         self.attach_complete_us = 0
 
     # -- setup ---------------------------------------------------------------
 
-    def attach_all(self) -> dict[str, access.UeState]:
-        """Attach every UE in scenario order, logging timed milestones."""
+    def attach_all(self) -> None:
+        """Attach every UE in scenario order, logging timed milestones.
+
+        No event establishes or releases a session, so the UPF's route
+        table is built once, here.
+        """
         band = get_band(self.scenario.cell.band_id)
         cursor = 1000
         for ue in self.scenario.ues():
@@ -128,10 +128,9 @@ class SimNetwork:
                             rsrp_dbm=round(link.rsrp_dbm, 2),
                             required_msps=link.required_msps,
                             drop_fraction=link.drop_fraction,
-                            viable=link.relay.viable)
+                            viable=link.viable)
             gscn = self.scenario.cell.ssb_gscn if link.gnb.on_air else None
             state = access.attach(band, gscn, self.core, ue.imsi, ue_id=ue.name)
-            self.attach_states[ue.name] = state
             t = cursor
             self.log.append(t, ue.name, "attach_phase", phase="SCANNING")
             t += state.scan_steps * self.calib.scan_step_us
@@ -143,7 +142,6 @@ class SimNetwork:
                 self.log.append(t, ue.name, "attach_phase", phase="REGISTERED", imsi=ue.imsi)
             if state.phase >= access.UePhase.SESSION_ACTIVE:
                 t += self.calib.session_setup_us
-                self.ue_ip[ue.name] = state.session.ip
                 self.log.append(t, ue.name, "attach_phase", phase="SESSION_ACTIVE",
                                 ip=state.session.ip,
                                 interface=state.session.interface,
@@ -154,7 +152,11 @@ class SimNetwork:
                                 phase=state.phase.name)
             cursor = t + 10_000
         self.attach_complete_us = cursor + 100_000
-        return self.attach_states
+        self.routes = RouteTable(
+            pool=self.core.pool,
+            sessions={s.ip: s for s in self.core.active_sessions()},
+            upf_address=self.core.config.upf_address,
+        )
 
     # -- address resolution ----------------------------------------------------
 
@@ -163,8 +165,8 @@ class SimNetwork:
             return str(self.core.pool.gateway)
         if dst == "external":
             return self.scenario.external.address
-        if dst in self.ue_ip:
-            return self.ue_ip[dst]
+        if dst in self.core.sessions:
+            return self.core.sessions[dst].ip
         if any(n.name == dst for n in self.scenario.nodes):
             return None  # known node without an address
         return dst  # literal IPv4
@@ -173,11 +175,11 @@ class SimNetwork:
 
     def schedule_icmp_echo(self, ue_name, dst_ip, ident, seq, at_us, rng) -> None:
         def emit():
-            src_ip = self.ue_ip.get(ue_name)
-            if src_ip is None:
+            session = self.core.sessions.get(ue_name)
+            if session is None:
                 self.log.append(self.loop.now_us, ue_name, "ping_no_route", seq=seq)
                 return
-            inner = icmp_echo_request(src_ip, dst_ip, ident, seq)
+            inner = icmp_echo_request(session.ip, dst_ip, ident, seq)
             self.log.append(self.loop.now_us, ue_name, "ping_tx", dst=dst_ip, seq=seq, ident=ident)
             self._send(ue_name, "UL", inner, rng)
 
@@ -202,7 +204,7 @@ class SimNetwork:
         inner = self._with_ident(inner)
         wire = encode_ip(inner)
         if direction == "UL":
-            self._tap(f"ue:{ue_name}", now, wire)
+            self._tap(f"ue:{ue_name}", wire)
             done = lambda: self._upf_ingress(inner, rng)
         else:
             done = lambda: self._deliver_to_ue(ue_name, inner, rng)
@@ -210,7 +212,7 @@ class SimNetwork:
 
     def _bulk(self, ue_name, direction, nbytes, tag, delivered_cb) -> None:
         """One aggregate tick over the access leg; no bytes, no jitter, no gNB stop."""
-        if self.ue_ip.get(ue_name) is None:
+        if ue_name not in self.core.sessions:
             return
         link = self.links[ue_name]
         sender, receiver = (ue_name, "core") if direction == "UL" else ("core", ue_name)
@@ -238,7 +240,7 @@ class SimNetwork:
             if hop is RADIO:
                 gate = access.lbt_gate(self.scenario.occupancy, self.scenario.cell.lbt, t, link.rng)
                 t = access.next_transmit_time(self.scenario.cell.tdd, direction, gate.grant_us)
-                if not link.relay.passes(size):
+                if not relay_passes(link.viable, size):
                     self.log.append(self.loop.now_us, link.gnb.name, "radio_drop",
                                     direction=direction, size=size)
                     return
@@ -276,16 +278,9 @@ class SimNetwork:
                 InnerPacket(src=src, dst=dst, protocol="UDP", payload=tunnel,
                             sport=userplane.GTPU_PORT, dport=userplane.GTPU_PORT)
             )
-            self._tap(tap, t, encode_ip(outer))
+            self._tap(tap, encode_ip(outer))
 
     # -- UPF --------------------------------------------------------------------
-
-    def _routes(self) -> RouteTable:
-        return RouteTable(
-            pool_cidr=self.core.pool.cidr,
-            sessions={s.ip: s for s in self.core.active_sessions()},
-            upf_address=self.core.config.upf_address,
-        )
 
     def _upf_ingress(self, inner: InnerPacket, rng: Random) -> None:
         """Decapsulated packet at the UPF, from the tunnel side."""
@@ -296,7 +291,7 @@ class SimNetwork:
                 self.log.append(now, "core", "core_echo", src=inner.src, seq=inner.icmp_seq)
                 self._upf_ingress(echo_reply_for(inner), rng)
             return
-        decision = upf_forward(inner, self._routes())
+        decision = upf_forward(inner, self.routes)
         self._apply_forward(decision, inner, rng)
 
     def _apply_forward(self, decision: ForwardDecision, inner: InnerPacket, rng: Random) -> None:
@@ -316,7 +311,7 @@ class SimNetwork:
             self._nat[("ICMP", inner.icmp_id)] = inner.src
         self.log.append(now, "upf", "upf_egress", dst=rewritten.dst,
                         visible_src=rewritten.src)
-        self._tap("n6", now, encode_ip(rewritten))
+        self._tap("n6", encode_ip(rewritten))
         self.loop.schedule_after(self.scenario.external.one_way_delay_us,
                                  lambda: self._external_ingress(rewritten, rng))
 
@@ -332,21 +327,20 @@ class SimNetwork:
 
     def _n6_ingress(self, pkt: InnerPacket, rng: Random) -> None:
         """Reply arriving at the UPF from the external network."""
-        now = self.loop.now_us
         pkt = self._with_ident(pkt)
-        self._tap("n6", now, encode_ip(pkt))
+        self._tap("n6", encode_ip(pkt))
         original = self._nat.get((pkt.protocol, pkt.icmp_id))
         if original is None:
             self._apply_forward(ForwardDecision(action=userplane.FORWARD_DROP), pkt, rng)
             return
         restored = replace(pkt, dst=original)
-        self._apply_forward(upf_forward(restored, self._routes()), restored, rng)
+        self._apply_forward(upf_forward(restored, self.routes), restored, rng)
 
     # -- UE stack -----------------------------------------------------------------
 
     def _deliver_to_ue(self, ue_name: str, inner: InnerPacket, rng: Random) -> None:
         now = self.loop.now_us
-        self._tap(f"ue:{ue_name}", now, encode_ip(inner))
+        self._tap(f"ue:{ue_name}", encode_ip(inner))
         if inner.icmp_type == userplane.ICMP_ECHO_REPLY:
             self.log.append(now, ue_name, "rtt_sample", ident=inner.icmp_id,
                             seq=inner.icmp_seq, session=flow_session_id("ICMP", inner.icmp_id))
@@ -358,7 +352,8 @@ class SimNetwork:
 
     # -- taps ---------------------------------------------------------------------
 
-    def _tap(self, name: str, t_us: int, data: bytes) -> None:
+    def _tap(self, name: str, data: bytes) -> None:
+        """Capture a frame at the loop clock, which never goes backwards."""
         frames = self.taps.get(name)
         if frames is not None:
-            frames.append((t_us, data))
+            frames.append((self.loop.now_us, data))

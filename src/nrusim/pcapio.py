@@ -17,10 +17,10 @@ PCAP_MAGIC_NS = 0xA1B23C4D
 LINKTYPE_RAW = 101
 
 
-def write_pcap(path: str | Path, packets: list[tuple[int, bytes]], linktype: int = LINKTYPE_RAW) -> None:
+def write_pcap(path: str | Path, packets: list[tuple[int, bytes]]) -> None:
     """Write (timestamp_us, raw bytes) records to a classic pcap file."""
     with open(path, "wb") as handle:
-        handle.write(struct.pack("<IHHiIII", PCAP_MAGIC_US, 2, 4, 0, 0, 65535, linktype))
+        handle.write(struct.pack("<IHHiIII", PCAP_MAGIC_US, 2, 4, 0, 0, 65535, LINKTYPE_RAW))
         for t_us, data in packets:
             sec, usec = divmod(t_us, 1_000_000)
             handle.write(struct.pack("<IIII", sec, usec, len(data), len(data)))

@@ -93,16 +93,6 @@ class Cable:
 LinkMedium = Union[OverAir, Cable]
 
 
-@dataclass(frozen=True)
-class RsrpReport:
-    rsrp_dbm: float
-    attenuation_factor: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.rsrp_dbm):
-            raise DomainError("RSRP must be finite")
-
-
 def free_space_loss_db(distance_m: float, carrier_mhz: float) -> float:
     """Free-space loss: 20 log10(d_km) + 20 log10(f_MHz) + 32.44."""
     if distance_m <= 0:
@@ -126,14 +116,13 @@ def compute_rsrp(
     attenuation_factor: float,
     medium: LinkMedium,
     carrier_mhz: float = 5250.0,
-    db_per_unit: float = ATT_DB_PER_UNIT,
 ) -> float:
     """Received power after digital attenuation and medium loss.
 
     Strictly decreasing in the attenuation factor and in every medium
     loss term.
     """
-    return tx_power_dbm - attenuation_factor * db_per_unit - medium_loss_db(medium, carrier_mhz)
+    return tx_power_dbm - attenuation_factor * ATT_DB_PER_UNIT - medium_loss_db(medium, carrier_mhz)
 
 
 def required_sampling_rate(bandwidth_mhz: float) -> float:
@@ -161,7 +150,7 @@ def sample_drop_fraction(host: HostModel, required_msps: float) -> float:
     return min(1.0, (required - headroom) / required)
 
 
-def link_viable(drop_fraction: float, threshold: float = VIABILITY_DROP_THRESHOLD) -> bool:
+def link_viable(drop_fraction: float) -> bool:
     """Whether a link sustains bulk data.
 
     A non-viable link still carries short control exchanges (ICMP and
@@ -171,7 +160,7 @@ def link_viable(drop_fraction: float, threshold: float = VIABILITY_DROP_THRESHOL
     """
     if not 0 <= drop_fraction <= 1:
         raise DomainError(f"drop fraction must lie in [0, 1], got {drop_fraction}")
-    return drop_fraction <= threshold
+    return drop_fraction <= VIABILITY_DROP_THRESHOLD
 
 
 @functools.lru_cache(maxsize=1)

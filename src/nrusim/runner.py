@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .access import ue_cell_search
 from .calibration import load_calibration
 from .engine import EventLog, EventLoop, derive_rng
 from .errors import ConfigError, InvariantBreach
@@ -27,6 +28,7 @@ from .metrics import (
 from .network import SimNetwork
 from .pcapio import write_pcap
 from .scenario import PingPlan, Scenario, ThroughputPlan
+from .spectrum import get_band
 
 REPORT_SCHEMA = 1
 
@@ -68,7 +70,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 scenario.cell.tdd,
                 link.ue.sdr,
                 link.gnb.sdr,
-                link.medium,
+                link.ue.medium,
                 calib,
             )
             probe = ThroughputProbe(plan, capacity, calib, rng)
@@ -81,7 +83,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     _check_invariants(net, log)
     return RunResult(
         scenario=scenario,
-        report=_build_report(scenario, net, tallies, log),
+        report=_build_report(scenario, log, tallies, net.taps),
         log=log,
         taps=net.taps,
     )
@@ -104,20 +106,26 @@ def _check_invariants(net: SimNetwork, log: EventLog) -> None:
         last = record["t_us"]
 
 
-def _build_report(scenario: Scenario, net: SimNetwork, tallies: list[ThroughputProbe],
-                  log: EventLog) -> dict:
-    attach_rows = []
-    for ue in scenario.ues():
-        state = net.attach_states[ue.name]
-        attach_rows.append(
-            {
-                "ue": ue.name,
-                "phase": state.phase.name,
-                "ip": state.session.ip if state.session else None,
-                "scan_steps": state.scan_steps,
-                "failure": state.failure,
-            }
-        )
+def _build_report(scenario: Scenario, log: EventLog, tallies: list[ThroughputProbe],
+                  taps: dict[str, list[tuple[int, bytes]]]) -> dict:
+    """Fold the event log, the throughput tallies and the tap frames into a report."""
+    attach = {ue.name: {"ue": ue.name, "phase": None, "ip": None, "scan_steps": None,
+                        "failure": None} for ue in scenario.ues()}
+    budgets: dict[str, dict] = {}
+    for record in log.records:
+        action = record["action"]
+        if action == "attach_phase":
+            row = attach[record["actor"]]
+            row["phase"] = record["phase"]
+            row["scan_steps"] = record.get("scan_steps", row["scan_steps"])
+            row["ip"] = record.get("ip", row["ip"])
+        elif action == "attach_failed":
+            attach[record["actor"]]["failure"] = record["reason"]
+        elif action == "link_budget":
+            budgets[record["actor"]] = record
+    for row in attach.values():
+        if row["scan_steps"] is None:  # no cell found: the UE swept the whole raster
+            row["scan_steps"] = ue_cell_search(get_band(scenario.cell.band_id), None)[1]
     rtts = ping_rtts_ms(log.records)
     pings = [
         {"label": plan.label, "src": plan.src, "dst": plan.dst,
@@ -130,8 +138,8 @@ def _build_report(scenario: Scenario, net: SimNetwork, tallies: list[ThroughputP
         for probe in tallies
     ]
     passive = {}
-    for tap, frames in net.taps.items():
-        monitored = passive_monitor(sorted(frames, key=lambda f: f[0]))
+    for tap, frames in taps.items():
+        monitored = passive_monitor(frames)
         passive[tap] = {
             "unparsed_frames": monitored.unparsed_frames,
             "sessions": [
@@ -154,15 +162,11 @@ def _build_report(scenario: Scenario, net: SimNetwork, tallies: list[ThroughputP
         # and passive (tap frames) is recomputable from it.
         "event_log": "events.jsonl",
         "notes": list(scenario.notes),
-        "attach": attach_rows,
-        "rsrp_dbm": {name: round(link.rsrp_dbm, 2) for name, link in net.links.items()},
+        "attach": list(attach.values()),
+        "rsrp_dbm": {name: budget["rsrp_dbm"] for name, budget in budgets.items()},
         "link": {
-            name: {
-                "required_msps": link.required_msps,
-                "drop_fraction": link.drop_fraction,
-                "viable": link.relay.viable,
-            }
-            for name, link in net.links.items()
+            name: {key: budget[key] for key in ("required_msps", "drop_fraction", "viable")}
+            for name, budget in budgets.items()
         },
         "pings": pings,
         "throughput": throughput,
@@ -185,7 +189,7 @@ def write_outputs(result: RunResult, out_dir: str | Path, pcap: bool = False) ->
     if pcap:
         for tap, frames in result.taps.items():
             safe = tap.replace(":", "_")
-            write_pcap(out / f"tap_{safe}.pcap", sorted(frames, key=lambda f: f[0]))
+            write_pcap(out / f"tap_{safe}.pcap", frames)
     return out
 
 

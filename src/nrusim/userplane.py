@@ -9,11 +9,10 @@ captures can be dissected by third-party tooling.
 
 from __future__ import annotations
 
-import ipaddress
 import struct
 from dataclasses import dataclass, replace
 
-from .corenet import PduSession
+from .corenet import IpPool, PduSession
 from .errors import (
     CodecError,
     FramingError,
@@ -291,12 +290,12 @@ FORWARD_DROP = "drop"
 class RouteTable:
     """UPF routing state: the UE pool, per-address sessions, and the UPF's own address."""
 
-    pool_cidr: str
+    pool: IpPool
     sessions: dict[str, PduSession]  # UE ip -> active session
     upf_address: str
 
     def in_pool(self, ip: str) -> bool:
-        return ipaddress.IPv4Address(ip) in ipaddress.IPv4Network(self.pool_cidr)
+        return ip in self.pool
 
 
 @dataclass(frozen=True)
@@ -333,15 +332,6 @@ def upf_forward(packet: InnerPacket, routes: RouteTable) -> ForwardDecision:
 BULK_SIZE_CUTOFF = 256
 
 
-@dataclass
-class GnbRelay:
-    """Transparent relay between the radio leg and the core tunnel leg."""
-
-    viable: bool = True
-    bulk_cutoff: int = BULK_SIZE_CUTOFF
-
-    def passes(self, size_bytes: int) -> bool:
-        """Whether a payload of this size survives the radio link."""
-        if self.viable:
-            return True
-        return size_bytes <= self.bulk_cutoff
+def relay_passes(viable: bool, size_bytes: int) -> bool:
+    """Whether the gNB relays a payload of this size over the radio link."""
+    return viable or size_bytes <= BULK_SIZE_CUTOFF

@@ -10,6 +10,7 @@ from nrusim.corenet import (
     CoreNetwork,
     IpPool,
     SubscriberRecord,
+    pool_capacity,
 )
 from nrusim.errors import AllocationError, ConfigError, StateError
 
@@ -154,6 +155,10 @@ class TestPoolInvariants:
         pool = IpPool("12.1.1.0/24")
         assert str(pool.gateway) == "12.1.1.1"
         assert pool.capacity == 253  # 254 hosts minus the gateway
+
+    @pytest.mark.parametrize("prefix", range(16, 32))
+    def test_capacity_counted_without_listing_matches_the_pool(self, prefix):
+        assert pool_capacity(f"10.0.0.0/{prefix}") == IpPool(f"10.0.0.0/{prefix}").capacity
 
     @given(st.lists(st.sampled_from(["alloc", "release"]), max_size=60))
     @settings(max_examples=100)

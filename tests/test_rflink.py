@@ -53,13 +53,6 @@ class TestRsrp:
         longer = medium_loss_db(Cable(length_cm=250, attenuator_db=0), 5250.0)
         assert longer - short == pytest.approx(2.0)  # 1 dB/m
 
-    def test_rsrp_report_requires_finite_value(self):
-        from nrusim.rflink import RsrpReport
-
-        assert RsrpReport(rsrp_dbm=-100.0, attenuation_factor=12).rsrp_dbm == -100.0
-        with pytest.raises(DomainError):
-            RsrpReport(rsrp_dbm=float("nan"), attenuation_factor=12)
-
 
 class TestSamplingCapacity:
     def test_required_rate_is_linear(self):

@@ -8,18 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nrusim import access
 from nrusim.errors import ConfigError
 from nrusim.metrics import ping_ident, ping_stats
 from nrusim.pcapio import read_pcap, write_pcap
 from nrusim.runner import (
+    RunResult,
     compare_reports,
     extract_metric,
     parse_expectation,
     run_scenario,
     write_outputs,
 )
-from nrusim.scenario import BUNDLED, PingPlan, scenario_from_dict
+from nrusim.scenario import BUNDLED, PingPlan, load_bundled, scenario_from_dict
 from nrusim.userplane import ICMP_ECHO_REPLY, ICMP_ECHO_REQUEST, decode_ip
+from tests.test_golden import _attach_failures
 from tests.test_scenario import variant
 
 
@@ -314,3 +317,82 @@ class TestPingOracle:
             rtts = tap_rtts_ms(result.taps[f"ue:{plan.src}"], ping_ident(index))
             expected = asdict(ping_stats(plan.count, rtts))
             assert {key: row[key] for key in expected} == expected
+
+
+# ---------------------------------------------------------------------------
+# Attach rows against an independent oracle: the states attach() returned
+# ---------------------------------------------------------------------------
+
+
+def run_with_attach_states(scenario) -> tuple[RunResult, list[dict]]:
+    """Run a scenario, and build attach rows from each UeState attach() returns."""
+    states = []
+    original = access.attach
+
+    def recording(*args, **kwargs):
+        state = original(*args, **kwargs)
+        states.append((kwargs["ue_id"], state))
+        return state
+
+    access.attach = recording
+    try:
+        result = run_scenario(scenario)
+    finally:
+        access.attach = original
+    rows = [
+        {
+            "ue": ue,
+            "phase": state.phase.name,
+            "ip": state.session.ip if state.session else None,
+            "scan_steps": state.scan_steps,
+            "failure": state.failure,
+        }
+        for ue, state in states
+    ]
+    return result, rows
+
+
+@st.composite
+def attach_scenarios(draw) -> dict:
+    """Up to four UEs, provisioned, disabled or unprovisioned, behind an
+    on-air or off-air gNB, on a pool with room for at most five."""
+    raw = variant(name="attach-oracle", seed=draw(st.integers(0, 2**16)))
+    pool, capacity = draw(st.sampled_from([("12.1.1.0/30", 1), ("12.1.1.0/29", 5)]))
+    raw["core"]["ue_pool"] = pool
+    raw["core"]["prior_allocations"] = draw(st.integers(0, capacity))
+    raw["core"]["subscribers"] = []
+    raw["nodes"][0]["on_air"] = draw(st.booleans())
+    raw["nodes"].insert(1, {"name": "gnb2", "role": "gnb", "host": "precision-5820-core",
+                            "sdr": "n300", "on_air": draw(st.booleans())})
+    del raw["nodes"][2:]
+    statuses = draw(st.lists(st.sampled_from(["provisioned", "disabled", "unprovisioned"]),
+                             min_size=1, max_size=4))
+    for i, status in enumerate(statuses, start=1):
+        imsi = f"00101000000000{i}"
+        if status != "unprovisioned":
+            raw["core"]["subscribers"].append({"imsi": imsi, "enabled": status == "provisioned"})
+        raw["nodes"].append({"name": f"ue{i}", "role": "ue", "host": "nuc-i5", "sdr": "b210",
+                             "imsi": imsi, "gnb": draw(st.sampled_from(["gnb1", "gnb2"])),
+                             "unprovisioned": status == "unprovisioned",
+                             "medium": {"kind": "cable", "length_cm": 50}})
+    raw["traffic"] = [{"probe": "ping", "src": "ue1", "dst": "core-gateway", "count": 1,
+                       "interval_ms": 0}]
+    return raw
+
+
+class TestAttachOracle:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_attach_rows_match_the_states(self, name):
+        result, rows = run_with_attach_states(load_bundled(name))
+        assert result.report["attach"] == rows
+
+    def test_failed_attach_rows_match_the_states(self):
+        result, rows = run_with_attach_states(scenario_from_dict(_attach_failures()))
+        assert [row["failure"] is not None for row in rows] == [True, True, True]
+        assert result.report["attach"] == rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw=attach_scenarios())
+    def test_attach_rows_match_the_states(self, raw):
+        result, rows = run_with_attach_states(scenario_from_dict(raw))
+        assert result.report["attach"] == rows

@@ -116,6 +116,9 @@ UNRUNNABLE = [
      "duration_s"),
     ("negative default duration", variant(duration_s=-5), "duration_s"),
     ("negative contention window", variant(**{"cell.lbt": {"cw_min": -1}}), "cw_min"),
+    ("prior allocations past the pool",
+     variant(**{"core.prior_allocations": 300}), "prior_allocations must be in [0, 253]"),
+    ("UE pool without a host", variant(**{"core.ue_pool": "12.1.1.0/32"}), "too small"),
 ]
 
 HOSTILE = MALFORMED + UNRUNNABLE
@@ -221,6 +224,12 @@ class TestValidation:
         scenario = scenario_from_dict(raw)
         assert (scenario.traffic[0].count, scenario.traffic[0].interval_ms) == (0, 0)
         assert scenario.traffic[1].duration_s == 0
+
+    @pytest.mark.parametrize("pool, capacity", [("12.1.1.0/30", 1), ("12.1.1.0/31", 1),
+                                                ("12.1.0.0/16", 65533)])
+    def test_prior_allocations_may_fill_the_pool(self, pool, capacity):
+        raw = variant(**{"core.ue_pool": pool, "core.prior_allocations": capacity})
+        assert scenario_from_dict(raw).prior_allocations == capacity
 
     @pytest.mark.parametrize("dst", ["gnb1", "ue1", "core-gateway", "external", "8.8.8.8"])
     def test_ping_dst_forms_accepted(self, dst):

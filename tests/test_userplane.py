@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrusim.corenet import PduSession
+from nrusim.corenet import IpPool, PduSession
 from nrusim.errors import (
     FramingError,
     OversizePayloadError,
@@ -16,7 +16,6 @@ from nrusim.userplane import (
     FORWARD_DROP,
     FORWARD_EGRESS,
     FORWARD_TUNNEL,
-    GnbRelay,
     InnerPacket,
     RouteTable,
     decode_gtpu,
@@ -26,6 +25,7 @@ from nrusim.userplane import (
     encode_ip,
     icmp_echo_request,
     parse_gtpu,
+    relay_passes,
     upf_forward,
 )
 
@@ -141,7 +141,7 @@ class TestIpCodec:
 
 def make_routes(sessions: dict[str, PduSession] | None = None) -> RouteTable:
     return RouteTable(
-        pool_cidr="12.1.1.0/24",
+        pool=IpPool("12.1.1.0/24"),
         sessions=sessions if sessions is not None else {},
         upf_address="192.168.70.134",
     )
@@ -190,13 +190,12 @@ class TestUpfForward:
         assert decision.session.ue_id == "ue2"
 
 
-class TestGnbRelay:
+class TestRelayPasses:
     def test_viable_link_is_transparent(self):
-        assert GnbRelay(viable=True).passes(1400)
+        assert relay_passes(True, 1400)
 
     def test_non_viable_drops_bulk_keeps_icmp(self):
-        relay = GnbRelay(viable=False)
-        assert relay.passes(len(ping_packet()))
-        assert relay.passes(BULK_SIZE_CUTOFF)
-        assert not relay.passes(BULK_SIZE_CUTOFF + 1)
-        assert not relay.passes(1400)
+        assert relay_passes(False, len(ping_packet()))
+        assert relay_passes(False, BULK_SIZE_CUTOFF)
+        assert not relay_passes(False, BULK_SIZE_CUTOFF + 1)
+        assert not relay_passes(False, 1400)
