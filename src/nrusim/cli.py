@@ -16,7 +16,7 @@ from . import spectrum
 from .errors import InvariantBreach, NrusimError
 from .metrics import passive_monitor, render_monitor, render_table, report_records
 from .pcapio import read_pcap
-from .runner import compare_reports, parse_expectation, run_scenario, write_outputs
+from .runner import compare_reports, load_report, parse_expectation, run_scenario, write_outputs
 from .scenario import load_scenario
 
 
@@ -89,12 +89,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    with open(args.report_a, encoding="utf-8") as handle:
-        report_a = json.load(handle)
-    with open(args.report_b, encoding="utf-8") as handle:
-        report_b = json.load(handle)
     expectations = [parse_expectation(e) for e in args.expect]
-    result = compare_reports(report_a, report_b, expectations)
+    result = compare_reports(load_report(args.report_a), load_report(args.report_b), expectations)
     if args.json:
         for row in result.rows:
             _emit(row)

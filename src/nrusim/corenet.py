@@ -3,9 +3,10 @@
 Registration (the AMF role) reduces to an enabled-IMSI allowlist: the
 subscriber store stands in for the UDR/AUSF/UDM chain, which this model
 does not cryptographically reproduce.  Session management (the SMF role)
-allocates UE addresses lowest-free-first from a configurable pool and
-hands out tunnel endpoint identifiers from a monotonic counter so runs
-are deterministic.
+allocates UE addresses lowest-free-first from a configurable pool, whose
+gateway, size and hosts are worked out from its prefix rather than
+listed, and hands out tunnel endpoint identifiers from a monotonic
+counter so runs are deterministic.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import ipaddress
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import AllocationError, ConfigError, StateError
 
@@ -66,36 +67,30 @@ class PduSession:
         return self.state == "ACTIVE"
 
 
-def pool_capacity(cidr: str) -> int:
-    """Allocatable host count of a pool over ``cidr``, counted without listing hosts."""
-    network = ipaddress.IPv4Network(cidr)
-    hosts = network.num_addresses if network.prefixlen >= 31 else network.num_addresses - 2
-    return hosts - 1  # the first host is the gateway
-
-
 class IpPool:
-    """Host-address pool over one IPv4 subnet; first host is the gateway."""
+    """Host-address pool over one IPv4 subnet, worked out from its prefix.
+
+    The first host is the gateway: the network address itself on a /31 or
+    /32, which have no network or broadcast address, and the address after
+    it otherwise.  Hosts are integer offsets 1..capacity above the gateway.
+    """
 
     def __init__(self, cidr: str):
         try:
             self.network = ipaddress.IPv4Network(cidr)
         except ValueError as exc:
             raise ConfigError(f"bad pool CIDR {cidr!r}: {exc}") from None
-        hosts = list(self.network.hosts())
-        if len(hosts) < 2:
+        edges = 0 if self.network.prefixlen >= 31 else 1  # network and broadcast skipped
+        self.gateway = self.network.network_address + edges
+        self.capacity = self.network.num_addresses - 2 * edges - 1  # gateway excluded
+        if self.capacity < 1:
             raise ConfigError(f"pool {cidr} too small: needs a gateway plus at least one host")
-        self.gateway = hosts[0]
-        self._hosts = hosts[1:]
-        self._allocated: set[ipaddress.IPv4Address] = set()
+        self._allocated: set[int] = set()
+        self._lowest_free = 1  # every offset below it is allocated
 
     @property
     def cidr(self) -> str:
         return str(self.network)
-
-    @property
-    def capacity(self) -> int:
-        """Allocatable host count (gateway excluded)."""
-        return len(self._hosts)
 
     @property
     def allocated_count(self) -> int:
@@ -107,15 +102,21 @@ class IpPool:
 
     def allocate(self) -> str:
         """Lowest free host address above the gateway."""
-        for host in self._hosts:
-            if host not in self._allocated:
-                self._allocated.add(host)
-                return str(host)
-        raise AllocationError(f"pool {self.cidr} exhausted ({self.capacity} hosts allocated)")
+        if not self.free_count:
+            raise AllocationError(f"pool {self.cidr} exhausted ({self.capacity} hosts allocated)")
+        offset = self._lowest_free
+        while offset in self._allocated:
+            offset += 1
+        self._allocated.add(offset)
+        self._lowest_free = offset + 1
+        return str(self.gateway + offset)
 
     def release(self, ip: str) -> None:
-        addr = ipaddress.IPv4Address(ip)
-        self._allocated.discard(addr)
+        """Return ``ip`` to the pool; an address the pool does not hold is ignored."""
+        offset = int(ipaddress.IPv4Address(ip)) - int(self.gateway)
+        if offset in self._allocated:
+            self._allocated.remove(offset)
+            self._lowest_free = min(self._lowest_free, offset)
 
     def __contains__(self, ip: str) -> bool:
         return ipaddress.IPv4Address(ip) in self.network
@@ -131,9 +132,9 @@ class CoreConfig:
     ue_pool_cidr: str = "12.1.1.0/24"
 
     def __post_init__(self):
+        IpPool(self.ue_pool_cidr)  # raises ConfigError for a bad or host-less pool
         try:
             subnet = ipaddress.IPv4Network(self.core_subnet)
-            capacity = pool_capacity(self.ue_pool_cidr)
             addrs = [(label, ipaddress.IPv4Address(addr))
                      for label, addr in (("AMF", self.amf_address), ("UPF", self.upf_address))]
         except ValueError as exc:
@@ -141,10 +142,6 @@ class CoreConfig:
         for label, addr in addrs:
             if addr not in subnet:
                 raise ConfigError(f"{label} address {addr} not inside core subnet {self.core_subnet}")
-        if capacity < 1:
-            raise ConfigError(
-                f"pool {self.ue_pool_cidr} too small: needs a gateway plus at least one host"
-            )
 
 
 class CoreNetwork:
@@ -220,12 +217,7 @@ class CoreNetwork:
         if cidr == self.pool.cidr:
             return self.config
         self.pool = IpPool(cidr)
-        self.config = CoreConfig(
-            core_subnet=self.config.core_subnet,
-            amf_address=self.config.amf_address,
-            upf_address=self.config.upf_address,
-            ue_pool_cidr=cidr,
-        )
+        self.config = replace(self.config, ue_pool_cidr=cidr)
         return self.config
 
     # -- queries -------------------------------------------------------------

@@ -278,7 +278,7 @@ class SimNetwork:
                 InnerPacket(src=src, dst=dst, protocol="UDP", payload=tunnel,
                             sport=userplane.GTPU_PORT, dport=userplane.GTPU_PORT)
             )
-            self._tap(tap, encode_ip(outer))
+            self._tap(tap, outer)
 
     # -- UPF --------------------------------------------------------------------
 
@@ -311,7 +311,7 @@ class SimNetwork:
             self._nat[("ICMP", inner.icmp_id)] = inner.src
         self.log.append(now, "upf", "upf_egress", dst=rewritten.dst,
                         visible_src=rewritten.src)
-        self._tap("n6", encode_ip(rewritten))
+        self._tap("n6", rewritten)
         self.loop.schedule_after(self.scenario.external.one_way_delay_us,
                                  lambda: self._external_ingress(rewritten, rng))
 
@@ -328,7 +328,7 @@ class SimNetwork:
     def _n6_ingress(self, pkt: InnerPacket, rng: Random) -> None:
         """Reply arriving at the UPF from the external network."""
         pkt = self._with_ident(pkt)
-        self._tap("n6", encode_ip(pkt))
+        self._tap("n6", pkt)
         original = self._nat.get((pkt.protocol, pkt.icmp_id))
         if original is None:
             self._apply_forward(ForwardDecision(action=userplane.FORWARD_DROP), pkt, rng)
@@ -340,7 +340,7 @@ class SimNetwork:
 
     def _deliver_to_ue(self, ue_name: str, inner: InnerPacket, rng: Random) -> None:
         now = self.loop.now_us
-        self._tap(f"ue:{ue_name}", encode_ip(inner))
+        self._tap(f"ue:{ue_name}", inner)
         if inner.icmp_type == userplane.ICMP_ECHO_REPLY:
             self.log.append(now, ue_name, "rtt_sample", ident=inner.icmp_id,
                             seq=inner.icmp_seq, session=flow_session_id("ICMP", inner.icmp_id))
@@ -352,8 +352,12 @@ class SimNetwork:
 
     # -- taps ---------------------------------------------------------------------
 
-    def _tap(self, name: str, data: bytes) -> None:
-        """Capture a frame at the loop clock, which never goes backwards."""
+    def _tap(self, name: str, frame: bytes | InnerPacket) -> None:
+        """Capture a frame at the loop clock, which never goes backwards.
+
+        A packet is encoded only when the tap exists.
+        """
         frames = self.taps.get(name)
         if frames is not None:
+            data = frame if isinstance(frame, bytes) else encode_ip(frame)
             frames.append((self.loop.now_us, data))

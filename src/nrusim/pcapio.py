@@ -2,7 +2,8 @@
 
 Captures are raw IPv4 packets (LINKTYPE_RAW, 101) with microsecond
 timestamps, so any standard dissector can open them.  The reader also
-accepts the byte-swapped and nanosecond magic variants.
+accepts the byte-swapped and nanosecond magic variants, and rejects any
+other link type, since it cannot strip a link-layer header.
 """
 
 from __future__ import annotations
@@ -28,8 +29,11 @@ def write_pcap(path: str | Path, packets: list[tuple[int, bytes]]) -> None:
 
 
 def read_pcap(path: str | Path) -> list[tuple[int, bytes]]:
-    """Read a classic pcap file back into (timestamp_us, bytes) records."""
-    raw = Path(path).read_bytes()
+    """Read a classic raw-IPv4 pcap file back into (timestamp_us, bytes) records."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise CodecError(f"cannot read capture {path}: {exc}") from None
     if len(raw) < 24:
         raise CodecError(f"{path}: too short to be a pcap file")
     magic = struct.unpack("<I", raw[:4])[0]
@@ -42,6 +46,10 @@ def read_pcap(path: str | Path) -> list[tuple[int, bytes]]:
     else:
         raise CodecError(f"{path}: unknown pcap magic {magic:#x}")
     nanos = magic == PCAP_MAGIC_NS
+    linktype = struct.unpack(f"{endian}I", raw[20:24])[0]
+    if linktype != LINKTYPE_RAW:
+        raise CodecError(f"{path}: unsupported link type {linktype}; "
+                         f"only LINKTYPE_RAW ({LINKTYPE_RAW}) is read")
     packets: list[tuple[int, bytes]] = []
     offset = 24
     while offset < len(raw):

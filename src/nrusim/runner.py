@@ -219,18 +219,40 @@ _OPS = {
 }
 
 
+def load_report(path: str | Path) -> dict:
+    """Read a ``report.json``; a file that is not a JSON object is a ConfigError."""
+    try:
+        report = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read report {path}: {exc}") from None
+    except ValueError as exc:  # undecodable bytes or not JSON
+        raise ConfigError(f"{path}: not a JSON report: {exc}") from None
+    if not isinstance(report, dict):
+        raise ConfigError(f"{path}: a report is a JSON object, not a {type(report).__name__}")
+    return report
+
+
+def _rows(report: dict, section: str) -> list[dict]:
+    rows = report.get(section, [])
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ConfigError(f"report section {section!r} must be a list of objects")
+    return rows
+
+
 def extract_metric(report: dict, name: str) -> float | None:
-    """Pull one comparable metric out of a report dict."""
+    """Pull one comparable metric out of a report dict; a malformed report is a ConfigError."""
     if name.startswith("rtt_"):
-        pings = report.get("pings", [])
-        if not pings:
-            return None
-        return pings[0].get(name[len("rtt_"):])
-    direction = "UL" if name.startswith("ul_") else "DL"
-    for row in report.get("throughput", []):
-        if row["direction"] == direction:
-            return row.get(name[3:])
-    return None
+        pings = _rows(report, "pings")
+        value = pings[0].get(name[len("rtt_"):]) if pings else None
+    else:
+        direction = "UL" if name.startswith("ul_") else "DL"
+        rows = _rows(report, "throughput")
+        if any("direction" not in row for row in rows):
+            raise ConfigError("every report throughput row needs a 'direction'")
+        value = next((row.get(name[3:]) for row in rows if row["direction"] == direction), None)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ConfigError(f"report metric {name} is not a number: {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from pathlib import Path
 import yaml
 
 from .access import Burst, ChannelOccupancy, LbtConfig, TddConfig, slot_duration_us
-from .corenet import CoreConfig, SubscriberRecord, pool_capacity
+from .corenet import CoreConfig, IpPool, SubscriberRecord
 from .errors import ConfigError, ScenarioError
 from .rflink import Cable, HostModel, LinkMedium, OverAir, SdrModel, get_host, get_sdr
 from .spectrum import (
@@ -323,7 +323,7 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     except ConfigError as exc:
         raise ScenarioError(f"core: {exc}") from None
     prior_allocations = _field(core_raw, "prior_allocations", "core", int, 0, low=0,
-                               high=pool_capacity(core.ue_pool_cidr))
+                               high=IpPool(core.ue_pool_cidr).capacity)
 
     nodes: list[NodeConfig] = []
     seen_names: set[str] = set()

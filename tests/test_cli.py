@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,39 @@ import yaml
 
 from nrusim.cli import main
 from nrusim.scenario import bundled_scenario_path
+from nrusim.userplane import echo_reply_for, encode_ip, icmp_echo_request
 from tests.test_scenario import HOSTILE, variant
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Input files that are not what a command reads: (id, command, file name, content or None).
+BAD_INPUTS = [
+    ("compare missing file", "compare", "absent.json", None),
+    ("compare not JSON", "compare", "report.json", "this is not JSON\n"),
+    ("compare JSON list", "compare", "report.json", "[1, 2, 3]\n"),
+    ("compare throughput row without direction", "compare", "report.json",
+     json.dumps({"schema": 1, "throughput": [{"label": "dl", "peak_mbps": 50.0}]})),
+    ("monitor missing file", "monitor", "absent.pcap", None),
+]
+
+
+def _bad_input_argv(tmp_path, command, filename, content):
+    path = tmp_path / filename
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    return [command, str(path)] + ([str(path)] if command == "compare" else [])
+
+
+def _ethernet_echo_pcap(path, endian="<"):
+    """One echo pair in an Ethernet (link type 1) capture, in the given byte order."""
+    request = icmp_echo_request("12.1.1.2", "12.1.1.1", 0x1000, 0)
+    ethernet = bytes(6) + bytes.fromhex("020000000001") + b"\x08\x00"
+    with open(path, "wb") as handle:
+        handle.write(struct.pack(f"{endian}IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1))
+        for t_us, pkt in ((0, request), (12_000, echo_reply_for(request))):
+            frame = ethernet + encode_ip(pkt)
+            handle.write(struct.pack(f"{endian}IIII", 0, t_us, len(frame), len(frame)))
+            handle.write(frame)
 
 
 def run_cli(*args) -> int:
@@ -149,3 +180,31 @@ class TestScenarioCommands:
         record = json.loads(capsys.readouterr().out.splitlines()[0])
         assert record["type"] == "ICMP"
         assert record["packets"] == 10
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize("case", BAD_INPUTS, ids=[case[0] for case in BAD_INPUTS])
+    def test_exit_1_with_one_error_line(self, tmp_path, capsys, case):
+        _name, command, filename, content = case
+        assert run_cli(*_bad_input_argv(tmp_path, command, filename, content)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("name", ["compare JSON list", "monitor missing file"])
+    def test_subprocess_prints_no_traceback(self, tmp_path, name):
+        _name, command, filename, content = next(c for c in BAD_INPUTS if c[0] == name)
+        proc = subprocess.run([sys.executable, "-m", "nrusim.cli",
+                               *_bad_input_argv(tmp_path, command, filename, content)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    def test_monitor_rejects_an_ethernet_capture(self, tmp_path, capsys):
+        path = tmp_path / "eth.pcap"
+        _ethernet_echo_pcap(path)
+        assert run_cli("monitor", str(path)) == 1
+        captured = capsys.readouterr()
+        assert "link type 1" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""

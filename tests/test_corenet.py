@@ -1,3 +1,6 @@
+import ipaddress
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +13,54 @@ from nrusim.corenet import (
     CoreNetwork,
     IpPool,
     SubscriberRecord,
-    pool_capacity,
 )
 from nrusim.errors import AllocationError, ConfigError, StateError
 
 IMSI_1 = "001010000000001"
 IMSI_2 = "001010000000002"
+
+
+class ListPool:
+    """The pool as it was before it worked from its prefix: every host listed.
+
+    Kept as the oracle for ``IpPool``: gateway, capacity, allocation order
+    and exhaustion must match it.
+    """
+
+    def __init__(self, cidr: str):
+        self.network = ipaddress.IPv4Network(cidr)
+        hosts = list(self.network.hosts())
+        if len(hosts) < 2:
+            raise ConfigError(f"pool {cidr} too small: needs a gateway plus at least one host")
+        self.gateway = hosts[0]
+        self._hosts = hosts[1:]
+        self._allocated: set[ipaddress.IPv4Address] = set()
+
+    @property
+    def cidr(self) -> str:
+        return str(self.network)
+
+    @property
+    def capacity(self) -> int:
+        return len(self._hosts)
+
+    @property
+    def allocated_count(self) -> int:
+        return len(self._allocated)
+
+    @property
+    def free_count(self) -> int:
+        return self.capacity - self.allocated_count
+
+    def allocate(self) -> str:
+        for host in self._hosts:
+            if host not in self._allocated:
+                self._allocated.add(host)
+                return str(host)
+        raise AllocationError(f"pool {self.cidr} exhausted ({self.capacity} hosts allocated)")
+
+    def release(self, ip: str) -> None:
+        self._allocated.discard(ipaddress.IPv4Address(ip))
 
 
 def make_core(pool="12.1.1.0/24", subscribers=(IMSI_1, IMSI_2)):
@@ -158,7 +203,20 @@ class TestPoolInvariants:
 
     @pytest.mark.parametrize("prefix", range(16, 32))
     def test_capacity_counted_without_listing_matches_the_pool(self, prefix):
-        assert pool_capacity(f"10.0.0.0/{prefix}") == IpPool(f"10.0.0.0/{prefix}").capacity
+        pool, oracle = IpPool(f"10.0.0.0/{prefix}"), ListPool(f"10.0.0.0/{prefix}")
+        assert (pool.gateway, pool.capacity, pool.cidr) == (
+            oracle.gateway, oracle.capacity, oracle.cidr)
+        assert pool.allocate() == oracle.allocate()
+
+    def test_building_a_wide_pool_lists_no_hosts(self):
+        tracemalloc.start()
+        try:
+            pool = IpPool("10.0.0.0/12")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pool.capacity == 2**20 - 3
+        assert peak < 64 * 1024
 
     @given(st.lists(st.sampled_from(["alloc", "release"]), max_size=60))
     @settings(max_examples=100)
@@ -188,3 +246,61 @@ class TestPoolInvariants:
         teids = [t for s in sessions for t in (s.teid_uplink, s.teid_downlink)]
         assert len(set(ips)) == len(ips)
         assert len(set(teids)) == len(teids)
+
+
+@st.composite
+def pool_cidrs(draw):
+    """A /24../31 network placed anywhere inside 10.0.0.0/16."""
+    prefix = draw(st.integers(24, 31))
+    block = draw(st.integers(0, 2 ** (prefix - 24) - 1)) << (32 - prefix)
+    return f"10.0.{draw(st.integers(0, 255))}.{block}/{prefix}"
+
+
+POOL_OPS = st.one_of(
+    st.just(("allocate", None)),
+    st.just(("allocate", None)),
+    st.tuples(st.just("release"), st.integers(0, 7)),
+    st.tuples(st.just("release_any"), st.integers(0, 300)),
+    st.tuples(st.just("reconfigure"), pool_cidrs()),
+)
+
+
+class TestPoolOracle:
+    """``IpPool`` against the list pool it replaced, over whole op sequences."""
+
+    @given(pool_cidrs(), st.lists(POOL_OPS, max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_same_addresses_counts_and_exhaustion(self, cidr, ops):
+        core = CoreNetwork(CoreConfig(ue_pool_cidr=cidr))
+        oracle = ListPool(cidr)
+        held: list[str] = []
+        for op, arg in ops:
+            if op == "allocate":
+                try:
+                    expected = oracle.allocate()
+                except AllocationError:
+                    with pytest.raises(AllocationError, match="exhausted"):
+                        core.pool.allocate()
+                else:
+                    assert core.pool.allocate() == expected
+                    held.append(expected)
+            elif op == "release" and held:
+                ip = held.pop(arg % len(held))
+                oracle.release(ip)
+                core.pool.release(ip)
+            elif op == "release_any":  # maybe not held: gateway, broadcast, outside the pool
+                ip = str(oracle.network.network_address - 2 + arg % (oracle.capacity + 6))
+                if ip in held:
+                    held.remove(ip)
+                oracle.release(ip)
+                core.pool.release(ip)
+            elif op == "reconfigure":
+                config = core.reconfigure_pool(arg)  # no sessions, so never refused
+                assert config.ue_pool_cidr == arg
+                if arg != oracle.cidr:
+                    oracle, held = ListPool(arg), []
+            pool = core.pool
+            assert (pool.cidr, pool.gateway, pool.capacity) == (
+                oracle.cidr, oracle.gateway, oracle.capacity)
+            assert (pool.allocated_count, pool.free_count) == (
+                oracle.allocated_count, oracle.free_count)

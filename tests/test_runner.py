@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nrusim import access
-from nrusim.errors import ConfigError
+from nrusim.errors import CodecError, ConfigError
 from nrusim.metrics import ping_ident, ping_stats
 from nrusim.pcapio import read_pcap, write_pcap
 from nrusim.runner import (
@@ -22,6 +22,7 @@ from nrusim.runner import (
 )
 from nrusim.scenario import BUNDLED, PingPlan, load_bundled, scenario_from_dict
 from nrusim.userplane import ICMP_ECHO_REPLY, ICMP_ECHO_REQUEST, decode_ip
+from tests.test_cli import _ethernet_echo_pcap
 from tests.test_golden import _attach_failures
 from tests.test_scenario import variant
 
@@ -201,6 +202,13 @@ class TestOutputs:
         write_pcap(path, packets)
         assert read_pcap(path) == packets
 
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    def test_pcap_reader_rejects_other_link_types(self, tmp_path, endian):
+        path = tmp_path / "eth.pcap"
+        _ethernet_echo_pcap(path, endian)
+        with pytest.raises(CodecError, match="link type 1;"):
+            read_pcap(path)
+
 
 class TestCompare:
     def _reports(self):
@@ -251,6 +259,16 @@ class TestCompare:
         assert extract_metric(a, "rtt_min_ms") == a["pings"][0]["min_ms"]
         assert extract_metric(a, "dl_peak_mbps") == a["throughput"][0]["peak_mbps"]
         assert extract_metric({}, "rtt_min_ms") is None
+
+    @pytest.mark.parametrize("report", [
+        {"pings": {"min_ms": 1.0}},
+        {"pings": [3.5]},
+        {"pings": [{"min_ms": "fast"}]},
+        {"throughput": [{"peak_mbps": 50.0}]},
+    ], ids=["pings not a list", "ping row not an object", "text metric", "row without direction"])
+    def test_malformed_report_is_a_config_error(self, report):
+        with pytest.raises(ConfigError, match="report"):
+            extract_metric(report, "rtt_min_ms" if "pings" in report else "dl_peak_mbps")
 
 
 # ---------------------------------------------------------------------------
