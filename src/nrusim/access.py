@@ -15,7 +15,9 @@ import enum
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 from random import Random
+from typing import NamedTuple
 
 from .corenet import CoreNetwork, PduSession
 from .errors import AllocationError, ConfigError, StateError
@@ -108,17 +110,26 @@ class LbtConfig:
             raise ConfigError(f"cw_min {self.cw_min} exceeds cw_max {self.cw_max}")
 
 
-@dataclass(frozen=True)
-class Burst:
-    """One foreign transmission on the shared channel."""
-
+class _BurstFields(NamedTuple):
     start_us: int
     end_us: int
     power_dbm: float
 
-    def __post_init__(self):
-        if self.start_us >= self.end_us:
-            raise ConfigError(f"burst interval reversed: [{self.start_us}, {self.end_us})")
+
+class Burst(_BurstFields):
+    """One foreign transmission on the shared channel: [start_us, end_us) at power_dbm.
+
+    A plain tuple underneath, so a scenario can hold tens of thousands.
+    Calling ``Burst`` checks the interval; a loader that checks many at
+    once builds them unchecked with ``tuple.__new__(Burst, fields)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start_us: int, end_us: int, power_dbm: float):
+        if start_us >= end_us:
+            raise ConfigError(f"burst interval reversed: [{start_us}, {end_us})")
+        return super().__new__(cls, start_us, end_us, power_dbm)
 
 
 class ChannelOccupancy:
@@ -135,7 +146,7 @@ class ChannelOccupancy:
     """
 
     def __init__(self, bursts: list[Burst] | tuple[Burst, ...] = ()):
-        self.bursts = tuple(sorted(bursts, key=lambda b: (b.start_us, b.end_us)))
+        self.bursts = tuple(sorted(bursts, key=itemgetter(0, 1)))  # stable on (start, end) ties
         self._index: dict[float, tuple[tuple[Burst, ...], list[int]]] = {}
 
     def blocker(self, t0: int, t1: int, threshold_dbm: float) -> Burst | None:

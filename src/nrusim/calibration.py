@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from importlib import resources
 
-import yaml
+from .yamlio import load_data
 
 
 @dataclass(frozen=True)
@@ -46,9 +45,7 @@ class Calibration:
 
 @functools.lru_cache(maxsize=1)
 def load_calibration() -> Calibration:
-    path = resources.files("nrusim.data") / "calibration.yaml"
-    with path.open("r", encoding="utf-8") as handle:
-        raw = yaml.safe_load(handle)
+    raw = load_data("calibration.yaml")
     lat = raw["latency_us"]
     thr = raw["throughput"]
     return Calibration(

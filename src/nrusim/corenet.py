@@ -87,6 +87,7 @@ class IpPool:
             raise ConfigError(f"pool {cidr} too small: needs a gateway plus at least one host")
         self._allocated: set[int] = set()
         self._lowest_free = 1  # every offset below it is allocated
+        self._members: dict[str, bool] = {}  # address text -> in the subnet
 
     @property
     def cidr(self) -> str:
@@ -119,7 +120,12 @@ class IpPool:
             self._lowest_free = min(self._lowest_free, offset)
 
     def __contains__(self, ip: str) -> bool:
-        return ipaddress.IPv4Address(ip) in self.network
+        """Whether ``ip`` lies in the subnet; each address text is parsed once."""
+        try:
+            return self._members[ip]
+        except KeyError:
+            inside = self._members[ip] = ipaddress.IPv4Address(ip) in self.network
+            return inside
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,9 @@ from typing import Any, Callable
 
 from .errors import InvariantBreach
 
+# ``json.dumps(record, sort_keys=True)`` would build a new encoder per record.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 def derive_rng(seed: int, label: str) -> Random:
     """Independent generator for (seed, label), stable across processes."""
@@ -43,7 +46,8 @@ class EventLog:
         return [r for r in self.records if r["action"] == action]
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)
+        encode = _RECORD_ENCODER.encode
+        return "".join([encode(r) + "\n" for r in self.records])
 
 
 class EventLoop:

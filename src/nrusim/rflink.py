@@ -13,12 +13,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from importlib import resources
 from typing import Union
 
-import yaml
-
 from .errors import ConfigError, DomainError
+from .yamlio import load_data
 
 # Digital attenuation applied per unit of the attenuation-factor setting.
 ATT_DB_PER_UNIT = 1.0
@@ -166,9 +164,7 @@ def link_viable(drop_fraction: float) -> bool:
 @functools.lru_cache(maxsize=1)
 def load_hardware_profiles() -> tuple[dict[str, HostModel], dict[str, SdrModel]]:
     """(hosts, sdrs) shipped with the package, keyed by profile name."""
-    path = resources.files("nrusim.data") / "hardware.yaml"
-    with path.open("r", encoding="utf-8") as handle:
-        raw = yaml.safe_load(handle)
+    raw = load_data("hardware.yaml")
     hosts = {
         name: HostModel(
             name=name,

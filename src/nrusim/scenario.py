@@ -27,6 +27,7 @@ from .spectrum import (
     validate_assignment,
     validate_channel,
 )
+from .yamlio import parse as parse_yaml
 
 SCHEMA_VERSION = 1
 BUNDLED = ("test_a", "test_b", "test_c", "test_d", "north_south", "east_west")
@@ -186,21 +187,31 @@ def _parse_medium(raw: dict, context: str) -> LinkMedium:
     raise ScenarioError(f"{context}: unknown medium kind {kind!r}")
 
 
+_new_burst = tuple.__new__  # a Burst without its per-call interval check
+
+
 def _parse_bursts(entries: list[dict]) -> list[Burst]:
     """Foreign bursts from occupancy entries.
 
     Occupancy can list tens of thousands of bursts, so the entries are
-    converted directly first; only when that fails are they walked again
-    through ``_field``, which names the first faulty one.
+    converted directly into unchecked ``Burst`` tuples first; only when
+    that fails are they walked again through ``_field``, which names the
+    first faulty one.  One pass then checks every interval and power.
     """
     try:
-        return [Burst(start_us=int(e["start_us"]), end_us=int(e["end_us"]),
-                      power_dbm=float(e["power_dbm"])) for e in entries]
+        bursts = [_new_burst(Burst, (int(e["start_us"]), int(e["end_us"]),
+                                     float(e["power_dbm"]))) for e in entries]
     except (KeyError, TypeError, ValueError, OverflowError):
         for idx, entry in enumerate(entries):
             for key, kind in (("start_us", int), ("end_us", int), ("power_dbm", float)):
                 _field(entry, key, f"occupancy[{idx}]", kind)
         raise
+    for idx, (start, end, power) in enumerate(bursts):
+        if start >= end:
+            raise ScenarioError(f"occupancy[{idx}]: burst interval reversed: [{start}, {end})")
+        if power != power:  # NaN compares below every threshold, so it could never block
+            raise ScenarioError(f"occupancy[{idx}]: power_dbm must be a number, got nan")
+    return bursts
 
 
 def _parse_cell(raw: dict) -> CellConfig:
@@ -431,10 +442,7 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
         ttl=_field(ext_raw, "ttl", "external_host", int, ExternalHostConfig.ttl, low=0, high=255),
     )
 
-    try:
-        occupancy = ChannelOccupancy(_parse_bursts(_entries(raw, "occupancy", name, [])))
-    except ConfigError as exc:
-        raise ScenarioError(f"occupancy: {exc}") from None
+    occupancy = ChannelOccupancy(_parse_bursts(_entries(raw, "occupancy", name, [])))
 
     taps = [str(t) for t in _field(raw, "taps", name, list, [])]
     valid_taps = {f"ue:{n}" for n in ue_names} | {f"n3:{g}" for g in gnb_names} | {"n6"}
@@ -469,7 +477,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
     try:
-        raw = yaml.safe_load(text)
+        raw = parse_yaml(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

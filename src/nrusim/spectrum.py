@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from importlib import resources
-
-import yaml
 
 from .errors import ConfigError, OffRasterError, RasterRangeError
+from .yamlio import load_data
 
 KHZ_PER_MHZ = 1000
 
@@ -204,16 +202,10 @@ def _span(node: dict) -> RasterSpan:
     return RasterSpan(first=int(node["first"]), step=int(node["step"]), last=int(node["last"]))
 
 
-def _load_yaml(name: str) -> dict:
-    path = resources.files("nrusim.data") / name
-    with path.open("r", encoding="utf-8") as handle:
-        return yaml.safe_load(handle)
-
-
 @functools.lru_cache(maxsize=1)
 def load_band_plans() -> dict[str, BandPlan]:
     """All band plans shipped with the package, keyed by band id."""
-    raw = _load_yaml("bands.yaml")
+    raw = load_data("bands.yaml")
     plans: dict[str, BandPlan] = {}
     for band_id, node in raw["bands"].items():
         rasters = []
@@ -322,7 +314,7 @@ class Violation:
 
 @functools.lru_cache(maxsize=1)
 def _regulatory_data() -> dict:
-    return _load_yaml("regulatory.yaml")
+    return load_data("regulatory.yaml")
 
 
 def load_regulatory_rules(jurisdiction: str = "AU") -> tuple[RegulatoryRule, ...]:

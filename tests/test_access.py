@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from random import Random
 
 import pytest
@@ -18,7 +19,8 @@ from nrusim.access import (
     ue_cell_search,
 )
 from nrusim.corenet import CoreConfig, CoreNetwork, SubscriberRecord
-from nrusim.errors import ConfigError
+from nrusim.errors import ConfigError, ScenarioError
+from nrusim.scenario import _parse_bursts
 from nrusim.spectrum import get_band
 
 IMSI = "001010000000001"
@@ -156,6 +158,68 @@ class TestLbtGate:
     def test_reversed_burst_rejected(self):
         with pytest.raises(ConfigError):
             Burst(10, 10, -40.0)
+
+    def test_burst_is_a_named_tuple(self):
+        burst = Burst(start_us=-5, end_us=10, power_dbm=-40.0)
+        assert burst == (-5, 10, -40.0)
+        assert (burst.start_us, burst.end_us, burst.power_dbm) == (-5, 10, -40.0)
+        assert burst._fields == ("start_us", "end_us", "power_dbm")
+
+
+@dataclass(frozen=True)
+class _DataclassBurst:
+    """Reference: ``Burst`` as the frozen dataclass it was before it became a tuple."""
+
+    start_us: int
+    end_us: int
+    power_dbm: float
+
+    def __post_init__(self):
+        if self.start_us >= self.end_us:
+            raise ConfigError(f"burst interval reversed: [{self.start_us}, {self.end_us})")
+
+
+def _dataclass_timeline(entries):
+    """Reference: per-entry dataclass bursts, sorted with the key lambda."""
+    bursts = [_DataclassBurst(start_us=int(e["start_us"]), end_us=int(e["end_us"]),
+                              power_dbm=float(e["power_dbm"])) for e in entries]
+    return tuple(sorted(bursts, key=lambda b: (b.start_us, b.end_us)))
+
+
+def _fields(bursts):
+    return [(b.start_us, b.end_us, b.power_dbm) for b in bursts]
+
+
+class TestBurstTimelineOracle:
+    # Narrow ranges make equal (start, end) pairs with different powers
+    # common, which only a stable sort on (start, end) keeps in entry order.
+    SPANS = st.tuples(st.integers(-20, 20), st.integers(1, 4),
+                      st.one_of(st.sampled_from((-90.0, -72.0, -40.0)),
+                                st.floats(allow_nan=False)))
+
+    @given(st.lists(SPANS, max_size=40))
+    @settings(max_examples=300)
+    def test_same_order_as_dataclass_timeline(self, spans):
+        entries = [{"start_us": s, "end_us": s + d, "power_dbm": p} for s, d, p in spans]
+        got = ChannelOccupancy(_parse_bursts(entries)).bursts
+        assert all(type(b) is Burst for b in got)
+        assert _fields(got) == _fields(_dataclass_timeline(entries))
+
+    @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-3, 4), st.floats(-95, -30)),
+                    min_size=1, max_size=20))
+    @settings(max_examples=300)
+    def test_same_first_reversed_interval_as_dataclass(self, spans):
+        entries = [{"start_us": s, "end_us": s + d, "power_dbm": p} for s, d, p in spans]
+        first_bad = next((i for i, (_, d, _) in enumerate(spans) if d <= 0), None)
+        if first_bad is None:
+            assert _fields(ChannelOccupancy(_parse_bursts(entries)).bursts) == _fields(
+                _dataclass_timeline(entries))
+            return
+        with pytest.raises(ConfigError) as expected:
+            _dataclass_timeline(entries)
+        with pytest.raises(ScenarioError) as got:
+            _parse_bursts(entries)
+        assert str(got.value) == f"occupancy[{first_bad}]: {expected.value}"
 
 
 def _linear_blocker(bursts, t0, t1, threshold):

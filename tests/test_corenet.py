@@ -62,6 +62,9 @@ class ListPool:
     def release(self, ip: str) -> None:
         self._allocated.discard(ipaddress.IPv4Address(ip))
 
+    def __contains__(self, ip: str) -> bool:
+        return ipaddress.IPv4Address(ip) in self.network
+
 
 def make_core(pool="12.1.1.0/24", subscribers=(IMSI_1, IMSI_2)):
     return CoreNetwork(
@@ -218,6 +221,13 @@ class TestPoolInvariants:
         assert pool.capacity == 2**20 - 3
         assert peak < 64 * 1024
 
+    @pytest.mark.parametrize("bad", ["nowhere", "999.1.1.1", "12.1.1", ""])
+    def test_membership_of_a_malformed_address_raises_every_time(self, bad):
+        pool = IpPool("12.1.1.0/24")
+        for _ in range(2):
+            with pytest.raises(ipaddress.AddressValueError):
+                bad in pool  # noqa: B015
+
     @given(st.lists(st.sampled_from(["alloc", "release"]), max_size=60))
     @settings(max_examples=100)
     def test_conservation_under_any_op_sequence(self, ops):
@@ -261,6 +271,7 @@ POOL_OPS = st.one_of(
     st.just(("allocate", None)),
     st.tuples(st.just("release"), st.integers(0, 7)),
     st.tuples(st.just("release_any"), st.integers(0, 300)),
+    st.tuples(st.just("contains"), st.integers(0, 300)),
     st.tuples(st.just("reconfigure"), pool_cidrs()),
 )
 
@@ -274,6 +285,7 @@ class TestPoolOracle:
         core = CoreNetwork(CoreConfig(ue_pool_cidr=cidr))
         oracle = ListPool(cidr)
         held: list[str] = []
+        probed: list[str] = []  # asked again after every op, so answers come from the cache too
         for op, arg in ops:
             if op == "allocate":
                 try:
@@ -294,6 +306,8 @@ class TestPoolOracle:
                     held.remove(ip)
                 oracle.release(ip)
                 core.pool.release(ip)
+            elif op == "contains":  # gateway, hosts, edges and addresses outside the pool
+                probed.append(str(oracle.network.network_address - 2 + arg % (oracle.capacity + 6)))
             elif op == "reconfigure":
                 config = core.reconfigure_pool(arg)  # no sessions, so never refused
                 assert config.ue_pool_cidr == arg
@@ -304,3 +318,5 @@ class TestPoolOracle:
                 oracle.cidr, oracle.gateway, oracle.capacity)
             assert (pool.allocated_count, pool.free_count) == (
                 oracle.allocated_count, oracle.free_count)
+            for ip in probed + [str(pool.gateway)]:
+                assert (ip in pool) == (ip in oracle), ip

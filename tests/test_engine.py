@@ -63,6 +63,9 @@ class TestEventLog:
         text = log.to_jsonl()
         assert text == '{"action": "ping_tx", "actor": "ue1", "dst": "12.1.1.1", "seq": 0, "t_us": 10}\n'
 
+    def test_empty_log_is_empty_text(self):
+        assert EventLog().to_jsonl() == ""
+
     def test_select(self):
         log = EventLog()
         log.append(1, "a", "x")

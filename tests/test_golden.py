@@ -8,7 +8,9 @@ that means to alter the outputs, and say why in CHANGES.md.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import json
 
 import pytest
 
@@ -194,8 +196,24 @@ def test_bundled_outputs_keep_their_bytes(bundled_results, name):
     assert _digests(bundled_results[name]) == BUNDLED_DIGESTS[name]
 
 
+@functools.lru_cache(maxsize=None)
+def _inline_result(name: str) -> RunResult:
+    return run_scenario(scenario_from_dict(INLINE_CASES[name][0]()))
+
+
 @pytest.mark.parametrize("name", sorted(INLINE_CASES))
 def test_inline_outputs_keep_their_bytes(name):
-    build, report_digest, events_digest = INLINE_CASES[name]
-    result = run_scenario(scenario_from_dict(build()))
-    assert _digests(result) == (report_digest, events_digest)
+    _build, report_digest, events_digest = INLINE_CASES[name]
+    assert _digests(_inline_result(name)) == (report_digest, events_digest)
+
+
+def _dumps_per_record(records) -> str:
+    """Reference: the log as it was written with one ``json.dumps`` call per record."""
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS) + sorted(INLINE_CASES))
+def test_shared_encoder_writes_the_same_log(bundled_results, name):
+    result = bundled_results[name] if name in BUNDLED_DIGESTS else _inline_result(name)
+    assert result.log.records
+    assert result.log.to_jsonl() == _dumps_per_record(result.log.records)

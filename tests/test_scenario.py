@@ -1,12 +1,15 @@
 import copy
+from pathlib import Path
 
 import pytest
 import yaml
 
+from nrusim import yamlio
 from nrusim.errors import ScenarioError
 from nrusim.scenario import (
     BUNDLED,
     Scenario,
+    bundled_scenario_path,
     load_bundled,
     load_scenario,
     scenario_from_dict,
@@ -79,6 +82,12 @@ MALFORMED = [
      _with("occupancy", [{"start_us": 0, "end_us": 10, "power_dbm": -50.0},
                          {"start_us": 20, "end_us": "late", "power_dbm": -50.0}]),
      "occupancy[1]: end_us"),
+    ("second burst reversed",
+     _with("occupancy", [{"start_us": 0, "end_us": 10, "power_dbm": -50.0},
+                         {"start_us": 30, "end_us": 20, "power_dbm": -50.0}]),
+     "occupancy[1]: burst interval reversed: [30, 20)"),
+    ("empty burst", _occupancy(start_us=10), "occupancy[0]: burst interval reversed: [10, 10)"),
+    ("NaN burst power", _occupancy(power_dbm=float("nan")), "occupancy[0]: power_dbm"),
     ("non-integer seed", variant(seed="abc"), "seed"),
     ("infinite seed", variant(seed=float("inf")), "seed"),
     ("non-integer duration_s", variant(duration_s="long"), "duration_s"),
@@ -235,6 +244,11 @@ class TestValidation:
     def test_ping_dst_forms_accepted(self, dst):
         assert scenario_from_dict(variant(**{"traffic.0.dst": dst})).traffic[0].dst == dst
 
+    @pytest.mark.parametrize("power", [float("inf"), float("-inf")])
+    def test_infinite_burst_power_still_loads(self, power):
+        scenario = scenario_from_dict(_occupancy(power_dbm=power))
+        assert scenario.occupancy.bursts[0].power_dbm == power
+
     def test_schema_version_enforced(self):
         with pytest.raises(ScenarioError, match="schema"):
             scenario_from_dict(variant(schema=2))
@@ -257,3 +271,77 @@ class TestFileLoading:
         scenario = load_scenario(path)
         assert scenario.name == "unit"
         assert scenario.cell.arfcn == 750000
+
+
+DATA_ROOT = Path(yamlio.__file__).parent / "data"
+DATA_FILES = sorted(p.relative_to(DATA_ROOT).as_posix() for p in DATA_ROOT.rglob("*.yaml"))
+
+# (case, malformed text, error class, 1-based line and column of its problem mark)
+MALFORMED_YAML = [
+    ("unclosed flow sequence", "schema: 1\ncell: [unclosed\n", yaml.parser.ParserError, 3, 1),
+    ("tab indentation", "cell:\n\tband: n46\n", yaml.scanner.ScannerError, 2, 1),
+    ("dedented key", "cell:\n  band: n46\n arfcn: 1\n", yaml.parser.ParserError, 3, 2),
+    ("unclosed quote", 'name: "abc\nseed: 1\n', yaml.scanner.ScannerError, 3, 1),
+    ("undefined alias", "seed: *nope\n", yaml.composer.ComposerError, 1, 7),
+    ("nested mapping value", "seed: b: c\n", yaml.scanner.ScannerError, 1, 8),
+    ("sequence then mapping", "- a\nb: c\n", yaml.parser.ParserError, 2, 1),
+    ("python tag", "seed: !!python/object:os.system x\n", yaml.constructor.ConstructorError, 1, 7),
+]
+
+
+@pytest.fixture(params=["SafeLoader", "CSafeLoader"])
+def loader(request, monkeypatch):
+    """Every load in the test parses with this PyYAML loader."""
+    if request.param == "CSafeLoader" and not yaml.__with_libyaml__:
+        pytest.skip("this PyYAML was built without libyaml")
+    chosen = getattr(yaml, request.param)
+    monkeypatch.setattr(yamlio, "LOADER", chosen)
+    return chosen
+
+
+class TestLoaderParity:
+    """The C loader, when installed, must read every input as the Python one does."""
+
+    def test_installed_loader_prefers_libyaml(self):
+        expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert yamlio.LOADER is expected
+
+    def test_data_files_include_every_loaded_file(self):
+        bundled = {bundled_scenario_path(name).relative_to(DATA_ROOT).as_posix()
+                   for name in BUNDLED}
+        assert set(DATA_FILES) >= {"bands.yaml", "calibration.yaml", "hardware.yaml",
+                                   "regulatory.yaml"} | bundled
+
+    @pytest.mark.parametrize("name", DATA_FILES)
+    def test_data_file_parses_to_equal_objects(self, loader, name):
+        text = (DATA_ROOT / name).read_text(encoding="utf-8")
+        got, expected = yamlio.parse(text), yaml.load(text, Loader=yaml.SafeLoader)
+        # repr also tells 1 from 1.0 and True, which == does not.
+        assert got == expected and repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("raw, needle", [case[1:] for case in HOSTILE],
+                             ids=[case[0] for case in HOSTILE])
+    def test_hostile_file_names_the_same_field(self, loader, tmp_path, raw, needle):
+        path = tmp_path / "hostile.yaml"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(path)
+        assert needle in str(err.value)
+        reference = yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
+        with pytest.raises(ScenarioError) as expected:
+            scenario_from_dict(reference, name_hint=path.stem)
+        assert str(err.value) == str(expected.value)
+
+    @pytest.mark.parametrize("text, error, line, column", [case[1:] for case in MALFORMED_YAML],
+                             ids=[case[0] for case in MALFORMED_YAML])
+    def test_malformed_text_same_error_and_mark(self, loader, tmp_path, text, error,
+                                                line, column):
+        with pytest.raises(yaml.YAMLError) as raised:
+            yaml.load(text, Loader=loader)
+        assert type(raised.value) is error
+        mark = raised.value.problem_mark
+        assert (mark.line + 1, mark.column + 1) == (line, column)
+        path = tmp_path / "bad.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ScenarioError, match=f"parse error at line {line}, column {column}:"):
+            load_scenario(path)
