@@ -1,6 +1,7 @@
 import copy
 import json
 import statistics
+import struct
 from collections import Counter
 from dataclasses import asdict
 
@@ -200,6 +201,21 @@ class TestOutputs:
         packets = [(1_000_000, b"\x45\x00hello"), (2_500_000, b"world")]
         path = tmp_path / "x.pcap"
         write_pcap(path, packets)
+        assert read_pcap(path) == packets
+
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    @pytest.mark.parametrize("nanos", [False, True])
+    def test_pcap_reader_reads_every_magic_variant(self, tmp_path, endian, nanos):
+        packets = [(0, b""), (1_000_000, b"\x45\x00hello"), (2_500_017, b"world" * 40)]
+        magic = 0xA1B23C4D if nanos else 0xA1B2C3D4
+        path = tmp_path / "x.pcap"
+        with open(path, "wb") as handle:
+            handle.write(struct.pack(f"{endian}IHHiIII", magic, 2, 4, 0, 0, 65535, 101))
+            for t_us, data in packets:
+                sec, usec = divmod(t_us, 1_000_000)
+                frac = usec * 1000 + 999 if nanos else usec  # sub-µs digits are dropped
+                handle.write(struct.pack(f"{endian}IIII", sec, frac, len(data), len(data)))
+                handle.write(data)
         assert read_pcap(path) == packets
 
     @pytest.mark.parametrize("endian", ["<", ">"])

@@ -1,4 +1,6 @@
 import random
+import struct
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from nrusim.corenet import IpPool, PduSession
 from nrusim.errors import (
+    CodecError,
     FramingError,
     OversizePayloadError,
     TruncatedPacketError,
@@ -101,6 +104,172 @@ class TestGtpuCodec:
         assert header.seq_flag and header.sequence == 0x2A
         assert header.teid == 7
         assert parsed == payload
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the two-stage GTP-U decoder (header record, then data-path checks)
+# that ``decode_gtpu`` folds into one pass.  Same checks, same order.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _OracleHeader:
+    version: int
+    protocol_type: int
+    ext_flag: bool
+    seq_flag: bool
+    npdu_flag: bool
+    message_type: int
+    length: int
+    teid: int
+    sequence: int | None = None
+    npdu: int | None = None
+
+
+def _oracle_parse_gtpu(data: bytes) -> tuple[_OracleHeader, bytes]:
+    if len(data) < 8:
+        raise TruncatedPacketError(f"GTP-U needs >= 8 B, got {len(data)}")
+    flags, message_type, length, teid = struct.unpack("!BBHI", data[:8])
+    version = flags >> 5
+    if version != 1:
+        raise VersionError(f"GTP-U version must be 1, got {version}")
+    protocol_type = (flags >> 4) & 1
+    ext_flag = bool(flags & 0x04)
+    seq_flag = bool(flags & 0x02)
+    npdu_flag = bool(flags & 0x01)
+    if length != len(data) - 8:
+        raise FramingError(f"header length {length} does not match the {len(data) - 8} B present")
+    offset = 8
+    sequence = npdu = None
+    if ext_flag or seq_flag or npdu_flag:
+        if len(data) < offset + 4:
+            raise TruncatedPacketError("optional-field flags set but the 4-byte field is missing")
+        raw_seq, raw_npdu, next_ext = struct.unpack("!HBB", data[offset : offset + 4])
+        offset += 4
+        if seq_flag:
+            sequence = raw_seq
+        if npdu_flag:
+            npdu = raw_npdu
+        while ext_flag and next_ext != 0:
+            if len(data) < offset + 1:
+                raise TruncatedPacketError("extension header truncated")
+            units = data[offset]
+            if units == 0:
+                raise FramingError("extension header with zero length")
+            size = units * 4
+            if len(data) < offset + size:
+                raise TruncatedPacketError("extension header truncated")
+            next_ext = data[offset + size - 1]
+            offset += size
+    header = _OracleHeader(version, protocol_type, ext_flag, seq_flag, npdu_flag,
+                           message_type, length, teid)
+    if sequence is not None or npdu is not None:
+        header = replace(header, sequence=sequence, npdu=npdu)
+    return header, data[offset:]
+
+
+def _oracle_decode_gtpu(data: bytes) -> tuple[int, bytes]:
+    header, payload = _oracle_parse_gtpu(data)
+    if header.protocol_type != 1:
+        raise FramingError("protocol type 0 (GTP') is not carried on the data path")
+    if header.message_type != 255:
+        raise FramingError(f"message type {header.message_type} is not a G-PDU (255)")
+    return header.teid, payload
+
+
+PDU_SESSION_CONTAINER = 0x85  # next-extension type, 3GPP TS 29.281 §5.2
+
+
+@st.composite
+def gtpu_frames(draw):
+    """Well-formed-length GTP-U frames with random optional fields.
+
+    Flags E/S/PN, PT and the message type are random; with E set the
+    4-byte optional field starts a chain of 0-3 extension headers, often a
+    PDU Session Container as real N3 traffic carries.
+    """
+    ext, seq, npdu = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    protocol_type = draw(st.sampled_from([1, 1, 1, 0]))
+    message_type = draw(st.sampled_from([255, 255, 255, 1, 26]))
+    teid = draw(st.integers(0, 2**32 - 1))
+    body = b""
+    if ext or seq or npdu:
+        chain = draw(st.lists(
+            st.tuples(st.sampled_from([PDU_SESSION_CONTAINER, 0x40, 0xC0, 0x81]),
+                      st.integers(1, 3)),
+            max_size=3,
+        )) if ext else []
+        first = chain[0][0] if chain else draw(st.sampled_from([0, 0, PDU_SESSION_CONTAINER]))
+        body = struct.pack("!HBB", draw(st.integers(0, 0xFFFF)), draw(st.integers(0, 0xFF)), first)
+        for i, (_kind, units) in enumerate(chain):
+            following = chain[i + 1][0] if i + 1 < len(chain) else 0
+            content = draw(st.binary(min_size=units * 4 - 2, max_size=units * 4 - 2))
+            body += bytes((units,)) + content + bytes((following,))
+    body += draw(st.binary(max_size=48))
+    flags = 0x20 | protocol_type << 4 | ext << 2 | seq << 1 | npdu
+    return struct.pack("!BBHI", flags, message_type, len(body), teid) + body
+
+
+@st.composite
+def mutated_gtpu_frames(draw):
+    """A frame from ``gtpu_frames`` with random bytes overwritten, then maybe cut short.
+
+    Half the time the length field is then made to match again, so the
+    checks behind it (optional field, extension chain, PT, message type)
+    see the damage too.
+    """
+    frame = bytearray(draw(gtpu_frames()))
+    for _ in range(draw(st.integers(0, 3))):
+        # Zero is drawn often: it is a zero-length extension header or an end of chain.
+        frame[draw(st.integers(0, len(frame) - 1))] = draw(st.just(0) | st.integers(0, 0xFF))
+    if draw(st.booleans()):
+        del frame[draw(st.integers(0, len(frame))):]
+    if len(frame) >= 8 and draw(st.booleans()):
+        frame[2:4] = struct.pack("!H", len(frame) - 8)
+    return bytes(frame)
+
+
+def _outcome(decode, frame: bytes):
+    try:
+        return decode(frame)
+    except CodecError as exc:
+        return type(exc), str(exc)
+
+
+class TestGtpuDecoderOracle:
+    def test_pdu_session_container_skipped(self):
+        inner = ping_packet()
+        container = bytes((1, 0x10, 0x09, 0))  # one unit: UL PDU session info, QFI 9, no next
+        optional = struct.pack("!HBB", 0, 0, PDU_SESSION_CONTAINER)
+        frame = struct.pack("!BBHI", 0x34, 0xFF, 8 + len(inner), 5) + optional + container + inner
+        assert decode_gtpu(frame) == (5, inner)
+        assert _oracle_decode_gtpu(frame) == (5, inner)
+
+    @pytest.mark.parametrize("frame, error, message", [
+        # S set, the 4-byte optional field cut to two bytes.
+        ("32ff0002" "00000001" "0000", TruncatedPacketError, "4-byte field is missing"),
+        # E set, a container announced but nothing after the optional field.
+        ("34ff0004" "00000001" "00000085", TruncatedPacketError, "extension header truncated"),
+        # A one-unit container announced, two of its four bytes present.
+        ("34ff0006" "00000001" "00000085" "0110", TruncatedPacketError, "extension header truncated"),
+        # PT 0 and message type 1 as well, but the zero-length container is reported first.
+        ("24010008" "00000001" "00000085" "00000000", FramingError, "zero length"),
+    ])
+    def test_faults_reported_in_order(self, frame, error, message):
+        frame = bytes.fromhex(frame)
+        with pytest.raises(error, match=message):
+            decode_gtpu(frame)
+        assert _outcome(decode_gtpu, frame) == _outcome(_oracle_decode_gtpu, frame)
+
+    @given(frame=gtpu_frames())
+    @settings(max_examples=400)
+    def test_matches_oracle(self, frame):
+        assert _outcome(decode_gtpu, frame) == _outcome(_oracle_decode_gtpu, frame)
+
+    @given(frame=mutated_gtpu_frames())
+    @settings(max_examples=600)
+    def test_matches_oracle_on_mutations(self, frame):
+        assert _outcome(decode_gtpu, frame) == _outcome(_oracle_decode_gtpu, frame)
 
 
 class TestIpCodec:
