@@ -33,9 +33,3 @@ for seed in range(5):
     window = (result.grant_us - cfg.cca_duration_us, result.grant_us)
     print(f"seed {seed}: {result.busy_observations} busy observations, "
           f"grant at {result.grant_us} us (sensed {window[0]}..{window[1]} us)")
-
-# Saturated channel with a bounded horizon: the gate defers rather than
-# transmitting over someone else.
-wall = ChannelOccupancy([Burst(0, 50_000, -40.0)])
-deferred = lbt_gate(wall, cfg, now_us=0, rng=Random(1), horizon_us=50_000)
-print(f"\nchannel busy for the whole horizon: granted={deferred.granted}")

@@ -166,33 +166,24 @@ class ChannelOccupancy:
 
 @dataclass(frozen=True)
 class LbtResult:
-    granted: bool
-    grant_us: int | None = None
+    grant_us: int
     busy_observations: int = 0
+    granted = True  # the gate waits as long as it takes, so it always grants
 
 
-def lbt_gate(
-    occupancy: ChannelOccupancy,
-    cfg: LbtConfig,
-    now_us: int,
-    rng: Random,
-    horizon_us: int | None = None,
-) -> LbtResult:
+def lbt_gate(occupancy: ChannelOccupancy, cfg: LbtConfig, now_us: int, rng: Random) -> LbtResult:
     """Earliest transmit grant at/after ``now_us``.
 
     A grant at time g means the window [g - cca_duration, g) measured
-    idle.  With ``horizon_us`` set, sensing that cannot complete by the
-    horizon returns DEFERRED instead of a grant.
+    idle.
     """
     t = now_us
     cw = cfg.cw_min
     busy = 0
     while True:
-        if horizon_us is not None and t + cfg.cca_duration_us > horizon_us:
-            return LbtResult(granted=False, busy_observations=busy)
         blocker = occupancy.blocker(t, t + cfg.cca_duration_us, cfg.cca_threshold_dbm)
         if blocker is None:
-            return LbtResult(granted=True, grant_us=t + cfg.cca_duration_us, busy_observations=busy)
+            return LbtResult(grant_us=t + cfg.cca_duration_us, busy_observations=busy)
         busy += 1
         backoff_slots = rng.randint(0, cw)
         cw = min(2 * cw + 1, cfg.cw_max)

@@ -36,13 +36,10 @@ def read_pcap(path: str | Path) -> list[tuple[int, bytes]]:
         raise CodecError(f"cannot read capture {path}: {exc}") from None
     if len(raw) < 24:
         raise CodecError(f"{path}: too short to be a pcap file")
-    magic = struct.unpack("<I", raw[:4])[0]
-    if magic in (PCAP_MAGIC_US, PCAP_MAGIC_NS):
-        endian = "<"
-    elif magic in (struct.unpack(">I", struct.pack("<I", PCAP_MAGIC_US))[0],
-                   struct.unpack(">I", struct.pack("<I", PCAP_MAGIC_NS))[0]):
-        endian = ">"
-        magic = struct.unpack(">I", raw[:4])[0]
+    for endian in "><":  # little-endian last, so an unknown magic is reported read that way
+        magic = struct.unpack(f"{endian}I", raw[:4])[0]
+        if magic in (PCAP_MAGIC_US, PCAP_MAGIC_NS):
+            break
     else:
         raise CodecError(f"{path}: unknown pcap magic {magic:#x}")
     nanos = magic == PCAP_MAGIC_NS

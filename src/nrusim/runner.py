@@ -142,16 +142,7 @@ def _build_report(scenario: Scenario, log: EventLog, tallies: list[ThroughputPro
         monitored = passive_monitor(frames)
         passive[tap] = {
             "unparsed_frames": monitored.unparsed_frames,
-            "sessions": [
-                {
-                    "session_id": s.session_id,
-                    "left": s.left,
-                    "right": s.right,
-                    "packet_count": s.packet_count,
-                    "rtt_latest_ms": s.rtt_latest_ms,
-                }
-                for s in monitored.sessions
-            ],
+            "sessions": [dict(vars(s)) for s in monitored.sessions],
         }
     actions = Counter(record["action"] for record in log.records)
     return {

@@ -9,6 +9,7 @@ configuration-class failures cannot surface mid-simulation.
 from __future__ import annotations
 
 import ipaddress
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -17,7 +18,7 @@ import yaml
 
 from .access import Burst, ChannelOccupancy, LbtConfig, TddConfig, slot_duration_us
 from .corenet import CoreConfig, IpPool, SubscriberRecord
-from .errors import ConfigError, ScenarioError
+from .errors import ConfigError, DomainError, ScenarioError
 from .rflink import Cable, HostModel, LinkMedium, OverAir, SdrModel, get_host, get_sdr
 from .spectrum import (
     ChannelAssignment,
@@ -48,7 +49,10 @@ class CellConfig:
 
     @property
     def eirp_mw(self) -> float:
-        return 10 ** (self.tx_power_dbm / 10)
+        try:
+            return 10 ** (self.tx_power_dbm / 10)
+        except OverflowError:  # past about 3,000 dBm; ChannelAssignment rejects it
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -124,6 +128,14 @@ def _ipv4(value) -> str:
     return text
 
 
+def _finite(value) -> float:
+    """A float that is neither NaN nor infinite."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"not finite: {value!r}")
+    return number
+
+
 def _flag(value) -> bool:
     """A YAML boolean, strictly: ``bool("false")`` would read as true."""
     if not isinstance(value, bool):
@@ -133,7 +145,8 @@ def _flag(value) -> bool:
 
 _REQUIRED = object()
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string", _flag: "true or false",
-               dict: "a mapping", list: "a list", _ipv4: "a dotted-quad IPv4 address"}
+               dict: "a mapping", list: "a list", _ipv4: "a dotted-quad IPv4 address",
+               _finite: "a finite number"}
 
 
 def _field(raw: dict, key: str, context: str, kind=str, default=_REQUIRED,
@@ -178,11 +191,11 @@ def _entries(raw: dict, key: str, context: str, default=_REQUIRED) -> list[dict]
 def _parse_medium(raw: dict, context: str) -> LinkMedium:
     kind = _field(raw, "kind", context)
     if kind == "over_air":
-        return OverAir(distance_m=_field(raw, "distance_m", context, float))
+        return OverAir(distance_m=_field(raw, "distance_m", context, _finite))
     if kind == "cable":
         return Cable(
-            length_cm=_field(raw, "length_cm", context, float),
-            attenuator_db=_field(raw, "attenuator_db", context, float, 0.0),
+            length_cm=_field(raw, "length_cm", context, _finite),
+            attenuator_db=_field(raw, "attenuator_db", context, _finite, 0.0),
         )
     raise ScenarioError(f"{context}: unknown medium kind {kind!r}")
 
@@ -230,7 +243,7 @@ def _parse_cell(raw: dict) -> CellConfig:
             slot_us=slot_duration_us(scs_khz),
         )
         lbt = LbtConfig(
-            cca_threshold_dbm=_field(lbt_raw, "cca_threshold_dbm", "cell.lbt", float, -72.0),
+            cca_threshold_dbm=_field(lbt_raw, "cca_threshold_dbm", "cell.lbt", _finite, -72.0),
             cca_duration_us=_field(lbt_raw, "cca_duration_us", "cell.lbt", int, 25),
             cw_min=_field(lbt_raw, "cw_min", "cell.lbt", int, 15, low=0),
             cw_max=_field(lbt_raw, "cw_max", "cell.lbt", int, 1023),
@@ -240,10 +253,10 @@ def _parse_cell(raw: dict) -> CellConfig:
     cell = CellConfig(
         band_id=band.band_id,
         arfcn=_field(raw, "arfcn", "cell", int),
-        bandwidth_mhz=_field(raw, "bandwidth_mhz", "cell", float),
+        bandwidth_mhz=_field(raw, "bandwidth_mhz", "cell", _finite),
         scs_khz=scs_khz,
-        tx_power_dbm=_field(raw, "tx_power_dbm", "cell", float),
-        attenuation_factor=_field(raw, "attenuation_factor", "cell", float, 0.0),
+        tx_power_dbm=_field(raw, "tx_power_dbm", "cell", _finite),
+        attenuation_factor=_field(raw, "attenuation_factor", "cell", _finite, 0.0),
         ssb_gscn=_field(raw, "ssb_gscn", "cell", int),
         indoor=_field(raw, "indoor", "cell", _flag, False),
         tdd=tdd,
@@ -272,14 +285,14 @@ def _parse_cell(raw: dict) -> CellConfig:
 
 def _check_compliance(cell: CellConfig, jurisdiction: str, allow: bool, notes: list[str]) -> None:
     band = get_band(cell.band_id)
-    assignment = ChannelAssignment(
-        band_id=cell.band_id,
-        arfcn=cell.arfcn,
-        bandwidth_mhz=cell.bandwidth_mhz,
-        eirp_mw=cell.eirp_mw,
-        indoor=cell.indoor,
-    )
     try:
+        assignment = ChannelAssignment(
+            band_id=cell.band_id,
+            arfcn=cell.arfcn,
+            bandwidth_mhz=cell.bandwidth_mhz,
+            eirp_mw=cell.eirp_mw,
+            indoor=cell.indoor,
+        )
         validate_assignment(band, assignment)
         rules = load_regulatory_rules(jurisdiction)
     except ConfigError as exc:
@@ -353,8 +366,11 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
             raise ScenarioError(f"node {node_name}: {exc}") from None
         medium = None
         if role == "ue":
-            medium = _parse_medium(_field(node_raw, "medium", f"node {node_name}", dict),
-                                   node_name)
+            context = f"node {node_name}"
+            try:
+                medium = _parse_medium(_field(node_raw, "medium", context, dict), context)
+            except DomainError as exc:
+                raise ScenarioError(f"{context}: {exc}") from None
         nodes.append(
             NodeConfig(
                 name=node_name,

@@ -9,6 +9,7 @@ bands or jurisdictions never require code changes.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, OffRasterError, RasterRangeError
@@ -89,6 +90,8 @@ def khz_to_arfcn(freq_khz: int) -> int:
 
 def frequency_to_arfcn(freq_mhz: float) -> int:
     """Inverse of :func:`arfcn_to_frequency`; rejects off-grid frequencies."""
+    if not math.isfinite(freq_mhz):
+        raise RasterRangeError(f"{freq_mhz} MHz is not a finite frequency")
     freq_khz = round(freq_mhz * KHZ_PER_MHZ)
     if abs(freq_mhz * KHZ_PER_MHZ - freq_khz) > 1e-6:
         raise OffRasterError(f"{freq_mhz} MHz has sub-kHz precision; the raster grid is kHz-exact")
@@ -297,6 +300,14 @@ class ChannelAssignment:
     bandwidth_mhz: float
     eirp_mw: float
     indoor: bool = False
+
+    def __post_init__(self):
+        if not (math.isfinite(self.bandwidth_mhz) and self.bandwidth_mhz > 0):
+            raise ConfigError(
+                f"bandwidth must be positive and finite, got {self.bandwidth_mhz} MHz"
+            )
+        if not (math.isfinite(self.eirp_mw) and self.eirp_mw >= 0):
+            raise ConfigError(f"EIRP must be finite and non-negative, got {self.eirp_mw} mW")
 
     def span_khz(self) -> tuple[float, float]:
         """Occupied span, centre +/- bandwidth/2."""

@@ -1,9 +1,9 @@
 """Bit-exact user-plane wire formats and UPF forwarding.
 
 The GTP-U codec emits flag-free 8-byte G-PDU headers only; headers with
-the optional sequence/N-PDU/extension fields are decodable but never
-produced, which keeps the length invariant trivial (length == inner
-octets).  A small IPv4/ICMP/UDP codec serialises the inner packets so tap
+the optional sequence/N-PDU/extension fields are decoded, those fields
+skipped, but never produced, which keeps the length invariant trivial
+(length == inner octets).  A small IPv4/ICMP/UDP codec serialises the inner packets so tap
 captures can be dissected by third-party tooling.
 """
 
@@ -31,20 +31,6 @@ _MANDATORY_HEADER = 8
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GtpuHeader:
-    version: int
-    protocol_type: int
-    ext_flag: bool
-    seq_flag: bool
-    npdu_flag: bool
-    message_type: int
-    length: int
-    teid: int
-    sequence: int | None = None
-    npdu: int | None = None
-
-
 def encode_gtpu(teid: int, inner: bytes) -> bytes:
     """8-byte flag-free G-PDU header followed by the inner packet."""
     if not 0 <= teid <= 0xFFFFFFFF:
@@ -54,34 +40,28 @@ def encode_gtpu(teid: int, inner: bytes) -> bytes:
     return struct.pack("!BBHI", _GTPU_FLAGS_GPDU, GTPU_MSG_GPDU, len(inner), teid) + bytes(inner)
 
 
-def parse_gtpu(data: bytes) -> tuple[GtpuHeader, bytes]:
-    """Parse any GTP-U header (optional fields included) and its payload."""
+def decode_gtpu(data: bytes) -> tuple[int, bytes]:
+    """(teid, inner packet) for a data-path G-PDU; exact inverse of encode.
+
+    Any header is read: the optional 4-byte field and the extension
+    header chain are checked and skipped.
+    """
     if len(data) < _MANDATORY_HEADER:
         raise TruncatedPacketError(f"GTP-U needs >= {_MANDATORY_HEADER} B, got {len(data)}")
     flags, message_type, length, teid = struct.unpack("!BBHI", data[:_MANDATORY_HEADER])
-    version = flags >> 5
-    if version != 1:
-        raise VersionError(f"GTP-U version must be 1, got {version}")
-    protocol_type = (flags >> 4) & 1
-    ext_flag = bool(flags & 0x04)
-    seq_flag = bool(flags & 0x02)
-    npdu_flag = bool(flags & 0x01)
+    if flags >> 5 != 1:
+        raise VersionError(f"GTP-U version must be 1, got {flags >> 5}")
     if length != len(data) - _MANDATORY_HEADER:
         raise FramingError(
             f"header length {length} does not match the {len(data) - _MANDATORY_HEADER} B present"
         )
     offset = _MANDATORY_HEADER
-    sequence = npdu = None
-    if ext_flag or seq_flag or npdu_flag:
+    if flags & 0x07:  # E, S or PN: the sequence/N-PDU/next-extension field is present
         if len(data) < offset + 4:
             raise TruncatedPacketError("optional-field flags set but the 4-byte field is missing")
-        raw_seq, raw_npdu, next_ext = struct.unpack("!HBB", data[offset : offset + 4])
+        next_ext = data[offset + 3]
         offset += 4
-        if seq_flag:
-            sequence = raw_seq
-        if npdu_flag:
-            npdu = raw_npdu
-        while ext_flag and next_ext != 0:
+        while flags & 0x04 and next_ext != 0:
             if len(data) < offset + 1:
                 raise TruncatedPacketError("extension header truncated")
             units = data[offset]
@@ -92,29 +72,11 @@ def parse_gtpu(data: bytes) -> tuple[GtpuHeader, bytes]:
                 raise TruncatedPacketError("extension header truncated")
             next_ext = data[offset + size - 1]
             offset += size
-    header = GtpuHeader(
-        version=version,
-        protocol_type=protocol_type,
-        ext_flag=ext_flag,
-        seq_flag=seq_flag,
-        npdu_flag=npdu_flag,
-        message_type=message_type,
-        length=length,
-        teid=teid,
-    )
-    if sequence is not None or npdu is not None:
-        header = replace(header, sequence=sequence, npdu=npdu)
-    return header, data[offset:]
-
-
-def decode_gtpu(data: bytes) -> tuple[int, bytes]:
-    """(teid, inner packet) for a data-path G-PDU; exact inverse of encode."""
-    header, payload = parse_gtpu(data)
-    if header.protocol_type != 1:
+    if not flags & 0x10:
         raise FramingError("protocol type 0 (GTP') is not carried on the data path")
-    if header.message_type != GTPU_MSG_GPDU:
-        raise FramingError(f"message type {header.message_type} is not a G-PDU (255)")
-    return header.teid, payload
+    if message_type != GTPU_MSG_GPDU:
+        raise FramingError(f"message type {message_type} is not a G-PDU (255)")
+    return teid, data[offset:]
 
 
 # ---------------------------------------------------------------------------

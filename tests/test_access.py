@@ -85,11 +85,6 @@ class TestLbtGate:
         assert result.granted
         assert result.grant_us == 1000 + self.CFG.cca_duration_us
 
-    def test_busy_whole_horizon_defers(self):
-        occupancy = ChannelOccupancy([Burst(0, 10_000, -40.0)])
-        result = lbt_gate(occupancy, self.CFG, now_us=0, rng=Random(1), horizon_us=10_000)
-        assert not result.granted
-
     def test_grant_no_earlier_than_burst_end_plus_cca(self):
         occupancy = ChannelOccupancy([Burst(0, 5_000, -40.0)])
         for seed in range(50):
@@ -275,9 +270,8 @@ class TestBlockerIndex:
         busy = 0
         for seed in range(300):
             now = Random(seed).randrange(-6_000, 402_000)
-            horizon = None if seed % 3 else now + 3_000
-            got = lbt_gate(indexed, cfg, now, Random(seed), horizon_us=horizon)
-            assert got == lbt_gate(linear, cfg, now, Random(seed), horizon_us=horizon), seed
+            got = lbt_gate(indexed, cfg, now, Random(seed))
+            assert got == lbt_gate(linear, cfg, now, Random(seed)), seed
             busy += got.busy_observations
         assert busy > 0
 

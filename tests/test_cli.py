@@ -92,6 +92,29 @@ class TestPlan:
         assert json.loads(lines[0])["kind"] == "eirp"
 
 
+    @pytest.mark.parametrize("argv", [
+        ["convert", "--freq", "nan"],
+        ["convert", "--freq", "inf"],
+        ["check", "--arfcn", "786667", "--bandwidth", "20", "--eirp", "nan"],
+        ["check", "--arfcn", "786667", "--bandwidth", "nan", "--eirp", "20"],
+        ["check", "--arfcn", "786667", "--bandwidth", "-20", "--eirp", "20"],
+    ], ids=["freq nan", "freq inf", "eirp nan", "bandwidth nan", "bandwidth negative"])
+    def test_non_finite_or_negative_numbers_exit_1(self, capsys, argv):
+        assert run_cli("plan", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_non_finite_eirp_subprocess_prints_no_traceback(self):
+        proc = subprocess.run([sys.executable, "-m", "nrusim.cli", "plan", "check",
+                               "--arfcn", "786667", "--bandwidth", "20", "--eirp", "nan"],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
+
 class TestScenarioCommands:
     def test_validate_bundled(self, capsys):
         assert run_cli("validate", str(bundled_scenario_path("test_a"))) == 0
@@ -111,9 +134,9 @@ class TestScenarioCommands:
         path.write_text(yaml.safe_dump(raw), encoding="utf-8")
         assert run_cli("validate", str(path)) == 1
         err = capsys.readouterr().err
-        assert "error:" in err and "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("case", ["non-integer seed", "ping dst not an IPv4"])
+    @pytest.mark.parametrize("case", ["non-integer seed", "ping dst not an IPv4", "NaN bandwidth"])
     def test_validate_subprocess_prints_no_traceback(self, tmp_path, case):
         raw = dict((name, raw) for name, raw, _needle in HOSTILE)[case]
         path = tmp_path / "hostile.yaml"

@@ -218,6 +218,12 @@ class TestOutputs:
                 handle.write(data)
         assert read_pcap(path) == packets
 
+    def test_pcap_reader_reports_an_unknown_magic_little_endian(self, tmp_path):
+        path = tmp_path / "x.pcap"
+        path.write_bytes(bytes((1, 2, 3, 4)) + bytes(20))
+        with pytest.raises(CodecError, match="unknown pcap magic 0x4030201$"):
+            read_pcap(path)
+
     @pytest.mark.parametrize("endian", ["<", ">"])
     def test_pcap_reader_rejects_other_link_types(self, tmp_path, endian):
         path = tmp_path / "eth.pcap"

@@ -74,6 +74,10 @@ def _occupancy(**burst) -> dict:
     return _with("occupancy", [{k: v for k, v in entry.items() if v is not ...}])
 
 
+def _medium(**medium) -> dict:
+    return variant(**{"nodes.1.medium": medium})
+
+
 # (case, raw scenario, text the ScenarioError must contain)
 MALFORMED = [
     ("burst without power_dbm", _occupancy(power_dbm=...), "occupancy[0]: missing required"),
@@ -104,6 +108,13 @@ MALFORMED = [
     ("malformed UE pool", variant(**{"core.ue_pool": "nowhere"}), "core"),
     ("malformed n3_address", variant(**{"nodes.0.n3_address": "nowhere"}), "n3_address"),
     ("quoted boolean", variant(**{"cell.indoor": "false"}), "indoor must be true or false"),
+    ("negative distance", variant(**{"nodes.1.medium.distance_m": -1}),
+     "node ue1: over-air distance must be positive"),
+    ("zero cable length", _medium(kind="cable", length_cm=0), "node ue1: cable length"),
+    ("negative attenuator", _medium(kind="cable", length_cm=50, attenuator_db=-3),
+     "node ue1: attenuator cannot have negative loss"),
+    ("tx power past float range", variant(**{"cell.tx_power_dbm": 1e6}),
+     "cell: EIRP must be finite"),
 ]
 
 # Scenarios that used to load, then failed or reported silently wrong
@@ -128,6 +139,26 @@ UNRUNNABLE = [
     ("prior allocations past the pool",
      variant(**{"core.prior_allocations": 300}), "prior_allocations must be in [0, 253]"),
     ("UE pool without a host", variant(**{"core.ue_pool": "12.1.1.0/32"}), "too small"),
+    ("NaN bandwidth", variant(**{"cell.bandwidth_mhz": float("nan")}),
+     "cell: bandwidth_mhz must be a finite number, got nan"),
+    ("zero bandwidth", variant(**{"cell.bandwidth_mhz": 0}), "cell: bandwidth must be positive"),
+    ("negative bandwidth", variant(**{"cell.bandwidth_mhz": -40}),
+     "cell: bandwidth must be positive"),
+    ("NaN tx power", variant(**{"cell.tx_power_dbm": float("nan")}), "cell: tx_power_dbm"),
+    ("infinite tx power", variant(**{"cell.tx_power_dbm": float("inf")}), "cell: tx_power_dbm"),
+    ("NaN attenuation factor", variant(**{"cell.attenuation_factor": float("nan")}),
+     "cell: attenuation_factor"),
+    ("-inf attenuation factor", variant(**{"cell.attenuation_factor": -float("inf")}),
+     "cell: attenuation_factor"),
+    ("NaN distance", variant(**{"nodes.1.medium.distance_m": float("nan")}),
+     "node ue1: distance_m must be a finite number"),
+    ("infinite distance", variant(**{"nodes.1.medium.distance_m": float("inf")}),
+     "node ue1: distance_m"),
+    ("infinite cable length", _medium(kind="cable", length_cm=float("inf")), "node ue1: length_cm"),
+    ("NaN attenuator", _medium(kind="cable", length_cm=50, attenuator_db=float("nan")),
+     "node ue1: attenuator_db"),
+    ("NaN CCA threshold", variant(**{"cell.lbt": {"cca_threshold_dbm": float("nan")}}),
+     "cell.lbt: cca_threshold_dbm must be a finite number"),
 ]
 
 HOSTILE = MALFORMED + UNRUNNABLE

@@ -61,6 +61,11 @@ class TestArfcnConversion:
         with pytest.raises(RasterRangeError):
             frequency_to_arfcn(-1.0)
 
+    @pytest.mark.parametrize("freq", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_frequency_out_of_range(self, freq):
+        with pytest.raises(RasterRangeError, match="not a finite frequency"):
+            frequency_to_arfcn(freq)
+
     @given(st.integers(min_value=N46_FIRST, max_value=N46_LAST))
     def test_round_trip_over_n46(self, arfcn):
         assert frequency_to_arfcn(arfcn_to_frequency(arfcn)) == arfcn
@@ -205,6 +210,23 @@ class TestRegulatory:
     def test_unknown_jurisdiction(self):
         with pytest.raises(ConfigError, match="unknown jurisdiction"):
             load_regulatory_rules("XX")
+
+    @pytest.mark.parametrize("bandwidth, eirp, needle", [
+        (float("nan"), 20.0, "bandwidth"),
+        (float("inf"), 20.0, "bandwidth"),
+        (0.0, 20.0, "bandwidth"),
+        (-20.0, 20.0, "bandwidth"),
+        (20.0, float("nan"), "EIRP"),
+        (20.0, float("inf"), "EIRP"),
+        (20.0, -1.0, "EIRP"),
+    ])
+    def test_assignment_rejects_bad_bandwidth_or_eirp(self, bandwidth, eirp, needle):
+        with pytest.raises(ConfigError, match=needle):
+            ChannelAssignment("n46", 786667, bandwidth, eirp_mw=eirp)
+
+    def test_zero_eirp_is_an_assignment(self):
+        assert check_regulatory(ChannelAssignment("n46", 786667, 20.0, eirp_mw=0.0),
+                                self.rules) == []
 
     def test_eirp_violation_in_upper_range(self):
         # 5800.005 MHz centre, well inside 5725-5875.

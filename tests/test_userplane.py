@@ -27,7 +27,6 @@ from nrusim.userplane import (
     encode_gtpu,
     encode_ip,
     icmp_echo_request,
-    parse_gtpu,
     relay_passes,
     upf_forward,
 )
@@ -100,10 +99,7 @@ class TestGtpuCodec:
         payload = b"\xAB\xCD"
         frame = bytes((0x32, 0xFF, 0x00, 0x06, 0x00, 0x00, 0x00, 0x07,
                        0x00, 0x2A, 0x00, 0x00)) + payload
-        header, parsed = parse_gtpu(frame)
-        assert header.seq_flag and header.sequence == 0x2A
-        assert header.teid == 7
-        assert parsed == payload
+        assert decode_gtpu(frame) == (7, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +247,8 @@ class TestGtpuDecoderOracle:
         # E set, a container announced but nothing after the optional field.
         ("34ff0004" "00000001" "00000085", TruncatedPacketError, "extension header truncated"),
         # A one-unit container announced, two of its four bytes present.
-        ("34ff0006" "00000001" "00000085" "0110", TruncatedPacketError, "extension header truncated"),
+        ("34ff0006" "00000001" "00000085" "0110", TruncatedPacketError,
+         "extension header truncated"),
         # PT 0 and message type 1 as well, but the zero-length container is reported first.
         ("24010008" "00000001" "00000085" "00000000", FramingError, "zero length"),
     ])
