@@ -1,9 +1,12 @@
-"""Golden SHA-256 digests of report.json and events.jsonl.
+"""Golden SHA-256 digests of report.json, events.jsonl and the tap frames.
 
 A refactor of the simulator must not move one byte of either output, so
 these digests pin the six bundled scenarios and a few inline scenarios
-that reach paths no bundled one does.  Update a digest only with a change
-that means to alter the outputs, and say why in CHANGES.md.
+that reach paths no bundled one does.  The tap frames carry what the
+report folds away (IP idents, checksums, TEIDs, capture times), so every
+case with taps also pins each tap's ``(t_us, frame)`` list.  Update a
+digest only with a change that means to alter the outputs, and say why
+in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -184,6 +187,49 @@ INLINE_CASES = {
 }
 
 
+# Per tap, the SHA-256 of its frames as written by ``_tap_digest``.
+TAP_DIGESTS = {
+    "east_west": {
+        "ue:ue1": "fa4f3c488b1bf52dd04fd063eb96fac43a0303614db4a51c6a0a25193233bbec",
+        "ue:ue2": "05f4e4c03df83a6337fbec3c3e18a4f0d3b6439b586bc75ec04964836950c172",
+    },
+    "north_south": {
+        "n3:gnb1": "eda0495e1b832070911784950784ebbca0d1a723054e68d2a150ee055d7892bd",
+        "n6": "95130fdea7406496f65f33722a3b7a9c7382588b372a793f9f04aab4ebbde41a",
+        "ue:ue1": "eea0b2e884d98ff9c0950d986175d1099af1692cab9eb3089b375f1b955ab084",
+    },
+    "contended": {
+        "n3:gnb1": "194bfa2a0d01b124929445bf6153d9f8ebeeda212c8c2ba6d078940a40a23e7c",
+        "n6": "40b985ba2fb5d6de2baec2fae4639df335c4ae8c12d1f4cba32e7614a1db53c2",
+        "ue:ue1": "f83d61bf8a051a39131d61b1ddb4d71293b1e780b40eef2a1059925e9121a634",
+    },
+    "non_viable": {
+        "n3:gnb1": "1213bb1fa028656fb9ed927305672db2d081870b340c08cb4b3271efe9e70b7a",
+        "ue:ue1": "4b6e560b79fd4a1c6f6eebc94658be93e952d9db379796708de9c3a56cc0469d",
+    },
+    "sessionless": {
+        "n3:gnb1": "3839cd5f2557bd7194f1b09db2d7073194275ece72cf6153ec4bb44f862166c6",
+    },
+    "own_address": {
+        "n3:gnb1": "37a6ccacff5a76197db952b6946f57bc155f202f31cdfa059f7afaff74bbec81",
+        "ue:ue1": "b87b012e577c415e5e0a2bbd47f5284d98d6ea4a1b121e91ccc5c9cee3ae0a50",
+    },
+    # Nothing attaches far enough to send: both taps stay empty.
+    "attach_failures": {
+        "n3:gnb1": hashlib.sha256().hexdigest(),
+        "ue:ue3": hashlib.sha256().hexdigest(),
+    },
+}
+
+
+def _tap_digest(frames) -> str:
+    digest = hashlib.sha256()
+    for t_us, frame in frames:
+        digest.update(b"%d:%d:" % (t_us, len(frame)))
+        digest.update(frame)
+    return digest.hexdigest()
+
+
 def _digests(result: RunResult) -> tuple[str, str]:
     return (
         hashlib.sha256(result.report_json().encode("utf-8")).hexdigest(),
@@ -205,6 +251,12 @@ def _inline_result(name: str) -> RunResult:
 def test_inline_outputs_keep_their_bytes(name):
     _build, report_digest, events_digest = INLINE_CASES[name]
     assert _digests(_inline_result(name)) == (report_digest, events_digest)
+
+
+@pytest.mark.parametrize("name", sorted(TAP_DIGESTS))
+def test_tap_frames_keep_their_bytes(bundled_results, name):
+    result = bundled_results[name] if name in BUNDLED_DIGESTS else _inline_result(name)
+    assert {tap: _tap_digest(frames) for tap, frames in result.taps.items()} == TAP_DIGESTS[name]
 
 
 def _dumps_per_record(records) -> str:
