@@ -3,7 +3,8 @@
 Subcommands: ``plan`` (spectrum queries), ``validate`` (scenario lint),
 ``run`` (execute a scenario), ``compare`` (ordering verdicts between two
 reports), ``monitor`` (passive RTT over a pcap capture).  Exit codes:
-0 success, 1 validation/configuration failure, 2 runtime invariant breach.
+0 success, 1 usage, validation or configuration failure, 2 runtime
+invariant breach.
 """
 
 from __future__ import annotations
@@ -123,8 +124,16 @@ def _cmd_monitor(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, not argparse's 2; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nrusim",
         description="Planning and simulation toolkit for private 5G in the 5 GHz unlicensed band",
     )

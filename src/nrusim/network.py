@@ -17,7 +17,9 @@ direction's TDD slot, then checks the relay: a payload the gNB does not
 relay is logged as ``radio_drop`` at the current time and draws nothing
 further.  A surviving packet draws its jitter from the probe's substream.
 At GNB a packet stops as a scheduled event that logs ``gtpu_ul`` or
-``gtpu_dl`` and feeds the N3 tap; bulk ticks carry no bytes and skip it.
+``gtpu_dl`` and feeds the N3 tap; bulk ticks carry no packet and skip it.
+Packets travel as ``InnerPacket``; wire bytes are made only where a tap
+keeps the frame.
 The event loop breaks timestamp ties by insertion order, so the walk
 keeps one ``schedule_at`` per stop, in path order.
 """
@@ -42,6 +44,7 @@ from .userplane import (
     encode_gtpu,
     encode_ip,
     icmp_echo_request,
+    ip_length,
     relay_passes,
     upf_forward,
 )
@@ -202,13 +205,12 @@ class SimNetwork:
         """One packet over the access leg: UE -> UPF ingress ("UL") or UPF -> UE ("DL")."""
         now = self.loop.now_us
         inner = self._with_ident(inner)
-        wire = encode_ip(inner)
         if direction == "UL":
-            self._tap(f"ue:{ue_name}", wire)
+            self._tap(f"ue:{ue_name}", inner)
             done = lambda: self._upf_ingress(inner, rng)
         else:
             done = lambda: self._deliver_to_ue(ue_name, inner, rng)
-        self._traverse(self.links[ue_name], direction, now, len(wire), done, rng, wire)
+        self._traverse(self.links[ue_name], direction, now, ip_length(inner), done, rng, inner)
 
     def _bulk(self, ue_name, direction, nbytes, tag, delivered_cb) -> None:
         """One aggregate tick over the access leg; no bytes, no jitter, no gNB stop."""
@@ -228,10 +230,11 @@ class SimNetwork:
         self._traverse(link, direction, self.loop.now_us, nbytes, rx)
 
     def _traverse(self, link: RadioLink, direction: str, t: int, size: int, done,
-                  rng: Random | None = None, wire: bytes | None = None, start: int = 0) -> None:
+                  rng: Random | None = None, pkt: InnerPacket | None = None,
+                  start: int = 0) -> None:
         """Walk the hop table from ``start`` at time ``t``; ``done`` runs on arrival.
 
-        ``wire`` and ``rng`` are set for packets only: they add jitter and
+        ``pkt`` and ``rng`` are set for packets only: they add jitter and
         the gNB stop.
         """
         hops = link.hops[direction]
@@ -248,10 +251,10 @@ class SimNetwork:
                 if rng is not None:
                     t += rng.randint(0, self.calib.jitter_max_us)
             elif hop is GNB:
-                if wire is not None:
+                if pkt is not None:
                     def gnb_step():
-                        self._gnb_step(link, direction, wire)
-                        self._traverse(link, direction, self.loop.now_us, size, done, rng, wire,
+                        self._gnb_step(link, direction, pkt, size)
+                        self._traverse(link, direction, self.loop.now_us, size, done, rng, pkt,
                                        index + 1)
 
                     self.loop.schedule_at(t, gnb_step)
@@ -260,20 +263,20 @@ class SimNetwork:
                 t += hop
         self.loop.schedule_at(t, done)
 
-    def _gnb_step(self, link: RadioLink, direction: str, wire: bytes) -> None:
+    def _gnb_step(self, link: RadioLink, direction: str, pkt: InnerPacket, size: int) -> None:
         """The gNB relays a packet between radio and N3: log it and feed the N3 tap."""
         t = self.loop.now_us
         uplink = direction == "UL"
         session = self.core.sessions.get(link.ue.name)
         teid = (session.teid_uplink if uplink else session.teid_downlink) if session else 0
         self.log.append(t, link.gnb.name, "gtpu_ul" if uplink else "gtpu_dl", teid=teid,
-                        size=len(wire))
+                        size=size)
         tap = f"n3:{link.gnb.name}"
         if tap in self.taps:
             gnb_addr = link.gnb.n3_address or self.core.config.amf_address
             upf_addr = self.core.config.upf_address
             src, dst = (gnb_addr, upf_addr) if uplink else (upf_addr, gnb_addr)
-            tunnel = encode_gtpu(teid, wire)
+            tunnel = encode_gtpu(teid, encode_ip(pkt))
             outer = self._with_ident(
                 InnerPacket(src=src, dst=dst, protocol="UDP", payload=tunnel,
                             sport=userplane.GTPU_PORT, dport=userplane.GTPU_PORT)
@@ -352,12 +355,11 @@ class SimNetwork:
 
     # -- taps ---------------------------------------------------------------------
 
-    def _tap(self, name: str, frame: bytes | InnerPacket) -> None:
-        """Capture a frame at the loop clock, which never goes backwards.
+    def _tap(self, name: str, pkt: InnerPacket) -> None:
+        """Capture a packet at the loop clock, which never goes backwards.
 
-        A packet is encoded only when the tap exists.
+        The packet is encoded only when the tap exists.
         """
         frames = self.taps.get(name)
         if frames is not None:
-            data = frame if isinstance(frame, bytes) else encode_ip(frame)
-            frames.append((self.loop.now_us, data))
+            frames.append((self.loop.now_us, encode_ip(pkt)))

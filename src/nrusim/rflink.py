@@ -118,9 +118,12 @@ def compute_rsrp(
     """Received power after digital attenuation and medium loss.
 
     Strictly decreasing in the attenuation factor and in every medium
-    loss term.
+    loss term.  Finite inputs can still overflow; that result is refused.
     """
-    return tx_power_dbm - attenuation_factor * ATT_DB_PER_UNIT - medium_loss_db(medium, carrier_mhz)
+    rsrp = tx_power_dbm - attenuation_factor * ATT_DB_PER_UNIT - medium_loss_db(medium, carrier_mhz)
+    if not math.isfinite(rsrp):
+        raise DomainError(f"link budget overflows: RSRP would be {rsrp} dBm")
+    return rsrp
 
 
 def required_sampling_rate(bandwidth_mhz: float) -> float:

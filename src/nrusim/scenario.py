@@ -19,9 +19,10 @@ import yaml
 from .access import Burst, ChannelOccupancy, LbtConfig, TddConfig, slot_duration_us
 from .corenet import CoreConfig, IpPool, SubscriberRecord
 from .errors import ConfigError, DomainError, ScenarioError
-from .rflink import Cable, HostModel, LinkMedium, OverAir, SdrModel, get_host, get_sdr
+from .rflink import Cable, HostModel, LinkMedium, OverAir, SdrModel, compute_rsrp, get_host, get_sdr
 from .spectrum import (
     ChannelAssignment,
+    arfcn_to_frequency,
     check_regulatory,
     get_band,
     load_regulatory_rules,
@@ -262,14 +263,16 @@ def _parse_cell(raw: dict) -> CellConfig:
         tdd=tdd,
         lbt=lbt,
     )
-    # Raster and band-span checks, both links (TDD bands share one raster).
-    for link in ("DL", "UL"):
-        if not validate_channel(band, cell.arfcn, link):
-            dl = band.dl_raster
-            raise ScenarioError(
-                f"cell: ARFCN {cell.arfcn} invalid on the {band.band_id} {link} raster "
-                f"({dl.first}-<{dl.step}>-{dl.last})"
-            )
+    # The cell schedules UL and DL in TDD slots; a TDD band's UL raster is its DL raster.
+    if band.duplex != "tdd":
+        raise ScenarioError(f"cell: band {band.band_id} is {band.duplex.upper()}, not TDD; "
+                            f"the simulated cell needs a TDD band")
+    if not validate_channel(band, cell.arfcn, "DL"):
+        dl = band.dl_raster
+        raise ScenarioError(
+            f"cell: ARFCN {cell.arfcn} invalid on the {band.band_id} DL raster "
+            f"({dl.first}-<{dl.step}>-{dl.last})"
+        )
     sync = [e for e in band.sync_entries if cell.ssb_gscn in e.gscn]
     if not sync:
         raise ScenarioError(
@@ -328,6 +331,7 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
 
     cell = _parse_cell(_field(raw, "cell", name, dict))
     _check_compliance(cell, jurisdiction, allow_noncompliant, notes)
+    carrier_mhz = arfcn_to_frequency(cell.arfcn)
 
     core_raw = _field(raw, "core", name, dict)
     try:
@@ -369,6 +373,7 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
             context = f"node {node_name}"
             try:
                 medium = _parse_medium(_field(node_raw, "medium", context, dict), context)
+                compute_rsrp(cell.tx_power_dbm, cell.attenuation_factor, medium, carrier_mhz)
             except DomainError as exc:
                 raise ScenarioError(f"{context}: {exc}") from None
         nodes.append(

@@ -9,6 +9,7 @@ captures can be dissected by third-party tooling.
 
 from __future__ import annotations
 
+import socket
 import struct
 from dataclasses import dataclass, replace
 
@@ -125,10 +126,11 @@ def internet_checksum(data: bytes) -> int:
 
 
 def _ip_bytes(ip: str) -> bytes:
-    parts = [int(p) for p in ip.split(".")]
-    if len(parts) != 4 or any(not 0 <= p <= 255 for p in parts):
-        raise CodecError(f"bad IPv4 address {ip!r}")
-    return bytes(parts)
+    """Dotted-quad text to 4 bytes; only the canonical form is accepted."""
+    try:
+        return socket.inet_pton(socket.AF_INET, ip)
+    except OSError:
+        raise CodecError(f"bad IPv4 address {ip!r}") from None
 
 
 def encode_ip(pkt: InnerPacket) -> bytes:
@@ -168,6 +170,16 @@ def encode_ip(pkt: InnerPacket) -> bytes:
     return header + l4
 
 
+_L4_HEADER = {"ICMP": 8, "UDP": 8, "TCP": 20}
+
+
+def ip_length(pkt: InnerPacket) -> int:
+    """Octets ``encode_ip`` would emit for this packet, without encoding it."""
+    if pkt.protocol not in _L4_HEADER:
+        raise CodecError(f"unsupported protocol {pkt.protocol!r}")
+    return 20 + _L4_HEADER[pkt.protocol] + len(pkt.payload)
+
+
 def decode_ip(data: bytes) -> InnerPacket:
     """Parse on-the-wire IPv4 bytes; raises CodecError subtypes when malformed."""
     if len(data) < 20:
@@ -189,8 +201,8 @@ def decode_ip(data: bytes) -> InnerPacket:
     if proto_num not in IP_PROTO_NAME:
         raise CodecError(f"unsupported IP protocol {proto_num}")
     protocol = IP_PROTO_NAME[proto_num]
-    src = ".".join(str(b) for b in data[12:16])
-    dst = ".".join(str(b) for b in data[16:20])
+    src = socket.inet_ntoa(data[12:16])
+    dst = socket.inet_ntoa(data[16:20])
     l4 = data[ihl:]
     if protocol == "ICMP":
         if len(l4) < 8:

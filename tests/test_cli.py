@@ -114,6 +114,24 @@ class TestPlan:
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
         assert proc.stdout == ""
 
+    # argparse takes "-inf" for an option; its usage errors would exit 2, the breach code.
+    @pytest.mark.parametrize("argv", [["--freq", "-inf"], ["--bogus"]],
+                             ids=["freq -inf", "unknown option"])
+    def test_usage_error_subprocess_exits_1(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "nrusim.cli", "plan", "convert", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_help_still_exits_0(self):
+        proc = subprocess.run([sys.executable, "-m", "nrusim.cli", "plan", "convert", "--help"],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0
+        assert "--freq" in proc.stdout and proc.stderr == ""
+
 
 class TestScenarioCommands:
     def test_validate_bundled(self, capsys):

@@ -15,7 +15,7 @@ from nrusim.metrics import (
     report_records,
 )
 from nrusim.rflink import Cable, OverAir, get_sdr
-from nrusim.userplane import encode_gtpu, encode_ip, echo_reply_for, icmp_echo_request
+from nrusim.userplane import InnerPacket, echo_reply_for, encode_gtpu, encode_ip, icmp_echo_request
 
 CALIB = load_calibration()
 TDD = TddConfig()
@@ -95,7 +95,7 @@ def _frames_for_flow(ident: int, count: int, tunnel: bool = False, rtt_us: int =
         reply = echo_reply_for(request)
         req_raw, rep_raw = encode_ip(request), encode_ip(reply)
         if tunnel:
-            from nrusim.userplane import GTPU_PORT, InnerPacket
+            from nrusim.userplane import GTPU_PORT
 
             req_raw = encode_ip(InnerPacket(
                 src="192.168.70.129", dst="192.168.70.134", protocol="UDP",
@@ -154,6 +154,14 @@ class TestPassiveMonitor:
         frames = _frames_for_flow(0x1000, 2) + [(999, b"\x45garbage")]
         report = passive_monitor(frames)
         assert report.unparsed_frames == 1
+        assert report.sessions[0].packet_count == 4
+
+    def test_tcp_frames_skipped_not_unparsed(self):
+        segment = encode_ip(InnerPacket(src="10.1.1.5", dst="142.250.204.4", protocol="TCP",
+                                        payload=b"hello", sport=40000, dport=443))
+        frames = _frames_for_flow(0x1000, 2) + [(999, segment)]
+        report = passive_monitor(frames)
+        assert report.unparsed_frames == 0
         assert report.sessions[0].packet_count == 4
 
     def test_render_monitor_lists_sessions(self):

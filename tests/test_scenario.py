@@ -115,6 +115,11 @@ MALFORMED = [
      "node ue1: attenuator cannot have negative loss"),
     ("tx power past float range", variant(**{"cell.tx_power_dbm": 1e6}),
      "cell: EIRP must be finite"),
+    # Neither raster can hold a TDD cell: FDD's UL and DL spans are disjoint, SDL has no UL.
+    ("FDD band", variant(**{"cell.band": "n1", "cell.arfcn": 428000}),
+     "cell: band n1 is FDD, not TDD"),
+    ("SDL band", variant(**{"cell.band": "n29", "cell.arfcn": 144000}),
+     "cell: band n29 is SDL, not TDD"),
 ]
 
 # Scenarios that used to load, then failed or reported silently wrong
@@ -159,6 +164,11 @@ UNRUNNABLE = [
      "node ue1: attenuator_db"),
     ("NaN CCA threshold", variant(**{"cell.lbt": {"cca_threshold_dbm": float("nan")}}),
      "cell.lbt: cca_threshold_dbm must be a finite number"),
+    # Every number is finite, but the RSRP overflows to -inf (invalid JSON in the report).
+    ("overflowing link budget",
+     variant(**{"cell.attenuation_factor": 1.7e308,
+                "nodes.1.medium": {"kind": "cable", "length_cm": 50, "attenuator_db": 1.7e308}}),
+     "node ue1: link budget overflows"),
 ]
 
 HOSTILE = MALFORMED + UNRUNNABLE

@@ -19,6 +19,7 @@ from nrusim.userplane import (
     FORWARD_DROP,
     FORWARD_EGRESS,
     FORWARD_TUNNEL,
+    ICMP_ECHO_REQUEST,
     InnerPacket,
     RouteTable,
     decode_gtpu,
@@ -27,6 +28,8 @@ from nrusim.userplane import (
     encode_gtpu,
     encode_ip,
     icmp_echo_request,
+    internet_checksum,
+    ip_length,
     relay_passes,
     upf_forward,
 )
@@ -289,6 +292,44 @@ class TestIpCodec:
         pkt = InnerPacket(src="12.1.1.2", dst="12.1.1.1", protocol="UDP",
                           payload=b"data", sport=5001, dport=5201)
         assert decode_ip(encode_ip(pkt)) == pkt
+
+    def test_tcp_round_trip(self):
+        pkt = InnerPacket(src="12.1.1.2", dst="93.184.216.34", protocol="TCP",
+                          payload=b"GET / HTTP/1.1\r\n", ttl=63, ident=0x4242,
+                          sport=40000, dport=80)
+        raw = encode_ip(pkt)
+        assert raw[9] == 6 and len(raw) == 20 + 20 + len(pkt.payload)
+        assert decode_ip(raw) == pkt
+
+    @given(protocol=st.sampled_from(["ICMP", "UDP", "TCP"]), payload=st.binary(max_size=1400))
+    def test_ip_length_matches_the_encoding(self, protocol, payload):
+        pkt = InnerPacket(src="12.1.1.2", dst="8.8.8.8", protocol=protocol, payload=payload,
+                          icmp_type=ICMP_ECHO_REQUEST if protocol == "ICMP" else None)
+        assert ip_length(pkt) == len(encode_ip(pkt))
+
+    def test_ip_length_rejects_what_encode_ip_rejects(self):
+        pkt = InnerPacket(src="12.1.1.2", dst="8.8.8.8", protocol="SCTP")
+        for measure in (ip_length, encode_ip):
+            with pytest.raises(CodecError, match="unsupported protocol 'SCTP'"):
+                measure(pkt)
+
+    # int() per octet took "1_0" as 10, and let spaces and leading zeros through.
+    @pytest.mark.parametrize("address", ["a.b.c.d", "1_0.0.0.1", " 1.2.3.4", "01.2.3.4",
+                                         "1.2.3", "1.2.3.4.5", "256.1.1.1", ""])
+    def test_malformed_address_is_a_codec_error(self, address):
+        with pytest.raises(CodecError, match="bad IPv4 address"):
+            encode_ip(icmp_echo_request(address, "8.8.8.8", 1, 1))
+        with pytest.raises(CodecError, match="bad IPv4 address"):
+            encode_ip(icmp_echo_request("8.8.8.8", address, 1, 1))
+
+    @given(src=st.binary(min_size=4, max_size=4), dst=st.binary(min_size=4, max_size=4))
+    def test_any_four_address_bytes_round_trip(self, src, dst):
+        raw = bytearray(ping_packet())
+        raw[12:20] = src + dst
+        raw[10:12] = b"\x00\x00"
+        raw[10:12] = internet_checksum(bytes(raw[:20])).to_bytes(2, "big")
+        pkt = decode_ip(bytes(raw))
+        assert encode_ip(pkt) == bytes(raw)
 
     def test_corrupted_checksum_detected(self):
         raw = bytearray(ping_packet())
