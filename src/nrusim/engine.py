@@ -22,6 +22,25 @@ from .errors import InvariantBreach
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
+def _record_encoder() -> Callable[[dict[str, Any]], str]:
+    """``_RECORD_ENCODER.encode`` for the records of one log, sharing one C encoder.
+
+    ``JSONEncoder.encode`` builds a C encoder on every call.  One is built
+    here per log, not per process: its circular-reference markers keep
+    their entries when an encode raises, so a shared one would report a
+    circular reference on a later, valid record.  Without the C
+    accelerator (``c_make_encoder``, a private name, is ``None``) this is
+    ``_RECORD_ENCODER.encode`` itself.
+    """
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return _RECORD_ENCODER.encode
+    e = _RECORD_ENCODER
+    encode = make({}, e.default, json.encoder.encode_basestring_ascii, e.indent,
+                  e.key_separator, e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
+    return lambda record: "".join(encode(record, 0))
+
+
 def derive_rng(seed: int, label: str) -> Random:
     """Independent generator for (seed, label), stable across processes."""
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
@@ -46,7 +65,7 @@ class EventLog:
         return [r for r in self.records if r["action"] == action]
 
     def to_jsonl(self) -> str:
-        encode = _RECORD_ENCODER.encode
+        encode = _record_encoder()
         return "".join([encode(r) + "\n" for r in self.records])
 
 

@@ -18,15 +18,15 @@ relay is logged as ``radio_drop`` at the current time and draws nothing
 further.  A surviving packet draws its jitter from the probe's substream.
 At GNB a packet stops as a scheduled event that logs ``gtpu_ul`` or
 ``gtpu_dl`` and feeds the N3 tap; bulk ticks carry no packet and skip it.
-Packets travel as ``InnerPacket``; wire bytes are made only where a tap
-keeps the frame.
+Packets travel as ``InnerPacket`` named tuples; wire bytes are made only
+where a tap keeps the frame.
 The event loop breaks timestamp ties by insertion order, so the walk
 keeps one ``schedule_at`` per stop, in path order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from random import Random
 
 from . import access, rflink, userplane
@@ -199,7 +199,7 @@ class SimNetwork:
         if pkt.ident:
             return pkt
         self._ip_ident = (self._ip_ident + 1) & 0xFFFF or 1
-        return replace(pkt, ident=self._ip_ident)
+        return pkt._replace(ident=self._ip_ident)
 
     def _send(self, ue_name: str, direction: str, inner: InnerPacket, rng: Random) -> None:
         """One packet over the access leg: UE -> UPF ingress ("UL") or UPF -> UE ("DL")."""
@@ -336,7 +336,7 @@ class SimNetwork:
         if original is None:
             self._apply_forward(ForwardDecision(action=userplane.FORWARD_DROP), pkt, rng)
             return
-        restored = replace(pkt, dst=original)
+        restored = pkt._replace(dst=original)
         self._apply_forward(upf_forward(restored, self.routes), restored, rng)
 
     # -- UE stack -----------------------------------------------------------------

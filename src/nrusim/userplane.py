@@ -3,15 +3,17 @@
 The GTP-U codec emits flag-free 8-byte G-PDU headers only; headers with
 the optional sequence/N-PDU/extension fields are decoded, those fields
 skipped, but never produced, which keeps the length invariant trivial
-(length == inner octets).  A small IPv4/ICMP/UDP codec serialises the inner packets so tap
-captures can be dissected by third-party tooling.
+(length == inner octets).  A small IPv4/ICMP/UDP/TCP codec serialises the
+inner packets, which are immutable named tuples, so tap captures can be
+dissected by third-party tooling.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corenet import IpPool, PduSession
 from .errors import (
@@ -94,13 +96,13 @@ ICMP_ECHO_REPLY = 0
 DEFAULT_PING_PAYLOAD = bytes(8) + bytes(range(0x10, 0x10 + 48))
 
 
-@dataclass(frozen=True)
-class InnerPacket:
-    """One UE-plane IPv4 packet in decoded form.
+class InnerPacket(NamedTuple):
+    """One UE-plane IPv4 packet in decoded form, as an immutable named tuple.
 
     ``ident`` is the IP identification field; the originating stack
     assigns it once and it survives forwarding and source rewriting, so
     re-serialising an unchanged packet reproduces identical bytes.
+    Forwarding makes changed copies with ``pkt._replace(...)``.
     """
 
     src: str
@@ -117,11 +119,15 @@ class InnerPacket:
 
 
 def internet_checksum(data: bytes) -> int:
-    if len(data) % 2:
-        data += b"\x00"
-    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
-    total = (total & 0xFFFF) + (total >> 16)
-    total = (total & 0xFFFF) + (total >> 16)
+    """RFC 1071 checksum: the complement of the one's-complement sum of 16-bit words.
+
+    Since 0x10000 is 1 mod 0xFFFF, the buffer read as one big-endian
+    integer (odd length padded with a zero byte) is congruent to its word
+    sum, and the folded sum is that residue, except that a non-zero
+    multiple of 0xFFFF folds to 0xFFFF rather than 0.
+    """
+    value = int.from_bytes(data, "big") << (8 * (len(data) & 1))
+    total = value % 0xFFFF or (0xFFFF if value else 0)
     return ~total & 0xFFFF
 
 
@@ -146,9 +152,15 @@ def encode_ip(pkt: InnerPacket) -> bytes:
     elif pkt.protocol == "UDP":
         l4 = struct.pack("!HHHH", pkt.sport or 0, pkt.dport or 0, 8 + len(pkt.payload), 0) + pkt.payload
     elif pkt.protocol == "TCP":
-        l4 = struct.pack(
+        segment = struct.pack(
             "!HHIIBBHHH", pkt.sport or 0, pkt.dport or 0, 0, 0, 5 << 4, 0x10, 0xFFFF, 0, 0
         ) + pkt.payload
+        # Unlike UDP's, a TCP checksum of 0 does not mean "none": it covers
+        # the IPv4 pseudo-header (src, dst, zero, protocol, TCP length) too.
+        pseudo = _ip_bytes(pkt.src) + _ip_bytes(pkt.dst) + struct.pack(
+            "!BBH", 0, IP_PROTO_NUM["TCP"], len(segment))
+        checksum = internet_checksum(pseudo + segment)
+        l4 = segment[:16] + struct.pack("!H", checksum) + segment[18:]
     else:
         raise CodecError(f"unsupported protocol {pkt.protocol!r}")
     total_len = 20 + len(l4)
@@ -230,6 +242,10 @@ def decode_ip(data: bytes) -> InnerPacket:
         raise TruncatedPacketError("TCP header truncated")
     sport, dport = struct.unpack("!HH", l4[:4])
     offset = (l4[12] >> 4) * 4
+    if offset < 20:
+        raise FramingError(f"bad TCP data offset {offset}")
+    if offset > len(l4):
+        raise TruncatedPacketError(f"TCP data offset {offset} exceeds the {len(l4)} B segment")
     return InnerPacket(src=src, dst=dst, protocol=protocol, payload=l4[offset:], ttl=ttl,
                        ident=ident, sport=sport, dport=dport)
 
@@ -272,8 +288,7 @@ class RouteTable:
         return ip in self.pool
 
 
-@dataclass(frozen=True)
-class ForwardDecision:
+class ForwardDecision(NamedTuple):
     action: str  # FORWARD_TUNNEL | FORWARD_EGRESS | FORWARD_DROP
     session: PduSession | None = None
     packet: InnerPacket | None = None  # egress carries the source-rewritten packet
@@ -292,7 +307,7 @@ def upf_forward(packet: InnerPacket, routes: RouteTable) -> ForwardDecision:
         if session is None or not session.active:
             return ForwardDecision(action=FORWARD_DROP)
         return ForwardDecision(action=FORWARD_TUNNEL, session=session, packet=packet)
-    rewritten = replace(packet, src=routes.upf_address)
+    rewritten = packet._replace(src=routes.upf_address)
     return ForwardDecision(action=FORWARD_EGRESS, packet=rewritten)
 
 

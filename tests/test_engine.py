@@ -1,5 +1,10 @@
-import pytest
+import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nrusim import engine
 from nrusim.engine import EventLog, EventLoop, derive_rng
 from nrusim.errors import InvariantBreach
 
@@ -72,3 +77,71 @@ class TestEventLog:
         log.append(2, "a", "y")
         log.append(3, "b", "x")
         assert len(log.select("x")) == 2
+
+
+def _dumps_per_record(records) -> str:
+    """Reference: one ``json.dumps`` call, so one new encoder, per record."""
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+def _log_of(records) -> EventLog:
+    log = EventLog()
+    log.records.extend(records)
+    return log
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**63, -(2**64) - 1, 10**40])
+    | st.floats()  # -0.0, inf and nan included
+    | st.just(-0.0)
+    | st.text(max_size=8)  # non-ASCII and control characters included
+    | st.text(alphabet=st.characters(max_codepoint=0x1F), max_size=4)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+_RECORDS = st.lists(st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=5), max_size=6)
+
+
+class TestSharedEncoder:
+    """``to_jsonl`` reuses one C encoder per log; ``json.dumps`` per record is the reference."""
+
+    @given(records=_RECORDS)
+    @settings(max_examples=100)
+    def test_matches_json_dumps_per_record(self, records):
+        assert _log_of(records).to_jsonl() == _dumps_per_record(records)
+
+    @given(records=_RECORDS)
+    @settings(max_examples=50)
+    def test_python_encoder_writes_the_same_text(self, records):
+        c_text = _log_of(records).to_jsonl()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(json.encoder, "c_make_encoder", None)
+            assert engine._record_encoder() == engine._RECORD_ENCODER.encode
+            assert _log_of(records).to_jsonl() == c_text
+
+    @pytest.mark.parametrize("make_circular", [
+        lambda r: r.__setitem__("self", r),
+        lambda r: r.__setitem__("list", [1, r]),
+    ])
+    def test_circular_record_raises(self, make_circular):
+        record = {"t_us": 1, "actor": "a", "action": "x"}
+        make_circular(record)
+        with pytest.raises(ValueError, match="Circular reference"):
+            _log_of([record]).to_jsonl()
+
+    def test_failed_encode_leaves_no_markers_behind(self):
+        # The C encoder keeps its circular-reference markers when an encode
+        # raises; a later call must not take the same record for a cycle.
+        record = {"t_us": 1, "actor": "a", "action": "x", "bad": [object()]}
+        log = _log_of([record])
+        with pytest.raises(TypeError):
+            log.to_jsonl()
+        record["bad"].pop()
+        assert log.to_jsonl() == _dumps_per_record([record])

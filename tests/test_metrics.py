@@ -134,9 +134,7 @@ class TestPassiveMonitor:
 
             pkt = decode_ip(raw)
             swap = {"10.1.1.5": "192.168.70.134"}
-            from dataclasses import replace
-
-            pkt = replace(pkt, src=swap.get(pkt.src, pkt.src), dst=swap.get(pkt.dst, pkt.dst))
+            pkt = pkt._replace(src=swap.get(pkt.src, pkt.src), dst=swap.get(pkt.dst, pkt.dst))
             rewritten.append((t, encode_ip(pkt)))
         core_side = passive_monitor(rewritten)
         assert core_side.sessions[0].session_id == ue_side.sessions[0].session_id

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import socket
 import struct
 from dataclasses import dataclass, replace
 
@@ -19,7 +21,9 @@ from nrusim.userplane import (
     FORWARD_DROP,
     FORWARD_EGRESS,
     FORWARD_TUNNEL,
+    ICMP_ECHO_REPLY,
     ICMP_ECHO_REQUEST,
+    ForwardDecision,
     InnerPacket,
     RouteTable,
     decode_gtpu,
@@ -272,6 +276,106 @@ class TestGtpuDecoderOracle:
         assert _outcome(decode_gtpu, frame) == _outcome(_oracle_decode_gtpu, frame)
 
 
+# ---------------------------------------------------------------------------
+# Oracles: the struct-sum checksum and the frozen-dataclass packet that the
+# one-integer checksum and the named-tuple ``InnerPacket`` replaced.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_internet_checksum(data: bytes) -> int:
+    if len(data) % 2:
+        data += b"\x00"
+    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
+    total = (total & 0xFFFF) + (total >> 16)
+    total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+@dataclass(frozen=True)
+class _DataclassPacket:
+    src: str
+    dst: str
+    protocol: str
+    payload: bytes = b""
+    ttl: int = 64
+    ident: int = 0
+    icmp_type: int | None = None
+    icmp_id: int | None = None
+    icmp_seq: int | None = None
+    sport: int | None = None
+    dport: int | None = None
+
+
+@st.composite
+def multiple_of_ffff(draw):
+    """An even-length buffer whose 16-bit word sum is a non-zero multiple of 0xFFFF."""
+    words = draw(st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=40))
+    words.append(-sum(words) % 0xFFFF)
+    if not any(words):
+        words.append(0xFFFF)
+    return struct.pack(f"!{len(words)}H", *words)
+
+
+_ADDRESSES = st.binary(min_size=4, max_size=4).map(socket.inet_ntoa)
+_PORTS = st.integers(0, 0xFFFF)
+
+
+@st.composite
+def dataclass_packets(draw):
+    """Old-form ICMP echo, UDP and TCP packets with every field ``decode_ip`` recovers."""
+    protocol = draw(st.sampled_from(["ICMP", "UDP", "TCP"]))
+    fields = dict(src=draw(_ADDRESSES), dst=draw(_ADDRESSES), protocol=protocol,
+                  payload=draw(st.binary(max_size=200)), ttl=draw(st.integers(0, 255)),
+                  ident=draw(st.integers(0, 0xFFFF)))
+    if protocol == "ICMP":
+        fields.update(icmp_type=draw(st.sampled_from([ICMP_ECHO_REQUEST, ICMP_ECHO_REPLY])),
+                      icmp_id=draw(_PORTS), icmp_seq=draw(_PORTS))
+    else:
+        fields.update(sport=draw(_PORTS), dport=draw(_PORTS))
+    return _DataclassPacket(**fields)
+
+
+class TestChecksumOracle:
+    @pytest.mark.parametrize("data", [
+        b"", b"\x00", b"\x01", b"\xff", bytes(20), bytes(21), b"\xff" * 20, b"\xff" * 21,
+        b"\xff\xff", b"\x80\x00\x7f\xff", b"\xff\xfe\xff\xff\x00\x01",
+    ])
+    def test_edge_cases(self, data):
+        assert internet_checksum(data) == _oracle_internet_checksum(data)
+
+    @given(data=st.binary(max_size=1500))
+    @settings(max_examples=500)
+    def test_matches_struct_sum(self, data):
+        assert internet_checksum(data) == _oracle_internet_checksum(data)
+
+    @given(data=multiple_of_ffff())
+    def test_nonzero_multiple_of_ffff(self, data):
+        assert internet_checksum(data) == _oracle_internet_checksum(data) == 0
+
+
+class TestNamedTuplePacket:
+    @given(old=dataclass_packets())
+    @settings(max_examples=300)
+    def test_same_bytes_and_fields_as_dataclass(self, old):
+        new = InnerPacket(**dataclasses.asdict(old))
+        raw = encode_ip(new)
+        assert encode_ip(old) == raw
+        assert decode_ip(raw)._asdict() == dataclasses.asdict(old)
+
+    def test_fields_and_defaults_unchanged(self):
+        assert InnerPacket._fields == tuple(f.name for f in dataclasses.fields(_DataclassPacket))
+        assert InnerPacket("a", "b", "ICMP")._asdict() == dataclasses.asdict(
+            _DataclassPacket("a", "b", "ICMP"))
+
+    def test_fields_cannot_be_assigned(self):
+        pkt = icmp_echo_request("10.1.1.5", "8.8.8.8", 1, 1)
+        with pytest.raises(AttributeError):
+            pkt.src = "10.1.1.6"
+        decision = ForwardDecision(action=FORWARD_DROP)
+        with pytest.raises(AttributeError):
+            decision.action = FORWARD_EGRESS
+
+
 class TestIpCodec:
     def test_ping_packet_shape(self):
         raw = ping_packet()
@@ -300,6 +404,39 @@ class TestIpCodec:
         raw = encode_ip(pkt)
         assert raw[9] == 6 and len(raw) == 20 + 20 + len(pkt.payload)
         assert decode_ip(raw) == pkt
+
+    @given(src=_ADDRESSES, dst=_ADDRESSES, payload=st.binary(max_size=300),
+           sport=_PORTS, dport=_PORTS)
+    def test_tcp_checksum_covers_the_pseudo_header(self, src, dst, payload, sport, dport):
+        raw = encode_ip(InnerPacket(src=src, dst=dst, protocol="TCP", payload=payload,
+                                    sport=sport, dport=dport))
+        segment = raw[20:]
+        pseudo_header = raw[12:20] + struct.pack("!BBH", 0, 6, len(segment))
+        assert internet_checksum(pseudo_header + segment) == 0
+
+    @staticmethod
+    def _tcp_frame_with_offset(nibble: int, payload: bytes = b"GET /") -> bytes:
+        # Byte 32 is the TCP data-offset byte; the IP header checksum does not cover it.
+        raw = bytearray(encode_ip(InnerPacket(src="12.1.1.2", dst="93.184.216.34",
+                                              protocol="TCP", payload=payload,
+                                              sport=40000, dport=80)))
+        assert raw[32] == 5 << 4
+        raw[32] = nibble << 4
+        return bytes(raw)
+
+    @pytest.mark.parametrize("nibble", [0, 1, 4])
+    def test_tcp_data_offset_below_header_rejected(self, nibble):
+        with pytest.raises(FramingError, match="TCP data offset"):
+            decode_ip(self._tcp_frame_with_offset(nibble))
+
+    @pytest.mark.parametrize("nibble, payload", [(0xF, b"GET /"), (6, b"abc")])
+    def test_tcp_data_offset_past_segment_truncated(self, nibble, payload):
+        with pytest.raises(TruncatedPacketError, match="TCP data offset"):
+            decode_ip(self._tcp_frame_with_offset(nibble, payload))
+
+    def test_tcp_options_skipped(self):
+        assert decode_ip(self._tcp_frame_with_offset(6, b"opt!body")).payload == b"body"
+        assert decode_ip(self._tcp_frame_with_offset(6, b"opt!")).payload == b""
 
     @given(protocol=st.sampled_from(["ICMP", "UDP", "TCP"]), payload=st.binary(max_size=1400))
     def test_ip_length_matches_the_encoding(self, protocol, payload):
