@@ -26,7 +26,7 @@ print(f"\nping {ping['src']} -> {ping['dst']}: {ping['received']}/{ping['sent']}
 # The same flow, observed passively at two vantage points.
 for tap in ("ue:ue1", "n6"):
     print(f"\npassive monitor at {tap}:")
-    print(render_monitor(passive_monitor(sorted(result.taps[tap]))))
+    print(render_monitor(passive_monitor(result.frames(tap))))
 
 ue_session = report["passive"]["ue:ue1"]["sessions"][0]
 n6_session = report["passive"]["n6"]["sessions"][0]

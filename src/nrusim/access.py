@@ -146,7 +146,12 @@ class ChannelOccupancy:
     """
 
     def __init__(self, bursts: list[Burst] | tuple[Burst, ...] = ()):
-        self.bursts = tuple(sorted(bursts, key=itemgetter(0, 1)))  # stable on (start, end) ties
+        # Two stable sorts on int keys: by end, then by start.  The same
+        # (start, end) order as one tuple-key sort, entry order on ties,
+        # at a fraction of the cost.
+        timeline = sorted(bursts, key=itemgetter(1))
+        timeline.sort(key=itemgetter(0))
+        self.bursts = tuple(timeline)
         self._index: dict[float, tuple[tuple[Burst, ...], list[int]]] = {}
 
     def blocker(self, t0: int, t1: int, threshold_dbm: float) -> Burst | None:

@@ -4,8 +4,9 @@ Ping and throughput plans inject real traffic through the simulated
 stack.  Ping results are a fold over the event log's ``ping_tx`` and
 ``rtt_sample`` records; the throughput probe keeps its own per-window
 tally, because bulk records carry no probe key.  The passive monitor
-is a pure fold over an observed packet stream (live tap or pcap export),
-pairing ICMP echoes by (id, seq) even when they ride inside GTP-U.
+is a pure fold over an observed packet stream, pairing ICMP echoes by
+(id, seq): a run folds the packets its taps kept, and ``passive_monitor``
+decodes a capture's frames first, unwrapping GTP-U tunnels.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .userplane import (
     GTPU_PORT,
     ICMP_ECHO_REPLY,
     ICMP_ECHO_REQUEST,
+    InnerPacket,
     decode_gtpu,
     decode_ip,
 )
@@ -255,25 +257,45 @@ class MonitorReport:
     unparsed_frames: int = 0
 
 
-def passive_monitor(frames: Iterable[tuple[int, bytes]]) -> MonitorReport:
-    """Fold observed frames into per-flow sessions with latest RTTs.
+def decode_frame(raw: bytes) -> InnerPacket:
+    """The packet a frame carries: IPv4, unwrapped from GTP-U on UDP port 2152.
 
-    Frames may be plain IPv4 or GTP-U tunnelled (UDP port 2152); tunnel
-    payloads are decapsulated before matching.  Unparseable frames are
+    Raises ``CodecError`` when either layer is malformed.
+    """
+    pkt = decode_ip(raw)
+    if pkt.protocol == "UDP" and GTPU_PORT in (pkt.sport, pkt.dport):
+        _teid, inner = decode_gtpu(pkt.payload)
+        pkt = decode_ip(inner)
+    return pkt
+
+
+def passive_monitor(frames: Iterable[tuple[int, bytes]]) -> MonitorReport:
+    """Decode observed frames, then fold them into per-flow sessions.
+
+    Frames may be plain IPv4 or GTP-U tunnelled; unparseable frames are
     counted, never fatal.
     """
-    report = MonitorReport()
-    by_id: dict[int, PassiveSession] = {}
-    pending: dict[tuple[int, int], int] = {}
+    packets = []
+    unparsed = 0
     for t_us, raw in frames:
         try:
-            pkt = decode_ip(raw)
-            if pkt.protocol == "UDP" and GTPU_PORT in (pkt.sport, pkt.dport):
-                _teid, inner = decode_gtpu(pkt.payload)
-                pkt = decode_ip(inner)
+            packets.append((t_us, decode_frame(raw)))
         except CodecError:
-            report.unparsed_frames += 1
-            continue
+            unparsed += 1
+    return fold_sessions(packets, unparsed)
+
+
+def fold_sessions(packets: Iterable[tuple], unparsed_frames: int) -> MonitorReport:
+    """Fold ``(t_us, packet)`` observations into per-flow sessions with latest RTTs.
+
+    An observation may carry more fields after those two, as an N3 tap's
+    entries carry their tunnel; the fold ignores them.
+    """
+    report = MonitorReport(unparsed_frames=unparsed_frames)
+    by_id: dict[int, PassiveSession] = {}
+    pending: dict[tuple[int, int], int] = {}
+    for entry in packets:
+        t_us, pkt = entry[0], entry[1]
         if pkt.protocol != "ICMP" or pkt.icmp_type not in (ICMP_ECHO_REQUEST, ICMP_ECHO_REPLY):
             continue
         sid = flow_session_id("ICMP", pkt.icmp_id)

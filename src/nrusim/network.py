@@ -18,8 +18,9 @@ relay is logged as ``radio_drop`` at the current time and draws nothing
 further.  A surviving packet draws its jitter from the probe's substream.
 At GNB a packet stops as a scheduled event that logs ``gtpu_ul`` or
 ``gtpu_dl`` and feeds the N3 tap; bulk ticks carry no packet and skip it.
-Packets travel as ``InnerPacket`` named tuples; wire bytes are made only
-where a tap keeps the frame.
+Packets travel as ``InnerPacket`` named tuples, and taps keep them as
+packets too: wire bytes are made only at pcap export or on request, by
+``tap_frames``.
 The event loop breaks timestamp ties by insertion order, so the walk
 keeps one ``schedule_at`` per stop, in path order.
 """
@@ -65,6 +66,8 @@ class RadioLink:
     rng: Random  # LBT backoff substream for this link
     radio_us: int  # radio processing plus the over-air extra
     hops: dict[str, tuple]  # direction -> hop table
+    ue_tap: str  # name of the tap at this link's UE
+    n3_tap: str  # name of the tap on its gNB's N3 side
 
 
 class SimNetwork:
@@ -107,10 +110,13 @@ class SimNetwork:
                 rng=derive_rng(scenario.seed, f"lbt:{ue.name}"),
                 radio_us=calib.radio_proc_us + air_us,
                 hops={"UL": (ue_us, RADIO, GNB, core_us), "DL": (core_us, GNB, RADIO, ue_us)},
+                ue_tap=f"ue:{ue.name}",
+                n3_tap=f"n3:{gnb.name}",
             )
 
-        self.taps: dict[str, list[tuple[int, bytes]]] = {t: [] for t in scenario.taps}
+        self.taps: dict[str, list[tuple]] = {t: [] for t in scenario.taps}
         self.routes: RouteTable | None = None  # set once attach completes
+        self.gateway: str | None = None  # the pool gateway's address, set with routes
         self._nat: dict[tuple[str, int | None], str] = {}
         self._ip_ident = 0
         self.attach_complete_us = 0
@@ -155,6 +161,7 @@ class SimNetwork:
                                 phase=state.phase.name)
             cursor = t + 10_000
         self.attach_complete_us = cursor + 100_000
+        self.gateway = str(self.core.pool.gateway)
         self.routes = RouteTable(
             pool=self.core.pool,
             sessions={s.ip: s for s in self.core.active_sessions()},
@@ -205,12 +212,13 @@ class SimNetwork:
         """One packet over the access leg: UE -> UPF ingress ("UL") or UPF -> UE ("DL")."""
         now = self.loop.now_us
         inner = self._with_ident(inner)
+        link = self.links[ue_name]
         if direction == "UL":
-            self._tap(f"ue:{ue_name}", inner)
+            self._tap(link.ue_tap, inner)
             done = lambda: self._upf_ingress(inner, rng)
         else:
             done = lambda: self._deliver_to_ue(ue_name, inner, rng)
-        self._traverse(self.links[ue_name], direction, now, ip_length(inner), done, rng, inner)
+        self._traverse(link, direction, now, ip_length(inner), done, rng, inner)
 
     def _bulk(self, ue_name, direction, nbytes, tag, delivered_cb) -> None:
         """One aggregate tick over the access leg; no bytes, no jitter, no gNB stop."""
@@ -264,32 +272,34 @@ class SimNetwork:
         self.loop.schedule_at(t, done)
 
     def _gnb_step(self, link: RadioLink, direction: str, pkt: InnerPacket, size: int) -> None:
-        """The gNB relays a packet between radio and N3: log it and feed the N3 tap."""
+        """The gNB relays a packet between radio and N3: log it and feed the N3 tap.
+
+        The tap keeps the packet with its tunnel: the outer header, whose
+        ident is assigned here as the frame passes, and the TEID.
+        """
         t = self.loop.now_us
         uplink = direction == "UL"
         session = self.core.sessions.get(link.ue.name)
         teid = (session.teid_uplink if uplink else session.teid_downlink) if session else 0
         self.log.append(t, link.gnb.name, "gtpu_ul" if uplink else "gtpu_dl", teid=teid,
                         size=size)
-        tap = f"n3:{link.gnb.name}"
-        if tap in self.taps:
+        entries = self.taps.get(link.n3_tap)
+        if entries is not None:
             gnb_addr = link.gnb.n3_address or self.core.config.amf_address
             upf_addr = self.core.config.upf_address
             src, dst = (gnb_addr, upf_addr) if uplink else (upf_addr, gnb_addr)
-            tunnel = encode_gtpu(teid, encode_ip(pkt))
             outer = self._with_ident(
-                InnerPacket(src=src, dst=dst, protocol="UDP", payload=tunnel,
+                InnerPacket(src=src, dst=dst, protocol="UDP",
                             sport=userplane.GTPU_PORT, dport=userplane.GTPU_PORT)
             )
-            self._tap(tap, outer)
+            entries.append((t, pkt, outer, teid))
 
     # -- UPF --------------------------------------------------------------------
 
     def _upf_ingress(self, inner: InnerPacket, rng: Random) -> None:
         """Decapsulated packet at the UPF, from the tunnel side."""
         now = self.loop.now_us
-        gateway = str(self.core.pool.gateway)
-        if inner.dst in (gateway, self.core.config.upf_address):
+        if inner.dst in (self.gateway, self.core.config.upf_address):
             if inner.icmp_type == userplane.ICMP_ECHO_REQUEST:
                 self.log.append(now, "core", "core_echo", src=inner.src, seq=inner.icmp_seq)
                 self._upf_ingress(echo_reply_for(inner), rng)
@@ -343,7 +353,7 @@ class SimNetwork:
 
     def _deliver_to_ue(self, ue_name: str, inner: InnerPacket, rng: Random) -> None:
         now = self.loop.now_us
-        self._tap(f"ue:{ue_name}", inner)
+        self._tap(self.links[ue_name].ue_tap, inner)
         if inner.icmp_type == userplane.ICMP_ECHO_REPLY:
             self.log.append(now, ue_name, "rtt_sample", ident=inner.icmp_id,
                             seq=inner.icmp_seq, session=flow_session_id("ICMP", inner.icmp_id))
@@ -356,10 +366,23 @@ class SimNetwork:
     # -- taps ---------------------------------------------------------------------
 
     def _tap(self, name: str, pkt: InnerPacket) -> None:
-        """Capture a packet at the loop clock, which never goes backwards.
+        """Keep a packet at the loop clock, which never goes backwards, if the tap exists."""
+        entries = self.taps.get(name)
+        if entries is not None:
+            entries.append((self.loop.now_us, pkt))
 
-        The packet is encoded only when the tap exists.
-        """
-        frames = self.taps.get(name)
-        if frames is not None:
-            frames.append((self.loop.now_us, encode_ip(pkt)))
+
+def tap_frames(entries: list[tuple]) -> list[tuple[int, bytes]]:
+    """A tap's capture as ``(t_us, wire bytes)``, in the order the tap kept it.
+
+    An entry is ``(t_us, packet)``, or ``(t_us, packet, outer, teid)`` at
+    an N3 tap, where the packet rides in a GTP-U tunnel under ``outer``.
+    """
+    frames = []
+    for t_us, pkt, *tunnel in entries:
+        wire = encode_ip(pkt)
+        if tunnel:
+            outer, teid = tunnel
+            wire = encode_ip(outer._replace(payload=encode_gtpu(teid, wire)))
+        frames.append((t_us, wire))
+    return frames

@@ -18,14 +18,15 @@ from .engine import EventLog, EventLoop, derive_rng
 from .errors import ConfigError, InvariantBreach
 from .metrics import (
     ThroughputProbe,
+    fold_sessions,
     link_capacity_mbps,
-    passive_monitor,
+    passive_monitor,  # unused here, but perfbench/tracer.py patches runner.passive_monitor
     ping_ident,
     ping_rtts_ms,
     ping_stats,
     schedule_pings,
 )
-from .network import SimNetwork
+from .network import SimNetwork, tap_frames
 from .pcapio import write_pcap
 from .scenario import PingPlan, Scenario, ThroughputPlan
 from .spectrum import get_band
@@ -38,7 +39,11 @@ class RunResult:
     scenario: Scenario
     report: dict
     log: EventLog
-    taps: dict[str, list[tuple[int, bytes]]] = field(default_factory=dict)
+    taps: dict[str, list[tuple]] = field(default_factory=dict)  # tap -> kept packets
+
+    def frames(self, tap: str) -> list[tuple[int, bytes]]:
+        """The tap's capture as ``(t_us, wire bytes)``, encoded on each call."""
+        return tap_frames(self.taps[tap])
 
     def report_json(self) -> str:
         return json.dumps(self.report, sort_keys=True, indent=2) + "\n"
@@ -107,8 +112,8 @@ def _check_invariants(net: SimNetwork, log: EventLog) -> None:
 
 
 def _build_report(scenario: Scenario, log: EventLog, tallies: list[ThroughputProbe],
-                  taps: dict[str, list[tuple[int, bytes]]]) -> dict:
-    """Fold the event log, the throughput tallies and the tap frames into a report."""
+                  taps: dict[str, list[tuple]]) -> dict:
+    """Fold the event log, the throughput tallies and the tapped packets into a report."""
     attach = {ue.name: {"ue": ue.name, "phase": None, "ip": None, "scan_steps": None,
                         "failure": None} for ue in scenario.ues()}
     budgets: dict[str, dict] = {}
@@ -138,8 +143,8 @@ def _build_report(scenario: Scenario, log: EventLog, tallies: list[ThroughputPro
         for probe in tallies
     ]
     passive = {}
-    for tap, frames in taps.items():
-        monitored = passive_monitor(frames)
+    for tap, entries in taps.items():
+        monitored = fold_sessions(entries, 0)  # kept packets always parse
         passive[tap] = {
             "unparsed_frames": monitored.unparsed_frames,
             "sessions": [dict(vars(s)) for s in monitored.sessions],
@@ -150,7 +155,7 @@ def _build_report(scenario: Scenario, log: EventLog, tallies: list[ThroughputPro
         "scenario": scenario.name,
         "seed": scenario.seed,
         # Sibling log: everything but throughput, a no-cell UE's scan_steps
-        # and passive (tap frames) is recomputable from it.
+        # and passive (tapped packets) is recomputable from it.
         "event_log": "events.jsonl",
         "notes": list(scenario.notes),
         "attach": list(attach.values()),
@@ -178,9 +183,9 @@ def write_outputs(result: RunResult, out_dir: str | Path, pcap: bool = False) ->
     (out / "report.json").write_text(result.report_json(), encoding="utf-8")
     (out / "events.jsonl").write_text(result.events_jsonl(), encoding="utf-8")
     if pcap:
-        for tap, frames in result.taps.items():
+        for tap in result.taps:
             safe = tap.replace(":", "_")
-            write_pcap(out / f"tap_{safe}.pcap", frames)
+            write_pcap(out / f"tap_{safe}.pcap", result.frames(tap))
     return out
 
 

@@ -256,7 +256,7 @@ def test_inline_outputs_keep_their_bytes(name):
 @pytest.mark.parametrize("name", sorted(TAP_DIGESTS))
 def test_tap_frames_keep_their_bytes(bundled_results, name):
     result = bundled_results[name] if name in BUNDLED_DIGESTS else _inline_result(name)
-    assert {tap: _tap_digest(frames) for tap, frames in result.taps.items()} == TAP_DIGESTS[name]
+    assert {tap: _tap_digest(result.frames(tap)) for tap in result.taps} == TAP_DIGESTS[name]
 
 
 def _dumps_per_record(records) -> str:

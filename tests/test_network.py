@@ -1,32 +1,83 @@
-"""The packet-carrying data path against the byte-carrying one it replaced.
+"""The packet-keeping taps against the byte-carrying paths they replaced.
 
-``SimNetwork`` carries ``InnerPacket`` from UE to UPF and back, and makes
-wire bytes only where a tap keeps the frame.  It used to encode every
-packet in ``_send`` to learn its length, carry the bytes through
-``_traverse`` to the gNB step, and let ``_tap`` take bytes or a packet.
-``EagerSimNetwork`` keeps that path verbatim as an oracle: over generated
-ping scenarios and random tap subsets, both must capture the same frames
-and log the same records.
+``SimNetwork`` carries ``InnerPacket`` from UE to UPF and back, its taps
+keep packets, and the run folds its ``passive`` section from them; wire
+bytes are made only by ``tap_frames``, at pcap export or on request.
+Two earlier paths are kept verbatim as oracles:
+
+- ``ByteTapSimNetwork`` encoded each packet as a tap kept it, and the run
+  decoded those bytes again with the passive monitor of the time
+  (``byte_passive_monitor``) to fold its ``passive`` section.
+- ``EagerSimNetwork``, before that, encoded every packet in ``_send`` to
+  learn its length and carried the bytes through ``_traverse`` to the gNB
+  step.
+
+Over generated ping scenarios with random tap subsets and over the golden
+cases, every path must capture the same frames, fold the same ``passive``
+section and log the same records.
 """
 
 from __future__ import annotations
 
+import hashlib
 from random import Random
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrusim import access, runner, userplane
+from nrusim import access, metrics, network, runner, userplane
+from nrusim.errors import CodecError
+from nrusim.metrics import MonitorReport, PassiveSession, flow_session_id
 from nrusim.network import GNB, RADIO, RadioLink, SimNetwork
-from nrusim.scenario import scenario_from_dict
-from nrusim.userplane import InnerPacket, encode_gtpu, encode_ip, relay_passes
+from nrusim.scenario import load_bundled, scenario_from_dict
+from nrusim.userplane import (
+    GTPU_PORT,
+    ICMP_ECHO_REPLY,
+    ICMP_ECHO_REQUEST,
+    InnerPacket,
+    decode_gtpu,
+    decode_ip,
+    encode_gtpu,
+    encode_ip,
+    relay_passes,
+)
+from tests.test_golden import BUNDLED_DIGESTS, INLINE_CASES, _inline_result
 from tests.test_runner import ping_scenarios
 
 VALID_TAPS = ["ue:ue1", "ue:ue2", "n3:gnb1", "n6"]
 
 
-class EagerSimNetwork(SimNetwork):
+class ByteTapSimNetwork(SimNetwork):
+    """Encodes each packet as a tap keeps it; the N3 tap keeps the tunnelled frame."""
+
+    def _gnb_step(self, link: RadioLink, direction: str, pkt: InnerPacket, size: int) -> None:
+        t = self.loop.now_us
+        uplink = direction == "UL"
+        session = self.core.sessions.get(link.ue.name)
+        teid = (session.teid_uplink if uplink else session.teid_downlink) if session else 0
+        self.log.append(t, link.gnb.name, "gtpu_ul" if uplink else "gtpu_dl", teid=teid,
+                        size=size)
+        tap = f"n3:{link.gnb.name}"
+        if tap in self.taps:
+            gnb_addr = link.gnb.n3_address or self.core.config.amf_address
+            upf_addr = self.core.config.upf_address
+            src, dst = (gnb_addr, upf_addr) if uplink else (upf_addr, gnb_addr)
+            tunnel = encode_gtpu(teid, encode_ip(pkt))
+            outer = self._with_ident(
+                InnerPacket(src=src, dst=dst, protocol="UDP", payload=tunnel,
+                            sport=userplane.GTPU_PORT, dport=userplane.GTPU_PORT)
+            )
+            self._tap(tap, outer)
+
+    def _tap(self, name: str, pkt: InnerPacket) -> None:
+        frames = self.taps.get(name)
+        if frames is not None:
+            frames.append((self.loop.now_us, encode_ip(pkt)))
+
+
+class EagerSimNetwork(ByteTapSimNetwork):
     """Encodes every packet on send and carries the bytes to the gNB step."""
 
     def _send(self, ue_name: str, direction: str, inner: InnerPacket, rng: Random) -> None:
@@ -94,14 +145,104 @@ class EagerSimNetwork(SimNetwork):
             frames.append((self.loop.now_us, data))
 
 
+def byte_passive_monitor(frames) -> MonitorReport:
+    """The passive monitor as one loop that decodes and folds each frame in turn."""
+    report = MonitorReport()
+    by_id: dict[int, PassiveSession] = {}
+    pending: dict[tuple[int, int], int] = {}
+    for t_us, raw in frames:
+        try:
+            pkt = decode_ip(raw)
+            if pkt.protocol == "UDP" and GTPU_PORT in (pkt.sport, pkt.dport):
+                _teid, inner = decode_gtpu(pkt.payload)
+                pkt = decode_ip(inner)
+        except CodecError:
+            report.unparsed_frames += 1
+            continue
+        if pkt.protocol != "ICMP" or pkt.icmp_type not in (ICMP_ECHO_REQUEST, ICMP_ECHO_REPLY):
+            continue
+        sid = flow_session_id("ICMP", pkt.icmp_id)
+        session = by_id.get(sid)
+        if session is None:
+            request_side = pkt.icmp_type == ICMP_ECHO_REQUEST
+            session = PassiveSession(
+                session_id=sid,
+                left=pkt.src if request_side else pkt.dst,
+                right=pkt.dst if request_side else pkt.src,
+            )
+            by_id[sid] = session
+            report.sessions.append(session)
+        session.packet_count += 1
+        key = (pkt.icmp_id, pkt.icmp_seq)
+        if pkt.icmp_type == ICMP_ECHO_REQUEST:
+            pending[key] = t_us
+        else:
+            sent = pending.pop(key, None)
+            if sent is not None and t_us >= sent:
+                session.rtt_latest_ms = round((t_us - sent) / 1000, 3)
+    return report
+
+
+def byte_run(scenario, network_class: type[SimNetwork]) -> runner.RunResult:
+    """``run_scenario`` with byte taps, its passive section folded from the bytes."""
+    with mock.patch.object(runner, "SimNetwork", wraps=network_class) as byte_network, \
+            mock.patch.object(runner, "fold_sessions",
+                              lambda frames, _unparsed: byte_passive_monitor(frames)):
+        result = runner.run_scenario(scenario)
+    byte_network.assert_called_once()
+    return result
+
+
+def assert_same_run(lazy: runner.RunResult, byte: runner.RunResult) -> None:
+    assert list(lazy.taps) == list(byte.taps)
+    for tap, frames in byte.taps.items():
+        assert all(type(raw) is bytes for _t, raw in frames)
+        assert lazy.frames(tap) == frames, tap
+    assert lazy.report == byte.report  # the passive section above all
+    assert lazy.log.records == byte.log.records
+
+
 @settings(max_examples=40, deadline=None)
 @given(raw=ping_scenarios(), taps=st.sets(st.sampled_from(VALID_TAPS)))
 def test_packets_capture_and_log_as_the_eager_bytes(raw, taps):
     raw["taps"] = sorted(taps)
     lazy = runner.run_scenario(scenario_from_dict(raw))
-    with mock.patch.object(runner, "SimNetwork", wraps=EagerSimNetwork) as eager_network:
-        eager = runner.run_scenario(scenario_from_dict(raw))
-    eager_network.assert_called_once()
     assert set(lazy.taps) == taps
-    assert lazy.taps == eager.taps
-    assert lazy.log.records == eager.log.records
+    for network_class in (ByteTapSimNetwork, EagerSimNetwork):
+        assert_same_run(lazy, byte_run(scenario_from_dict(raw), network_class))
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS) + sorted(INLINE_CASES))
+def test_golden_cases_capture_fold_and_log_as_the_byte_tap_path(bundled_results, name):
+    if name in BUNDLED_DIGESTS:
+        lazy, scenario = bundled_results[name], load_bundled(name)
+    else:
+        lazy, scenario = _inline_result(name), scenario_from_dict(INLINE_CASES[name][0]())
+    assert_same_run(lazy, byte_run(scenario, ByteTapSimNetwork))
+
+
+def test_a_run_with_taps_encodes_and_decodes_nothing():
+    def refuse(*_args):
+        raise AssertionError("the run touched the codec")
+
+    scenario = load_bundled("north_south")
+    assert len(scenario.taps) == 3
+    with mock.patch.object(network, "encode_ip", refuse), \
+            mock.patch.object(network, "encode_gtpu", refuse), \
+            mock.patch.object(metrics, "decode_ip", refuse):
+        result = runner.run_scenario(scenario)
+    assert all(result.taps.values())
+    report_digest = hashlib.sha256(result.report_json().encode("utf-8")).hexdigest()
+    assert report_digest == BUNDLED_DIGESTS["north_south"][0]
+
+
+def test_passive_monitor_decodes_then_folds_as_the_single_loop():
+    """Over real tap frames with some truncated or corrupted, both monitors agree."""
+    result = runner.run_scenario(load_bundled("north_south"))
+    for tap in result.taps:
+        frames = result.frames(tap)
+        mangled = [(t_us, raw[:len(raw) // 2] if index % 5 == 0 else raw)
+                   for index, (t_us, raw) in enumerate(frames)]
+        assert byte_passive_monitor(mangled).unparsed_frames > 0
+        for capture in (frames, mangled):
+            assert metrics.passive_monitor(capture) == byte_passive_monitor(capture)

@@ -133,18 +133,18 @@ class TestRunBasics:
 
 class TestPathProperties:
     def test_east_west_inner_packet_byte_exact_across_two_legs(self, bundled_results):
-        taps = bundled_results["east_west"].taps
-        ue1_requests = [raw for _t, raw in taps["ue:ue1"] if raw[20] == 8]  # ICMP type 8
-        ue2_requests = [raw for _t, raw in taps["ue:ue2"] if raw[20] == 8]
+        result = bundled_results["east_west"]
+        ue1_requests = [raw for _t, raw in result.frames("ue:ue1") if raw[20] == 8]  # ICMP type 8
+        ue2_requests = [raw for _t, raw in result.frames("ue:ue2") if raw[20] == 8]
         assert ue1_requests and ue1_requests == ue2_requests
 
     def test_north_south_upf_is_one_to_one(self, bundled_results):
         from nrusim.userplane import decode_ip
 
-        taps = bundled_results["north_south"].taps
+        result = bundled_results["north_south"]
         def request_seqs(tap):
             seqs = []
-            for _t, raw in taps[tap]:
+            for _t, raw in result.frames(tap):
                 pkt = decode_ip(raw)
                 if pkt.protocol == "ICMP" and pkt.icmp_type == 8:
                     seqs.append(pkt.icmp_seq)
@@ -354,7 +354,7 @@ class TestPingOracle:
         assert result.report["pings"] == untapped
         for index, (plan, row) in enumerate(zip(result.scenario.traffic,
                                                 result.report["pings"])):
-            rtts = tap_rtts_ms(result.taps[f"ue:{plan.src}"], ping_ident(index))
+            rtts = tap_rtts_ms(result.frames(f"ue:{plan.src}"), ping_ident(index))
             expected = asdict(ping_stats(plan.count, rtts))
             assert {key: row[key] for key in expected} == expected
 
