@@ -10,11 +10,11 @@ energy threshold.
 
 from random import Random
 
-from nrusim.access import Burst, ChannelOccupancy, LbtConfig, lbt_gate
+from nrusim.access import BACKOFF_SLOT_US, Burst, ChannelOccupancy, LbtConfig, lbt_gate
 
 cfg = LbtConfig()
 print(f"config: threshold {cfg.cca_threshold_dbm} dBm, CCA {cfg.cca_duration_us} us, "
-      f"contention window {cfg.cw_min}..{cfg.cw_max} slots of {cfg.backoff_slot_us} us")
+      f"contention window {cfg.cw_min}..{cfg.cw_max} slots of {BACKOFF_SLOT_US} us")
 
 # Idle channel: a single clean CCA window.
 idle = lbt_gate(ChannelOccupancy(), cfg, now_us=0, rng=Random(0))

@@ -94,6 +94,8 @@ def attach(
 # Listen-before-talk
 # ---------------------------------------------------------------------------
 
+BACKOFF_SLOT_US = 9  # the observation slot of ETSI EN 301 893
+
 
 @dataclass(frozen=True)
 class LbtConfig:
@@ -101,7 +103,6 @@ class LbtConfig:
     cca_duration_us: int = 25
     cw_min: int = 15
     cw_max: int = 1023
-    backoff_slot_us: int = 9
 
     def __post_init__(self):
         if self.cca_duration_us <= 0:
@@ -192,7 +193,7 @@ def lbt_gate(occupancy: ChannelOccupancy, cfg: LbtConfig, now_us: int, rng: Rand
         busy += 1
         backoff_slots = rng.randint(0, cw)
         cw = min(2 * cw + 1, cfg.cw_max)
-        t = max(t, blocker.end_us) + backoff_slots * cfg.backoff_slot_us
+        t = max(t, blocker.end_us) + backoff_slots * BACKOFF_SLOT_US
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +247,20 @@ def schedule_tdd(cfg: TddConfig, slot_index: int) -> str:
 
 
 def next_transmit_time(cfg: TddConfig, direction: str, t_us: int) -> int:
-    """Earliest instant at/after ``t_us`` inside a slot of that direction."""
+    """Earliest instant at/after ``t_us`` inside a slot of that direction.
+
+    Each direction holds one run of slots per period: DL from slot 0, UL
+    ending the period.  So the answer is ``t_us`` inside the run, else the
+    start of the run's next occurrence.
+    """
     slot = t_us // cfg.slot_us
-    if schedule_tdd(cfg, slot) == direction:
+    if direction == SLOT_DL:
+        first, count = 0, cfg.dl_slots
+    elif direction == SLOT_UL:
+        first, count = cfg.period_slots - cfg.ul_slots, cfg.ul_slots
+    else:
+        raise ConfigError(f"direction must be UL or DL, got {direction!r}")
+    pos = (slot - first) % cfg.period_slots
+    if pos < count:
         return t_us
-    for k in range(1, cfg.period_slots + 1):
-        if schedule_tdd(cfg, slot + k) == direction:
-            return (slot + k) * cfg.slot_us
-    raise ConfigError(f"no {direction} slot in the TDD period")  # unreachable with valid cfg
+    return (slot + cfg.period_slots - pos) * cfg.slot_us

@@ -47,22 +47,21 @@ def _cmd_plan(args) -> int:
         for gscn, freq in candidates:
             _emit({"band": band.band_id, "gscn": gscn, "ss_frequency_mhz": freq})
         return 0
-    if args.plan_cmd == "check":
-        assignment = spectrum.ChannelAssignment(
-            band_id=band.band_id,
-            arfcn=args.arfcn,
-            bandwidth_mhz=args.bandwidth,
-            eirp_mw=args.eirp,
-            indoor=args.indoor,
-        )
-        spectrum.validate_assignment(band, assignment)
-        rules = spectrum.load_regulatory_rules(args.jurisdiction)
-        violations = spectrum.check_regulatory(assignment, rules)
-        for violation in violations:
-            _emit({"kind": violation.kind, "message": violation.message})
-        _emit({"compliant": not violations, "violations": len(violations)})
-        return 0 if not violations else 1
-    raise NrusimError(f"unknown plan subcommand {args.plan_cmd!r}")
+    # "check", the one subcommand left
+    assignment = spectrum.ChannelAssignment(
+        band_id=band.band_id,
+        arfcn=args.arfcn,
+        bandwidth_mhz=args.bandwidth,
+        eirp_mw=args.eirp,
+        indoor=args.indoor,
+    )
+    spectrum.validate_assignment(band, assignment)
+    rules = spectrum.load_regulatory_rules(args.jurisdiction)
+    violations = spectrum.check_regulatory(assignment, rules)
+    for violation in violations:
+        _emit({"kind": violation.kind, "message": violation.message})
+    _emit({"compliant": not violations, "violations": len(violations)})
+    return 0 if not violations else 1
 
 
 def _cmd_validate(args) -> int:

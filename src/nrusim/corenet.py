@@ -38,9 +38,6 @@ class RegistrationResult:
     accepted: bool
     reason: str | None = None
 
-    def __bool__(self) -> bool:
-        return self.accepted
-
 
 REJECT_MALFORMED = "malformed"
 REJECT_UNKNOWN = "unknown-subscriber"

@@ -61,9 +61,6 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.records)
 
-    def select(self, action: str) -> list[dict[str, Any]]:
-        return [r for r in self.records if r["action"] == action]
-
     def to_jsonl(self) -> str:
         encode = _record_encoder()
         return "".join([encode(r) + "\n" for r in self.records])

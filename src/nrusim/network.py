@@ -172,7 +172,7 @@ class SimNetwork:
 
     def resolve_dst(self, dst: str) -> str | None:
         if dst == "core-gateway":
-            return str(self.core.pool.gateway)
+            return self.gateway
         if dst == "external":
             return self.scenario.external.address
         if dst in self.core.sessions:

@@ -17,7 +17,7 @@ from pathlib import Path
 import yaml
 
 from .access import Burst, ChannelOccupancy, LbtConfig, TddConfig, slot_duration_us
-from .corenet import CoreConfig, IpPool, SubscriberRecord
+from .corenet import CoreConfig, CoreNetwork, SubscriberRecord
 from .errors import ConfigError, DomainError, ScenarioError
 from .rflink import Cable, HostModel, LinkMedium, OverAir, SdrModel, compute_rsrp, get_host, get_sdr
 from .spectrum import (
@@ -27,7 +27,6 @@ from .spectrum import (
     get_band,
     load_regulatory_rules,
     validate_assignment,
-    validate_channel,
 )
 from .yamlio import parse as parse_yaml
 
@@ -98,8 +97,6 @@ class ExternalHostConfig:
 class Scenario:
     name: str
     seed: int
-    duration_s: int
-    jurisdiction: str
     cell: CellConfig
     core: CoreConfig
     subscribers: tuple[SubscriberRecord, ...]
@@ -109,7 +106,6 @@ class Scenario:
     external: ExternalHostConfig
     occupancy: ChannelOccupancy
     taps: list[str]
-    allow_noncompliant: bool = False
     notes: list[str] = field(default_factory=list)
 
     def node(self, name: str) -> NodeConfig:
@@ -267,12 +263,6 @@ def _parse_cell(raw: dict) -> CellConfig:
     if band.duplex != "tdd":
         raise ScenarioError(f"cell: band {band.band_id} is {band.duplex.upper()}, not TDD; "
                             f"the simulated cell needs a TDD band")
-    if not validate_channel(band, cell.arfcn, "DL"):
-        dl = band.dl_raster
-        raise ScenarioError(
-            f"cell: ARFCN {cell.arfcn} invalid on the {band.band_id} DL raster "
-            f"({dl.first}-<{dl.step}>-{dl.last})"
-        )
     sync = [e for e in band.sync_entries if cell.ssb_gscn in e.gscn]
     if not sync:
         raise ScenarioError(
@@ -348,10 +338,11 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
             )
             for idx, row in enumerate(_entries(core_raw, "subscribers", "core", []))
         )
+        pool = CoreNetwork(core, subscribers).pool  # rejects a duplicate IMSI
     except ConfigError as exc:
         raise ScenarioError(f"core: {exc}") from None
     prior_allocations = _field(core_raw, "prior_allocations", "core", int, 0, low=0,
-                               high=IpPool(core.ue_pool_cidr).capacity)
+                               high=pool.capacity)
 
     nodes: list[NodeConfig] = []
     seen_names: set[str] = set()
@@ -474,8 +465,6 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     return Scenario(
         name=name,
         seed=seed,
-        duration_s=duration_s,
-        jurisdiction=jurisdiction,
         cell=cell,
         core=core,
         subscribers=subscribers,
@@ -485,7 +474,6 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
         external=external,
         occupancy=occupancy,
         taps=taps,
-        allow_noncompliant=allow_noncompliant,
         notes=notes,
     )
 
@@ -495,7 +483,7 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
     try:
         raw = parse_yaml(text)

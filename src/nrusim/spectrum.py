@@ -140,9 +140,6 @@ class RasterSpan:
     def __contains__(self, index: int) -> bool:
         return self.first <= index <= self.last and (index - self.first) % self.step == 0
 
-    def __len__(self) -> int:
-        return (self.last - self.first) // self.step + 1
-
     def indices(self) -> range:
         return range(self.first, self.last + 1, self.step)
 
@@ -181,14 +178,6 @@ class BandPlan:
             for raster in self.rasters:
                 if raster.ul != raster.dl:
                     raise ConfigError(f"TDD band {self.band_id} must have identical UL/DL rasters")
-
-    @property
-    def delta_f_raster(self) -> int:
-        return self.rasters[0].delta_f_khz
-
-    @property
-    def ul_raster(self) -> RasterSpan | None:
-        return self.rasters[0].ul
 
     @property
     def dl_raster(self) -> RasterSpan:

@@ -276,6 +276,26 @@ class TestBlockerIndex:
         assert busy > 0
 
 
+def _searched_transmit_time(cfg, direction, t_us):
+    """Reference: the slot-by-slot search that the closed form replaced."""
+    slot = t_us // cfg.slot_us
+    if schedule_tdd(cfg, slot) == direction:
+        return t_us
+    for k in range(1, cfg.period_slots + 1):
+        if schedule_tdd(cfg, slot + k) == direction:
+            return (slot + k) * cfg.slot_us
+    raise ConfigError(f"no {direction} slot in the TDD period")  # unreachable with valid cfg
+
+
+@st.composite
+def _tdd_configs(draw):
+    period = draw(st.integers(2, 20))
+    dl = draw(st.integers(1, period - 1))
+    ul = draw(st.integers(1, period - dl))
+    slot_us = draw(st.sampled_from((1, 7, 125, 250, 500, 1000)))
+    return TddConfig(period_slots=period, dl_slots=dl, ul_slots=ul, slot_us=slot_us)
+
+
 class TestTdd:
     CFG = TddConfig()
 
@@ -300,6 +320,20 @@ class TestTdd:
         assert next_transmit_time(self.CFG, "UL", 4100) == 4100  # already in UL
         assert next_transmit_time(self.CFG, "DL", 3600) == 5000  # guard slot
         assert next_transmit_time(self.CFG, "DL", 200) == 200
+        with pytest.raises(ConfigError):
+            next_transmit_time(self.CFG, "dl", 0)
+
+    @given(_tdd_configs(), st.data())
+    @settings(max_examples=300)
+    def test_closed_form_matches_the_slot_search(self, cfg, data):
+        span = 4 * cfg.period_slots * cfg.slot_us
+        # Every slot edge over four periods, each side, plus random instants.
+        times = {edge + d for edge in range(0, span + 1, cfg.slot_us) for d in (-1, 0, 1)}
+        times |= set(data.draw(st.lists(st.integers(0, span), max_size=20)))
+        for direction in ("DL", "UL"):
+            for t in sorted(times):
+                expected = _searched_transmit_time(cfg, direction, t)
+                assert next_transmit_time(cfg, direction, t) == expected, (direction, t)
 
     def test_slot_duration_follows_scs(self):
         assert slot_duration_us(15) == 1000

@@ -242,6 +242,29 @@ class TestBadInputFiles:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
+    # Each exits 1 with one error line: a scenario that is not UTF-8, and a run whose
+    # --out is a file, lies under a file, or holds a directory named report.json.
+    @pytest.mark.parametrize("case", ["not utf-8", "out is a file", "out under a file",
+                                      "report.json is a directory"])
+    def test_unreadable_scenario_or_unusable_out_prints_no_traceback(self, tmp_path, case):
+        scenario = tmp_path / "unit.yaml"
+        scenario.write_text(yaml.safe_dump(variant()), encoding="utf-8")
+        (tmp_path / "utf16.yaml").write_bytes(b"\xff\xfe" + scenario.read_bytes())
+        (tmp_path / "taken").write_text("not a directory\n", encoding="utf-8")
+        (tmp_path / "out" / "report.json").mkdir(parents=True)
+        argv = {
+            "not utf-8": ["validate", tmp_path / "utf16.yaml"],
+            "out is a file": ["run", scenario, "--out", tmp_path / "taken"],
+            "out under a file": ["run", scenario, "--out", tmp_path / "taken" / "sub"],
+            "report.json is a directory": ["run", scenario, "--out", tmp_path / "out"],
+        }[case]
+        proc = subprocess.run([sys.executable, "-m", "nrusim.cli", *map(str, argv)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
     def test_monitor_rejects_an_ethernet_capture(self, tmp_path, capsys):
         path = tmp_path / "eth.pcap"
         _ethernet_echo_pcap(path)

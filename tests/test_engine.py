@@ -71,13 +71,6 @@ class TestEventLog:
     def test_empty_log_is_empty_text(self):
         assert EventLog().to_jsonl() == ""
 
-    def test_select(self):
-        log = EventLog()
-        log.append(1, "a", "x")
-        log.append(2, "a", "y")
-        log.append(3, "b", "x")
-        assert len(log.select("x")) == 2
-
 
 def _dumps_per_record(records) -> str:
     """Reference: one ``json.dumps`` call, so one new encoder, per record."""

@@ -144,6 +144,9 @@ UNRUNNABLE = [
     ("prior allocations past the pool",
      variant(**{"core.prior_allocations": 300}), "prior_allocations must be in [0, 253]"),
     ("UE pool without a host", variant(**{"core.ue_pool": "12.1.1.0/32"}), "too small"),
+    ("subscriber listed twice",
+     variant(**{"core.subscribers": [{"imsi": "001010000000001"}, {"imsi": "001010000000001"}]}),
+     "core: duplicate IMSI 001010000000001"),
     ("NaN bandwidth", variant(**{"cell.bandwidth_mhz": float("nan")}),
      "cell: bandwidth_mhz must be a finite number, got nan"),
     ("zero bandwidth", variant(**{"cell.bandwidth_mhz": 0}), "cell: bandwidth must be positive"),

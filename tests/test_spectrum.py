@@ -105,10 +105,10 @@ class TestBandPlans:
     def test_n46_row_exact(self):
         band = get_band("n46")
         assert band.duplex == "tdd"
-        assert band.delta_f_raster == 15
+        assert band.rasters[0].delta_f_khz == 15
         assert (band.dl_raster.first, band.dl_raster.step, band.dl_raster.last) == (
             N46_FIRST, 1, N46_LAST)
-        assert band.ul_raster == band.dl_raster
+        assert band.rasters[0].ul == band.dl_raster
         (entry,) = band.sync_entries
         assert entry.scs_khz == 30
         assert entry.block_pattern == "case_c"
@@ -135,7 +135,7 @@ class TestBandPlans:
 
     def test_sdl_band_has_no_uplink(self):
         band = get_band("n29")
-        assert band.ul_raster is None
+        assert band.rasters[0].ul is None
         assert not validate_channel(band, 143400, "UL")
         assert validate_channel(band, 143400, "DL")
 
