@@ -17,7 +17,8 @@ from . import spectrum
 from .errors import InvariantBreach, NrusimError
 from .metrics import passive_monitor, render_monitor, render_table, report_records
 from .pcapio import read_pcap
-from .runner import compare_reports, load_report, parse_expectation, run_scenario, write_outputs
+from .runner import (compare_reports, load_report, make_out_dir, parse_expectation,
+                     run_scenario, write_outputs)
 from .scenario import load_scenario
 
 
@@ -48,16 +49,9 @@ def _cmd_plan(args) -> int:
             _emit({"band": band.band_id, "gscn": gscn, "ss_frequency_mhz": freq})
         return 0
     # "check", the one subcommand left
-    assignment = spectrum.ChannelAssignment(
-        band_id=band.band_id,
-        arfcn=args.arfcn,
-        bandwidth_mhz=args.bandwidth,
-        eirp_mw=args.eirp,
-        indoor=args.indoor,
-    )
-    spectrum.validate_assignment(band, assignment)
-    rules = spectrum.load_regulatory_rules(args.jurisdiction)
-    violations = spectrum.check_regulatory(assignment, rules)
+    assignment = spectrum.ChannelAssignment(band.band_id, args.arfcn, args.bandwidth, args.eirp,
+                                            args.indoor)
+    violations = spectrum.check_assignment(assignment, args.jurisdiction)
     for violation in violations:
         _emit({"kind": violation.kind, "message": violation.message})
     _emit({"compliant": not violations, "violations": len(violations)})
@@ -75,8 +69,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
+    out = make_out_dir(args.out or f"out/{scenario.name}")  # before the run, which may be long
     result = run_scenario(scenario)
-    out = write_outputs(result, args.out or f"out/{scenario.name}", pcap=args.pcap)
+    write_outputs(result, out, pcap=args.pcap)
     if args.json:
         for record in report_records(result.report):
             _emit(record)

@@ -176,18 +176,27 @@ def _build_report(scenario: Scenario, log: EventLog, tallies: list[ThroughputPro
     }
 
 
-def write_outputs(result: RunResult, out_dir: str | Path, pcap: bool = False) -> Path:
-    """Write report.json, events.jsonl, and optional per-tap pcap files."""
+def make_out_dir(out_dir: str | Path) -> Path:
+    """The output directory, made if missing; ConfigError when it cannot be."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # --out names a file, or a path under one, or is not writable
+        raise ConfigError(f"cannot write outputs to directory {out}: {exc}") from None
+    return out
+
+
+def write_outputs(result: RunResult, out_dir: str | Path, pcap: bool = False) -> Path:
+    """Write report.json, events.jsonl, and optional per-tap pcap files."""
+    out = make_out_dir(out_dir)
+    try:
         (out / "report.json").write_text(result.report_json(), encoding="utf-8")
         (out / "events.jsonl").write_text(result.events_jsonl(), encoding="utf-8")
         if pcap:
             for tap in result.taps:
                 safe = tap.replace(":", "_")
                 write_pcap(out / f"tap_{safe}.pcap", result.frames(tap))
-    except OSError as exc:  # --out names a file, or a path under one, or is not writable
+    except OSError as exc:  # e.g. report.json is a directory
         raise ConfigError(f"cannot write outputs to directory {out}: {exc}") from None
     return out
 

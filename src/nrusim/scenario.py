@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ipaddress
 import math
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -20,14 +21,7 @@ from .access import Burst, ChannelOccupancy, LbtConfig, TddConfig, slot_duration
 from .corenet import CoreConfig, CoreNetwork, SubscriberRecord
 from .errors import ConfigError, DomainError, ScenarioError
 from .rflink import Cable, HostModel, LinkMedium, OverAir, SdrModel, compute_rsrp, get_host, get_sdr
-from .spectrum import (
-    ChannelAssignment,
-    arfcn_to_frequency,
-    check_regulatory,
-    get_band,
-    load_regulatory_rules,
-    validate_assignment,
-)
+from .spectrum import ChannelAssignment, arfcn_to_frequency, check_assignment, get_band
 from .yamlio import parse as parse_yaml
 
 SCHEMA_VERSION = 1
@@ -118,62 +112,56 @@ class Scenario:
         return [n for n in self.nodes if n.role == "ue"]
 
 
-def _ipv4(value) -> str:
-    """A dotted-quad IPv4 address, kept as written."""
-    text = str(value)
-    ipaddress.IPv4Address(text)
-    return text
+def _ipv4(value) -> bool:
+    """Whether ``value`` is a string that parses as a dotted-quad IPv4 address."""
+    try:
+        return type(value) is str and ipaddress.IPv4Address(value) is not None
+    except ValueError:
+        return False
 
 
-def _finite(value) -> float:
-    """A float that is neither NaN nor infinite."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"not finite: {value!r}")
-    return number
-
-
-def _flag(value) -> bool:
-    """A YAML boolean, strictly: ``bool("false")`` would read as true."""
-    if not isinstance(value, bool):
-        raise TypeError(f"not a boolean: {value!r}")
-    return value
+def _number(value) -> bool:
+    """Whether ``value`` is a YAML integer or decimal a float holds, ±inf but not NaN."""
+    if type(value) is int:
+        return abs(value) <= sys.float_info.max
+    return type(value) is float and value == value
 
 
 _REQUIRED = object()
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", _flag: "true or false",
-               dict: "a mapping", list: "a list", _ipv4: "a dotted-quad IPv4 address",
-               _finite: "a finite number"}
+_KINDS = {  # kind -> (its name in errors, the test its values pass)
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number", lambda v: _number(v) and math.isfinite(v)),
+    _number: ("a number", _number),
+    str: ("a string", lambda v: type(v) is str),
+    bool: ("true or false", lambda v: type(v) is bool),
+    dict: ("a mapping", lambda v: isinstance(v, dict)),
+    list: ("a list", lambda v: isinstance(v, list)),
+    _ipv4: ("a dotted-quad IPv4 address", _ipv4),
+}
 
 
 def _field(raw: dict, key: str, context: str, kind=str, default=_REQUIRED,
            low: int | None = None, high: int | None = None):
-    """``raw[key]`` as ``kind``, or ``default`` when the key is absent.
+    """``raw[key]`` as written, or ``default`` when the key is absent.
 
-    Scalars are converted by ``kind`` and checked against ``low`` and
-    ``high``; mappings and lists are checked, not converted.  A missing
-    required field or a value of the wrong shape or range raises a
-    ScenarioError that names the field.
+    The value must already be of ``kind`` (only the ``float`` and ``_number``
+    kinds convert it, to a float) and within ``low`` and ``high``; else a
+    ScenarioError names the field.
     """
     if key not in raw:
         if default is _REQUIRED:
             raise ScenarioError(f"{context}: missing required field {key!r}")
         return default
     value = raw[key]
-    if kind is dict or kind is list:
-        if isinstance(value, kind):
-            return value
-        raise ScenarioError(f"{context}: {key} must be {_KIND_NAMES[kind]}, got {value!r}")
-    try:
-        parsed = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(
-            f"{context}: {key} must be {_KIND_NAMES[kind]}, got {value!r}"
-        ) from None
-    if (low is not None and parsed < low) or (high is not None and parsed > high):
+    kind_name, fits = _KINDS[kind]
+    if not fits(value):
+        raise ScenarioError(f"{context}: {key} must be {kind_name}, got {value!r}")
+    if kind is float or kind is _number:
+        value = float(value)
+    if (low is not None and value < low) or (high is not None and value > high):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ScenarioError(f"{context}: {key} must be {bound}, got {parsed!r}")
-    return parsed
+        raise ScenarioError(f"{context}: {key} must be {bound}, got {value!r}")
+    return value
 
 
 def _entries(raw: dict, key: str, context: str, default=_REQUIRED) -> list[dict]:
@@ -188,11 +176,11 @@ def _entries(raw: dict, key: str, context: str, default=_REQUIRED) -> list[dict]
 def _parse_medium(raw: dict, context: str) -> LinkMedium:
     kind = _field(raw, "kind", context)
     if kind == "over_air":
-        return OverAir(distance_m=_field(raw, "distance_m", context, _finite))
+        return OverAir(distance_m=_field(raw, "distance_m", context, float))
     if kind == "cable":
         return Cable(
-            length_cm=_field(raw, "length_cm", context, _finite),
-            attenuator_db=_field(raw, "attenuator_db", context, _finite, 0.0),
+            length_cm=_field(raw, "length_cm", context, float),
+            attenuator_db=_field(raw, "attenuator_db", context, float, Cable.attenuator_db),
         )
     raise ScenarioError(f"{context}: unknown medium kind {kind!r}")
 
@@ -200,27 +188,29 @@ def _parse_medium(raw: dict, context: str) -> LinkMedium:
 _new_burst = tuple.__new__  # a Burst without its per-call interval check
 
 
+def _checked_burst(entry: dict, idx: int) -> Burst:
+    context = f"occupancy[{idx}]"
+    # NaN power compares below every threshold, so it could never block; ±inf may.
+    return _new_burst(Burst, (_field(entry, "start_us", context, int),
+                              _field(entry, "end_us", context, int),
+                              _field(entry, "power_dbm", context, _number)))
+
+
 def _parse_bursts(entries: list[dict]) -> list[Burst]:
     """Foreign bursts from occupancy entries.
 
-    Occupancy can list tens of thousands of bursts, so the entries are
-    converted directly into unchecked ``Burst`` tuples first; only when
-    that fails are they walked again through ``_field``, which names the
-    first faulty one.  One pass then checks every interval and power.
+    Occupancy can list tens of thousands of bursts, so the raw values go
+    straight into unchecked ``Burst`` tuples, and one pass checks every
+    kind, interval and power.  A missing key (read as None) or a wrong kind
+    sends the burst through ``_field``, which names the faulty field.
     """
-    try:
-        bursts = [_new_burst(Burst, (int(e["start_us"]), int(e["end_us"]),
-                                     float(e["power_dbm"]))) for e in entries]
-    except (KeyError, TypeError, ValueError, OverflowError):
-        for idx, entry in enumerate(entries):
-            for key, kind in (("start_us", int), ("end_us", int), ("power_dbm", float)):
-                _field(entry, key, f"occupancy[{idx}]", kind)
-        raise
+    bursts = [_new_burst(Burst, (e.get("start_us"), e.get("end_us"), e.get("power_dbm")))
+              for e in entries]
     for idx, (start, end, power) in enumerate(bursts):
+        if not (type(start) is type(end) is int and type(power) is float and power == power):
+            bursts[idx] = start, end, power = _checked_burst(entries[idx], idx)
         if start >= end:
             raise ScenarioError(f"occupancy[{idx}]: burst interval reversed: [{start}, {end})")
-        if power != power:  # NaN compares below every threshold, so it could never block
-            raise ScenarioError(f"occupancy[{idx}]: power_dbm must be a number, got nan")
     return bursts
 
 
@@ -234,28 +224,30 @@ def _parse_cell(raw: dict) -> CellConfig:
     scs_khz = _field(raw, "scs_khz", "cell", int, 30)
     try:
         tdd = TddConfig(
-            period_slots=_field(tdd_raw, "period_slots", "cell.tdd", int, 10),
-            dl_slots=_field(tdd_raw, "dl_slots", "cell.tdd", int, 7),
-            ul_slots=_field(tdd_raw, "ul_slots", "cell.tdd", int, 2),
+            period_slots=_field(tdd_raw, "period_slots", "cell.tdd", int, TddConfig.period_slots),
+            dl_slots=_field(tdd_raw, "dl_slots", "cell.tdd", int, TddConfig.dl_slots),
+            ul_slots=_field(tdd_raw, "ul_slots", "cell.tdd", int, TddConfig.ul_slots),
             slot_us=slot_duration_us(scs_khz),
         )
         lbt = LbtConfig(
-            cca_threshold_dbm=_field(lbt_raw, "cca_threshold_dbm", "cell.lbt", _finite, -72.0),
-            cca_duration_us=_field(lbt_raw, "cca_duration_us", "cell.lbt", int, 25),
-            cw_min=_field(lbt_raw, "cw_min", "cell.lbt", int, 15, low=0),
-            cw_max=_field(lbt_raw, "cw_max", "cell.lbt", int, 1023),
+            cca_threshold_dbm=_field(lbt_raw, "cca_threshold_dbm", "cell.lbt", float,
+                                     LbtConfig.cca_threshold_dbm),
+            cca_duration_us=_field(lbt_raw, "cca_duration_us", "cell.lbt", int,
+                                   LbtConfig.cca_duration_us),
+            cw_min=_field(lbt_raw, "cw_min", "cell.lbt", int, LbtConfig.cw_min, low=0),
+            cw_max=_field(lbt_raw, "cw_max", "cell.lbt", int, LbtConfig.cw_max),
         )
     except ConfigError as exc:
         raise ScenarioError(f"cell: {exc}") from None
     cell = CellConfig(
         band_id=band.band_id,
         arfcn=_field(raw, "arfcn", "cell", int),
-        bandwidth_mhz=_field(raw, "bandwidth_mhz", "cell", _finite),
+        bandwidth_mhz=_field(raw, "bandwidth_mhz", "cell", float),
         scs_khz=scs_khz,
-        tx_power_dbm=_field(raw, "tx_power_dbm", "cell", _finite),
-        attenuation_factor=_field(raw, "attenuation_factor", "cell", _finite, 0.0),
+        tx_power_dbm=_field(raw, "tx_power_dbm", "cell", float),
+        attenuation_factor=_field(raw, "attenuation_factor", "cell", float, 0.0),
         ssb_gscn=_field(raw, "ssb_gscn", "cell", int),
-        indoor=_field(raw, "indoor", "cell", _flag, False),
+        indoor=_field(raw, "indoor", "cell", bool, False),
         tdd=tdd,
         lbt=lbt,
     )
@@ -277,29 +269,17 @@ def _parse_cell(raw: dict) -> CellConfig:
 
 
 def _check_compliance(cell: CellConfig, jurisdiction: str, allow: bool, notes: list[str]) -> None:
-    band = get_band(cell.band_id)
     try:
-        assignment = ChannelAssignment(
-            band_id=cell.band_id,
-            arfcn=cell.arfcn,
-            bandwidth_mhz=cell.bandwidth_mhz,
-            eirp_mw=cell.eirp_mw,
-            indoor=cell.indoor,
-        )
-        validate_assignment(band, assignment)
-        rules = load_regulatory_rules(jurisdiction)
+        assignment = ChannelAssignment(cell.band_id, cell.arfcn, cell.bandwidth_mhz,
+                                       cell.eirp_mw, cell.indoor)
+        violations = check_assignment(assignment, jurisdiction)
     except ConfigError as exc:
         raise ScenarioError(f"cell: {exc}") from None
-    violations = check_regulatory(assignment, rules)
+    messages = "; ".join(v.message for v in violations)
+    if violations and not allow:
+        raise ScenarioError(f"cell violates {jurisdiction} rules: {messages}")
     if violations:
-        if not allow:
-            raise ScenarioError(
-                f"cell violates {jurisdiction} rules: "
-                + "; ".join(v.message for v in violations)
-            )
-        notes.append(
-            f"regulatory override active: {'; '.join(v.message for v in violations)}"
-        )
+        notes.append(f"regulatory override active: {messages}")
 
 
 def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
@@ -311,13 +291,12 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
         raise ScenarioError(f"{name_hint}: schema must be {SCHEMA_VERSION}, got {schema!r}")
     notes: list[str] = []
     name = _field(raw, "name", name_hint, str, name_hint)
-    seed = _field(raw, "seed", name, int, None)
-    if seed is None:
-        seed = 0
+    if "seed" not in raw:
         notes.append("seed defaulted to 0")
-    duration_s = _field(raw, "duration_s", name, int, 30, low=0)
+    seed = _field(raw, "seed", name, int, 0)
+    duration_s = _field(raw, "duration_s", name, int, ThroughputPlan.duration_s, low=0)
     jurisdiction = _field(raw, "jurisdiction", name, str, "AU")
-    allow_noncompliant = _field(raw, "allow_noncompliant", name, _flag, False)
+    allow_noncompliant = _field(raw, "allow_noncompliant", name, bool, False)
 
     cell = _parse_cell(_field(raw, "cell", name, dict))
     _check_compliance(cell, jurisdiction, allow_noncompliant, notes)
@@ -326,15 +305,16 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     core_raw = _field(raw, "core", name, dict)
     try:
         core = CoreConfig(
-            core_subnet=_field(core_raw, "subnet", "core", str, "192.168.70.128/26"),
-            amf_address=_field(core_raw, "amf_address", "core", str, "192.168.70.132"),
-            upf_address=_field(core_raw, "upf_address", "core", str, "192.168.70.134"),
-            ue_pool_cidr=_field(core_raw, "ue_pool", "core", str, "12.1.1.0/24"),
+            core_subnet=_field(core_raw, "subnet", "core", str, CoreConfig.core_subnet),
+            amf_address=_field(core_raw, "amf_address", "core", str, CoreConfig.amf_address),
+            upf_address=_field(core_raw, "upf_address", "core", str, CoreConfig.upf_address),
+            ue_pool_cidr=_field(core_raw, "ue_pool", "core", str, CoreConfig.ue_pool_cidr),
         )
         subscribers = tuple(
             SubscriberRecord(
                 imsi=_field(row, "imsi", f"core.subscribers[{idx}]"),
-                enabled=_field(row, "enabled", f"core.subscribers[{idx}]", _flag, True),
+                enabled=_field(row, "enabled", f"core.subscribers[{idx}]", bool,
+                               SubscriberRecord.enabled),
             )
             for idx, row in enumerate(_entries(core_raw, "subscribers", "core", []))
         )
@@ -377,8 +357,9 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
                 gnb=_field(node_raw, "gnb", node_name, str, None),
                 medium=medium,
                 n3_address=_field(node_raw, "n3_address", node_name, _ipv4, None),
-                on_air=_field(node_raw, "on_air", node_name, _flag, True),
-                unprovisioned=_field(node_raw, "unprovisioned", node_name, _flag, False),
+                on_air=_field(node_raw, "on_air", node_name, bool, NodeConfig.on_air),
+                unprovisioned=_field(node_raw, "unprovisioned", node_name, bool,
+                                     NodeConfig.unprovisioned),
             )
         )
 
@@ -401,6 +382,7 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
 
     ue_names = {n.name for n in nodes if n.role == "ue"}
     traffic: list[PingPlan | ThroughputPlan] = []
+    labels: dict[str, int] = {}  # label -> index of the plan that has it
     for idx, step in enumerate(_entries(raw, "traffic", name, [])):
         context = f"traffic[{idx}]"
         probe = _field(step, "probe", context)
@@ -409,31 +391,29 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
             if src not in ue_names:
                 raise ScenarioError(f"{context}: ping src {src!r} is not a UE node")
             dst = _field(step, "dst", context)
-            if dst not in seen_names and dst not in ("core-gateway", "external"):
-                try:
-                    _ipv4(dst)
-                except ValueError:
-                    raise ScenarioError(
-                        f"{context}: ping dst {dst!r} is not a node name, 'core-gateway', "
-                        f"'external' or a dotted-quad IPv4 address"
-                    ) from None
+            if dst not in seen_names and dst not in ("core-gateway", "external") and not _ipv4(dst):
+                raise ScenarioError(
+                    f"{context}: ping dst {dst!r} is not a node name, 'core-gateway', "
+                    f"'external' or a dotted-quad IPv4 address"
+                )
             traffic.append(
                 PingPlan(
                     label=_field(step, "label", context, str, f"ping-{idx}"),
                     src=src,
                     dst=dst,
                     # ICMP sequence numbers are 16 bits wide.
-                    count=_field(step, "count", context, int, 100, low=0, high=0x10000),
-                    interval_ms=_field(step, "interval_ms", context, int, 200, low=0),
+                    count=_field(step, "count", context, int, PingPlan.count, low=0, high=0x10000),
+                    interval_ms=_field(step, "interval_ms", context, int, PingPlan.interval_ms,
+                                       low=0),
                 )
             )
         elif probe == "throughput":
             ue = _field(step, "ue", context)
             if ue not in ue_names:
                 raise ScenarioError(f"{context}: throughput ue {ue!r} is not a UE node")
-            direction = _field(step, "direction", context).upper()
+            direction = _field(step, "direction", context)
             if direction not in ("UL", "DL"):
-                raise ScenarioError(f"{context}: direction must be UL or DL")
+                raise ScenarioError(f"{context}: direction must be UL or DL, got {direction!r}")
             traffic.append(
                 ThroughputPlan(
                     label=_field(step, "label", context, str,
@@ -445,6 +425,11 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
             )
         else:
             raise ScenarioError(f"{context}: unknown probe {probe!r}")
+        label = traffic[-1].label
+        if label in labels:
+            raise ScenarioError(f"{context}: label {label!r} already used by "
+                                f"traffic[{labels[label]}]")
+        labels[label] = idx
 
     ext_raw = _field(raw, "external_host", name, dict, {})
     external = ExternalHostConfig(
@@ -453,13 +438,19 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
                                 ExternalHostConfig.one_way_delay_us, low=0),
         ttl=_field(ext_raw, "ttl", "external_host", int, ExternalHostConfig.ttl, low=0, high=255),
     )
+    # Either would answer the external pings itself, at another RTT than N6's.
+    if external.address in pool:
+        raise ScenarioError(f"external_host: address {external.address} lies in the UE pool "
+                            f"{pool.cidr}")
+    if external.address == core.upf_address:
+        raise ScenarioError(f"external_host: address {external.address} is the UPF's address")
 
     occupancy = ChannelOccupancy(_parse_bursts(_entries(raw, "occupancy", name, [])))
 
-    taps = [str(t) for t in _field(raw, "taps", name, list, [])]
+    taps = _field(raw, "taps", name, list, [])
     valid_taps = {f"ue:{n}" for n in ue_names} | {f"n3:{g}" for g in gnb_names} | {"n6"}
     for tap in taps:
-        if tap not in valid_taps:
+        if type(tap) is not str or tap not in valid_taps:
             raise ScenarioError(f"taps: unknown tap {tap!r}; valid: {sorted(valid_taps)}")
 
     return Scenario(

@@ -378,8 +378,9 @@ def check_regulatory(
     return violations
 
 
-def validate_assignment(band: BandPlan, assignment: ChannelAssignment) -> None:
-    """Raise ConfigError unless the assignment sits legally on the band."""
+def check_assignment(assignment: ChannelAssignment, jurisdiction: str) -> list[Violation]:
+    """The jurisdiction's rule violations; ConfigError if off the band's raster or span."""
+    band = get_band(assignment.band_id)
     if not validate_channel(band, assignment.arfcn, "DL"):
         dl = band.dl_raster
         raise ConfigError(
@@ -393,3 +394,4 @@ def validate_assignment(band: BandPlan, assignment: ChannelAssignment) -> None:
             f"carrier edges {lo / 1000:.3f}-{hi / 1000:.3f} MHz fall outside the "
             f"{band.band_id} span {band_lo / 1000:.3f}-{band_hi / 1000:.3f} MHz"
         )
+    return check_regulatory(assignment, load_regulatory_rules(jurisdiction))

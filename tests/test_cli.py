@@ -154,16 +154,25 @@ class TestScenarioCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("case", ["non-integer seed", "ping dst not an IPv4", "NaN bandwidth"])
+    @pytest.mark.parametrize("case", [
+        "non-integer seed", "ping dst not an IPv4", "NaN bandwidth", "fractional ping count",
+        "boolean seed", "fractional ARFCN", "boolean burst start", "quoted tx power",
+        "quoted ping count", "list as name", "unquoted UE IMSI", "exponent without dot and sign",
+        "lower-case direction", "quoted burst power", "tap not a string",
+        "traffic label used twice", "label equal to a default label",
+        "external host in the UE pool", "external host on the pool gateway",
+        "external host on the UPF",
+    ])
     def test_validate_subprocess_prints_no_traceback(self, tmp_path, case):
-        raw = dict((name, raw) for name, raw, _needle in HOSTILE)[case]
+        raw, needle = {name: (raw, needle) for name, raw, needle in HOSTILE}[case]
         path = tmp_path / "hostile.yaml"
         path.write_text(yaml.safe_dump(raw), encoding="utf-8")
         proc = subprocess.run([sys.executable, "-m", "nrusim.cli", "validate", str(path)],
                               capture_output=True, text=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": str(SRC)})
         assert proc.returncode == 1
-        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert needle in proc.stderr and "Traceback" not in proc.stderr
 
     def test_run_writes_report_and_prints_table(self, tmp_path, capsys):
         path = tmp_path / "unit.yaml"
@@ -173,6 +182,18 @@ class TestScenarioCommands:
         assert "Scenario" in out and "unit" in out
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["scenario"] == "unit"
+
+    def test_run_checks_out_before_simulating(self, tmp_path, capsys, monkeypatch):
+        def never(scenario):
+            raise AssertionError("the scenario ran before --out was checked")
+
+        monkeypatch.setattr("nrusim.cli.run_scenario", never)
+        path = tmp_path / "unit.yaml"
+        path.write_text(yaml.safe_dump(variant()), encoding="utf-8")
+        (tmp_path / "taken").write_text("not a directory\n", encoding="utf-8")
+        assert run_cli("run", str(path), "--out", str(tmp_path / "taken")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write outputs to directory") and err.count("\n") == 1
 
     def test_run_json_records(self, tmp_path, capsys):
         path = tmp_path / "unit.yaml"

@@ -5,6 +5,8 @@ import pytest
 import yaml
 
 from nrusim import yamlio
+from nrusim.access import LbtConfig, TddConfig
+from nrusim.corenet import CoreConfig
 from nrusim.errors import ScenarioError
 from nrusim.scenario import (
     BUNDLED,
@@ -172,6 +174,44 @@ UNRUNNABLE = [
      variant(**{"cell.attenuation_factor": 1.7e308,
                 "nodes.1.medium": {"kind": "cable", "length_cm": 50, "attenuator_db": 1.7e308}}),
      "node ue1: link budget overflows"),
+    # Values are taken as written: the loader used to convert these with int(), float()
+    # or str() and run other numbers than the file held.
+    ("fractional ping count", variant(**{"traffic.0.count": 2.9}),
+     "traffic[0]: count must be an integer, got 2.9"),
+    ("boolean seed", variant(seed=True), "seed must be an integer, got True"),
+    ("fractional ARFCN", variant(**{"cell.arfcn": 750000.7}), "cell: arfcn must be an integer"),
+    ("boolean burst start", _occupancy(start_us=True),
+     "occupancy[0]: start_us must be an integer, got True"),
+    ("quoted tx power", variant(**{"cell.tx_power_dbm": "-31.614"}),
+     "cell: tx_power_dbm must be a finite number, got '-31.614'"),
+    ("quoted ping count", variant(**{"traffic.0.count": "10"}),
+     "traffic[0]: count must be an integer, got '10'"),
+    ("list as name", variant(name=["x"]), "name must be a string, got ['x']"),
+    ("unquoted UE IMSI", variant(**{"nodes.1.imsi": 1010000000001}),
+     "ue1: imsi must be a string, got 1010000000001"),
+    # PyYAML reads YAML 1.1, where 4e1 and 4.0e1 are strings; only 4.0e+1 is a float.
+    ("exponent without dot and sign", variant(**{"cell.bandwidth_mhz": "4e1"}),
+     "cell: bandwidth_mhz must be a finite number, got '4e1'"),
+    ("lower-case direction",
+     _with("traffic", [{"probe": "throughput", "ue": "ue1", "direction": "ul"}]),
+     "traffic[0]: direction must be UL or DL, got 'ul'"),
+    ("quoted burst power", _occupancy(power_dbm="-50"),
+     "occupancy[0]: power_dbm must be a number, got '-50'"),
+    ("tap not a string", _with("taps", [["n6"]]), "taps: unknown tap ['n6']"),
+    # Both plans would draw from the same probe stream and report two identical rows.
+    ("traffic label used twice", _with("traffic", BASE["traffic"] * 2),
+     "traffic[1]: label 'rtt' already used by traffic[0]"),
+    ("label equal to a default label",
+     _with("traffic", [{**BASE["traffic"][0], "label": "ping-1"},
+                       {k: v for k, v in BASE["traffic"][0].items() if k != "label"}]),
+     "traffic[1]: label 'ping-1' already used by traffic[0]"),
+    # A UE, the pool gateway or the UPF would answer the external pings, not N6.
+    ("external host in the UE pool", _with("external_host", {"address": "12.1.1.2"}),
+     "external_host: address 12.1.1.2 lies in the UE pool 12.1.1.0/24"),
+    ("external host on the pool gateway", _with("external_host", {"address": "12.1.1.1"}),
+     "external_host: address 12.1.1.1 lies in the UE pool"),
+    ("external host on the UPF", _with("external_host", {"address": "192.168.70.134"}),
+     "external_host: address 192.168.70.134 is the UPF's address"),
 ]
 
 HOSTILE = MALFORMED + UNRUNNABLE
@@ -292,6 +332,15 @@ class TestValidation:
     def test_infinite_burst_power_still_loads(self, power):
         scenario = scenario_from_dict(_occupancy(power_dbm=power))
         assert scenario.occupancy.bursts[0].power_dbm == power
+
+    def test_absent_keys_take_their_class_defaults(self):
+        raw = variant(**{"core.ue_pool": ...})
+        assert "tdd" not in raw["cell"] and "lbt" not in raw["cell"]
+        scenario = scenario_from_dict(raw)
+        assert scenario.cell.tdd == TddConfig(slot_us=500)
+        assert scenario.cell.lbt == LbtConfig()
+        assert scenario.core == CoreConfig()
+        assert scenario.cell.bandwidth_mhz == 40.0 and type(scenario.cell.bandwidth_mhz) is float
 
     def test_schema_version_enforced(self):
         with pytest.raises(ScenarioError, match="schema"):

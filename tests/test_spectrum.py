@@ -8,6 +8,7 @@ from nrusim.spectrum import (
     ChannelAssignment,
     arfcn_to_frequency,
     arfcn_to_khz,
+    check_assignment,
     check_regulatory,
     frequency_to_arfcn,
     get_band,
@@ -16,7 +17,6 @@ from nrusim.spectrum import (
     load_band_plans,
     load_regulatory_rules,
     ss_scan_candidates,
-    validate_assignment,
     validate_channel,
 )
 
@@ -278,9 +278,9 @@ class TestRegulatory:
     def test_validate_assignment_rejects_off_raster(self):
         bad = ChannelAssignment("n46", 795001, 20.0, eirp_mw=1.0, indoor=True)
         with pytest.raises(ConfigError, match="743333"):
-            validate_assignment(get_band("n46"), bad)
+            check_assignment(bad, "AU")
 
     def test_validate_assignment_rejects_edges_outside_band(self):
         wide = ChannelAssignment("n46", 795000, 40.0, eirp_mw=1.0, indoor=True)
         with pytest.raises(ConfigError, match="outside"):
-            validate_assignment(get_band("n46"), wide)
+            check_assignment(wide, "AU")
