@@ -105,8 +105,15 @@ class LbtConfig:
     cw_max: int = 1023
 
     def __post_init__(self):
-        if self.cca_duration_us <= 0:
-            raise ConfigError("CCA duration must be positive")
+        # The channel-access priority classes of ETSI EN 301 893 clause 4.2.7.3.2
+        # (3GPP TS 37.213 Table 4.1.1-1): a defer period of 16 + p0 * 9 us with p0
+        # in 1..7, CW_min in 3..15 and CW_max in 7..1023.
+        for name, low, high in (("cca_duration_us", 25, 79), ("cw_min", 3, 15),
+                                ("cw_max", 7, 1023)):
+            value = getattr(self, name)
+            if not low <= value <= high:
+                raise ConfigError(f"{name} must be in [{low}, {high}] "
+                                  f"(ETSI EN 301 893 clause 4.2.7.3.2), got {value}")
         if self.cw_min > self.cw_max:
             raise ConfigError(f"cw_min {self.cw_min} exceeds cw_max {self.cw_max}")
 

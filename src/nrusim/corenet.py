@@ -145,6 +145,9 @@ class CoreConfig:
         for label, addr in addrs:
             if addr not in subnet:
                 raise ConfigError(f"{label} address {addr} not inside core subnet {self.core_subnet}")
+        # A gNB without an N3 address tunnels from the AMF's, so it would tunnel from the UPF.
+        if self.amf_address == self.upf_address:
+            raise ConfigError(f"AMF and UPF share the address {self.upf_address}")
 
 
 class CoreNetwork:

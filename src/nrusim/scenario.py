@@ -234,7 +234,7 @@ def _parse_cell(raw: dict) -> CellConfig:
                                      LbtConfig.cca_threshold_dbm),
             cca_duration_us=_field(lbt_raw, "cca_duration_us", "cell.lbt", int,
                                    LbtConfig.cca_duration_us),
-            cw_min=_field(lbt_raw, "cw_min", "cell.lbt", int, LbtConfig.cw_min, low=0),
+            cw_min=_field(lbt_raw, "cw_min", "cell.lbt", int, LbtConfig.cw_min),
             cw_max=_field(lbt_raw, "cw_max", "cell.lbt", int, LbtConfig.cw_max),
         )
     except ConfigError as exc:
@@ -347,6 +347,9 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
                 compute_rsrp(cell.tx_power_dbm, cell.attenuation_factor, medium, carrier_mhz)
             except DomainError as exc:
                 raise ScenarioError(f"{context}: {exc}") from None
+        n3_address = _field(node_raw, "n3_address", node_name, _ipv4, None)
+        if n3_address == core.upf_address:
+            raise ScenarioError(f"node {node_name}: n3_address {n3_address} is the UPF's address")
         nodes.append(
             NodeConfig(
                 name=node_name,
@@ -356,7 +359,7 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
                 imsi=_field(node_raw, "imsi", node_name, str, None),
                 gnb=_field(node_raw, "gnb", node_name, str, None),
                 medium=medium,
-                n3_address=_field(node_raw, "n3_address", node_name, _ipv4, None),
+                n3_address=n3_address,
                 on_air=_field(node_raw, "on_air", node_name, bool, NodeConfig.on_air),
                 unprovisioned=_field(node_raw, "unprovisioned", node_name, bool,
                                      NodeConfig.unprovisioned),

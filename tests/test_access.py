@@ -77,6 +77,25 @@ class TestAttach:
         assert UePhase.SYNCED < UePhase.REGISTERED < UePhase.SESSION_ACTIVE
 
 
+class TestLbtConfig:
+    # The priority-class limits of ETSI EN 301 893 clause 4.2.7.3.2, edges included.
+    @pytest.mark.parametrize("field, low, high", [
+        ("cca_duration_us", 25, 79), ("cw_min", 3, 15), ("cw_max", 7, 1023),
+    ])
+    def test_each_number_is_bounded_by_the_priority_classes(self, field, low, high):
+        fixed = {"cw_min": 3} if field == "cw_max" else {}
+        for value in (low, high):
+            assert getattr(LbtConfig(**fixed, **{field: value}), field) == value
+        for value in (low - 1, high + 1):
+            with pytest.raises(ConfigError, match=rf"{field} must be in \[{low}, {high}\] "
+                                                  r"\(ETSI EN 301 893 clause 4\.2\.7\.3\.2\)"):
+                LbtConfig(**fixed, **{field: value})
+
+    def test_cw_min_may_not_exceed_cw_max(self):
+        with pytest.raises(ConfigError, match="cw_min 15 exceeds cw_max 7"):
+            LbtConfig(cw_min=15, cw_max=7)
+
+
 class TestLbtGate:
     CFG = LbtConfig()
 

@@ -161,7 +161,8 @@ class TestScenarioCommands:
         "lower-case direction", "quoted burst power", "tap not a string",
         "traffic label used twice", "label equal to a default label",
         "external host in the UE pool", "external host on the pool gateway",
-        "external host on the UPF",
+        "external host on the UPF", "gNB N3 address on the UPF", "AMF on the UPF's address",
+        "CCA duration of 1e18 us", "zero contention window", "contention window past 1023",
     ])
     def test_validate_subprocess_prints_no_traceback(self, tmp_path, case):
         raw, needle = {name: (raw, needle) for name, raw, needle in HOSTILE}[case]

@@ -1,0 +1,35 @@
+"""The package boundary: what one import loads, and the README's quickstart."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+ENV = {**os.environ, "PYTHONPATH": str(SRC)}
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("scenario", ["access", "corenet", "errors", "rflink", "scenario", "spectrum", "yamlio"]),
+    ("spectrum", ["errors", "spectrum", "yamlio"]),
+])
+def test_importing_a_module_loads_only_its_own_imports(module, loaded):
+    # The package re-exports nothing, so the run, report and pcap layers stay unloaded.
+    code = (f"import sys, nrusim.{module}\n"
+            "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'nrusim'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=ENV, check=True)
+    assert proc.stdout.split() == ["nrusim"] + [f"nrusim.{name}" for name in loaded]
+
+
+def test_readme_quickstart_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quickstart = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    proc = subprocess.run([sys.executable, "-c", quickstart], capture_output=True, text=True,
+                          timeout=60, env=ENV, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("5250.0\n")

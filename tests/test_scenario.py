@@ -212,6 +212,20 @@ UNRUNNABLE = [
      "external_host: address 12.1.1.1 lies in the UE pool"),
     ("external host on the UPF", _with("external_host", {"address": "192.168.70.134"}),
      "external_host: address 192.168.70.134 is the UPF's address"),
+    # Either gNB would tunnel from the UPF to itself: 192.168.70.134 -> 192.168.70.134 on N3.
+    ("gNB N3 address on the UPF", variant(**{"nodes.0.n3_address": "192.168.70.134"}),
+     "node gnb1: n3_address 192.168.70.134 is the UPF's address"),
+    ("AMF on the UPF's address",
+     variant(**{"core.amf_address": "192.168.70.134", "nodes.0.n3_address": ...}),
+     "core: AMF and UPF share the address 192.168.70.134"),
+    # Outside the channel-access priority classes of ETSI EN 301 893.
+    ("CCA duration of 1e18 us", variant(**{"cell.lbt": {"cca_duration_us": 10**18}}),
+     "cell: cca_duration_us must be in [25, 79] (ETSI EN 301 893 clause 4.2.7.3.2), "
+     "got 1000000000000000000"),
+    ("zero contention window", variant(**{"cell.lbt": {"cw_min": 0}}),
+     "cell: cw_min must be in [3, 15]"),
+    ("contention window past 1023", variant(**{"cell.lbt": {"cw_max": 2047}}),
+     "cell: cw_max must be in [7, 1023]"),
 ]
 
 HOSTILE = MALFORMED + UNRUNNABLE
