@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import ConfigError, DomainError
-from .yamlio import load_data
+from .yamlio import load_data, shipped
 
 # Digital attenuation applied per unit of the attenuation-factor setting.
 ATT_DB_PER_UNIT = 1.0
@@ -168,37 +168,14 @@ def link_viable(drop_fraction: float) -> bool:
 def load_hardware_profiles() -> tuple[dict[str, HostModel], dict[str, SdrModel]]:
     """(hosts, sdrs) shipped with the package, keyed by profile name."""
     raw = load_data("hardware.yaml")
-    hosts = {
-        name: HostModel(
-            name=name,
-            capacity_msps=float(node["capacity_msps"]),
-            colocated_core_load_msps=float(node.get("colocated_core_load_msps", 0.0)),
-            added_latency_us=int(node.get("added_latency_us", 0)),
-        )
-        for name, node in raw["hosts"].items()
-    }
-    sdrs = {
-        name: SdrModel(
-            name=name,
-            max_bandwidth_mhz=float(node["max_bandwidth_mhz"]),
-            interface=str(node["interface"]),
-        )
-        for name, node in raw["sdrs"].items()
-    }
+    hosts = {name: HostModel(name=name, **node) for name, node in raw["hosts"].items()}
+    sdrs = {name: SdrModel(name=name, **node) for name, node in raw["sdrs"].items()}
     return hosts, sdrs
 
 
 def get_host(name: str) -> HostModel:
-    hosts, _ = load_hardware_profiles()
-    try:
-        return hosts[name]
-    except KeyError:
-        raise ConfigError(f"unknown host profile {name!r}; shipped: {', '.join(sorted(hosts))}") from None
+    return shipped(load_hardware_profiles()[0], "host profile", name)
 
 
 def get_sdr(name: str) -> SdrModel:
-    _, sdrs = load_hardware_profiles()
-    try:
-        return sdrs[name]
-    except KeyError:
-        raise ConfigError(f"unknown SDR profile {name!r}; shipped: {', '.join(sorted(sdrs))}") from None
+    return shipped(load_hardware_profiles()[1], "SDR profile", name)

@@ -142,26 +142,36 @@ _KINDS = {  # kind -> (its name in errors, the test its values pass)
 
 def _field(raw: dict, key: str, context: str, kind=str, default=_REQUIRED,
            low: int | None = None, high: int | None = None):
-    """``raw[key]`` as written, or ``default`` when the key is absent.
+    """``raw[key]`` as written, taken off ``raw``, or ``default`` when the key is absent.
 
     The value must already be of ``kind`` (only the ``float`` and ``_number``
     kinds convert it, to a float) and within ``low`` and ``high``; else a
-    ScenarioError names the field.
+    ScenarioError names the field.  ``raw`` is the loader's own copy of its
+    section, so what is left in it at the end is unread: ``_done`` rejects it.
+    A ``dict`` value comes back as such a copy.
     """
     if key not in raw:
         if default is _REQUIRED:
             raise ScenarioError(f"{context}: missing required field {key!r}")
         return default
-    value = raw[key]
+    value = raw.pop(key)
     kind_name, fits = _KINDS[kind]
     if not fits(value):
         raise ScenarioError(f"{context}: {key} must be {kind_name}, got {value!r}")
     if kind is float or kind is _number:
         value = float(value)
+    elif kind is dict:
+        value = dict(value)
     if (low is not None and value < low) or (high is not None and value > high):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ScenarioError(f"{context}: {key} must be {bound}, got {value!r}")
     return value
+
+
+def _done(raw: dict, context: str) -> None:
+    """Reject a section that still holds a key: no ``_field`` call read it."""
+    if raw:
+        raise ScenarioError(f"{context}: unknown key {next(iter(raw))!r}")
 
 
 def _entries(raw: dict, key: str, context: str, default=_REQUIRED) -> list[dict]:
@@ -176,13 +186,16 @@ def _entries(raw: dict, key: str, context: str, default=_REQUIRED) -> list[dict]
 def _parse_medium(raw: dict, context: str) -> LinkMedium:
     kind = _field(raw, "kind", context)
     if kind == "over_air":
-        return OverAir(distance_m=_field(raw, "distance_m", context, float))
-    if kind == "cable":
-        return Cable(
+        medium = OverAir(distance_m=_field(raw, "distance_m", context, float))
+    elif kind == "cable":
+        medium = Cable(
             length_cm=_field(raw, "length_cm", context, float),
             attenuator_db=_field(raw, "attenuator_db", context, float, Cable.attenuator_db),
         )
-    raise ScenarioError(f"{context}: unknown medium kind {kind!r}")
+    else:
+        raise ScenarioError(f"{context}: unknown medium kind {kind!r}")
+    _done(raw, f"{context} medium")
+    return medium
 
 
 _new_burst = tuple.__new__  # a Burst without its per-call interval check
@@ -190,10 +203,13 @@ _new_burst = tuple.__new__  # a Burst without its per-call interval check
 
 def _checked_burst(entry: dict, idx: int) -> Burst:
     context = f"occupancy[{idx}]"
+    entry = dict(entry)
     # NaN power compares below every threshold, so it could never block; ±inf may.
-    return _new_burst(Burst, (_field(entry, "start_us", context, int),
-                              _field(entry, "end_us", context, int),
-                              _field(entry, "power_dbm", context, _number)))
+    burst = _new_burst(Burst, (_field(entry, "start_us", context, int),
+                               _field(entry, "end_us", context, int),
+                               _field(entry, "power_dbm", context, _number)))
+    _done(entry, context)
+    return burst
 
 
 def _parse_bursts(entries: list[dict]) -> list[Burst]:
@@ -201,10 +217,12 @@ def _parse_bursts(entries: list[dict]) -> list[Burst]:
 
     Occupancy can list tens of thousands of bursts, so the raw values go
     straight into unchecked ``Burst`` tuples, and one pass checks every
-    kind, interval and power.  A missing key (read as None) or a wrong kind
-    sends the burst through ``_field``, which names the faulty field.
+    kind, interval and power.  A missing key (read as None), a fourth key
+    (the power is then read as None) or a wrong kind sends the burst through
+    ``_checked_burst``, which names the faulty or unknown field.
     """
-    bursts = [_new_burst(Burst, (e.get("start_us"), e.get("end_us"), e.get("power_dbm")))
+    bursts = [_new_burst(Burst, (e.get("start_us"), e.get("end_us"),
+                                 e.get("power_dbm") if len(e) == 3 else None))
               for e in entries]
     for idx, (start, end, power) in enumerate(bursts):
         if not (type(start) is type(end) is int and type(power) is float and power == power):
@@ -212,6 +230,17 @@ def _parse_bursts(entries: list[dict]) -> list[Burst]:
         if start >= end:
             raise ScenarioError(f"occupancy[{idx}]: burst interval reversed: [{start}, {end})")
     return bursts
+
+
+def _subscriber(row: dict, idx: int) -> SubscriberRecord:
+    context = f"core.subscribers[{idx}]"
+    row = dict(row)
+    record = SubscriberRecord(
+        imsi=_field(row, "imsi", context),
+        enabled=_field(row, "enabled", context, bool, SubscriberRecord.enabled),
+    )
+    _done(row, context)
+    return record
 
 
 def _parse_cell(raw: dict) -> CellConfig:
@@ -239,6 +268,8 @@ def _parse_cell(raw: dict) -> CellConfig:
         )
     except ConfigError as exc:
         raise ScenarioError(f"cell: {exc}") from None
+    _done(tdd_raw, "cell.tdd")
+    _done(lbt_raw, "cell.lbt")
     cell = CellConfig(
         band_id=band.band_id,
         arfcn=_field(raw, "arfcn", "cell", int),
@@ -251,6 +282,7 @@ def _parse_cell(raw: dict) -> CellConfig:
         tdd=tdd,
         lbt=lbt,
     )
+    _done(raw, "cell")
     # The cell schedules UL and DL in TDD slots; a TDD band's UL raster is its DL raster.
     if band.duplex != "tdd":
         raise ScenarioError(f"cell: band {band.band_id} is {band.duplex.upper()}, not TDD; "
@@ -286,8 +318,9 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     """Build and fully validate a Scenario from parsed YAML content."""
     if not isinstance(raw, dict):
         raise ScenarioError(f"{name_hint}: top level must be a mapping")
-    schema = raw.get("schema")
-    if schema != SCHEMA_VERSION:
+    raw = dict(raw)  # the caller's mapping stays whole; _field takes keys off this copy
+    schema = raw.pop("schema", None)
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # true and 1.0 equal 1
         raise ScenarioError(f"{name_hint}: schema must be {SCHEMA_VERSION}, got {schema!r}")
     notes: list[str] = []
     name = _field(raw, "name", name_hint, str, name_hint)
@@ -310,23 +343,19 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
             upf_address=_field(core_raw, "upf_address", "core", str, CoreConfig.upf_address),
             ue_pool_cidr=_field(core_raw, "ue_pool", "core", str, CoreConfig.ue_pool_cidr),
         )
-        subscribers = tuple(
-            SubscriberRecord(
-                imsi=_field(row, "imsi", f"core.subscribers[{idx}]"),
-                enabled=_field(row, "enabled", f"core.subscribers[{idx}]", bool,
-                               SubscriberRecord.enabled),
-            )
-            for idx, row in enumerate(_entries(core_raw, "subscribers", "core", []))
-        )
+        subscribers = tuple(_subscriber(row, idx) for idx, row
+                            in enumerate(_entries(core_raw, "subscribers", "core", [])))
         pool = CoreNetwork(core, subscribers).pool  # rejects a duplicate IMSI
     except ConfigError as exc:
         raise ScenarioError(f"core: {exc}") from None
     prior_allocations = _field(core_raw, "prior_allocations", "core", int, 0, low=0,
                                high=pool.capacity)
+    _done(core_raw, "core")
 
     nodes: list[NodeConfig] = []
     seen_names: set[str] = set()
-    for node_raw in _entries(raw, "nodes", name):
+    n3_sources: dict[str, str] = {}  # N3 tunnel source -> the gNB that sends from it
+    for node_raw in map(dict, _entries(raw, "nodes", name)):
         node_name = _field(node_raw, "name", "nodes")
         if node_name in seen_names:
             raise ScenarioError(f"nodes: duplicate node name {node_name!r}")
@@ -350,6 +379,18 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
         n3_address = _field(node_raw, "n3_address", node_name, _ipv4, None)
         if n3_address == core.upf_address:
             raise ScenarioError(f"node {node_name}: n3_address {n3_address} is the UPF's address")
+        if role == "gnb":
+            # A gNB tunnels from here; on a UE's or another gNB's address, its N3 frames
+            # could not be told apart from theirs.
+            source = n3_address or core.amf_address
+            what = (f"n3_address {source}" if n3_address
+                    else f"N3 source {source} (the AMF's; no n3_address)")
+            if source in pool:
+                raise ScenarioError(f"node {node_name}: {what} lies in the UE pool {pool.cidr}")
+            if source in n3_sources:
+                raise ScenarioError(f"node {node_name}: {what} is already gNB "
+                                    f"{n3_sources[source]}'s N3 source")
+            n3_sources[source] = node_name
         nodes.append(
             NodeConfig(
                 name=node_name,
@@ -365,6 +406,7 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
                                      NodeConfig.unprovisioned),
             )
         )
+        _done(node_raw, f"node {node_name}")
 
     gnb_names = {n.name for n in nodes if n.role == "gnb"}
     if not gnb_names:
@@ -386,7 +428,7 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     ue_names = {n.name for n in nodes if n.role == "ue"}
     traffic: list[PingPlan | ThroughputPlan] = []
     labels: dict[str, int] = {}  # label -> index of the plan that has it
-    for idx, step in enumerate(_entries(raw, "traffic", name, [])):
+    for idx, step in enumerate(map(dict, _entries(raw, "traffic", name, []))):
         context = f"traffic[{idx}]"
         probe = _field(step, "probe", context)
         if probe == "ping":
@@ -428,6 +470,7 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
             )
         else:
             raise ScenarioError(f"{context}: unknown probe {probe!r}")
+        _done(step, context)
         label = traffic[-1].label
         if label in labels:
             raise ScenarioError(f"{context}: label {label!r} already used by "
@@ -441,6 +484,7 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
                                 ExternalHostConfig.one_way_delay_us, low=0),
         ttl=_field(ext_raw, "ttl", "external_host", int, ExternalHostConfig.ttl, low=0, high=255),
     )
+    _done(ext_raw, "external_host")
     # Either would answer the external pings itself, at another RTT than N6's.
     if external.address in pool:
         raise ScenarioError(f"external_host: address {external.address} lies in the UE pool "
@@ -455,6 +499,7 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     for tap in taps:
         if type(tap) is not str or tap not in valid_taps:
             raise ScenarioError(f"taps: unknown tap {tap!r}; valid: {sorted(valid_taps)}")
+    _done(raw, name)
 
     return Scenario(
         name=name,

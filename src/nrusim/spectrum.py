@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, OffRasterError, RasterRangeError
-from .yamlio import load_data
+from .yamlio import load_data, shipped
 
 KHZ_PER_MHZ = 1000
 
@@ -190,44 +190,31 @@ class BandPlan:
         return min(lows), max(highs)
 
 
-def _span(node: dict) -> RasterSpan:
-    return RasterSpan(first=int(node["first"]), step=int(node["step"]), last=int(node["last"]))
-
-
 @functools.lru_cache(maxsize=1)
 def load_band_plans() -> dict[str, BandPlan]:
     """All band plans shipped with the package, keyed by band id."""
     raw = load_data("bands.yaml")
     plans: dict[str, BandPlan] = {}
     for band_id, node in raw["bands"].items():
-        rasters = []
-        for row in node["rasters"]:
-            ul = _span(row["ul"]) if row.get("ul") else None
-            rasters.append(ChannelRaster(delta_f_khz=int(row["delta_f_khz"]), ul=ul, dl=_span(row["dl"])))
+        rasters = tuple(
+            ChannelRaster(delta_f_khz=row["delta_f_khz"],
+                          ul=RasterSpan(**row["ul"]) if row.get("ul") else None,
+                          dl=RasterSpan(**row["dl"]))
+            for row in node["rasters"]
+        )
         sync = tuple(
-            SyncRasterEntry(
-                scs_khz=int(row["scs_khz"]),
-                block_pattern=str(row["pattern"]),
-                gscn=_span(row["gscn"]),
-            )
+            SyncRasterEntry(scs_khz=row["scs_khz"], block_pattern=row["pattern"],
+                            gscn=RasterSpan(**row["gscn"]))
             for row in node.get("sync", [])
         )
-        plans[band_id] = BandPlan(
-            band_id=band_id,
-            duplex=str(node["duplex"]),
-            rasters=tuple(rasters),
-            sync_entries=sync,
-        )
+        plans[band_id] = BandPlan(band_id=band_id, duplex=node["duplex"], rasters=rasters,
+                                  sync_entries=sync)
     return plans
 
 
 def get_band(band_id: str) -> BandPlan:
     """Band plan by id, e.g. ``"n46"``; raises ConfigError for unknown bands."""
-    plans = load_band_plans()
-    try:
-        return plans[band_id]
-    except KeyError:
-        raise ConfigError(f"unknown band {band_id!r}; shipped bands: {', '.join(sorted(plans))}") from None
+    return shipped(load_band_plans(), "band", band_id)
 
 
 def validate_channel(band: BandPlan, arfcn: int, link: str = "DL") -> bool:
@@ -312,31 +299,17 @@ class Violation:
     message: str
 
 
-@functools.lru_cache(maxsize=1)
-def _regulatory_data() -> dict:
-    return load_data("regulatory.yaml")
-
-
+@functools.lru_cache(maxsize=None)  # only shipped jurisdictions return, so it stays small
 def load_regulatory_rules(jurisdiction: str = "AU") -> tuple[RegulatoryRule, ...]:
     """Rules for one jurisdiction; raises ConfigError if it is not shipped."""
-    raw = _regulatory_data()["jurisdictions"]
-    if jurisdiction not in raw:
-        raise ConfigError(
-            f"unknown jurisdiction {jurisdiction!r}; shipped: {', '.join(sorted(raw))}"
-        )
-    rules = []
-    for row in raw[jurisdiction]:
-        rules.append(
-            RegulatoryRule(
-                jurisdiction=jurisdiction,
-                freq_low_khz=int(row["freq_low_mhz"]) * KHZ_PER_MHZ,
-                freq_high_khz=int(row["freq_high_mhz"]) * KHZ_PER_MHZ,
-                max_mean_eirp_mw=row.get("max_mean_eirp_mw"),
-                indoor_only=bool(row.get("indoor_only", False)),
-                note=row.get("note", ""),
-            )
-        )
-    return tuple(rules)
+    rows = shipped(load_data("regulatory.yaml")["jurisdictions"], "jurisdiction", jurisdiction)
+    return tuple(_rule(jurisdiction, **row) for row in rows)
+
+
+def _rule(jurisdiction: str, freq_low_mhz: int, freq_high_mhz: int, **rest) -> RegulatoryRule:
+    """One table row; the keys past the MHz edges are ``RegulatoryRule`` field names."""
+    return RegulatoryRule(jurisdiction, freq_low_mhz * KHZ_PER_MHZ, freq_high_mhz * KHZ_PER_MHZ,
+                          **rest)
 
 
 def check_regulatory(

@@ -15,6 +15,8 @@ from typing import IO, Any
 
 import yaml
 
+from .errors import ConfigError
+
 LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
@@ -28,3 +30,11 @@ def load_data(name: str) -> Any:
     path = resources.files("nrusim.data") / name
     with path.open("r", encoding="utf-8") as handle:
         return parse(handle)
+
+
+def shipped(table: dict, what: str, name: str) -> Any:
+    """``table[name]``, or a ConfigError that lists the names that ship."""
+    try:
+        return table[name]
+    except KeyError:
+        raise ConfigError(f"unknown {what} {name!r}; shipped: {', '.join(sorted(table))}") from None

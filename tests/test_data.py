@@ -1,0 +1,86 @@
+"""The packaged tables hold every value in the kind its class field declares.
+
+The loaders build each class from its YAML mapping by field name, with the
+values as written and nothing converted.  So a table value of another kind
+(``40`` where a float is meant, ``true`` where a count is) would reach the
+models as it is; these tests pin that none ships.
+"""
+
+import dataclasses
+import types
+import typing
+
+import pytest
+
+from nrusim.calibration import Calibration, load_calibration
+from nrusim.rflink import HostModel, SdrModel, load_hardware_profiles
+from nrusim.spectrum import (
+    RasterSpan,
+    RegulatoryRule,
+    SyncRasterEntry,
+    load_band_plans,
+    load_regulatory_rules,
+)
+from nrusim.yamlio import load_data
+
+
+def _fits(value, hint) -> bool:
+    """Whether ``value`` is exactly of ``hint``: an int is no float and a bool no int."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, arm) for arm in args)
+    if origin is dict:
+        return type(value) is dict and all(_fits(k, args[0]) and _fits(v, args[1])
+                                           for k, v in value.items())
+    if origin is tuple:  # tuple[X, ...]
+        return type(value) is tuple and all(_fits(item, args[0]) for item in value)
+    if hint is type(None):
+        return value is None
+    return type(value) is hint and (not dataclasses.is_dataclass(hint) or not _misfits(value))
+
+
+def _misfits(record) -> list[str]:
+    """The fields of a dataclass record whose values are not of their annotated kind."""
+    hints = typing.get_type_hints(type(record))
+    values = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    return [f"{type(record).__name__}.{name} = {value!r}" for name, value in values.items()
+            if not _fits(value, hints[name])]
+
+
+def _shipped_records():
+    hosts, sdrs = load_hardware_profiles()
+    plans = load_band_plans().values()
+    spans = [span for plan in plans for raster in plan.rasters for span in (raster.ul, raster.dl)
+             if span is not None] + [entry.gscn for plan in plans for entry in plan.sync_entries]
+    return {
+        Calibration: [load_calibration()],
+        HostModel: list(hosts.values()),
+        SdrModel: list(sdrs.values()),
+        RasterSpan: spans,
+        SyncRasterEntry: [entry for plan in plans for entry in plan.sync_entries],
+        RegulatoryRule: [rule for jurisdiction in load_data("regulatory.yaml")["jurisdictions"]
+                         for rule in load_regulatory_rules(jurisdiction)],
+    }
+
+
+@pytest.mark.parametrize("cls", [Calibration, HostModel, SdrModel, RasterSpan, SyncRasterEntry,
+                                 RegulatoryRule], ids=lambda cls: cls.__name__)
+def test_every_shipped_field_has_its_annotated_kind(cls):
+    records = _shipped_records()[cls]
+    assert records
+    assert [bad for record in records for bad in _misfits(record)] == []
+
+
+@pytest.mark.parametrize("value, hint, fits", [
+    (40, float, False),
+    (40.0, float, True),
+    (True, int, False),
+    (1, int, True),
+    (None, float | None, True),
+    ({15: 0.98}, dict[int, float], True),
+    ({15: 1}, dict[int, float], False),
+    (RasterSpan(1, 1, 3), RasterSpan, True),
+    (RasterSpan(1.0, 1, 3), RasterSpan, False),
+])
+def test_kind_check_tells_int_from_float_and_bool(value, hint, fits):
+    assert _fits(value, hint) is fits

@@ -80,6 +80,16 @@ def _medium(**medium) -> dict:
     return variant(**{"nodes.1.medium": medium})
 
 
+def _second_gnb(n3_address, **overrides) -> dict:
+    """``variant(**overrides)`` with a gNB ``gnb2`` on ``n3_address`` (``...`` omits it)."""
+    raw = variant(**overrides)
+    gnb2 = {"name": "gnb2", "role": "gnb", "host": "precision-5820", "sdr": "b210"}
+    if n3_address is not ...:
+        gnb2["n3_address"] = n3_address
+    raw["nodes"].insert(1, gnb2)
+    return raw
+
+
 # (case, raw scenario, text the ScenarioError must contain)
 MALFORMED = [
     ("burst without power_dbm", _occupancy(power_dbm=...), "occupancy[0]: missing required"),
@@ -226,6 +236,32 @@ UNRUNNABLE = [
      "cell: cw_min must be in [3, 15]"),
     ("contention window past 1023", variant(**{"cell.lbt": {"cw_max": 2047}}),
      "cell: cw_max must be in [7, 1023]"),
+    # A key the loader never reads used to be dropped without a word, so a misspelt
+    # key ran the default: the 200 ms interval, no taps, cw_min 15.
+    ("misspelt top-level key", _with("tap", ["n6"]), "unit: unknown key 'tap'"),
+    ("misspelt LBT key", variant(**{"cell.lbt": {"cw_mn": 3}}), "cell.lbt: unknown key 'cw_mn'"),
+    ("misspelt traffic key", variant(**{"traffic.0.interval": 10, "traffic.0.interval_ms": ...}),
+     "traffic[0]: unknown key 'interval'"),
+    ("throughput key on a ping", variant(**{"traffic.0.duration_s": 3}),
+     "traffic[0]: unknown key 'duration_s'"),
+    ("medium on a gNB", variant(**{"nodes.0.medium": {"kind": "over_air", "distance_m": 3.0}}),
+     "node gnb1: unknown key 'medium'"),
+    ("cable key on an over-air medium", variant(**{"nodes.1.medium.length_cm": 50}),
+     "node ue1 medium: unknown key 'length_cm'"),
+    ("fourth burst key", _occupancy(note="radar"), "occupancy[0]: unknown key 'note'"),
+    # Both equal 1, but neither is the integer the schema version is.
+    ("boolean schema", variant(schema=True), "schema must be 1, got True"),
+    ("float schema", variant(schema=1.0), "schema must be 1, got 1.0"),
+    ("misspelt burst key", _occupancy(power=-50.0, power_dbm=...),
+     "occupancy[0]: missing required field 'power_dbm'"),
+    # N3 frames from a gNB on another gNB's or a UE's address cannot be told apart.
+    ("two gNBs on one n3_address", _second_gnb("192.168.70.129"),
+     "node gnb2: n3_address 192.168.70.129 is already gNB gnb1's N3 source"),
+    ("n3_address in the UE pool", _second_gnb("12.1.1.2"),
+     "node gnb2: n3_address 12.1.1.2 lies in the UE pool 12.1.1.0/24"),
+    ("two gNBs without n3_address",
+     _second_gnb(..., **{"nodes.0.n3_address": ...}),
+     "node gnb2: N3 source 192.168.70.132 (the AMF's; no n3_address) is already gNB gnb1's"),
 ]
 
 HOSTILE = MALFORMED + UNRUNNABLE
@@ -355,6 +391,21 @@ class TestValidation:
         assert scenario.cell.lbt == LbtConfig()
         assert scenario.core == CoreConfig()
         assert scenario.cell.bandwidth_mhz == 40.0 and type(scenario.cell.bandwidth_mhz) is float
+
+    def test_one_gnb_without_n3_address_still_loads(self):
+        scenario = scenario_from_dict(_second_gnb(...))
+        assert scenario.node("gnb2").n3_address is None
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_loading_leaves_the_callers_mapping_whole(self, name):
+        # The benchmark loads one generated mapping on every pass.  The integer power
+        # sends the second burst through the checked path.
+        raw = yaml.safe_load(bundled_scenario_path(name).read_text(encoding="utf-8"))
+        raw["occupancy"] = [{"start_us": 0, "end_us": 10, "power_dbm": -50.0},
+                            {"start_us": 5, "end_us": 20, "power_dbm": -60}]
+        before = copy.deepcopy(raw)
+        scenario_from_dict(raw)
+        assert raw == before
 
     def test_schema_version_enforced(self):
         with pytest.raises(ScenarioError, match="schema"):
