@@ -35,7 +35,7 @@ from .calibration import Calibration
 from .corenet import CoreNetwork
 from .engine import EventLog, EventLoop, derive_rng
 from .metrics import flow_session_id
-from .scenario import NodeConfig, Scenario
+from .scenario import GnbNode, Scenario, UeNode
 from .spectrum import arfcn_to_frequency, get_band
 from .userplane import (
     ForwardDecision,
@@ -57,8 +57,8 @@ GNB = "gnb"
 
 @dataclass
 class RadioLink:
-    ue: NodeConfig
-    gnb: NodeConfig
+    ue: UeNode
+    gnb: GnbNode
     viable: bool  # the host drains the sample stream: bulk data survives
     required_msps: float
     drop_fraction: float
@@ -285,8 +285,7 @@ class SimNetwork:
                         size=size)
         entries = self.taps.get(link.n3_tap)
         if entries is not None:
-            gnb_addr = link.gnb.n3_address or self.core.config.amf_address
-            upf_addr = self.core.config.upf_address
+            gnb_addr, upf_addr = link.gnb.n3_address, self.core.config.upf_address
             src, dst = (gnb_addr, upf_addr) if uplink else (upf_addr, gnb_addr)
             outer = self._with_ident(
                 InnerPacket(src=src, dst=dst, protocol="UDP",

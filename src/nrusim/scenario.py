@@ -50,16 +50,22 @@ class CellConfig:
 
 
 @dataclass(frozen=True)
-class NodeConfig:
+class GnbNode:
     name: str
-    role: str  # "gnb" | "ue"
     host: HostModel
     sdr: SdrModel
-    imsi: str | None = None
-    gnb: str | None = None
-    medium: LinkMedium | None = None
-    n3_address: str | None = None
+    n3_address: str  # its N3 tunnel source: as written, else the AMF's address
     on_air: bool = True
+
+
+@dataclass(frozen=True)
+class UeNode:
+    name: str
+    host: HostModel
+    sdr: SdrModel
+    imsi: str
+    gnb: str  # the name of the gNB it attaches through
+    medium: LinkMedium
     unprovisioned: bool = False
 
 
@@ -95,21 +101,21 @@ class Scenario:
     core: CoreConfig
     subscribers: tuple[SubscriberRecord, ...]
     prior_allocations: int
-    nodes: list[NodeConfig]
+    nodes: list[GnbNode | UeNode]  # the gNBs, then the UEs, each in file order
     traffic: list[PingPlan | ThroughputPlan]
     external: ExternalHostConfig
     occupancy: ChannelOccupancy
     taps: list[str]
     notes: list[str] = field(default_factory=list)
 
-    def node(self, name: str) -> NodeConfig:
+    def node(self, name: str) -> GnbNode | UeNode:
         for node in self.nodes:
             if node.name == name:
                 return node
         raise ConfigError(f"no node named {name!r} in scenario {self.name}")
 
-    def ues(self) -> list[NodeConfig]:
-        return [n for n in self.nodes if n.role == "ue"]
+    def ues(self) -> list[UeNode]:
+        return [n for n in self.nodes if isinstance(n, UeNode)]
 
 
 def _ipv4(value) -> bool:
@@ -352,80 +358,65 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
                                high=pool.capacity)
     _done(core_raw, "core")
 
-    nodes: list[NodeConfig] = []
-    seen_names: set[str] = set()
+    gnbs: dict[str, GnbNode] = {}
+    ues: dict[str, UeNode] = {}
     n3_sources: dict[str, str] = {}  # N3 tunnel source -> the gNB that sends from it
+    provisioned = {s.imsi for s in subscribers}
     for node_raw in map(dict, _entries(raw, "nodes", name)):
         node_name = _field(node_raw, "name", "nodes")
-        if node_name in seen_names:
+        if node_name in gnbs or node_name in ues:
             raise ScenarioError(f"nodes: duplicate node name {node_name!r}")
-        seen_names.add(node_name)
-        role = _field(node_raw, "role", node_name)
+        context = f"node {node_name}"
+        role = _field(node_raw, "role", context)
         if role not in ("gnb", "ue"):
-            raise ScenarioError(f"node {node_name}: role must be 'gnb' or 'ue', got {role!r}")
+            raise ScenarioError(f"{context}: role must be 'gnb' or 'ue', got {role!r}")
         try:
-            host = get_host(_field(node_raw, "host", node_name))
-            sdr = get_sdr(_field(node_raw, "sdr", node_name))
-        except ConfigError as exc:
-            raise ScenarioError(f"node {node_name}: {exc}") from None
-        medium = None
-        if role == "ue":
-            context = f"node {node_name}"
-            try:
+            host = get_host(_field(node_raw, "host", context))
+            sdr = get_sdr(_field(node_raw, "sdr", context))
+            if role == "ue":
                 medium = _parse_medium(_field(node_raw, "medium", context, dict), context)
                 compute_rsrp(cell.tx_power_dbm, cell.attenuation_factor, medium, carrier_mhz)
-            except DomainError as exc:
-                raise ScenarioError(f"{context}: {exc}") from None
-        n3_address = _field(node_raw, "n3_address", node_name, _ipv4, None)
-        if n3_address == core.upf_address:
-            raise ScenarioError(f"node {node_name}: n3_address {n3_address} is the UPF's address")
+        except (ConfigError, DomainError) as exc:
+            raise ScenarioError(f"{context}: {exc}") from None
         if role == "gnb":
-            # A gNB tunnels from here; on a UE's or another gNB's address, its N3 frames
-            # could not be told apart from theirs.
+            n3_address = _field(node_raw, "n3_address", context, _ipv4, None)
+            # A gNB tunnels from here; on the UPF's, a UE's or another gNB's address,
+            # its N3 frames could not be told apart from theirs.
             source = n3_address or core.amf_address
             what = (f"n3_address {source}" if n3_address
                     else f"N3 source {source} (the AMF's; no n3_address)")
+            if source == core.upf_address:
+                raise ScenarioError(f"{context}: {what} is the UPF's address")
             if source in pool:
-                raise ScenarioError(f"node {node_name}: {what} lies in the UE pool {pool.cidr}")
+                raise ScenarioError(f"{context}: {what} lies in the UE pool {pool.cidr}")
             if source in n3_sources:
-                raise ScenarioError(f"node {node_name}: {what} is already gNB "
+                raise ScenarioError(f"{context}: {what} is already gNB "
                                     f"{n3_sources[source]}'s N3 source")
             n3_sources[source] = node_name
-        nodes.append(
-            NodeConfig(
-                name=node_name,
-                role=role,
-                host=host,
-                sdr=sdr,
-                imsi=_field(node_raw, "imsi", node_name, str, None),
-                gnb=_field(node_raw, "gnb", node_name, str, None),
+            gnbs[node_name] = GnbNode(node_name, host, sdr, source,
+                                      _field(node_raw, "on_air", context, bool, GnbNode.on_air))
+        else:
+            node = ues[node_name] = UeNode(
+                node_name, host, sdr,
+                imsi=_field(node_raw, "imsi", context),
+                gnb=_field(node_raw, "gnb", context),
                 medium=medium,
-                n3_address=n3_address,
-                on_air=_field(node_raw, "on_air", node_name, bool, NodeConfig.on_air),
-                unprovisioned=_field(node_raw, "unprovisioned", node_name, bool,
-                                     NodeConfig.unprovisioned),
+                unprovisioned=_field(node_raw, "unprovisioned", context, bool,
+                                     UeNode.unprovisioned),
             )
-        )
-        _done(node_raw, f"node {node_name}")
+            if node.imsi not in provisioned and not node.unprovisioned:
+                raise ScenarioError(
+                    f"{context}: IMSI {node.imsi} is not provisioned; mark the node "
+                    f"'unprovisioned: true' if that is deliberate"
+                )
+        _done(node_raw, context)
 
-    gnb_names = {n.name for n in nodes if n.role == "gnb"}
-    if not gnb_names:
+    if not gnbs:
         raise ScenarioError("nodes: scenario needs at least one gNB")
-    provisioned = {s.imsi for s in subscribers}
-    for node in nodes:
-        if node.role != "ue":
-            continue
-        if node.imsi is None:
-            raise ScenarioError(f"node {node.name}: UE needs an imsi")
-        if node.gnb not in gnb_names:
+    for node in ues.values():
+        if node.gnb not in gnbs:
             raise ScenarioError(f"node {node.name}: references unknown gNB {node.gnb!r}")
-        if node.imsi not in provisioned and not node.unprovisioned:
-            raise ScenarioError(
-                f"node {node.name}: IMSI {node.imsi} is not provisioned; mark the node "
-                f"'unprovisioned: true' if that is deliberate"
-            )
 
-    ue_names = {n.name for n in nodes if n.role == "ue"}
     traffic: list[PingPlan | ThroughputPlan] = []
     labels: dict[str, int] = {}  # label -> index of the plan that has it
     for idx, step in enumerate(map(dict, _entries(raw, "traffic", name, []))):
@@ -433,10 +424,11 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
         probe = _field(step, "probe", context)
         if probe == "ping":
             src = _field(step, "src", context)
-            if src not in ue_names:
+            if src not in ues:
                 raise ScenarioError(f"{context}: ping src {src!r} is not a UE node")
             dst = _field(step, "dst", context)
-            if dst not in seen_names and dst not in ("core-gateway", "external") and not _ipv4(dst):
+            if (dst not in gnbs and dst not in ues and dst not in ("core-gateway", "external")
+                    and not _ipv4(dst)):
                 raise ScenarioError(
                     f"{context}: ping dst {dst!r} is not a node name, 'core-gateway', "
                     f"'external' or a dotted-quad IPv4 address"
@@ -454,7 +446,7 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
             )
         elif probe == "throughput":
             ue = _field(step, "ue", context)
-            if ue not in ue_names:
+            if ue not in ues:
                 raise ScenarioError(f"{context}: throughput ue {ue!r} is not a UE node")
             direction = _field(step, "direction", context)
             if direction not in ("UL", "DL"):
@@ -495,7 +487,7 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     occupancy = ChannelOccupancy(_parse_bursts(_entries(raw, "occupancy", name, [])))
 
     taps = _field(raw, "taps", name, list, [])
-    valid_taps = {f"ue:{n}" for n in ue_names} | {f"n3:{g}" for g in gnb_names} | {"n6"}
+    valid_taps = {f"ue:{n}" for n in ues} | {f"n3:{g}" for g in gnbs} | {"n6"}
     for tap in taps:
         if type(tap) is not str or tap not in valid_taps:
             raise ScenarioError(f"taps: unknown tap {tap!r}; valid: {sorted(valid_taps)}")
@@ -508,7 +500,7 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
         core=core,
         subscribers=subscribers,
         prior_allocations=prior_allocations,
-        nodes=nodes,
+        nodes=[*gnbs.values(), *ues.values()],
         traffic=traffic,
         external=external,
         occupancy=occupancy,

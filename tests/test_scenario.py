@@ -132,6 +132,13 @@ MALFORMED = [
      "cell: band n1 is FDD, not TDD"),
     ("SDL band", variant(**{"cell.band": "n29", "cell.arfcn": 144000}),
      "cell: band n29 is SDL, not TDD"),
+    ("unknown role", variant(**{"nodes.1.role": "relay"}),
+     "node ue1: role must be 'gnb' or 'ue', got 'relay'"),
+    ("no gNB", _with("nodes", BASE["nodes"][1:]), "nodes: scenario needs at least one gNB"),
+    ("UE without imsi", variant(**{"nodes.1.imsi": ...}), "node ue1: missing required field 'imsi'"),
+    ("UE without gnb", variant(**{"nodes.1.gnb": ...}), "node ue1: missing required field 'gnb'"),
+    ("UE without medium", variant(**{"nodes.1.medium": ...}),
+     "node ue1: missing required field 'medium'"),
 ]
 
 # Scenarios that used to load, then failed or reported silently wrong
@@ -198,7 +205,7 @@ UNRUNNABLE = [
      "traffic[0]: count must be an integer, got '10'"),
     ("list as name", variant(name=["x"]), "name must be a string, got ['x']"),
     ("unquoted UE IMSI", variant(**{"nodes.1.imsi": 1010000000001}),
-     "ue1: imsi must be a string, got 1010000000001"),
+     "node ue1: imsi must be a string, got 1010000000001"),
     # PyYAML reads YAML 1.1, where 4e1 and 4.0e1 are strings; only 4.0e+1 is a float.
     ("exponent without dot and sign", variant(**{"cell.bandwidth_mhz": "4e1"}),
      "cell: bandwidth_mhz must be a finite number, got '4e1'"),
@@ -246,6 +253,15 @@ UNRUNNABLE = [
      "traffic[0]: unknown key 'duration_s'"),
     ("medium on a gNB", variant(**{"nodes.0.medium": {"kind": "over_air", "distance_m": 3.0}}),
      "node gnb1: unknown key 'medium'"),
+    # Each role reads only its own keys; the other role's used to be read and ignored.
+    ("IMSI on a gNB", variant(**{"nodes.0.imsi": "001010000000001"}),
+     "node gnb1: unknown key 'imsi'"),
+    ("gnb on a gNB", variant(**{"nodes.0.gnb": "nowhere"}), "node gnb1: unknown key 'gnb'"),
+    ("unprovisioned on a gNB", variant(**{"nodes.0.unprovisioned": True}),
+     "node gnb1: unknown key 'unprovisioned'"),
+    ("on_air on a UE", variant(**{"nodes.1.on_air": False}), "node ue1: unknown key 'on_air'"),
+    ("n3_address on a UE", variant(**{"nodes.1.n3_address": "192.168.70.140"}),
+     "node ue1: unknown key 'n3_address'"),
     ("cable key on an over-air medium", variant(**{"nodes.1.medium.length_cm": 50}),
      "node ue1 medium: unknown key 'length_cm'"),
     ("fourth burst key", _occupancy(note="radar"), "occupancy[0]: unknown key 'note'"),
@@ -394,7 +410,7 @@ class TestValidation:
 
     def test_one_gnb_without_n3_address_still_loads(self):
         scenario = scenario_from_dict(_second_gnb(...))
-        assert scenario.node("gnb2").n3_address is None
+        assert scenario.node("gnb2").n3_address == CoreConfig.amf_address
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_loading_leaves_the_callers_mapping_whole(self, name):

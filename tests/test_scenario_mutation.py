@@ -2,11 +2,12 @@
 
 Each mutant is a bundled scenario or the unit ``BASE`` with one change: a
 key dropped or misspelt, a value swapped for another kind or for 0, -1,
-2**63, NaN or ±inf, a node name or traffic label duplicated, or two
-addresses made to collide.  ``nrusim validate`` either rejects it with exit 1
-and one ``error:`` line that names the mutated key or its section, or it
-accepts it, and then the mutant runs twice, with no exception, to the same
-bytes.
+2**63, NaN or ±inf, a node name or traffic label duplicated, two addresses
+made to collide, or a node key moved onto a node of the other role.
+``nrusim validate`` either rejects it with exit 1 and one ``error:`` line that
+names the mutated key or its section, or it accepts it, and then the mutant
+runs twice, with no exception, to the same bytes.  A moved key is always
+rejected.
 
 Counts and durations are capped here, in the bases and in the values drawn
 for those keys, so every run takes milliseconds; the loader caps nothing.
@@ -29,6 +30,7 @@ from tests.test_scenario import BASE, _occupancy
 # Keys whose size sets how long a run takes, with the largest value drawn for each.
 CAPS = {"count": 3, "interval_ms": 100, "duration_s": 1}
 VALUES = (0, -1, 2**63, float("nan"), float("inf"), float("-inf"), "x", True, None, [], {})
+ROLE_KEYS = {"gnb": ("n3_address", "on_air"), "ue": ("imsi", "gnb", "medium", "unprovisioned")}
 
 
 def _capped(raw):
@@ -84,10 +86,10 @@ def _sections(raw, path):
 
 @st.composite
 def mutants(draw):
-    """(scenario mapping, the texts a rejection may name, what was done)."""
+    """(scenario mapping, the texts a rejection may name, what was done, must it be rejected)."""
     base = draw(st.sampled_from(sorted(BASES)))
     raw = copy.deepcopy(BASES[base])
-    op = draw(st.sampled_from(["drop", "misspell", "value", "duplicate", "collide"]))
+    op = draw(st.sampled_from(["drop", "misspell", "value", "duplicate", "collide", "move"]))
     if op in ("drop", "misspell", "value"):
         paths = [p for p in _paths(raw) if op == "value" or isinstance(p[-1], str)]
         path = draw(st.sampled_from(paths))
@@ -108,7 +110,7 @@ def mutants(draw):
         else:
             choices = [v for v in VALUES if not (key in CAPS and v == 2**63)]
             parent[key] = draw(st.sampled_from(choices))
-        return raw, needles, f"{base}: {op} {'.'.join(map(str, path))}"
+        return raw, needles, f"{base}: {op} {'.'.join(map(str, path))}", False
     if op == "duplicate":
         group, field = draw(st.sampled_from([("nodes", "name"), ("traffic", "label")]))
         items = raw[group]  # every base has nodes and traffic
@@ -116,7 +118,15 @@ def mutants(draw):
         items.append(copy.deepcopy(items[source]))
         if group == "traffic" and field not in items[source]:
             items[source][field] = items[-1][field] = f"dup-{source}"
-        return raw, {group, field, items[source][field]}, f"{base}: duplicate {group}[{source}]"
+        what = f"{base}: duplicate {group}[{source}]"
+        return raw, {group, field, items[source][field]}, what, False
+    if op == "move":  # every base has a gNB and a UE, and UE keys to move
+        keys = [(node, key) for node in raw["nodes"] for key in ROLE_KEYS[node["role"]]
+                if key in node]
+        source, key = draw(st.sampled_from(keys))
+        target = draw(st.sampled_from([n for n in raw["nodes"] if n["role"] != source["role"]]))
+        target[key] = source.pop(key)
+        return raw, {key, target["name"]}, f"{base}: move {key} to {target['name']}", True
     # collide: put one address where another already is.
     core = raw.setdefault("core", {})
     pool_host = core.get("ue_pool", "12.1.1.0/24").split("/")[0].rsplit(".", 1)[0] + ".2"
@@ -126,16 +136,18 @@ def mutants(draw):
     if target == "external":
         address = draw(st.sampled_from([pool_host, upf]))
         raw.setdefault("external_host", {})["address"] = address
-        return raw, {"external_host", "address", address}, f"{base}: external host on {address}"
+        what = f"{base}: external host on {address}"
+        return raw, {"external_host", "address", address}, what, False
     gnb = draw(st.sampled_from(gnbs))
     if target == "n3_omitted":
         for other in gnbs:
             other.pop("n3_address", None)
-        return raw, {"n3_address"}, f"{base}: no gNB has an n3_address"
+        return raw, {"n3_address"}, f"{base}: no gNB has an n3_address", False
     others = [n["n3_address"] for n in gnbs if n is not gnb and "n3_address" in n]
     address = draw(st.sampled_from([upf, pool_host] + others))
     gnb["n3_address"] = address
-    return raw, {"n3_address", gnb["name"], address}, f"{base}: {gnb['name']} N3 on {address}"
+    what = f"{base}: {gnb['name']} N3 on {address}"
+    return raw, {"n3_address", gnb["name"], address}, what, False
 
 
 def _cli(*argv) -> tuple[int, str]:
@@ -148,11 +160,12 @@ def _cli(*argv) -> tuple[int, str]:
 @given(mutants())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_mutant_is_rejected_by_name_or_runs_twice_to_the_same_bytes(mutant):
-    raw, needles, what = mutant
+    raw, needles, what, rejected = mutant
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mutant.yaml"
         path.write_text(yaml.safe_dump(raw), encoding="utf-8")
         code, err = _cli("validate", str(path))
+        assert code != 0 or not rejected, what
         if code != 0:
             assert code == 1, (what, err)
             assert err.startswith("error:") and err.count("\n") == 1, (what, err)
