@@ -177,8 +177,7 @@ class ChannelOccupancy:
         return None
 
 
-@dataclass(frozen=True)
-class LbtResult:
+class LbtResult(NamedTuple):
     grant_us: int
     busy_observations: int = 0
     granted = True  # the gate waits as long as it takes, so it always grants
@@ -188,17 +187,19 @@ def lbt_gate(occupancy: ChannelOccupancy, cfg: LbtConfig, now_us: int, rng: Rand
     """Earliest transmit grant at/after ``now_us``.
 
     A grant at time g means the window [g - cca_duration, g) measured
-    idle.
+    idle.  A channel with no foreign bursts grants after one CCA.
     """
+    if not occupancy.bursts:
+        return LbtResult(now_us + cfg.cca_duration_us)
     t = now_us
     cw = cfg.cw_min
     busy = 0
     while True:
         blocker = occupancy.blocker(t, t + cfg.cca_duration_us, cfg.cca_threshold_dbm)
         if blocker is None:
-            return LbtResult(grant_us=t + cfg.cca_duration_us, busy_observations=busy)
+            return LbtResult(t + cfg.cca_duration_us, busy)
         busy += 1
-        backoff_slots = rng.randint(0, cw)
+        backoff_slots = rng.randrange(cw + 1)  # the draws of randint(0, cw)
         cw = min(2 * cw + 1, cfg.cw_max)
         t = max(t, blocker.end_us) + backoff_slots * BACKOFF_SLOT_US
 

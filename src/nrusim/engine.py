@@ -10,9 +10,9 @@ stream's draws do not depend on unrelated activity.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import itertools
 import json
+from heapq import heappop, heappush
 from random import Random
 from typing import Any, Callable
 
@@ -54,9 +54,7 @@ class EventLog:
         self.records: list[dict[str, Any]] = []
 
     def append(self, t_us: int, actor: str, action: str, **fields: Any) -> None:
-        record = {"t_us": t_us, "actor": actor, "action": action}
-        record.update(fields)
-        self.records.append(record)
+        self.records.append({"t_us": t_us, "actor": actor, "action": action, **fields})
 
     def __len__(self) -> int:
         return len(self.records)
@@ -75,14 +73,16 @@ class EventLoop:
     def schedule_at(self, at_us: int, fn: Callable[[], None]) -> None:
         if at_us < self.now_us:
             raise InvariantBreach(f"event scheduled at {at_us} us, before now ({self.now_us} us)")
-        heapq.heappush(self._heap, (at_us, next(self._seq), fn))
+        heappush(self._heap, (at_us, next(self._seq), fn))
 
     def schedule_after(self, delay_us: int, fn: Callable[[], None]) -> None:
         self.schedule_at(self.now_us + delay_us, fn)
 
     def run(self) -> None:
         """Execute until no events remain."""
-        while self._heap:
-            at_us, _seq, fn = heapq.heappop(self._heap)
+        heap = self._heap
+        pop = heappop
+        while heap:
+            at_us, _seq, fn = pop(heap)
             self.now_us = at_us
             fn()

@@ -289,16 +289,21 @@ def fold_sessions(packets: Iterable[tuple], unparsed_frames: int) -> MonitorRepo
     """Fold ``(t_us, packet)`` observations into per-flow sessions with latest RTTs.
 
     An observation may carry more fields after those two, as an N3 tap's
-    entries carry their tunnel; the fold ignores them.
+    entries carry their tunnel; the fold ignores them.  Sessions are keyed
+    by ``flow_session_id``, computed once per ICMP identifier, so two
+    identifiers whose numbers collide share a session.
     """
     report = MonitorReport(unparsed_frames=unparsed_frames)
     by_id: dict[int, PassiveSession] = {}
+    sids: dict[int | None, int] = {}
     pending: dict[tuple[int, int], int] = {}
     for entry in packets:
         t_us, pkt = entry[0], entry[1]
         if pkt.protocol != "ICMP" or pkt.icmp_type not in (ICMP_ECHO_REQUEST, ICMP_ECHO_REPLY):
             continue
-        sid = flow_session_id("ICMP", pkt.icmp_id)
+        sid = sids.get(pkt.icmp_id)
+        if sid is None:
+            sid = sids[pkt.icmp_id] = flow_session_id("ICMP", pkt.icmp_id)
         session = by_id.get(sid)
         if session is None:
             request_side = pkt.icmp_type == ICMP_ECHO_REQUEST

@@ -23,6 +23,13 @@ packets too: wire bytes are made only at pcap export or on request, by
 ``tap_frames``.
 The event loop breaks timestamp ties by insertion order, so the walk
 keeps one ``schedule_at`` per stop, in path order.
+
+IP idents come from one counter per run, 1 to 65535 and round again
+(``_next_ident``).  A packet that enters the access leg (``_send``) or
+arrives from N6 with ident 0 takes the next one in ``_with_ident``; a
+packet that has one keeps it through forwarding.  When its gNB's N3 tap
+exists, ``_gnb_step`` builds the outer header with the next ident in
+place, as the frame passes.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .metrics import flow_session_id
 from .scenario import GnbNode, Scenario, UeNode
 from .spectrum import arfcn_to_frequency, get_band
 from .userplane import (
+    GTPU_PORT,
     ForwardDecision,
     InnerPacket,
     RouteTable,
@@ -119,6 +127,11 @@ class SimNetwork:
         self.gateway: str | None = None  # the pool gateway's address, set with routes
         self._nat: dict[tuple[str, int | None], str] = {}
         self._ip_ident = 0
+        # Read by every radio hop; the scenario and calibration never change in a run.
+        self._occupancy = scenario.occupancy
+        self._lbt = scenario.cell.lbt
+        self._tdd = scenario.cell.tdd
+        self._jitter_max_us = calib.jitter_max_us
         self.attach_complete_us = 0
 
     # -- setup ---------------------------------------------------------------
@@ -201,12 +214,21 @@ class SimNetwork:
 
     # -- access leg -----------------------------------------------------------------
 
+    def _next_ident(self) -> int:
+        """The next IP identification of the run: 1 to 65535, then round again."""
+        self._ip_ident = ident = (self._ip_ident + 1) & 0xFFFF or 1
+        return ident
+
     def _with_ident(self, pkt: InnerPacket) -> InnerPacket:
-        """Assign the originating stack's IP identification, once."""
+        """Assign the originating stack's IP identification, once.
+
+        A packet whose ident is still 0 takes the run's next one; any
+        other packet keeps its own.  The copy is built field by field
+        (``ident`` is the sixth), which is what ``_replace`` does by name.
+        """
         if pkt.ident:
             return pkt
-        self._ip_ident = (self._ip_ident + 1) & 0xFFFF or 1
-        return pkt._replace(ident=self._ip_ident)
+        return tuple.__new__(InnerPacket, (*pkt[:5], self._next_ident(), *pkt[6:]))
 
     def _send(self, ue_name: str, direction: str, inner: InnerPacket, rng: Random) -> None:
         """One packet over the access leg: UE -> UPF ingress ("UL") or UPF -> UE ("DL")."""
@@ -249,15 +271,15 @@ class SimNetwork:
         for index in range(start, len(hops)):
             hop = hops[index]
             if hop is RADIO:
-                gate = access.lbt_gate(self.scenario.occupancy, self.scenario.cell.lbt, t, link.rng)
-                t = access.next_transmit_time(self.scenario.cell.tdd, direction, gate.grant_us)
+                gate = access.lbt_gate(self._occupancy, self._lbt, t, link.rng)
+                t = access.next_transmit_time(self._tdd, direction, gate.grant_us)
                 if not relay_passes(link.viable, size):
                     self.log.append(self.loop.now_us, link.gnb.name, "radio_drop",
                                     direction=direction, size=size)
                     return
                 t += link.radio_us
                 if rng is not None:
-                    t += rng.randint(0, self.calib.jitter_max_us)
+                    t += rng.randrange(self._jitter_max_us + 1)  # randint(0, max)'s draws
             elif hop is GNB:
                 if pkt is not None:
                     def gnb_step():
@@ -287,10 +309,8 @@ class SimNetwork:
         if entries is not None:
             gnb_addr, upf_addr = link.gnb.n3_address, self.core.config.upf_address
             src, dst = (gnb_addr, upf_addr) if uplink else (upf_addr, gnb_addr)
-            outer = self._with_ident(
-                InnerPacket(src=src, dst=dst, protocol="UDP",
-                            sport=userplane.GTPU_PORT, dport=userplane.GTPU_PORT)
-            )
+            outer = InnerPacket(src, dst, "UDP", ident=self._next_ident(), sport=GTPU_PORT,
+                                dport=GTPU_PORT)
             entries.append((t, pkt, outer, teid))
 
     # -- UPF --------------------------------------------------------------------

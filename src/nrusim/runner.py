@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .access import ue_cell_search
@@ -134,12 +134,12 @@ def _build_report(scenario: Scenario, log: EventLog, tallies: list[ThroughputPro
     rtts = ping_rtts_ms(log.records)
     pings = [
         {"label": plan.label, "src": plan.src, "dst": plan.dst,
-         **asdict(ping_stats(plan.count, rtts.get(ping_ident(index), [])))}
+         **vars(ping_stats(plan.count, rtts.get(ping_ident(index), [])))}
         for index, plan in enumerate(scenario.traffic)
         if isinstance(plan, PingPlan)
     ]
     throughput = [
-        {"label": probe.plan.label, "ue": probe.plan.ue, **asdict(probe.stats())}
+        {"label": probe.plan.label, "ue": probe.plan.ue, **vars(probe.stats())}
         for probe in tallies
     ]
     passive = {}

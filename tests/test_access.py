@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nrusim.access import (
+    BACKOFF_SLOT_US,
     Burst,
     ChannelOccupancy,
     LbtConfig,
+    LbtResult,
     TddConfig,
     UePhase,
     attach,
@@ -293,6 +295,78 @@ class TestBlockerIndex:
             assert got == lbt_gate(linear, cfg, now, Random(seed)), seed
             busy += got.busy_observations
         assert busy > 0
+
+
+@dataclass(frozen=True)
+class _DataclassLbtResult:
+    """Reference: ``LbtResult`` as the frozen dataclass it was before it became a tuple."""
+
+    grant_us: int
+    busy_observations: int = 0
+    granted = True  # the gate waits as long as it takes, so it always grants
+
+
+def _randint_lbt_gate(occupancy: ChannelOccupancy, cfg: LbtConfig, now_us: int,
+                      rng: Random) -> _DataclassLbtResult:
+    """Reference: ``lbt_gate`` before its empty-channel return and ``randrange`` draw."""
+    t = now_us
+    cw = cfg.cw_min
+    busy = 0
+    while True:
+        blocker = occupancy.blocker(t, t + cfg.cca_duration_us, cfg.cca_threshold_dbm)
+        if blocker is None:
+            return _DataclassLbtResult(grant_us=t + cfg.cca_duration_us, busy_observations=busy)
+        busy += 1
+        backoff_slots = rng.randint(0, cw)
+        cw = min(2 * cw + 1, cfg.cw_max)
+        t = max(t, blocker.end_us) + backoff_slots * BACKOFF_SLOT_US
+
+
+@st.composite
+def _lbt_configs(draw):
+    cw_max = draw(st.integers(7, 1023))
+    return LbtConfig(cca_threshold_dbm=draw(st.sampled_from((-85.0, -72.0, -62.5))),
+                     cca_duration_us=draw(st.integers(25, 79)),
+                     cw_min=draw(st.integers(3, min(15, cw_max))), cw_max=cw_max)
+
+
+class TestLbtGateOracle:
+    POWERS = (-90.0, -80.0, -72.0, -60.0, -40.0)
+
+    # Empty timelines are common, and busy ones chain several backoffs.
+    @given(
+        st.lists(st.tuples(st.integers(-500, 3_000), st.integers(1, 800),
+                           st.sampled_from(POWERS)), max_size=10),
+        _lbt_configs(),
+        st.integers(-1_000, 4_000),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=400)
+    def test_same_grant_and_draws_as_the_randint_gate(self, spans, cfg, now_us, seed):
+        occupancy = ChannelOccupancy([Burst(s, s + d, p) for s, d, p in spans])
+        rng, reference_rng = Random(seed), Random(seed)
+        got = lbt_gate(occupancy, cfg, now_us, rng)
+        expected = _randint_lbt_gate(occupancy, cfg, now_us, reference_rng)
+        assert (got.grant_us, got.busy_observations) == (
+            expected.grant_us, expected.busy_observations)
+        assert got.granted and expected.granted
+        assert rng.getstate() == reference_rng.getstate()
+
+    def test_result_keeps_its_field_names(self):
+        result = lbt_gate(ChannelOccupancy(), LbtConfig(), 0, Random(0))
+        assert type(result) is LbtResult
+        assert LbtResult._fields == ("grant_us", "busy_observations")
+        assert result == LbtResult(grant_us=25, busy_observations=0) and result.granted
+
+    @pytest.mark.parametrize("bound", (0, 1, 2, 14, 15, 31, 1023, 1_000, 2**31 - 1, 2**70))
+    def test_randrange_draws_as_randint(self, bound):
+        # The gate's backoff and the network's jitter draw randrange(n + 1)
+        # where they drew randint(0, n): the same values, the same state after.
+        for seed in range(300):
+            a, b = Random(seed), Random(seed)
+            assert [a.randrange(bound + 1) for _ in range(8)] == [
+                b.randint(0, bound) for _ in range(8)]
+            assert a.getstate() == b.getstate()
 
 
 def _searched_transmit_time(cfg, direction, t_us):

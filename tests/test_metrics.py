@@ -1,12 +1,18 @@
+from typing import Iterable
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrusim.access import TddConfig
 from nrusim.calibration import load_calibration
 from nrusim.metrics import (
     MonitorReport,
+    PassiveSession,
     PingStats,
     ThroughputStats,
     flow_session_id,
+    fold_sessions,
     link_capacity_mbps,
     passive_monitor,
     ping_stats,
@@ -15,7 +21,15 @@ from nrusim.metrics import (
     report_records,
 )
 from nrusim.rflink import Cable, OverAir, get_sdr
-from nrusim.userplane import InnerPacket, echo_reply_for, encode_gtpu, encode_ip, icmp_echo_request
+from nrusim.userplane import (
+    ICMP_ECHO_REPLY,
+    ICMP_ECHO_REQUEST,
+    InnerPacket,
+    echo_reply_for,
+    encode_gtpu,
+    encode_ip,
+    icmp_echo_request,
+)
 
 CALIB = load_calibration()
 TDD = TddConfig()
@@ -175,6 +189,75 @@ class TestSessionId:
 
     def test_distinct_flows_get_distinct_ids(self):
         assert flow_session_id("ICMP", 1) != flow_session_id("ICMP", 2)
+
+
+def _per_packet_fold_sessions(packets: Iterable[tuple], unparsed_frames: int) -> MonitorReport:
+    """Reference: ``fold_sessions`` as it was, computing the session number for every packet."""
+    report = MonitorReport(unparsed_frames=unparsed_frames)
+    by_id: dict[int, PassiveSession] = {}
+    pending: dict[tuple[int, int], int] = {}
+    for entry in packets:
+        t_us, pkt = entry[0], entry[1]
+        if pkt.protocol != "ICMP" or pkt.icmp_type not in (ICMP_ECHO_REQUEST, ICMP_ECHO_REPLY):
+            continue
+        sid = flow_session_id("ICMP", pkt.icmp_id)
+        session = by_id.get(sid)
+        if session is None:
+            request_side = pkt.icmp_type == ICMP_ECHO_REQUEST
+            session = PassiveSession(
+                session_id=sid,
+                left=pkt.src if request_side else pkt.dst,
+                right=pkt.dst if request_side else pkt.src,
+            )
+            by_id[sid] = session
+            report.sessions.append(session)
+        session.packet_count += 1
+        key = (pkt.icmp_id, pkt.icmp_seq)
+        if pkt.icmp_type == ICMP_ECHO_REQUEST:
+            pending[key] = t_us
+        else:
+            sent = pending.pop(key, None)
+            if sent is not None and t_us >= sent:
+                session.rtt_latest_ms = round((t_us - sent) / 1000, 3)
+    return report
+
+
+COLLIDING_IDS = (882, 4000)  # two ICMP identifiers with one session number
+ADDRESSES = ("10.45.0.2", "10.45.0.3", "142.250.204.4")
+
+
+@st.composite
+def _observations(draw):
+    protocol = draw(st.sampled_from(("ICMP", "ICMP", "ICMP", "UDP")))
+    pkt = InnerPacket(
+        src=draw(st.sampled_from(ADDRESSES)), dst=draw(st.sampled_from(ADDRESSES)),
+        protocol=protocol,
+        icmp_type=draw(st.sampled_from((ICMP_ECHO_REQUEST, ICMP_ECHO_REPLY, 3))),
+        icmp_id=draw(st.sampled_from(COLLIDING_IDS + (0, 0x1000)) | st.integers(0, 0xFFFF)),
+        icmp_seq=draw(st.integers(0, 3)),
+    )
+    entry = (draw(st.integers(0, 50_000)), pkt)
+    if draw(st.booleans()):  # an N3 tap's entry carries its tunnel after the packet
+        entry += (InnerPacket("192.168.70.129", "192.168.70.134", "UDP"), 1)
+    return entry
+
+
+class TestFoldSessionsOracle:
+    def test_the_colliding_ids_collide(self):
+        first, second = COLLIDING_IDS
+        assert flow_session_id("ICMP", first) == flow_session_id("ICMP", second)
+
+    @given(st.lists(_observations(), max_size=40), st.integers(0, 3))
+    @settings(max_examples=400)
+    def test_same_sessions_as_the_per_packet_fold(self, packets, unparsed):
+        assert fold_sessions(packets, unparsed) == _per_packet_fold_sessions(packets, unparsed)
+
+    def test_colliding_ids_share_one_session(self):
+        first, second = (icmp_echo_request("10.45.0.2", "142.250.204.4", ident, 0)
+                         for ident in COLLIDING_IDS)
+        report = fold_sessions([(0, first), (5, second), (9_000, echo_reply_for(second))], 0)
+        (session,) = report.sessions
+        assert session.packet_count == 3 and session.rtt_latest_ms == 8.995
 
 
 class TestRendering:
