@@ -12,15 +12,15 @@ decisions.
 from __future__ import annotations
 
 import enum
+import functools
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 from random import Random
 from typing import NamedTuple
 
 from .corenet import CoreNetwork, PduSession
-from .errors import AllocationError, ConfigError, StateError
+from .errors import AllocationError, CheckedRecord, ConfigError, StateError
 from .spectrum import BandPlan, ss_scan_candidates
 
 
@@ -32,26 +32,36 @@ class UePhase(enum.IntEnum):
     SESSION_ACTIVE = 4
 
 
-@dataclass
 class UeState:
-    phase: UePhase = UePhase.POWERED
-    found_gscn: int | None = None
-    session: PduSession | None = None
-    failure: str | None = None
-    scan_steps: int = 0
+    """Where one UE's attach got to; ``attach`` advances it phase by phase."""
+
+    __slots__ = ("phase", "found_gscn", "session", "failure", "scan_steps")
+
+    def __init__(self, phase: UePhase = UePhase.POWERED):
+        self.phase = phase
+        self.found_gscn: int | None = None
+        self.session: PduSession | None = None
+        self.failure: str | None = None
+        self.scan_steps = 0
 
 
 def ue_cell_search(band: BandPlan, broadcasting_gscn: int | None) -> tuple[int | None, int]:
     """Sweep the band's sync raster in ascending order.
 
     Returns the matching GSCN (or None) and the number of candidates
-    examined; an absent gNB costs a full sweep.
+    examined; an absent gNB costs a full sweep.  The answer comes from the
+    band's map of each GSCN's place in the sweep, built once.
     """
-    candidates = ss_scan_candidates(band)
-    for steps, (gscn, _freq) in enumerate(candidates, start=1):
-        if gscn == broadcasting_gscn:
-            return gscn, steps
-    return None, len(candidates)
+    steps = _sweep_steps(band)
+    if broadcasting_gscn in steps:
+        return broadcasting_gscn, steps[broadcasting_gscn]
+    return None, len(steps)
+
+
+@functools.lru_cache(maxsize=16)
+def _sweep_steps(band: BandPlan) -> dict[int, int]:
+    """GSCN -> its 1-based position in the band's ascending sweep; GSCNs there are unique."""
+    return {gscn: steps for steps, (gscn, _freq) in enumerate(ss_scan_candidates(band), start=1)}
 
 
 def attach(
@@ -97,14 +107,17 @@ def attach(
 BACKOFF_SLOT_US = 9  # the observation slot of ETSI EN 301 893
 
 
-@dataclass(frozen=True)
-class LbtConfig:
+class _LbtConfigFields(NamedTuple):
     cca_threshold_dbm: float = -72.0
     cca_duration_us: int = 25
     cw_min: int = 15
     cw_max: int = 1023
 
-    def __post_init__(self):
+
+class LbtConfig(CheckedRecord, _LbtConfigFields):
+    __slots__ = ()
+
+    def _check(self):
         # The channel-access priority classes of ETSI EN 301 893 clause 4.2.7.3.2
         # (3GPP TS 37.213 Table 4.1.1-1): a defer period of 16 + p0 * 9 us with p0
         # in 1..7, CW_min in 3..15 and CW_max in 7..1023.
@@ -191,16 +204,16 @@ def lbt_gate(occupancy: ChannelOccupancy, cfg: LbtConfig, now_us: int, rng: Rand
     """
     if not occupancy.bursts:
         return LbtResult(now_us + cfg.cca_duration_us)
+    threshold_dbm, cca_us, cw, cw_max = cfg  # the window starts at cw_min
     t = now_us
-    cw = cfg.cw_min
     busy = 0
     while True:
-        blocker = occupancy.blocker(t, t + cfg.cca_duration_us, cfg.cca_threshold_dbm)
+        blocker = occupancy.blocker(t, t + cca_us, threshold_dbm)
         if blocker is None:
-            return LbtResult(t + cfg.cca_duration_us, busy)
+            return LbtResult(t + cca_us, busy)
         busy += 1
         backoff_slots = rng.randrange(cw + 1)  # the draws of randint(0, cw)
-        cw = min(2 * cw + 1, cfg.cw_max)
+        cw = min(2 * cw + 1, cw_max)
         t = max(t, blocker.end_us) + backoff_slots * BACKOFF_SLOT_US
 
 
@@ -213,16 +226,19 @@ SLOT_UL = "UL"
 SLOT_GUARD = "GUARD"
 
 
-@dataclass(frozen=True)
-class TddConfig:
-    """Periodic slot split; downlink first, guard in the middle, uplink last."""
-
+class _TddConfigFields(NamedTuple):
     period_slots: int = 10
     dl_slots: int = 7
     ul_slots: int = 2
     slot_us: int = 500  # 30 kHz SCS slot duration
 
-    def __post_init__(self):
+
+class TddConfig(CheckedRecord, _TddConfigFields):
+    """Periodic slot split; downlink first, guard in the middle, uplink last."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.dl_slots <= 0 or self.ul_slots <= 0:
             raise ConfigError("TDD needs at least one DL and one UL slot per period")
         if self.dl_slots + self.ul_slots > self.period_slots:
@@ -261,14 +277,15 @@ def next_transmit_time(cfg: TddConfig, direction: str, t_us: int) -> int:
     ending the period.  So the answer is ``t_us`` inside the run, else the
     start of the run's next occurrence.
     """
-    slot = t_us // cfg.slot_us
+    period, dl_slots, ul_slots, slot_us = cfg  # one unpack: a named field read costs more
+    slot = t_us // slot_us
     if direction == SLOT_DL:
-        first, count = 0, cfg.dl_slots
+        first, count = 0, dl_slots
     elif direction == SLOT_UL:
-        first, count = cfg.period_slots - cfg.ul_slots, cfg.ul_slots
+        first, count = period - ul_slots, ul_slots
     else:
         raise ConfigError(f"direction must be UL or DL, got {direction!r}")
-    pos = (slot - first) % cfg.period_slots
+    pos = (slot - first) % period
     if pos < count:
         return t_us
-    return (slot + cfg.period_slots - pos) * cfg.slot_us
+    return (slot + period - pos) * slot_us

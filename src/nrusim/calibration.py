@@ -9,13 +9,12 @@ never touches code.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .yamlio import load_data
 
 
-@dataclass(frozen=True)
-class Calibration:
+class Calibration(NamedTuple):
     # Fixed one-way processing delays, microseconds.
     ue_proc_us: int
     gnb_proc_us: int

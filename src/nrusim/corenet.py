@@ -13,28 +13,27 @@ from __future__ import annotations
 
 import ipaddress
 import itertools
-import logging
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from .errors import AllocationError, ConfigError, StateError
-
-log = logging.getLogger(__name__)
+from .errors import AllocationError, CheckedRecord, ConfigError, StateError
 
 IMSI_DIGITS = 15
 
 
-@dataclass(frozen=True)
-class SubscriberRecord:
+class _SubscriberRecordFields(NamedTuple):
     imsi: str
     enabled: bool = True
 
-    def __post_init__(self):
+
+class SubscriberRecord(CheckedRecord, _SubscriberRecordFields):
+    __slots__ = ()
+
+    def _check(self):
         if len(self.imsi) != IMSI_DIGITS or not self.imsi.isdigit():
             raise ConfigError(f"IMSI must be {IMSI_DIGITS} decimal digits, got {self.imsi!r}")
 
 
-@dataclass(frozen=True)
-class RegistrationResult:
+class RegistrationResult(NamedTuple):
     accepted: bool
     reason: str | None = None
 
@@ -44,20 +43,24 @@ REJECT_UNKNOWN = "unknown-subscriber"
 REJECT_DISABLED = "subscriber-disabled"
 
 
-@dataclass
 class PduSession:
     """An authorised data path: UE address plus its two tunnel endpoints.
 
     ``interface`` is the UE-side virtual interface the address gets bound
-    to (the first tunnel on a UE host comes up as oaitun_ue1).
+    to (the first tunnel on a UE host comes up as oaitun_ue1).  Release
+    changes ``state``, so this is a mutable record.
     """
 
-    ue_id: str
-    ip: str
-    teid_uplink: int
-    teid_downlink: int
-    state: str = "ACTIVE"
-    interface: str = "oaitun_ue1"
+    __slots__ = ("ue_id", "ip", "teid_uplink", "teid_downlink", "state", "interface")
+
+    def __init__(self, ue_id: str, ip: str, teid_uplink: int, teid_downlink: int,
+                 state: str = "ACTIVE", interface: str = "oaitun_ue1"):
+        self.ue_id = ue_id
+        self.ip = ip
+        self.teid_uplink = teid_uplink
+        self.teid_downlink = teid_downlink
+        self.state = state
+        self.interface = interface
 
     @property
     def active(self) -> bool:
@@ -125,16 +128,19 @@ class IpPool:
             return inside
 
 
-@dataclass(frozen=True)
-class CoreConfig:
-    """Addressing of the core-network virtual subnet and the UE pool."""
-
+class _CoreConfigFields(NamedTuple):
     core_subnet: str = "192.168.70.128/26"
     amf_address: str = "192.168.70.132"
     upf_address: str = "192.168.70.134"
     ue_pool_cidr: str = "12.1.1.0/24"
 
-    def __post_init__(self):
+
+class CoreConfig(CheckedRecord, _CoreConfigFields):
+    """Addressing of the core-network virtual subnet and the UE pool."""
+
+    __slots__ = ()
+
+    def _check(self):
         IpPool(self.ue_pool_cidr)  # raises ConfigError for a bad or host-less pool
         try:
             subnet = ipaddress.IPv4Network(self.core_subnet)
@@ -208,7 +214,10 @@ class CoreNetwork:
     def release_session(self, session: PduSession) -> PduSession:
         """Return the address to the pool and retire the TEIDs; idempotent."""
         if not session.active:
-            log.warning("release of already-released session for UE %s ignored", session.ue_id)
+            import logging  # here alone: at the top it would cost every cold start its import
+
+            logging.getLogger(__name__).warning(
+                "release of already-released session for UE %s ignored", session.ue_id)
             return session
         self.pool.release(session.ip)
         session.state = "RELEASED"
@@ -223,7 +232,8 @@ class CoreNetwork:
         if cidr == self.pool.cidr:
             return self.config
         self.pool = IpPool(cidr)
-        self.config = replace(self.config, ue_pool_cidr=cidr)
+        # _replace skips the checks; building through the class runs them again.
+        self.config = CoreConfig(*self.config._replace(ue_pool_cidr=cidr))
         return self.config
 
     # -- queries -------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checked-record base that raises them."""
 
 
 class NrusimError(Exception):
@@ -63,3 +63,21 @@ class OversizePayloadError(CodecError):
 
 class InvariantBreach(NrusimError):
     """A runtime simulation invariant failed; the run must abort, not continue."""
+
+
+class CheckedRecord:
+    """Base of a named-tuple record whose constructor checks its fields.
+
+    A record is ``class Name(CheckedRecord, _NameFields)`` with
+    ``__slots__ = ()``, where ``_NameFields`` is the ``NamedTuple`` of its
+    fields and ``_check`` raises one of the errors above.  ``_make`` and
+    ``_replace`` do not call ``__new__``, so they skip the check: pass
+    their result back through the class to check it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self

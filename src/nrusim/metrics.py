@@ -11,7 +11,7 @@ decodes a capture's frames first, unwrapping GTP-U tunnels.
 
 from __future__ import annotations
 
-import statistics
+import math
 import zlib
 from dataclasses import dataclass, field
 from random import Random
@@ -63,8 +63,9 @@ def ping_stats(sent: int, rtts_ms: list[float]) -> PingStats:
     """
     if not rtts_ms:
         return PingStats(sent=sent, received=0)
-    avg = statistics.fmean(rtts_ms)
-    mdev = statistics.fmean(abs(r - avg) for r in rtts_ms)
+    # statistics.fmean's sum and division, without importing statistics on every run
+    avg = math.fsum(rtts_ms) / len(rtts_ms)
+    mdev = math.fsum(abs(r - avg) for r in rtts_ms) / len(rtts_ms)
     return PingStats(
         sent=sent,
         received=len(rtts_ms),
@@ -199,14 +200,14 @@ class ThroughputProbe:
         ticks_per_window = 1_000_000 // tick_us
         bytes_per_tick = round(self.capacity_mbps * 1e6 * self.calib.tick_ms / 1000 / 8)
         sub_ticks = ticks_per_window // self.SUBS_PER_WINDOW
+        ue, direction = self.plan.ue, self.plan.direction  # read once, not per tick
         for window in range(self.plan.duration_s):
             burst = self.rng.uniform(self.calib.window_burst_low, self.calib.window_burst_high)
             on_ticks = round(burst * ticks_per_window)
             for j in range(on_ticks):
                 at = start_us + window * 1_000_000 + j * tick_us
                 tag = (window, j // sub_ticks)
-                net.schedule_bulk_tick(self.plan.ue, self.plan.direction, at, bytes_per_tick,
-                                       tag, self._on_delivered)
+                net.schedule_bulk_tick(ue, direction, at, bytes_per_tick, tag, self._on_delivered)
         return start_us + self.plan.duration_s * 1_000_000 + 1_000_000
 
     def _on_delivered(self, tag: tuple[int, int], nbytes: int) -> None:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
-from .errors import ConfigError, DomainError
+from .errors import CheckedRecord, ConfigError, DomainError
 from .yamlio import load_data, shipped
 
 # Digital attenuation applied per unit of the attenuation-factor setting.
@@ -28,60 +27,72 @@ PATH_LOSS_EXPONENT = 2.0
 VIABILITY_DROP_THRESHOLD = 0.001
 
 
-@dataclass(frozen=True)
-class SdrModel:
-    """An SDR board: usable RF bandwidth and its host interface."""
-
+class _SdrModelFields(NamedTuple):
     name: str
     max_bandwidth_mhz: float
     interface: str  # "usb3" | "ethernet"
 
-    def __post_init__(self):
+
+class SdrModel(CheckedRecord, _SdrModelFields):
+    """An SDR board: usable RF bandwidth and its host interface."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.max_bandwidth_mhz <= 0:
             raise ConfigError(f"SDR {self.name}: max_bandwidth must be positive")
         if self.interface not in ("usb3", "ethernet"):
             raise ConfigError(f"SDR {self.name}: unknown interface {self.interface!r}")
 
 
-@dataclass(frozen=True)
-class HostModel:
+class _HostModelFields(NamedTuple):
+    name: str
+    capacity_msps: float
+    colocated_core_load_msps: float = 0.0
+    added_latency_us: int = 0
+
+
+class HostModel(CheckedRecord, _HostModelFields):
     """A compute host: sample-rate capacity and co-located core overhead.
 
     ``added_latency_us`` is the extra one-way processing delay a slower
     host contributes to each packet traversal.
     """
 
-    name: str
-    capacity_msps: float
-    colocated_core_load_msps: float = 0.0
-    added_latency_us: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.capacity_msps <= 0:
             raise ConfigError(f"host {self.name}: capacity must be positive")
         if self.colocated_core_load_msps < 0:
             raise ConfigError(f"host {self.name}: core load cannot be negative")
 
 
-@dataclass(frozen=True)
-class OverAir:
-    """Free-air link over a given distance."""
-
+class _OverAirFields(NamedTuple):
     distance_m: float
 
-    def __post_init__(self):
+
+class OverAir(CheckedRecord, _OverAirFields):
+    """Free-air link over a given distance."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.distance_m <= 0:
             raise DomainError(f"over-air distance must be positive, got {self.distance_m}")
 
 
-@dataclass(frozen=True)
-class Cable:
-    """Direct coax link, optionally through a fixed attenuator."""
-
+class _CableFields(NamedTuple):
     length_cm: float
     attenuator_db: float = 0.0
 
-    def __post_init__(self):
+
+class Cable(CheckedRecord, _CableFields):
+    """Direct coax link, optionally through a fixed attenuator."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.length_cm <= 0:
             raise DomainError(f"cable length must be positive, got {self.length_cm}")
         if self.attenuator_db < 0:

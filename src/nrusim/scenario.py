@@ -4,6 +4,12 @@ A scenario that loads is a scenario that runs: every cross-reference is
 resolved here (hardware profile names, band ids, node names) and every
 static invariant is checked with the failing rule named in the error, so
 configuration-class failures cannot surface mid-simulation.
+
+The records a scenario is built from are ``NamedTuple`` classes, here and
+in the modules they come from, and each carries its own defaults: a key
+the file leaves out takes ``Cls._field_defaults["field"]``.  (On a named
+tuple, ``Cls.field`` is the field's accessor, not its default.)  Named
+tuples keep ``dataclasses`` out of every cold start.
 """
 
 from __future__ import annotations
@@ -11,9 +17,9 @@ from __future__ import annotations
 import ipaddress
 import math
 import sys
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -28,8 +34,7 @@ SCHEMA_VERSION = 1
 BUNDLED = ("test_a", "test_b", "test_c", "test_d", "north_south", "east_west")
 
 
-@dataclass(frozen=True)
-class CellConfig:
+class CellConfig(NamedTuple):
     band_id: str
     arfcn: int
     bandwidth_mhz: float
@@ -49,8 +54,7 @@ class CellConfig:
             return math.inf
 
 
-@dataclass(frozen=True)
-class GnbNode:
+class GnbNode(NamedTuple):
     name: str
     host: HostModel
     sdr: SdrModel
@@ -58,8 +62,7 @@ class GnbNode:
     on_air: bool = True
 
 
-@dataclass(frozen=True)
-class UeNode:
+class UeNode(NamedTuple):
     name: str
     host: HostModel
     sdr: SdrModel
@@ -69,8 +72,7 @@ class UeNode:
     unprovisioned: bool = False
 
 
-@dataclass(frozen=True)
-class PingPlan:
+class PingPlan(NamedTuple):
     label: str
     src: str
     dst: str  # node name, "core-gateway", "external", or a literal IPv4
@@ -78,23 +80,20 @@ class PingPlan:
     interval_ms: int = 200
 
 
-@dataclass(frozen=True)
-class ThroughputPlan:
+class ThroughputPlan(NamedTuple):
     label: str
     ue: str
     direction: str  # "UL" | "DL"
     duration_s: int = 30
 
 
-@dataclass(frozen=True)
-class ExternalHostConfig:
+class ExternalHostConfig(NamedTuple):
     address: str = "142.250.204.4"
     one_way_delay_us: int = 5000
     ttl: int = 117
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     seed: int
     cell: CellConfig
@@ -106,7 +105,7 @@ class Scenario:
     external: ExternalHostConfig
     occupancy: ChannelOccupancy
     taps: list[str]
-    notes: list[str] = field(default_factory=list)
+    notes: list[str]  # what the loader defaulted or overrode, for the CLI to print
 
     def node(self, name: str) -> GnbNode | UeNode:
         for node in self.nodes:
@@ -196,7 +195,8 @@ def _parse_medium(raw: dict, context: str) -> LinkMedium:
     elif kind == "cable":
         medium = Cable(
             length_cm=_field(raw, "length_cm", context, float),
-            attenuator_db=_field(raw, "attenuator_db", context, float, Cable.attenuator_db),
+            attenuator_db=_field(raw, "attenuator_db", context, float,
+                                 Cable._field_defaults["attenuator_db"]),
         )
     else:
         raise ScenarioError(f"{context}: unknown medium kind {kind!r}")
@@ -243,7 +243,7 @@ def _subscriber(row: dict, idx: int) -> SubscriberRecord:
     row = dict(row)
     record = SubscriberRecord(
         imsi=_field(row, "imsi", context),
-        enabled=_field(row, "enabled", context, bool, SubscriberRecord.enabled),
+        enabled=_field(row, "enabled", context, bool, SubscriberRecord._field_defaults["enabled"]),
     )
     _done(row, context)
     return record
@@ -257,20 +257,22 @@ def _parse_cell(raw: dict) -> CellConfig:
     tdd_raw = _field(raw, "tdd", "cell", dict, {})
     lbt_raw = _field(raw, "lbt", "cell", dict, {})
     scs_khz = _field(raw, "scs_khz", "cell", int, 30)
+    tdd_default, lbt_default = TddConfig._field_defaults, LbtConfig._field_defaults
     try:
         tdd = TddConfig(
-            period_slots=_field(tdd_raw, "period_slots", "cell.tdd", int, TddConfig.period_slots),
-            dl_slots=_field(tdd_raw, "dl_slots", "cell.tdd", int, TddConfig.dl_slots),
-            ul_slots=_field(tdd_raw, "ul_slots", "cell.tdd", int, TddConfig.ul_slots),
+            period_slots=_field(tdd_raw, "period_slots", "cell.tdd", int,
+                                tdd_default["period_slots"]),
+            dl_slots=_field(tdd_raw, "dl_slots", "cell.tdd", int, tdd_default["dl_slots"]),
+            ul_slots=_field(tdd_raw, "ul_slots", "cell.tdd", int, tdd_default["ul_slots"]),
             slot_us=slot_duration_us(scs_khz),
         )
         lbt = LbtConfig(
             cca_threshold_dbm=_field(lbt_raw, "cca_threshold_dbm", "cell.lbt", float,
-                                     LbtConfig.cca_threshold_dbm),
+                                     lbt_default["cca_threshold_dbm"]),
             cca_duration_us=_field(lbt_raw, "cca_duration_us", "cell.lbt", int,
-                                   LbtConfig.cca_duration_us),
-            cw_min=_field(lbt_raw, "cw_min", "cell.lbt", int, LbtConfig.cw_min),
-            cw_max=_field(lbt_raw, "cw_max", "cell.lbt", int, LbtConfig.cw_max),
+                                   lbt_default["cca_duration_us"]),
+            cw_min=_field(lbt_raw, "cw_min", "cell.lbt", int, lbt_default["cw_min"]),
+            cw_max=_field(lbt_raw, "cw_max", "cell.lbt", int, lbt_default["cw_max"]),
         )
     except ConfigError as exc:
         raise ScenarioError(f"cell: {exc}") from None
@@ -333,7 +335,8 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     if "seed" not in raw:
         notes.append("seed defaulted to 0")
     seed = _field(raw, "seed", name, int, 0)
-    duration_s = _field(raw, "duration_s", name, int, ThroughputPlan.duration_s, low=0)
+    duration_s = _field(raw, "duration_s", name, int, ThroughputPlan._field_defaults["duration_s"],
+                        low=0)
     jurisdiction = _field(raw, "jurisdiction", name, str, "AU")
     allow_noncompliant = _field(raw, "allow_noncompliant", name, bool, False)
 
@@ -342,12 +345,13 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     carrier_mhz = arfcn_to_frequency(cell.arfcn)
 
     core_raw = _field(raw, "core", name, dict)
+    core_default = CoreConfig._field_defaults
     try:
         core = CoreConfig(
-            core_subnet=_field(core_raw, "subnet", "core", str, CoreConfig.core_subnet),
-            amf_address=_field(core_raw, "amf_address", "core", str, CoreConfig.amf_address),
-            upf_address=_field(core_raw, "upf_address", "core", str, CoreConfig.upf_address),
-            ue_pool_cidr=_field(core_raw, "ue_pool", "core", str, CoreConfig.ue_pool_cidr),
+            core_subnet=_field(core_raw, "subnet", "core", str, core_default["core_subnet"]),
+            amf_address=_field(core_raw, "amf_address", "core", str, core_default["amf_address"]),
+            upf_address=_field(core_raw, "upf_address", "core", str, core_default["upf_address"]),
+            ue_pool_cidr=_field(core_raw, "ue_pool", "core", str, core_default["ue_pool_cidr"]),
         )
         subscribers = tuple(_subscriber(row, idx) for idx, row
                             in enumerate(_entries(core_raw, "subscribers", "core", [])))
@@ -394,7 +398,8 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
                                     f"{n3_sources[source]}'s N3 source")
             n3_sources[source] = node_name
             gnbs[node_name] = GnbNode(node_name, host, sdr, source,
-                                      _field(node_raw, "on_air", context, bool, GnbNode.on_air))
+                                      _field(node_raw, "on_air", context, bool,
+                                             GnbNode._field_defaults["on_air"]))
         else:
             node = ues[node_name] = UeNode(
                 node_name, host, sdr,
@@ -402,7 +407,7 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
                 gnb=_field(node_raw, "gnb", context),
                 medium=medium,
                 unprovisioned=_field(node_raw, "unprovisioned", context, bool,
-                                     UeNode.unprovisioned),
+                                     UeNode._field_defaults["unprovisioned"]),
             )
             if node.imsi not in provisioned and not node.unprovisioned:
                 raise ScenarioError(
@@ -439,9 +444,10 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
                     src=src,
                     dst=dst,
                     # ICMP sequence numbers are 16 bits wide.
-                    count=_field(step, "count", context, int, PingPlan.count, low=0, high=0x10000),
-                    interval_ms=_field(step, "interval_ms", context, int, PingPlan.interval_ms,
-                                       low=0),
+                    count=_field(step, "count", context, int, PingPlan._field_defaults["count"],
+                                 low=0, high=0x10000),
+                    interval_ms=_field(step, "interval_ms", context, int,
+                                       PingPlan._field_defaults["interval_ms"], low=0),
                 )
             )
         elif probe == "throughput":
@@ -470,11 +476,12 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
         labels[label] = idx
 
     ext_raw = _field(raw, "external_host", name, dict, {})
+    ext_default = ExternalHostConfig._field_defaults
     external = ExternalHostConfig(
-        address=_field(ext_raw, "address", "external_host", _ipv4, ExternalHostConfig.address),
+        address=_field(ext_raw, "address", "external_host", _ipv4, ext_default["address"]),
         one_way_delay_us=_field(ext_raw, "one_way_delay_us", "external_host", int,
-                                ExternalHostConfig.one_way_delay_us, low=0),
-        ttl=_field(ext_raw, "ttl", "external_host", int, ExternalHostConfig.ttl, low=0, high=255),
+                                ext_default["one_way_delay_us"], low=0),
+        ttl=_field(ext_raw, "ttl", "external_host", int, ext_default["ttl"], low=0, high=255),
     )
     _done(ext_raw, "external_host")
     # Either would answer the external pings itself, at another RTT than N6's.

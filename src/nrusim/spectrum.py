@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ConfigError, OffRasterError, RasterRangeError
+from .errors import CheckedRecord, ConfigError, OffRasterError, RasterRangeError
 from .yamlio import load_data, shipped
 
 KHZ_PER_MHZ = 1000
@@ -119,15 +119,18 @@ def gscn_to_ss_frequency(gscn: int) -> float:
     return gscn_to_khz(gscn) / KHZ_PER_MHZ
 
 
-@dataclass(frozen=True)
-class RasterSpan:
-    """An inclusive `first - <step> - last` index range."""
-
+class _RasterSpanFields(NamedTuple):
     first: int
     step: int
     last: int
 
-    def __post_init__(self):
+
+class RasterSpan(CheckedRecord, _RasterSpanFields):
+    """An inclusive `first - <step> - last` index range."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.step <= 0:
             raise ConfigError(f"raster step must be positive, got {self.step}")
         if self.first > self.last:
@@ -144,8 +147,7 @@ class RasterSpan:
         return range(self.first, self.last + 1, self.step)
 
 
-@dataclass(frozen=True)
-class ChannelRaster:
+class ChannelRaster(NamedTuple):
     """One channel-raster row of a band: granularity plus UL/DL spans."""
 
     delta_f_khz: int
@@ -153,8 +155,7 @@ class ChannelRaster:
     dl: RasterSpan
 
 
-@dataclass(frozen=True)
-class SyncRasterEntry:
+class SyncRasterEntry(NamedTuple):
     """One sync-raster row: SS block numerology and its GSCN span."""
 
     scs_khz: int
@@ -162,16 +163,19 @@ class SyncRasterEntry:
     gscn: RasterSpan
 
 
-@dataclass(frozen=True)
-class BandPlan:
-    """A band's channel raster rows, sync raster rows, and duplex mode."""
-
+class _BandPlanFields(NamedTuple):
     band_id: str
     duplex: str  # "tdd" | "fdd" | "sdl"
     rasters: tuple[ChannelRaster, ...]
     sync_entries: tuple[SyncRasterEntry, ...]
 
-    def __post_init__(self):
+
+class BandPlan(CheckedRecord, _BandPlanFields):
+    """A band's channel raster rows, sync raster rows, and duplex mode."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not self.rasters:
             raise ConfigError(f"band {self.band_id} has no channel raster rows")
         if self.duplex == "tdd":
@@ -249,10 +253,7 @@ def _scan_candidates(band: BandPlan) -> tuple[tuple[int, float], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RegulatoryRule:
-    """One jurisdiction rule over a frequency range."""
-
+class _RegulatoryRuleFields(NamedTuple):
     jurisdiction: str
     freq_low_khz: int
     freq_high_khz: int
@@ -260,24 +261,33 @@ class RegulatoryRule:
     indoor_only: bool = False
     note: str = ""
 
-    def __post_init__(self):
+
+class RegulatoryRule(CheckedRecord, _RegulatoryRuleFields):
+    """One jurisdiction rule over a frequency range."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.freq_low_khz >= self.freq_high_khz:
             raise ConfigError("regulatory rule has freq_low >= freq_high")
         if self.max_mean_eirp_mw is not None and self.max_mean_eirp_mw <= 0:
             raise ConfigError("bounded EIRP limit must be positive")
 
 
-@dataclass(frozen=True)
-class ChannelAssignment:
-    """A concrete carrier assignment to run regulatory checks against."""
-
+class _ChannelAssignmentFields(NamedTuple):
     band_id: str
     arfcn: int
     bandwidth_mhz: float
     eirp_mw: float
     indoor: bool = False
 
-    def __post_init__(self):
+
+class ChannelAssignment(CheckedRecord, _ChannelAssignmentFields):
+    """A concrete carrier assignment to run regulatory checks against."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not (math.isfinite(self.bandwidth_mhz) and self.bandwidth_mhz > 0):
             raise ConfigError(
                 f"bandwidth must be positive and finite, got {self.bandwidth_mhz} MHz"
@@ -292,8 +302,7 @@ class ChannelAssignment:
         return centre - half, centre + half
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # "eirp" | "indoor"
     rule: RegulatoryRule
     message: str

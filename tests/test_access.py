@@ -23,7 +23,7 @@ from nrusim.access import (
 from nrusim.corenet import CoreConfig, CoreNetwork, SubscriberRecord
 from nrusim.errors import ConfigError, ScenarioError
 from nrusim.scenario import _parse_bursts
-from nrusim.spectrum import get_band
+from nrusim.spectrum import get_band, load_band_plans, ss_scan_candidates
 
 IMSI = "001010000000001"
 N46 = get_band("n46")
@@ -42,6 +42,35 @@ class TestCellSearch:
 
     def test_absent_gnb_scans_everything(self):
         assert ue_cell_search(N46, None) == (None, 538)
+
+    def test_band_without_sync_raster_raises_as_the_walk_did(self):
+        with pytest.raises(ConfigError, match="no sync raster entries"):
+            ue_cell_search(get_band("n47"), 9000)
+
+
+def _walked_cell_search(band, broadcasting_gscn):
+    """Reference: ``ue_cell_search`` as the linear sweep it was before it read a map."""
+    candidates = ss_scan_candidates(band)
+    for steps, (gscn, _freq) in enumerate(candidates, start=1):
+        if gscn == broadcasting_gscn:
+            return gscn, steps
+    return None, len(candidates)
+
+
+@st.composite
+def _band_and_gscn(draw):
+    band = draw(st.sampled_from([b for b in load_band_plans().values() if b.sync_entries]))
+    low, high = ss_scan_candidates(band)[0][0], ss_scan_candidates(band)[-1][0]
+    return band, draw(st.none() | st.integers(low - 3, high + 3))
+
+
+class TestCellSearchOracle:
+    # n41's two sync spans overlap and n28's are listed out of order.
+    @given(_band_and_gscn())
+    @settings(max_examples=400)
+    def test_same_answer_as_the_walk(self, case):
+        band, gscn = case
+        assert ue_cell_search(band, gscn) == _walked_cell_search(band, gscn)
 
 
 class TestAttach:

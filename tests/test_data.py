@@ -6,7 +6,6 @@ values as written and nothing converted.  So a table value of another kind
 models as it is; these tests pin that none ships.
 """
 
-import dataclasses
 import types
 import typing
 
@@ -36,15 +35,14 @@ def _fits(value, hint) -> bool:
         return type(value) is tuple and all(_fits(item, args[0]) for item in value)
     if hint is type(None):
         return value is None
-    return type(value) is hint and (not dataclasses.is_dataclass(hint) or not _misfits(value))
+    return type(value) is hint and (not hasattr(hint, "_fields") or not _misfits(value))
 
 
 def _misfits(record) -> list[str]:
-    """The fields of a dataclass record whose values are not of their annotated kind."""
+    """The fields of a named-tuple record whose values are not of their annotated kind."""
     hints = typing.get_type_hints(type(record))
-    values = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
-    return [f"{type(record).__name__}.{name} = {value!r}" for name, value in values.items()
-            if not _fits(value, hints[name])]
+    return [f"{type(record).__name__}.{name} = {value!r}"
+            for name, value in record._asdict().items() if not _fits(value, hints[name])]
 
 
 def _shipped_records():

@@ -1,3 +1,4 @@
+import statistics
 from typing import Iterable
 
 import pytest
@@ -59,6 +60,18 @@ class TestPingStats:
     def test_received_cannot_exceed_sent(self):
         with pytest.raises(ValueError):
             PingStats(sent=1, received=2)
+
+    # Reference: the statistics.fmean fold ping_stats made before it summed with math.fsum.
+    @given(st.lists(st.floats(0.0, 1e6) | st.sampled_from((0.1, 0.2, 0.3, 1e-9)), min_size=1,
+                    max_size=60))
+    @settings(max_examples=400)
+    def test_same_stats_as_the_fmean_fold(self, rtts):
+        avg = statistics.fmean(rtts)
+        mdev = statistics.fmean(abs(r - avg) for r in rtts)
+        expected = PingStats(sent=len(rtts), received=len(rtts), min_ms=round(min(rtts), 3),
+                             max_ms=round(max(rtts), 3), avg_ms=round(avg, 3),
+                             mdev_ms=round(mdev, 3))
+        assert ping_stats(len(rtts), rtts) == expected
 
 
 class TestCapacityModel:

@@ -33,3 +33,17 @@ def test_readme_quickstart_runs(tmp_path):
                           timeout=60, env=ENV, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("5250.0\n")
+
+
+def test_loading_every_bundled_scenario_imports_neither_dataclasses_nor_logging():
+    # Each costs every cold start milliseconds; pytest's own imports stay out of a fresh process.
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import nrusim.scenario, nrusim.calibration\n"
+            "for name in nrusim.scenario.BUNDLED:\n"
+            "    nrusim.scenario.load_bundled(name)\n"
+            "nrusim.calibration.load_calibration()\n"
+            "print(*sorted({'dataclasses', 'logging'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=ENV, check=True)
+    assert proc.stdout.split() == []
