@@ -270,12 +270,14 @@ def schedule_tdd(cfg: TddConfig, slot_index: int) -> str:
     return SLOT_UL
 
 
-def next_transmit_time(cfg: TddConfig, direction: str, t_us: int) -> int:
+def next_transmit_time(cfg: TddConfig | tuple[int, int, int, int], direction: str,
+                       t_us: int) -> int:
     """Earliest instant at/after ``t_us`` inside a slot of that direction.
 
     Each direction holds one run of slots per period: DL from slot 0, UL
     ending the period.  So the answer is ``t_us`` inside the run, else the
-    start of the run's next occurrence.
+    start of the run's next occurrence.  ``cfg`` may be the plain tuple of
+    a ``TddConfig``'s fields, which unpacks faster.
     """
     period, dl_slots, ul_slots, slot_us = cfg  # one unpack: a named field read costs more
     slot = t_us // slot_us

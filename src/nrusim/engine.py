@@ -48,13 +48,19 @@ def derive_rng(seed: int, label: str) -> Random:
 
 
 class EventLog:
-    """Append-only record list; one JSON object per record when exported."""
+    """Append-only record list; one JSON object per record when exported.
+
+    ``append(record)`` keeps the dict its call site built, as given: one
+    dict display, ``{"t_us": ..., "actor": ..., "action": ..., **fields}``.
+    The log does not copy it, so a caller builds a new dict per record and
+    never reuses or changes one after logging it.  ``append`` is the
+    record list's own bound method, which skips a Python-level call per
+    record.
+    """
 
     def __init__(self):
         self.records: list[dict[str, Any]] = []
-
-    def append(self, t_us: int, actor: str, action: str, **fields: Any) -> None:
-        self.records.append({"t_us": t_us, "actor": actor, "action": action, **fields})
+        self.append: Callable[[dict[str, Any]], None] = self.records.append
 
     def __len__(self) -> int:
         return len(self.records)

@@ -200,14 +200,16 @@ class ThroughputProbe:
         ticks_per_window = 1_000_000 // tick_us
         bytes_per_tick = round(self.capacity_mbps * 1e6 * self.calib.tick_ms / 1000 / 8)
         sub_ticks = ticks_per_window // self.SUBS_PER_WINDOW
-        ue, direction = self.plan.ue, self.plan.direction  # read once, not per tick
+        # Read and bound once, not per tick.
+        ue, direction = self.plan.ue, self.plan.direction
+        schedule_tick, on_delivered = net.schedule_bulk_tick, self._on_delivered
         for window in range(self.plan.duration_s):
             burst = self.rng.uniform(self.calib.window_burst_low, self.calib.window_burst_high)
             on_ticks = round(burst * ticks_per_window)
+            base_us = start_us + window * 1_000_000
             for j in range(on_ticks):
-                at = start_us + window * 1_000_000 + j * tick_us
-                tag = (window, j // sub_ticks)
-                net.schedule_bulk_tick(ue, direction, at, bytes_per_tick, tag, self._on_delivered)
+                schedule_tick(ue, direction, base_us + j * tick_us, bytes_per_tick,
+                              (window, j // sub_ticks), on_delivered)
         return start_us + self.plan.duration_s * 1_000_000 + 1_000_000
 
     def _on_delivered(self, tag: tuple[int, int], nbytes: int) -> None:

@@ -22,7 +22,14 @@ Packets travel as ``InnerPacket`` named tuples, and taps keep them as
 packets too: wire bytes are made only at pcap export or on request, by
 ``tap_frames``.
 The event loop breaks timestamp ties by insertion order, so the walk
-keeps one ``schedule_at`` per stop, in path order.
+keeps one ``schedule_at`` per stop, in path order.  A bulk tick is a
+``functools.partial`` of ``_bulk`` when scheduled and of ``_bulk_rx`` on
+arrival, so a tick builds no closure.
+
+Each record is one dict display built by its call site,
+``{"t_us": ..., "actor": ..., "action": ..., **fields}``, which
+``EventLog.append`` keeps as given: a record is never reused or changed
+once logged.
 
 IP idents come from one counter per run, 1 to 65535 and round again
 (``_next_ident``).  A packet that enters the access leg (``_send``) or
@@ -35,6 +42,7 @@ place, as the frame passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from random import Random
 
 from . import access, rflink, userplane
@@ -130,7 +138,7 @@ class SimNetwork:
         # Read by every radio hop; the scenario and calibration never change in a run.
         self._occupancy = scenario.occupancy
         self._lbt = scenario.cell.lbt
-        self._tdd = scenario.cell.tdd
+        self._tdd = tuple(scenario.cell.tdd)  # a plain tuple unpacks faster than a named one
         self._jitter_max_us = calib.jitter_max_us
         self.attach_complete_us = 0
 
@@ -146,32 +154,36 @@ class SimNetwork:
         cursor = 1000
         for ue in self.scenario.ues():
             link = self.links[ue.name]
-            self.log.append(cursor, ue.name, "link_budget",
-                            rsrp_dbm=round(link.rsrp_dbm, 2),
-                            required_msps=link.required_msps,
-                            drop_fraction=link.drop_fraction,
-                            viable=link.viable)
+            self.log.append({"t_us": cursor, "actor": ue.name, "action": "link_budget",
+                             "rsrp_dbm": round(link.rsrp_dbm, 2),
+                             "required_msps": link.required_msps,
+                             "drop_fraction": link.drop_fraction,
+                             "viable": link.viable})
             gscn = self.scenario.cell.ssb_gscn if link.gnb.on_air else None
             state = access.attach(band, gscn, self.core, ue.imsi, ue_id=ue.name)
             t = cursor
-            self.log.append(t, ue.name, "attach_phase", phase="SCANNING")
+            self.log.append({"t_us": t, "actor": ue.name, "action": "attach_phase",
+                             "phase": "SCANNING"})
             t += state.scan_steps * self.calib.scan_step_us
             if state.phase >= access.UePhase.SYNCED:
-                self.log.append(t, ue.name, "attach_phase", phase="SYNCED",
-                                gscn=state.found_gscn, scan_steps=state.scan_steps)
+                self.log.append({"t_us": t, "actor": ue.name, "action": "attach_phase",
+                                 "phase": "SYNCED", "gscn": state.found_gscn,
+                                 "scan_steps": state.scan_steps})
             if state.phase >= access.UePhase.REGISTERED:
                 t += self.calib.registration_us
-                self.log.append(t, ue.name, "attach_phase", phase="REGISTERED", imsi=ue.imsi)
+                self.log.append({"t_us": t, "actor": ue.name, "action": "attach_phase",
+                                 "phase": "REGISTERED", "imsi": ue.imsi})
             if state.phase >= access.UePhase.SESSION_ACTIVE:
                 t += self.calib.session_setup_us
-                self.log.append(t, ue.name, "attach_phase", phase="SESSION_ACTIVE",
-                                ip=state.session.ip,
-                                interface=state.session.interface,
-                                teid_uplink=state.session.teid_uplink,
-                                teid_downlink=state.session.teid_downlink)
+                self.log.append({"t_us": t, "actor": ue.name, "action": "attach_phase",
+                                 "phase": "SESSION_ACTIVE",
+                                 "ip": state.session.ip,
+                                 "interface": state.session.interface,
+                                 "teid_uplink": state.session.teid_uplink,
+                                 "teid_downlink": state.session.teid_downlink})
             if state.failure:
-                self.log.append(t, ue.name, "attach_failed", reason=state.failure,
-                                phase=state.phase.name)
+                self.log.append({"t_us": t, "actor": ue.name, "action": "attach_failed",
+                                 "reason": state.failure, "phase": state.phase.name})
             cursor = t + 10_000
         self.attach_complete_us = cursor + 100_000
         self.gateway = str(self.core.pool.gateway)
@@ -200,17 +212,19 @@ class SimNetwork:
         def emit():
             session = self.core.sessions.get(ue_name)
             if session is None:
-                self.log.append(self.loop.now_us, ue_name, "ping_no_route", seq=seq)
+                self.log.append({"t_us": self.loop.now_us, "actor": ue_name,
+                                 "action": "ping_no_route", "seq": seq})
                 return
             inner = icmp_echo_request(session.ip, dst_ip, ident, seq)
-            self.log.append(self.loop.now_us, ue_name, "ping_tx", dst=dst_ip, seq=seq, ident=ident)
+            self.log.append({"t_us": self.loop.now_us, "actor": ue_name, "action": "ping_tx",
+                             "dst": dst_ip, "seq": seq, "ident": ident})
             self._send(ue_name, "UL", inner, rng)
 
         self.loop.schedule_at(at_us, emit)
 
     def schedule_bulk_tick(self, ue_name, direction, at_us, nbytes, tag, delivered_cb) -> None:
-        self.loop.schedule_at(at_us, lambda: self._bulk(ue_name, direction, nbytes, tag,
-                                                        delivered_cb))
+        self.loop.schedule_at(at_us, partial(self._bulk, ue_name, direction, nbytes, tag,
+                                             delivered_cb))
 
     # -- access leg -----------------------------------------------------------------
 
@@ -247,17 +261,21 @@ class SimNetwork:
         if ue_name not in self.core.sessions:
             return
         link = self.links[ue_name]
+        now = self.loop.now_us
         sender, receiver = (ue_name, "core") if direction == "UL" else ("core", ue_name)
-        self.log.append(self.loop.now_us, sender, "bulk_tx", direction=direction, size=nbytes,
-                        window=tag[0], sub=tag[1])
+        self.log.append({"t_us": now, "actor": sender, "action": "bulk_tx",
+                         "direction": direction, "size": nbytes, "window": tag[0],
+                         "sub": tag[1]})
         delivered = nbytes if link.drop_fraction == 0 else round(nbytes * (1 - link.drop_fraction))
+        self._traverse(link, direction, now, nbytes,
+                       partial(self._bulk_rx, receiver, direction, delivered, tag, delivered_cb))
 
-        def rx():
-            self.log.append(self.loop.now_us, receiver, "bulk_rx", direction=direction,
-                            size=delivered, window=tag[0], sub=tag[1])
-            delivered_cb(tag, delivered)
-
-        self._traverse(link, direction, self.loop.now_us, nbytes, rx)
+    def _bulk_rx(self, receiver, direction, delivered, tag, delivered_cb) -> None:
+        """A bulk tick arrives: log what survived and hand it to the probe."""
+        self.log.append({"t_us": self.loop.now_us, "actor": receiver, "action": "bulk_rx",
+                         "direction": direction, "size": delivered, "window": tag[0],
+                         "sub": tag[1]})
+        delivered_cb(tag, delivered)
 
     def _traverse(self, link: RadioLink, direction: str, t: int, size: int, done,
                   rng: Random | None = None, pkt: InnerPacket | None = None,
@@ -274,8 +292,9 @@ class SimNetwork:
                 gate = access.lbt_gate(self._occupancy, self._lbt, t, link.rng)
                 t = access.next_transmit_time(self._tdd, direction, gate.grant_us)
                 if not relay_passes(link.viable, size):
-                    self.log.append(self.loop.now_us, link.gnb.name, "radio_drop",
-                                    direction=direction, size=size)
+                    self.log.append({"t_us": self.loop.now_us, "actor": link.gnb.name,
+                                     "action": "radio_drop", "direction": direction,
+                                     "size": size})
                     return
                 t += link.radio_us
                 if rng is not None:
@@ -303,8 +322,9 @@ class SimNetwork:
         uplink = direction == "UL"
         session = self.core.sessions.get(link.ue.name)
         teid = (session.teid_uplink if uplink else session.teid_downlink) if session else 0
-        self.log.append(t, link.gnb.name, "gtpu_ul" if uplink else "gtpu_dl", teid=teid,
-                        size=size)
+        self.log.append({"t_us": t, "actor": link.gnb.name,
+                         "action": "gtpu_ul" if uplink else "gtpu_dl", "teid": teid,
+                         "size": size})
         entries = self.taps.get(link.n3_tap)
         if entries is not None:
             gnb_addr, upf_addr = link.gnb.n3_address, self.core.config.upf_address
@@ -320,7 +340,8 @@ class SimNetwork:
         now = self.loop.now_us
         if inner.dst in (self.gateway, self.core.config.upf_address):
             if inner.icmp_type == userplane.ICMP_ECHO_REQUEST:
-                self.log.append(now, "core", "core_echo", src=inner.src, seq=inner.icmp_seq)
+                self.log.append({"t_us": now, "actor": "core", "action": "core_echo",
+                                 "src": inner.src, "seq": inner.icmp_seq})
                 self._upf_ingress(echo_reply_for(inner), rng)
             return
         decision = upf_forward(inner, self.routes)
@@ -329,20 +350,21 @@ class SimNetwork:
     def _apply_forward(self, decision: ForwardDecision, inner: InnerPacket, rng: Random) -> None:
         now = self.loop.now_us
         if decision.action == userplane.FORWARD_DROP:
-            self.log.append(now, "upf", "upf_drop", dst=inner.dst)
+            self.log.append({"t_us": now, "actor": "upf", "action": "upf_drop",
+                             "dst": inner.dst})
             return
         if decision.action == userplane.FORWARD_TUNNEL:
             session = decision.session
-            self.log.append(now, "upf", "upf_tunnel", dst=inner.dst,
-                            teid=session.teid_downlink)
+            self.log.append({"t_us": now, "actor": "upf", "action": "upf_tunnel",
+                             "dst": inner.dst, "teid": session.teid_downlink})
             self._send(session.ue_id, "DL", decision.packet, rng)
             return
         # Egress toward the external network with the UPF as visible source.
         rewritten = decision.packet
         if inner.protocol == "ICMP":
             self._nat[("ICMP", inner.icmp_id)] = inner.src
-        self.log.append(now, "upf", "upf_egress", dst=rewritten.dst,
-                        visible_src=rewritten.src)
+        self.log.append({"t_us": now, "actor": "upf", "action": "upf_egress",
+                         "dst": rewritten.dst, "visible_src": rewritten.src})
         self._tap("n6", rewritten)
         self.loop.schedule_after(self.scenario.external.one_way_delay_us,
                                  lambda: self._external_ingress(rewritten, rng))
@@ -353,7 +375,8 @@ class SimNetwork:
         if pkt.icmp_type != userplane.ICMP_ECHO_REQUEST:
             return
         reply = echo_reply_for(pkt, ttl=self.scenario.external.ttl)
-        self.log.append(now, "external", "external_reply", to=reply.dst, seq=reply.icmp_seq)
+        self.log.append({"t_us": now, "actor": "external", "action": "external_reply",
+                         "to": reply.dst, "seq": reply.icmp_seq})
         self.loop.schedule_after(self.scenario.external.one_way_delay_us,
                                  lambda: self._n6_ingress(reply, rng))
 
@@ -374,12 +397,14 @@ class SimNetwork:
         now = self.loop.now_us
         self._tap(self.links[ue_name].ue_tap, inner)
         if inner.icmp_type == userplane.ICMP_ECHO_REPLY:
-            self.log.append(now, ue_name, "rtt_sample", ident=inner.icmp_id,
-                            seq=inner.icmp_seq, session=flow_session_id("ICMP", inner.icmp_id))
+            self.log.append({"t_us": now, "actor": ue_name, "action": "rtt_sample",
+                             "ident": inner.icmp_id, "seq": inner.icmp_seq,
+                             "session": flow_session_id("ICMP", inner.icmp_id)})
             return
         if inner.icmp_type == userplane.ICMP_ECHO_REQUEST:
             # Standard stack behaviour: answer pings addressed to us.
-            self.log.append(now, ue_name, "ue_echo", src=inner.src, seq=inner.icmp_seq)
+            self.log.append({"t_us": now, "actor": ue_name, "action": "ue_echo",
+                             "src": inner.src, "seq": inner.icmp_seq})
             self._send(ue_name, "UL", echo_reply_for(inner), rng)
 
     # -- taps ---------------------------------------------------------------------

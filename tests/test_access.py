@@ -457,6 +457,22 @@ class TestTdd:
                 expected = _searched_transmit_time(cfg, direction, t)
                 assert next_transmit_time(cfg, direction, t) == expected, (direction, t)
 
+    @given(_tdd_configs(), st.sampled_from(("DL", "UL", "dl", "GUARD")),
+           st.lists(st.integers(0, 10**9), min_size=1, max_size=20))
+    @settings(max_examples=200)
+    def test_plain_tuple_gives_the_named_tuples_answers(self, cfg, direction, times):
+        """``SimNetwork`` hands the hot path ``tuple(cfg)``: same answers, same errors."""
+        def answer(tdd, t):
+            try:
+                return next_transmit_time(tdd, direction, t)
+            except ConfigError as error:
+                return str(error)
+
+        plain = tuple(cfg)
+        assert type(plain) is tuple
+        for t in times:
+            assert answer(plain, t) == answer(cfg, t), t
+
     def test_slot_duration_follows_scs(self):
         assert slot_duration_us(15) == 1000
         assert slot_duration_us(30) == 500

@@ -64,7 +64,7 @@ class TestDerivedStreams:
 class TestEventLog:
     def test_jsonl_round_trips_sorted_keys(self):
         log = EventLog()
-        log.append(10, "ue1", "ping_tx", seq=0, dst="12.1.1.1")
+        log.append({"t_us": 10, "actor": "ue1", "action": "ping_tx", "seq": 0, "dst": "12.1.1.1"})
         text = log.to_jsonl()
         assert text == '{"action": "ping_tx", "actor": "ue1", "dst": "12.1.1.1", "seq": 0, "t_us": 10}\n'
 

@@ -265,6 +265,15 @@ def _dumps_per_record(records) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS) + sorted(INLINE_CASES))
+def test_every_logged_record_is_its_own_dict(bundled_results, name):
+    """``EventLog.append`` keeps the caller's dict, so no call site may log one twice."""
+    result = bundled_results[name] if name in BUNDLED_DIGESTS else _inline_result(name)
+    records = result.log.records
+    assert records and all(type(record) is dict for record in records)
+    assert len({id(record) for record in records}) == len(records)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS) + sorted(INLINE_CASES))
 def test_shared_encoder_writes_the_same_log(bundled_results, name):
     result = bundled_results[name] if name in BUNDLED_DIGESTS else _inline_result(name)
     assert result.log.records

@@ -15,6 +15,11 @@ Two earlier paths are kept verbatim as oracles:
 Over generated ping scenarios with random tap subsets and over the golden
 cases, every path must capture the same frames, fold the same ``passive``
 section and log the same records.
+
+``ClosureBulkSimNetwork`` keeps the bulk tick as it was before ticks
+became ``functools.partial``s: a lambda per scheduled tick and an ``rx``
+closure per arrival.  Over generated throughput scenarios and the golden
+cases, it must write the same ``events.jsonl`` text and report.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from nrusim.userplane import (
 )
 from tests.test_golden import BUNDLED_DIGESTS, INLINE_CASES, _inline_result
 from tests.test_runner import ping_scenarios
+from tests.test_scenario import variant
 
 VALID_TAPS = ["ue:ue1", "ue:ue2", "n3:gnb1", "n6"]
 
@@ -57,8 +63,9 @@ class ByteTapSimNetwork(SimNetwork):
         uplink = direction == "UL"
         session = self.core.sessions.get(link.ue.name)
         teid = (session.teid_uplink if uplink else session.teid_downlink) if session else 0
-        self.log.append(t, link.gnb.name, "gtpu_ul" if uplink else "gtpu_dl", teid=teid,
-                        size=size)
+        self.log.append({"t_us": t, "actor": link.gnb.name,
+                         "action": "gtpu_ul" if uplink else "gtpu_dl", "teid": teid,
+                         "size": size})
         tap = f"n3:{link.gnb.name}"
         if tap in self.taps:
             gnb_addr = link.gnb.n3_address or self.core.config.amf_address
@@ -100,8 +107,9 @@ class EagerSimNetwork(ByteTapSimNetwork):
                 gate = access.lbt_gate(self.scenario.occupancy, self.scenario.cell.lbt, t, link.rng)
                 t = access.next_transmit_time(self.scenario.cell.tdd, direction, gate.grant_us)
                 if not relay_passes(link.viable, size):
-                    self.log.append(self.loop.now_us, link.gnb.name, "radio_drop",
-                                    direction=direction, size=size)
+                    self.log.append({"t_us": self.loop.now_us, "actor": link.gnb.name,
+                                     "action": "radio_drop", "direction": direction,
+                                     "size": size})
                     return
                 t += link.radio_us
                 if rng is not None:
@@ -124,8 +132,9 @@ class EagerSimNetwork(ByteTapSimNetwork):
         uplink = direction == "UL"
         session = self.core.sessions.get(link.ue.name)
         teid = (session.teid_uplink if uplink else session.teid_downlink) if session else 0
-        self.log.append(t, link.gnb.name, "gtpu_ul" if uplink else "gtpu_dl", teid=teid,
-                        size=len(wire))
+        self.log.append({"t_us": t, "actor": link.gnb.name,
+                         "action": "gtpu_ul" if uplink else "gtpu_dl", "teid": teid,
+                         "size": len(wire)})
         tap = f"n3:{link.gnb.name}"
         if tap in self.taps:
             gnb_addr = link.gnb.n3_address or self.core.config.amf_address
@@ -246,3 +255,81 @@ def test_passive_monitor_decodes_then_folds_as_the_single_loop():
         assert byte_passive_monitor(mangled).unparsed_frames > 0
         for capture in (frames, mangled):
             assert metrics.passive_monitor(capture) == byte_passive_monitor(capture)
+
+
+class ClosureBulkSimNetwork(SimNetwork):
+    """Schedules each bulk tick as a lambda and logs its arrival from an ``rx`` closure."""
+
+    def schedule_bulk_tick(self, ue_name, direction, at_us, nbytes, tag, delivered_cb) -> None:
+        self.loop.schedule_at(at_us, lambda: self._bulk(ue_name, direction, nbytes, tag,
+                                                        delivered_cb))
+
+    def _bulk(self, ue_name, direction, nbytes, tag, delivered_cb) -> None:
+        if ue_name not in self.core.sessions:
+            return
+        link = self.links[ue_name]
+        sender, receiver = (ue_name, "core") if direction == "UL" else ("core", ue_name)
+        self.log.append({"t_us": self.loop.now_us, "actor": sender, "action": "bulk_tx",
+                         "direction": direction, "size": nbytes, "window": tag[0],
+                         "sub": tag[1]})
+        delivered = nbytes if link.drop_fraction == 0 else round(nbytes * (1 - link.drop_fraction))
+
+        def rx():
+            self.log.append({"t_us": self.loop.now_us, "actor": receiver, "action": "bulk_rx",
+                             "direction": direction, "size": delivered, "window": tag[0],
+                             "sub": tag[1]})
+            delivered_cb(tag, delivered)
+
+        self._traverse(link, direction, self.loop.now_us, nbytes, rx)
+
+
+@st.composite
+def bulk_scenarios(draw) -> dict:
+    """UL and DL throughput plans on ue1 and on an unprovisioned ue2 (whose
+    ticks return early), optionally behind an overloaded gNB host (every
+    tick a ``radio_drop``), under zero or more foreign bursts."""
+    raw = variant(name="bulk_oracle", seed=draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        raw["nodes"][0]["host"] = "nuc-i5-core"
+    raw["nodes"].append({"name": "ue2", "role": "ue", "host": "nuc-i5", "sdr": "b210",
+                         "imsi": "001010000000002", "gnb": "gnb1", "unprovisioned": True,
+                         "medium": {"kind": "cable", "length_cm": 50}})
+    for ue, direction, duration_s in draw(st.lists(st.tuples(
+            st.sampled_from(["ue1", "ue2"]), st.sampled_from(["UL", "DL"]),
+            st.integers(1, 2)), min_size=1, max_size=3)):
+        raw["traffic"].append({"probe": "throughput", "ue": ue, "direction": direction,
+                               "duration_s": duration_s})
+    bursts = draw(st.lists(st.tuples(st.integers(0, 4_000_000), st.integers(1, 200_000),
+                                     st.sampled_from([-80.0, -50.0])), max_size=30))
+    raw["occupancy"] = [{"start_us": start, "end_us": start + length, "power_dbm": power}
+                        for start, length, power in bursts]
+    return raw
+
+
+def closure_bulk_run(scenario) -> runner.RunResult:
+    """``run_scenario`` with the lambda-and-closure bulk ticks."""
+    with mock.patch.object(runner, "SimNetwork", wraps=ClosureBulkSimNetwork) as closure_network:
+        result = runner.run_scenario(scenario)
+    closure_network.assert_called_once()
+    return result
+
+
+def assert_same_text(partial_run: runner.RunResult, closure_run: runner.RunResult) -> None:
+    assert partial_run.events_jsonl() == closure_run.events_jsonl()
+    assert partial_run.report_json() == closure_run.report_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw=bulk_scenarios())
+def test_partial_bulk_ticks_write_what_the_closures_wrote(raw):
+    assert_same_text(runner.run_scenario(scenario_from_dict(raw)),
+                     closure_bulk_run(scenario_from_dict(raw)))
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS) + sorted(INLINE_CASES))
+def test_golden_cases_write_what_the_closure_bulk_ticks_wrote(bundled_results, name):
+    if name in BUNDLED_DIGESTS:
+        result, scenario = bundled_results[name], load_bundled(name)
+    else:
+        result, scenario = _inline_result(name), scenario_from_dict(INLINE_CASES[name][0]())
+    assert_same_text(result, closure_bulk_run(scenario))
