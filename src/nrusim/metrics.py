@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
 from random import Random
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .access import TddConfig
 from .calibration import Calibration
-from .errors import CodecError
+from .errors import CheckedRecord, CodecError
 from .rflink import Cable, LinkMedium, SdrModel
 from .scenario import PingPlan, ThroughputPlan
 from .userplane import (
@@ -36,10 +35,7 @@ from .userplane import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PingStats:
-    """ping-command-shaped summary; timing fields are None with no replies."""
-
+class _PingStatsFields(NamedTuple):
     sent: int
     received: int
     min_ms: float | None = None
@@ -47,7 +43,13 @@ class PingStats:
     avg_ms: float | None = None
     mdev_ms: float | None = None
 
-    def __post_init__(self):
+
+class PingStats(CheckedRecord, _PingStatsFields):
+    """ping-command-shaped summary; timing fields are None with no replies."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.received > self.sent:
             raise ValueError("received cannot exceed sent")
         if self.received:
@@ -76,15 +78,18 @@ def ping_stats(sent: int, rtts_ms: list[float]) -> PingStats:
     )
 
 
-@dataclass(frozen=True)
-class ThroughputStats:
+class _ThroughputStatsFields(NamedTuple):
     direction: str  # "UL" | "DL"
     peak_mbps: float
     avg_low_mbps: float
     avg_high_mbps: float
     delivered_bytes: int = 0
 
-    def __post_init__(self):
+
+class ThroughputStats(CheckedRecord, _ThroughputStatsFields):
+    __slots__ = ()
+
+    def _check(self):
         assert self.avg_low_mbps <= self.avg_high_mbps <= self.peak_mbps + 1e-9, (
             "throughput stats out of order"
         )
@@ -245,8 +250,7 @@ def flow_session_id(protocol: str, flow_key: int | None) -> int:
     return zlib.crc32(f"{protocol}|{flow_key}".encode()) & 0xFFFF
 
 
-@dataclass
-class PassiveSession:
+class PassiveSession(NamedTuple):
     session_id: int
     left: str
     right: str
@@ -254,9 +258,8 @@ class PassiveSession:
     rtt_latest_ms: float | None = None
 
 
-@dataclass
-class MonitorReport:
-    sessions: list[PassiveSession] = field(default_factory=list)
+class MonitorReport(NamedTuple):
+    sessions: list[PassiveSession]
     unparsed_frames: int = 0
 
 
@@ -285,19 +288,20 @@ def passive_monitor(frames: Iterable[tuple[int, bytes]]) -> MonitorReport:
             packets.append((t_us, decode_frame(raw)))
         except CodecError:
             unparsed += 1
-    return fold_sessions(packets, unparsed)
+    return MonitorReport(fold_sessions(packets), unparsed)
 
 
-def fold_sessions(packets: Iterable[tuple], unparsed_frames: int) -> MonitorReport:
+def fold_sessions(packets: Iterable[tuple]) -> list[PassiveSession]:
     """Fold ``(t_us, packet)`` observations into per-flow sessions with latest RTTs.
 
     An observation may carry more fields after those two, as an N3 tap's
     entries carry their tunnel; the fold ignores them.  Sessions are keyed
     by ``flow_session_id``, computed once per ICMP identifier, so two
-    identifiers whose numbers collide share a session.
+    identifiers whose numbers collide share a session.  Each session is
+    folded as a list of ``PassiveSession``'s fields and returned in the
+    order its first packet was seen.
     """
-    report = MonitorReport(unparsed_frames=unparsed_frames)
-    by_id: dict[int, PassiveSession] = {}
+    by_id: dict[int, list] = {}
     sids: dict[int | None, int] = {}
     pending: dict[tuple[int, int], int] = {}
     for entry in packets:
@@ -310,22 +314,17 @@ def fold_sessions(packets: Iterable[tuple], unparsed_frames: int) -> MonitorRepo
         session = by_id.get(sid)
         if session is None:
             request_side = pkt.icmp_type == ICMP_ECHO_REQUEST
-            session = PassiveSession(
-                session_id=sid,
-                left=pkt.src if request_side else pkt.dst,
-                right=pkt.dst if request_side else pkt.src,
-            )
-            by_id[sid] = session
-            report.sessions.append(session)
-        session.packet_count += 1
+            session = by_id[sid] = [sid, pkt.src if request_side else pkt.dst,
+                                    pkt.dst if request_side else pkt.src, 0, None]
+        session[3] += 1  # packet_count
         key = (pkt.icmp_id, pkt.icmp_seq)
         if pkt.icmp_type == ICMP_ECHO_REQUEST:
             pending[key] = t_us
         else:
             sent = pending.pop(key, None)
             if sent is not None and t_us >= sent:
-                session.rtt_latest_ms = round((t_us - sent) / 1000, 3)
-    return report
+                session[4] = round((t_us - sent) / 1000, 3)  # rtt_latest_ms
+    return [PassiveSession._make(session) for session in by_id.values()]
 
 
 def render_monitor(report: MonitorReport) -> str:

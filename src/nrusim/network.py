@@ -41,7 +41,6 @@ place, as the frame passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from random import Random
 
@@ -71,19 +70,23 @@ RADIO = "radio"
 GNB = "gnb"
 
 
-@dataclass
 class RadioLink:
-    ue: UeNode
-    gnb: GnbNode
-    viable: bool  # the host drains the sample stream: bulk data survives
-    required_msps: float
-    drop_fraction: float
-    rsrp_dbm: float
-    rng: Random  # LBT backoff substream for this link
-    radio_us: int  # radio processing plus the over-air extra
-    hops: dict[str, tuple]  # direction -> hop table
-    ue_tap: str  # name of the tap at this link's UE
-    n3_tap: str  # name of the tap on its gNB's N3 side
+    """One UE's link to its gNB; every hop reads it, so a ``__slots__`` class like PduSession."""
+
+    __slots__ = ("ue", "gnb", "viable", "required_msps", "drop_fraction", "rsrp_dbm", "rng",
+                 "radio_us", "hops", "ue_tap", "n3_tap")
+
+    def __init__(self, ue: UeNode, gnb: GnbNode,
+                 viable: bool,  # the host drains the sample stream: bulk data survives
+                 required_msps: float, drop_fraction: float, rsrp_dbm: float,
+                 rng: Random,  # LBT backoff substream for this link
+                 radio_us: int,  # radio processing plus the over-air extra
+                 hops: dict[str, tuple],  # direction -> hop table
+                 ue_tap: str, n3_tap: str):  # taps at this link's UE and its gNB's N3 side
+        self.ue, self.gnb, self.viable, self.rng = ue, gnb, viable, rng
+        self.required_msps, self.drop_fraction = required_msps, drop_fraction
+        self.rsrp_dbm, self.radio_us, self.hops = rsrp_dbm, radio_us, hops
+        self.ue_tap, self.n3_tap = ue_tap, n3_tap
 
 
 class SimNetwork:

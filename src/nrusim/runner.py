@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .access import ue_cell_search
 from .calibration import load_calibration
@@ -34,12 +34,11 @@ from .spectrum import get_band
 REPORT_SCHEMA = 1
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     scenario: Scenario
     report: dict
     log: EventLog
-    taps: dict[str, list[tuple]] = field(default_factory=dict)  # tap -> kept packets
+    taps: dict[str, list[tuple]]  # tap -> kept packets
 
     def frames(self, tap: str) -> list[tuple[int, bytes]]:
         """The tap's capture as ``(t_us, wire bytes)``, encoded on each call."""
@@ -134,21 +133,18 @@ def _build_report(scenario: Scenario, log: EventLog, tallies: list[ThroughputPro
     rtts = ping_rtts_ms(log.records)
     pings = [
         {"label": plan.label, "src": plan.src, "dst": plan.dst,
-         **vars(ping_stats(plan.count, rtts.get(ping_ident(index), [])))}
+         **ping_stats(plan.count, rtts.get(ping_ident(index), []))._asdict()}
         for index, plan in enumerate(scenario.traffic)
         if isinstance(plan, PingPlan)
     ]
     throughput = [
-        {"label": probe.plan.label, "ue": probe.plan.ue, **vars(probe.stats())}
+        {"label": probe.plan.label, "ue": probe.plan.ue, **probe.stats()._asdict()}
         for probe in tallies
     ]
-    passive = {}
-    for tap, entries in taps.items():
-        monitored = fold_sessions(entries, 0)  # kept packets always parse
-        passive[tap] = {
-            "unparsed_frames": monitored.unparsed_frames,
-            "sessions": [dict(vars(s)) for s in monitored.sessions],
-        }
+    # Kept packets always parse; ROADMAP item 3 drops the always-0 unparsed_frames key.
+    passive = {tap: {"unparsed_frames": 0,
+                     "sessions": [s._asdict() for s in fold_sessions(entries)]}
+               for tap, entries in taps.items()}
     actions = Counter(record["action"] for record in log.records)
     return {
         "schema": REPORT_SCHEMA,
@@ -258,13 +254,13 @@ def extract_metric(report: dict, name: str) -> float | None:
         if any("direction" not in row for row in rows):
             raise ConfigError("every report throughput row needs a 'direction'")
         value = next((row.get(name[3:]) for row in rows if row["direction"] == direction), None)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))
+                              or value != value):  # NaN: json.loads accepts it
         raise ConfigError(f"report metric {name} is not a number: {value!r}")
     return value
 
 
-@dataclass(frozen=True)
-class Expectation:
+class Expectation(NamedTuple):
     metric: str
     op: str  # key into _OPS
 
@@ -284,10 +280,9 @@ def parse_expectation(text: str) -> Expectation:
     return Expectation(metric=metric, op=op)
 
 
-@dataclass
-class ComparisonResult:
-    rows: list[dict] = field(default_factory=list)
-    verdicts: list[dict] = field(default_factory=list)
+class ComparisonResult(NamedTuple):
+    rows: list[dict]
+    verdicts: list[dict]
 
     @property
     def all_pass(self) -> bool:
@@ -302,7 +297,7 @@ def compare_reports(
         raise ConfigError(
             f"incompatible report schemas: {report_a.get('schema')} vs {report_b.get('schema')}"
         )
-    result = ComparisonResult()
+    result = ComparisonResult([], [])
     for metric in _METRICS:
         a = extract_metric(report_a, metric)
         b = extract_metric(report_b, metric)

@@ -5,11 +5,12 @@ resolved here (hardware profile names, band ids, node names) and every
 static invariant is checked with the failing rule named in the error, so
 configuration-class failures cannot surface mid-simulation.
 
-The records a scenario is built from are ``NamedTuple`` classes, here and
-in the modules they come from, and each carries its own defaults: a key
-the file leaves out takes ``Cls._field_defaults["field"]``.  (On a named
-tuple, ``Cls.field`` is the field's accessor, not its default.)  Named
-tuples keep ``dataclasses`` out of every cold start.
+Every immutable record in the package is a ``NamedTuple``, checked through
+``errors.CheckedRecord`` where it has a rule; a record that changes, or that
+every hop reads, is a ``__slots__`` class.  So no command imports
+``dataclasses``.  Each record carries its own defaults: a key the file
+leaves out takes ``Cls._field_defaults["field"]``.  (On a named tuple,
+``Cls.field`` is the field's accessor, not its default.)
 """
 
 from __future__ import annotations
@@ -332,6 +333,9 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
         raise ScenarioError(f"{name_hint}: schema must be {SCHEMA_VERSION}, got {schema!r}")
     notes: list[str] = []
     name = _field(raw, "name", name_hint, str, name_hint)
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):  # `run` writes to out/<name>
+        raise ScenarioError(f"{name_hint}: name must be one directory name (not empty, '.' "
+                            f"or '..'; no '/', '\\' or NUL), got {name!r}")
     if "seed" not in raw:
         notes.append("seed defaulted to 0")
     seed = _field(raw, "seed", name, int, 0)

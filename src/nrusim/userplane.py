@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import socket
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .corenet import IpPool, PduSession
@@ -276,8 +275,7 @@ FORWARD_EGRESS = "egress"  # toward the external network (north-south leg)
 FORWARD_DROP = "drop"
 
 
-@dataclass
-class RouteTable:
+class RouteTable(NamedTuple):
     """UPF routing state: the UE pool, per-address sessions, and the UPF's own address."""
 
     pool: IpPool

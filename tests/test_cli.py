@@ -287,6 +287,30 @@ class TestBadInputFiles:
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr and proc.stdout == ""
 
+    # out/<name> is run's default output directory; neither name may write anything.
+    @pytest.mark.parametrize("name", ["../../escaped", "a\0b"])
+    def test_run_with_a_path_as_name_writes_nothing(self, tmp_path, monkeypatch, capsys, name):
+        work = tmp_path / "a" / "b"
+        work.mkdir(parents=True)
+        (work / "unit.yaml").write_text(yaml.safe_dump(variant(name=name)), encoding="utf-8")
+        monkeypatch.chdir(work)
+        assert run_cli("run", "unit.yaml") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unit: name must be one directory name")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "a", work, work / "unit.yaml"]
+
+    def test_compare_rejects_a_nan_metric(self, tmp_path, capsys):
+        # json.loads reads NaN, and every comparison with it is false: it printed "a=nan > b=1".
+        for name, value in (("nan", float("nan")), ("one", 1.0)):
+            report = {"schema": 1, "pings": [{"min_ms": value}]}
+            (tmp_path / f"{name}.json").write_text(json.dumps(report), encoding="utf-8")
+        assert "NaN" in (tmp_path / "nan.json").read_text(encoding="utf-8")
+        assert run_cli("compare", str(tmp_path / "nan.json"), str(tmp_path / "one.json")) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: report metric rtt_min_ms is not a number: nan\n"
+        assert captured.out == ""
+
     def test_monitor_rejects_an_ethernet_capture(self, tmp_path, capsys):
         path = tmp_path / "eth.pcap"
         _ethernet_echo_pcap(path)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from nrusim.access import TddConfig
 from nrusim.calibration import load_calibration
 from nrusim.metrics import (
-    MonitorReport,
     PassiveSession,
     PingStats,
     ThroughputStats,
@@ -204,10 +203,13 @@ class TestSessionId:
         assert flow_session_id("ICMP", 1) != flow_session_id("ICMP", 2)
 
 
-def _per_packet_fold_sessions(packets: Iterable[tuple], unparsed_frames: int) -> MonitorReport:
-    """Reference: ``fold_sessions`` as it was, computing the session number for every packet."""
-    report = MonitorReport(unparsed_frames=unparsed_frames)
-    by_id: dict[int, PassiveSession] = {}
+def _per_packet_fold_sessions(packets: Iterable[tuple]) -> list[PassiveSession]:
+    """Reference: ``fold_sessions`` as it was, computing the session number for every packet.
+
+    Each session is a dict of its fields while it is folded.
+    """
+    sessions: list[dict] = []
+    by_id: dict[int, dict] = {}
     pending: dict[tuple[int, int], int] = {}
     for entry in packets:
         t_us, pkt = entry[0], entry[1]
@@ -217,22 +219,24 @@ def _per_packet_fold_sessions(packets: Iterable[tuple], unparsed_frames: int) ->
         session = by_id.get(sid)
         if session is None:
             request_side = pkt.icmp_type == ICMP_ECHO_REQUEST
-            session = PassiveSession(
+            session = dict(
                 session_id=sid,
                 left=pkt.src if request_side else pkt.dst,
                 right=pkt.dst if request_side else pkt.src,
+                packet_count=0,
+                rtt_latest_ms=None,
             )
             by_id[sid] = session
-            report.sessions.append(session)
-        session.packet_count += 1
+            sessions.append(session)
+        session["packet_count"] += 1
         key = (pkt.icmp_id, pkt.icmp_seq)
         if pkt.icmp_type == ICMP_ECHO_REQUEST:
             pending[key] = t_us
         else:
             sent = pending.pop(key, None)
             if sent is not None and t_us >= sent:
-                session.rtt_latest_ms = round((t_us - sent) / 1000, 3)
-    return report
+                session["rtt_latest_ms"] = round((t_us - sent) / 1000, 3)
+    return [PassiveSession(**session) for session in sessions]
 
 
 COLLIDING_IDS = (882, 4000)  # two ICMP identifiers with one session number
@@ -260,16 +264,17 @@ class TestFoldSessionsOracle:
         first, second = COLLIDING_IDS
         assert flow_session_id("ICMP", first) == flow_session_id("ICMP", second)
 
-    @given(st.lists(_observations(), max_size=40), st.integers(0, 3))
+    @given(st.lists(_observations(), max_size=40))
     @settings(max_examples=400)
-    def test_same_sessions_as_the_per_packet_fold(self, packets, unparsed):
-        assert fold_sessions(packets, unparsed) == _per_packet_fold_sessions(packets, unparsed)
+    def test_same_sessions_as_the_per_packet_fold(self, packets):
+        sessions = fold_sessions(packets)
+        assert sessions == _per_packet_fold_sessions(packets)
+        assert all(type(session) is PassiveSession for session in sessions)
 
     def test_colliding_ids_share_one_session(self):
         first, second = (icmp_echo_request("10.45.0.2", "142.250.204.4", ident, 0)
                          for ident in COLLIDING_IDS)
-        report = fold_sessions([(0, first), (5, second), (9_000, echo_reply_for(second))], 0)
-        (session,) = report.sessions
+        (session,) = fold_sessions([(0, first), (5, second), (9_000, echo_reply_for(second))])
         assert session.packet_count == 3 and session.rtt_latest_ms == 8.995
 
 

@@ -155,9 +155,13 @@ class EagerSimNetwork(ByteTapSimNetwork):
 
 
 def byte_passive_monitor(frames) -> MonitorReport:
-    """The passive monitor as one loop that decodes and folds each frame in turn."""
-    report = MonitorReport()
-    by_id: dict[int, PassiveSession] = {}
+    """The passive monitor as one loop that decodes and folds each frame in turn.
+
+    Each session is a dict of its fields while it is folded.
+    """
+    sessions: list[dict] = []
+    unparsed = 0
+    by_id: dict[int, dict] = {}
     pending: dict[tuple[int, int], int] = {}
     for t_us, raw in frames:
         try:
@@ -166,7 +170,7 @@ def byte_passive_monitor(frames) -> MonitorReport:
                 _teid, inner = decode_gtpu(pkt.payload)
                 pkt = decode_ip(inner)
         except CodecError:
-            report.unparsed_frames += 1
+            unparsed += 1
             continue
         if pkt.protocol != "ICMP" or pkt.icmp_type not in (ICMP_ECHO_REQUEST, ICMP_ECHO_REPLY):
             continue
@@ -174,29 +178,37 @@ def byte_passive_monitor(frames) -> MonitorReport:
         session = by_id.get(sid)
         if session is None:
             request_side = pkt.icmp_type == ICMP_ECHO_REQUEST
-            session = PassiveSession(
+            session = dict(
                 session_id=sid,
                 left=pkt.src if request_side else pkt.dst,
                 right=pkt.dst if request_side else pkt.src,
+                packet_count=0,
+                rtt_latest_ms=None,
             )
             by_id[sid] = session
-            report.sessions.append(session)
-        session.packet_count += 1
+            sessions.append(session)
+        session["packet_count"] += 1
         key = (pkt.icmp_id, pkt.icmp_seq)
         if pkt.icmp_type == ICMP_ECHO_REQUEST:
             pending[key] = t_us
         else:
             sent = pending.pop(key, None)
             if sent is not None and t_us >= sent:
-                session.rtt_latest_ms = round((t_us - sent) / 1000, 3)
-    return report
+                session["rtt_latest_ms"] = round((t_us - sent) / 1000, 3)
+    return MonitorReport([PassiveSession(**session) for session in sessions], unparsed)
+
+
+def byte_fold_sessions(frames) -> list[PassiveSession]:
+    """The run's fold over byte taps: the single loop's sessions, every frame parsed."""
+    report = byte_passive_monitor(frames)
+    assert report.unparsed_frames == 0  # a tap keeps only frames the run built
+    return report.sessions
 
 
 def byte_run(scenario, network_class: type[SimNetwork]) -> runner.RunResult:
     """``run_scenario`` with byte taps, its passive section folded from the bytes."""
     with mock.patch.object(runner, "SimNetwork", wraps=network_class) as byte_network, \
-            mock.patch.object(runner, "fold_sessions",
-                              lambda frames, _unparsed: byte_passive_monitor(frames)):
+            mock.patch.object(runner, "fold_sessions", byte_fold_sessions):
         result = runner.run_scenario(scenario)
     byte_network.assert_called_once()
     return result

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -43,7 +44,35 @@ def test_loading_every_bundled_scenario_imports_neither_dataclasses_nor_logging(
             "for name in nrusim.scenario.BUNDLED:\n"
             "    nrusim.scenario.load_bundled(name)\n"
             "nrusim.calibration.load_calibration()\n"
-            "print(*sorted({'dataclasses', 'logging'} & (set(sys.modules) - before)))")
+            "print(*sorted({'dataclasses', 'inspect', 'logging'} & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=ENV, check=True)
     assert proc.stdout.split() == []
+
+
+def test_the_cli_and_every_bundled_run_import_neither_dataclasses_inspect_nor_logging(tmp_path):
+    # The whole command: import, then each bundled run with pcap export and the offline monitor.
+    code = textwrap.dedent("""\
+        import sys
+        before = set(sys.modules)
+        unwanted = {'dataclasses', 'inspect', 'logging'}
+        import nrusim.cli
+        print('import:', *sorted(unwanted & (set(sys.modules) - before)))
+        from pathlib import Path
+        from nrusim.scenario import BUNDLED, bundled_scenario_path
+        captures = 0
+        for name in BUNDLED:
+            assert nrusim.cli.main(['run', str(bundled_scenario_path(name)), '--pcap',
+                                    '--out', name]) == 0
+            for capture in sorted(Path(name).glob('*.pcap')):
+                assert nrusim.cli.main(['monitor', str(capture)]) == 0
+                captures += 1
+        print('runs:', *sorted(unwanted & (set(sys.modules) - before)))
+        print('captures:', captures)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=ENV, cwd=tmp_path, check=True)
+    lines = [line for line in proc.stdout.splitlines()
+             if line.startswith(("import:", "runs:", "captures:"))]
+    assert lines[:2] == ["import:", "runs:"]
+    assert int(lines[2].split()[1]) > 0

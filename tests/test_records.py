@@ -1,10 +1,16 @@
-"""The load path's checked records against the frozen dataclasses they replace.
+"""The package's records against the dataclasses they replace.
 
-The twelve classes below are the checked records as they were before
-they became named tuples, copied unchanged.  For the same arguments,
-valid or not, passed by position or by keyword or left to their
-defaults, each new record must raise what its dataclass raised, or hold
-the same fields with the same ``repr``.
+The twelve classes below are the load path's checked records, and
+``tests/run_dataclasses.py`` holds the nine records of the run, report
+and compare paths, two of them checked: each as it was before it became
+a named tuple, copied unchanged.  For the same arguments, valid or not,
+passed by position or by keyword or left to their defaults, each new
+record must raise what its dataclass raised, or hold the same fields
+with the same ``repr``.  A list factory is the one default a named tuple
+cannot keep (it would be one list shared by every record), so those
+fields are required now.  ``network.RadioLink`` is read on every hop, so
+it became a ``__slots__`` class instead: it holds the same fields, and
+has no ``repr`` of its own.
 """
 
 from __future__ import annotations
@@ -18,10 +24,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrusim import access, corenet, rflink, spectrum
+from nrusim import access, corenet, metrics, network, rflink, runner, spectrum, userplane
 from nrusim.corenet import IMSI_DIGITS, IpPool
 from nrusim.errors import ConfigError, DomainError
+from nrusim.scenario import load_bundled
 from nrusim.spectrum import KHZ_PER_MHZ, arfcn_to_khz
+from tests.run_dataclasses import (ComparisonResult, Expectation, MonitorReport,
+                                   PassiveSession, PingStats, RadioLink, RouteTable, RunResult,
+                                   ThroughputStats)
 
 # ---------------------------------------------------------------------------
 # The dataclasses, as they were
@@ -314,6 +324,30 @@ CASES = {
     "HostModel": (HostModel, rflink.HostModel, [NAMES, NUMBERS, NUMBERS, st.integers(-1, 100)]),
     "OverAir": (OverAir, rflink.OverAir, [NUMBERS]),
     "Cable": (Cable, rflink.Cable, [NUMBERS, NUMBERS]),
+    "PingStats": (PingStats, metrics.PingStats,
+                  [st.integers(0, 3), st.integers(0, 3)] + [st.none() | NUMBERS] * 4),
+    "ThroughputStats": (ThroughputStats, metrics.ThroughputStats,
+                        [st.sampled_from(("UL", "DL"))] + [NUMBERS] * 3 + [st.integers(0, 9)]),
+}
+
+ANY = st.none() | st.integers(-1, 3) | NAMES
+SESSIONS = st.lists(st.builds(metrics.PassiveSession, st.integers(0, 0xFFFF), ADDRESSES,
+                              ADDRESSES), max_size=2)
+ROWS = st.lists(st.dictionaries(NAMES, ANY, max_size=2), max_size=2)
+# The records without a check; constructing one raises only for a wrong argument list.
+PLAIN = {
+    "PassiveSession": (PassiveSession, metrics.PassiveSession,
+                       [st.integers(0, 0xFFFF), ADDRESSES, ADDRESSES, st.integers(0, 9),
+                        st.none() | NUMBERS]),
+    "MonitorReport": (MonitorReport, metrics.MonitorReport, [SESSIONS, st.integers(0, 3)]),
+    "RunResult": (RunResult, runner.RunResult,
+                  [ANY, st.dictionaries(NAMES, ANY, max_size=2), ANY,
+                   st.dictionaries(st.sampled_from(("ue:ue1", "n6")), st.just([]))]),
+    "Expectation": (Expectation, runner.Expectation,
+                    [st.sampled_from(("dl_peak_mbps", "x", "")), st.sampled_from(("a>b", "<"))]),
+    "ComparisonResult": (ComparisonResult, runner.ComparisonResult, [ROWS, ROWS]),
+    "RouteTable": (RouteTable, userplane.RouteTable,
+                   [ANY, st.dictionaries(ADDRESSES, ANY, max_size=2), ADDRESSES]),
 }
 
 
@@ -326,13 +360,16 @@ def _outcome(cls, args, kwargs, fields):
     return tuple(getattr(record, name) for name in fields), repr(record)
 
 
-@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("name", [*CASES, *PLAIN])
 @given(data=st.data())
 @settings(max_examples=150)
 def test_new_record_builds_and_fails_as_its_dataclass(name, data):
-    old_cls, new_cls, strategies = CASES[name]
+    old_cls, new_cls, strategies = {**CASES, **PLAIN}[name]
     fields = [f.name for f in dataclasses.fields(old_cls)]
     assert new_cls._fields == tuple(fields)
+    # A list factory's default is MISSING, so those fields count as required on both sides.
+    assert new_cls._field_defaults == {f.name: f.default for f in dataclasses.fields(old_cls)
+                                       if f.default is not dataclasses.MISSING}
     required = sum(f.default is dataclasses.MISSING for f in dataclasses.fields(old_cls))
     values = [data.draw(strategy, label=field) for field, strategy in zip(fields, strategies)]
     positional = data.draw(st.integers(0, len(fields)), label="positional")
@@ -342,8 +379,47 @@ def test_new_record_builds_and_fails_as_its_dataclass(name, data):
     assert _outcome(new_cls, args, kwargs, fields) == _outcome(old_cls, args, kwargs, fields)
 
 
+def test_radio_link_holds_what_its_dataclass_held():
+    # Every hop reads it, so it is a __slots__ class: the same fields, no repr of its own.
+    fields = [f.name for f in dataclasses.fields(RadioLink)]
+    assert network.RadioLink.__slots__ == tuple(fields)
+    values = [object() for _ in fields]
+    for split in range(len(fields) + 1):
+        args, kwargs = values[:split], dict(zip(fields[split:], values[split:]))
+        new, old = network.RadioLink(*args, **kwargs), RadioLink(*args, **kwargs)
+        assert [getattr(new, name) for name in fields] == [getattr(old, name) for name in fields]
+
+
+@pytest.mark.parametrize("name", [*PLAIN, "RadioLink"])
+@pytest.mark.parametrize("args, kwargs", [((None,) * 12, {}), ((), {"extra": 1}),
+                                          ((None,), {"extra": 1})])
+def test_plain_record_rejects_a_wrong_argument_list_as_its_dataclass(name, args, kwargs):
+    old_cls, new_cls = PLAIN[name][:2] if name in PLAIN else (RadioLink, network.RadioLink)
+    for cls in (old_cls, new_cls):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+def test_plain_record_methods_answer_as_their_dataclass():
+    old, new = Expectation("dl_peak_mbps", "a>b"), runner.Expectation("dl_peak_mbps", "a>b")
+    assert str(new) == str(old) == "dl_peak_mbps:a>b"
+    for verdicts in ([], [{"passed": True}], [{"passed": True}, {"passed": False}]):
+        assert (runner.ComparisonResult([], verdicts).all_pass
+                == ComparisonResult([], verdicts).all_pass)
+    pool = IpPool("12.1.1.0/24")
+    for ip in ("12.1.1.1", "12.1.2.1", "192.168.70.134"):
+        assert (userplane.RouteTable(pool, {}, "192.168.70.134").in_pool(ip)
+                == RouteTable(pool, {}, "192.168.70.134").in_pool(ip))
+    result = runner.run_scenario(load_bundled("north_south"))
+    reference = RunResult(*result)
+    assert result.report_json() == reference.report_json()
+    assert result.events_jsonl() == reference.events_jsonl()
+    assert list(result.taps) and all(result.frames(tap) == reference.frames(tap)
+                                     for tap in result.taps)
+
+
 def test_every_checked_record_has_its_dataclass():
-    checked = {cls.__name__ for module in (access, corenet, rflink, spectrum)
+    checked = {cls.__name__ for module in (access, corenet, metrics, rflink, spectrum)
                for cls in vars(module).values()
                if isinstance(cls, type) and cls.__module__ == module.__name__
                and hasattr(cls, "_check")}

@@ -3,7 +3,6 @@ import json
 import statistics
 import struct
 from collections import Counter
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -355,7 +354,7 @@ class TestPingOracle:
         for index, (plan, row) in enumerate(zip(result.scenario.traffic,
                                                 result.report["pings"])):
             rtts = tap_rtts_ms(result.frames(f"ue:{plan.src}"), ping_ident(index))
-            expected = asdict(ping_stats(plan.count, rtts))
+            expected = ping_stats(plan.count, rtts)._asdict()
             assert {key: row[key] for key in expected} == expected
 
 

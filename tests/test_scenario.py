@@ -278,6 +278,10 @@ UNRUNNABLE = [
     ("two gNBs without n3_address",
      _second_gnb(..., **{"nodes.0.n3_address": ...}),
      "node gnb2: N3 source 192.168.70.132 (the AMF's; no n3_address) is already gNB gnb1's"),
+    # `run` writes to out/<name>: this one wrote two levels above out/, a NUL crashed mkdir.
+    ("name escaping out/", variant(name="../../escaped"),
+     "name must be one directory name"),
+    ("name with a NUL", variant(name="a\0b"), "name must be one directory name"),
 ]
 
 HOSTILE = MALFORMED + UNRUNNABLE
