@@ -196,11 +196,13 @@ class LbtResult(NamedTuple):
     granted = True  # the gate waits as long as it takes, so it always grants
 
 
-def lbt_gate(occupancy: ChannelOccupancy, cfg: LbtConfig, now_us: int, rng: Random) -> LbtResult:
+def lbt_gate(occupancy: ChannelOccupancy, cfg: LbtConfig, now_us: int,
+             rng: Random | None) -> LbtResult:
     """Earliest transmit grant at/after ``now_us``.
 
     A grant at time g means the window [g - cca_duration, g) measured
-    idle.  A channel with no foreign bursts grants after one CCA.
+    idle.  A channel with no foreign bursts grants after one CCA without
+    reading ``rng``, which may then be ``None``.
     """
     if not occupancy.bursts:
         return LbtResult(now_us + cfg.cca_duration_us)

@@ -22,9 +22,18 @@ Packets travel as ``InnerPacket`` named tuples, and taps keep them as
 packets too: wire bytes are made only at pcap export or on request, by
 ``tap_frames``.
 The event loop breaks timestamp ties by insertion order, so the walk
-keeps one ``schedule_at`` per stop, in path order.  A bulk tick is a
-``functools.partial`` of ``_bulk`` when scheduled and of ``_bulk_rx`` on
-arrival, so a tick builds no closure.
+keeps one ``schedule_at`` per stop, in path order.  Every scheduled
+continuation is a ``functools.partial`` of a bound method, so neither a
+packet nor a bulk tick builds a closure: a ping leaves in ``_ping_tx``, a
+packet resumes past its gNB stop in ``_gnb_resume`` and arrives in
+``_upf_ingress`` or ``_deliver_to_ue``, N6 legs go through
+``_external_ingress`` and ``_n6_ingress``, and a bulk tick is ``_bulk``
+when scheduled and ``_bulk_rx`` on arrival.
+
+A link's LBT substream is derived only when the channel has foreign
+bursts.  On an empty timeline ``lbt_gate`` grants after one CCA without
+reading it, and a substream draws nothing from shared state, so leaving
+it out moves no draw; the link's ``rng`` is then ``None``.
 
 Each record is one dict display built by its call site,
 ``{"t_us": ..., "actor": ..., "action": ..., **fields}``, which
@@ -79,7 +88,7 @@ class RadioLink:
     def __init__(self, ue: UeNode, gnb: GnbNode,
                  viable: bool,  # the host drains the sample stream: bulk data survives
                  required_msps: float, drop_fraction: float, rsrp_dbm: float,
-                 rng: Random,  # LBT backoff substream for this link
+                 rng: Random | None,  # LBT backoff substream; None on a burst-free channel
                  radio_us: int,  # radio processing plus the over-air extra
                  hops: dict[str, tuple],  # direction -> hop table
                  ue_tap: str, n3_tap: str):  # taps at this link's UE and its gNB's N3 side
@@ -103,6 +112,7 @@ class SimNetwork:
 
         self.links: dict[str, RadioLink] = {}
         carrier_mhz = arfcn_to_frequency(scenario.cell.arfcn)
+        lbt_draws = bool(scenario.occupancy.bursts)  # else lbt_gate never reads a link's rng
         for ue in scenario.ues():
             gnb = scenario.node(ue.gnb)
             required = rflink.required_sampling_rate(scenario.cell.bandwidth_mhz)
@@ -126,7 +136,7 @@ class SimNetwork:
                 required_msps=required,
                 drop_fraction=drop,
                 rsrp_dbm=rsrp,
-                rng=derive_rng(scenario.seed, f"lbt:{ue.name}"),
+                rng=derive_rng(scenario.seed, f"lbt:{ue.name}") if lbt_draws else None,
                 radio_us=calib.radio_proc_us + air_us,
                 hops={"UL": (ue_us, RADIO, GNB, core_us), "DL": (core_us, GNB, RADIO, ue_us)},
                 ue_tap=f"ue:{ue.name}",
@@ -212,18 +222,19 @@ class SimNetwork:
     # -- probe entry points ------------------------------------------------------
 
     def schedule_icmp_echo(self, ue_name, dst_ip, ident, seq, at_us, rng) -> None:
-        def emit():
-            session = self.core.sessions.get(ue_name)
-            if session is None:
-                self.log.append({"t_us": self.loop.now_us, "actor": ue_name,
-                                 "action": "ping_no_route", "seq": seq})
-                return
-            inner = icmp_echo_request(session.ip, dst_ip, ident, seq)
-            self.log.append({"t_us": self.loop.now_us, "actor": ue_name, "action": "ping_tx",
-                             "dst": dst_ip, "seq": seq, "ident": ident})
-            self._send(ue_name, "UL", inner, rng)
+        self.loop.schedule_at(at_us, partial(self._ping_tx, ue_name, dst_ip, ident, seq, rng))
 
-        self.loop.schedule_at(at_us, emit)
+    def _ping_tx(self, ue_name, dst_ip, ident, seq, rng) -> None:
+        """An echo request leaves the UE, or is logged as unroutable without a session."""
+        session = self.core.sessions.get(ue_name)
+        if session is None:
+            self.log.append({"t_us": self.loop.now_us, "actor": ue_name,
+                             "action": "ping_no_route", "seq": seq})
+            return
+        inner = icmp_echo_request(session.ip, dst_ip, ident, seq)
+        self.log.append({"t_us": self.loop.now_us, "actor": ue_name, "action": "ping_tx",
+                         "dst": dst_ip, "seq": seq, "ident": ident})
+        self._send(ue_name, "UL", inner, rng)
 
     def schedule_bulk_tick(self, ue_name, direction, at_us, nbytes, tag, delivered_cb) -> None:
         self.loop.schedule_at(at_us, partial(self._bulk, ue_name, direction, nbytes, tag,
@@ -254,9 +265,9 @@ class SimNetwork:
         link = self.links[ue_name]
         if direction == "UL":
             self._tap(link.ue_tap, inner)
-            done = lambda: self._upf_ingress(inner, rng)
+            done = partial(self._upf_ingress, inner, rng)
         else:
-            done = lambda: self._deliver_to_ue(ue_name, inner, rng)
+            done = partial(self._deliver_to_ue, ue_name, inner, rng)
         self._traverse(link, direction, now, ip_length(inner), done, rng, inner)
 
     def _bulk(self, ue_name, direction, nbytes, tag, delivered_cb) -> None:
@@ -304,16 +315,18 @@ class SimNetwork:
                     t += rng.randrange(self._jitter_max_us + 1)  # randint(0, max)'s draws
             elif hop is GNB:
                 if pkt is not None:
-                    def gnb_step():
-                        self._gnb_step(link, direction, pkt, size)
-                        self._traverse(link, direction, self.loop.now_us, size, done, rng, pkt,
-                                       index + 1)
-
-                    self.loop.schedule_at(t, gnb_step)
+                    self.loop.schedule_at(t, partial(self._gnb_resume, link, direction, size,
+                                                     done, rng, pkt, index + 1))
                     return
             else:
                 t += hop
         self.loop.schedule_at(t, done)
+
+    def _gnb_resume(self, link: RadioLink, direction: str, size: int, done, rng: Random,
+                    pkt: InnerPacket, start: int) -> None:
+        """A packet's gNB stop: relay it, then walk on from hop ``start``."""
+        self._gnb_step(link, direction, pkt, size)
+        self._traverse(link, direction, self.loop.now_us, size, done, rng, pkt, start)
 
     def _gnb_step(self, link: RadioLink, direction: str, pkt: InnerPacket, size: int) -> None:
         """The gNB relays a packet between radio and N3: log it and feed the N3 tap.
@@ -370,7 +383,7 @@ class SimNetwork:
                          "dst": rewritten.dst, "visible_src": rewritten.src})
         self._tap("n6", rewritten)
         self.loop.schedule_after(self.scenario.external.one_way_delay_us,
-                                 lambda: self._external_ingress(rewritten, rng))
+                                 partial(self._external_ingress, rewritten, rng))
 
     def _external_ingress(self, pkt: InnerPacket, rng: Random) -> None:
         """The simulated Internet responder."""
@@ -381,7 +394,7 @@ class SimNetwork:
         self.log.append({"t_us": now, "actor": "external", "action": "external_reply",
                          "to": reply.dst, "seq": reply.icmp_seq})
         self.loop.schedule_after(self.scenario.external.one_way_delay_us,
-                                 lambda: self._n6_ingress(reply, rng))
+                                 partial(self._n6_ingress, reply, rng))
 
     def _n6_ingress(self, pkt: InnerPacket, rng: Random) -> None:
         """Reply arriving at the UPF from the external network."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .access import ue_cell_search
 from .calibration import load_calibration
@@ -28,10 +28,55 @@ from .metrics import (
 )
 from .network import SimNetwork, tap_frames
 from .pcapio import write_pcap
-from .scenario import PingPlan, Scenario, ThroughputPlan
+from .scenario import PingPlan, Scenario, ThroughputPlan, tap_file_name
 from .spectrum import get_band
 
 REPORT_SCHEMA = 1
+
+# depth -> C encoder of one scalar-only container whose items sit at depth + 1
+_REPORT_ENCODERS: dict[int, Callable[[Any, int], list[str]]] = {}
+
+
+def _scalar_encoder(depth: int) -> Callable[[Any, int], list[str]]:
+    """The C encoder that writes a scalar-only container's items, built on first use.
+
+    The C encoder ignores ``indent``, so its item separator carries the
+    line break and the items' indent.  It keeps no circular-reference
+    markers: a report is a fresh tree.
+    """
+    encode = _REPORT_ENCODERS.get(depth)
+    if encode is None:
+        encode = _REPORT_ENCODERS[depth] = json.encoder.c_make_encoder(
+            None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+            ": ", ",\n" + "  " * (depth + 1), True, False, True)
+    return encode
+
+
+def _indented_json(obj: Any, depth: int = 0) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` of a string-keyed tree at ``depth``.
+
+    A dict or list whose values are all scalars is one C encoder call,
+    then wrapped in its indented brackets; any other container recurses
+    here in sorted key order.
+    """
+    is_dict = isinstance(obj, dict)
+    if not is_dict and not isinstance(obj, (list, tuple)):
+        return "".join(_scalar_encoder(depth)(obj, depth))
+    values = obj.values() if is_dict else obj
+    brackets = "{}" if is_dict else "[]"
+    if not values:
+        return brackets
+    inner = "  " * (depth + 1)
+    if any(isinstance(value, (dict, list, tuple)) for value in values):
+        if is_dict:
+            key = json.encoder.encode_basestring_ascii
+            items = [f"{key(k)}: {_indented_json(v, depth + 1)}" for k, v in sorted(obj.items())]
+        else:
+            items = [_indented_json(v, depth + 1) for v in obj]
+        body = (",\n" + inner).join(items)
+    else:
+        body = "".join(_scalar_encoder(depth)(obj, depth))[1:-1]
+    return f"{brackets[0]}\n{inner}{body}\n{'  ' * depth}{brackets[1]}"
 
 
 class RunResult(NamedTuple):
@@ -45,7 +90,16 @@ class RunResult(NamedTuple):
         return tap_frames(self.taps[tap])
 
     def report_json(self) -> str:
-        return json.dumps(self.report, sort_keys=True, indent=2) + "\n"
+        """``json.dumps(report, sort_keys=True, indent=2)``'s bytes and a newline.
+
+        With ``indent``, ``json.dumps`` encodes in pure Python; this writes
+        the same text through the C encoder (``_indented_json``).  Without
+        the C accelerator (``c_make_encoder``, a private name, is ``None``)
+        it is ``json.dumps`` itself.
+        """
+        if json.encoder.c_make_encoder is None:
+            return json.dumps(self.report, sort_keys=True, indent=2) + "\n"
+        return _indented_json(self.report) + "\n"
 
     def events_jsonl(self) -> str:
         return self.log.to_jsonl()
@@ -190,8 +244,7 @@ def write_outputs(result: RunResult, out_dir: str | Path, pcap: bool = False) ->
         (out / "events.jsonl").write_text(result.events_jsonl(), encoding="utf-8")
         if pcap:
             for tap in result.taps:
-                safe = tap.replace(":", "_")
-                write_pcap(out / f"tap_{safe}.pcap", result.frames(tap))
+                write_pcap(out / tap_file_name(tap), result.frames(tap))
     except OSError as exc:  # e.g. report.json is a directory
         raise ConfigError(f"cannot write outputs to directory {out}: {exc}") from None
     return out

@@ -323,6 +323,23 @@ def _check_compliance(cell: CellConfig, jurisdiction: str, allow: bool, notes: l
         notes.append(f"regulatory override active: {messages}")
 
 
+def tap_file_name(tap: str) -> str:
+    """The pcap file ``run --pcap`` writes a tap's capture to."""
+    return f"tap_{tap.replace(':', '_')}.pcap"
+
+
+def _directory_name(name: str, context: str) -> str:
+    """``name`` if it is one directory name, else a ScenarioError.
+
+    ``run`` writes to ``out/<scenario name>`` and a UE's or gNB's tap to
+    ``tap_ue_<node name>.pcap`` or ``tap_n3_<node name>.pcap`` in it.
+    """
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ScenarioError(f"{context}: name must be one directory name (not empty, '.' "
+                            f"or '..'; no '/', '\\' or NUL), got {name!r}")
+    return name
+
+
 def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     """Build and fully validate a Scenario from parsed YAML content."""
     if not isinstance(raw, dict):
@@ -332,10 +349,7 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     if type(schema) is not int or schema != SCHEMA_VERSION:  # true and 1.0 equal 1
         raise ScenarioError(f"{name_hint}: schema must be {SCHEMA_VERSION}, got {schema!r}")
     notes: list[str] = []
-    name = _field(raw, "name", name_hint, str, name_hint)
-    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):  # `run` writes to out/<name>
-        raise ScenarioError(f"{name_hint}: name must be one directory name (not empty, '.' "
-                            f"or '..'; no '/', '\\' or NUL), got {name!r}")
+    name = _directory_name(_field(raw, "name", name_hint, str, name_hint), name_hint)
     if "seed" not in raw:
         notes.append("seed defaulted to 0")
     seed = _field(raw, "seed", name, int, 0)
@@ -371,7 +385,7 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     n3_sources: dict[str, str] = {}  # N3 tunnel source -> the gNB that sends from it
     provisioned = {s.imsi for s in subscribers}
     for node_raw in map(dict, _entries(raw, "nodes", name)):
-        node_name = _field(node_raw, "name", "nodes")
+        node_name = _directory_name(_field(node_raw, "name", "nodes"), "nodes")
         if node_name in gnbs or node_name in ues:
             raise ScenarioError(f"nodes: duplicate node name {node_name!r}")
         context = f"node {node_name}"
@@ -499,9 +513,14 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
 
     taps = _field(raw, "taps", name, list, [])
     valid_taps = {f"ue:{n}" for n in ues} | {f"n3:{g}" for g in gnbs} | {"n6"}
+    tap_files: dict[str, str] = {}  # pcap file name -> the first tap written to it
     for tap in taps:
         if type(tap) is not str or tap not in valid_taps:
             raise ScenarioError(f"taps: unknown tap {tap!r}; valid: {sorted(valid_taps)}")
+        other = tap_files.setdefault(tap_file_name(tap), tap)
+        if other != tap:
+            raise ScenarioError(f"taps: {other!r} and {tap!r} would both write "
+                                f"{tap_file_name(tap)}")
     _done(raw, name)
 
     return Scenario(

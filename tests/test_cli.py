@@ -300,6 +300,20 @@ class TestBadInputFiles:
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert sorted(tmp_path.rglob("*")) == [tmp_path / "a", work, work / "unit.yaml"]
 
+    # run --pcap writes tap_ue_<node name>.pcap: neither scenario may write a file.
+    @pytest.mark.parametrize("case", ["node name escaping out/", "two taps on one pcap file"])
+    def test_run_pcap_with_a_tap_path_clash_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                           case):
+        raw, needle = {name: (raw, needle) for name, raw, needle in HOSTILE}[case]
+        work = tmp_path / "a" / "b"
+        work.mkdir(parents=True)
+        (work / "unit.yaml").write_text(yaml.safe_dump(raw), encoding="utf-8")
+        monkeypatch.chdir(work)
+        assert run_cli("run", "unit.yaml", "--out", "out/run", "--pcap") == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {needle}\n" and captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "a", work, work / "unit.yaml"]
+
     def test_compare_rejects_a_nan_metric(self, tmp_path, capsys):
         # json.loads reads NaN, and every comparison with it is false: it printed "a=nan > b=1".
         for name, value in (("nan", float("nan")), ("one", 1.0)):

@@ -274,6 +274,12 @@ def test_every_logged_record_is_its_own_dict(bundled_results, name):
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS) + sorted(INLINE_CASES))
+def test_report_json_is_json_dumps_indented(bundled_results, name):
+    result = bundled_results[name] if name in BUNDLED_DIGESTS else _inline_result(name)
+    assert result.report_json() == json.dumps(result.report, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS) + sorted(INLINE_CASES))
 def test_shared_encoder_writes_the_same_log(bundled_results, name):
     result = bundled_results[name] if name in BUNDLED_DIGESTS else _inline_result(name)
     assert result.log.records

@@ -20,6 +20,12 @@ section and log the same records.
 became ``functools.partial``s: a lambda per scheduled tick and an ``rx``
 closure per arrival.  Over generated throughput scenarios and the golden
 cases, it must write the same ``events.jsonl`` text and report.
+
+``ClosurePacketSimNetwork`` keeps the packet path as it was before its
+continuations became ``functools.partial``s too, and derives every link's
+LBT substream whether or not the channel has bursts.  Over generated ping
+scenarios with random taps and over the golden cases, it must write the
+same ``events.jsonl`` and ``report.json`` text and capture the same frames.
 """
 
 from __future__ import annotations
@@ -33,9 +39,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nrusim import access, metrics, network, runner, userplane
+from nrusim.calibration import load_calibration
+from nrusim.engine import EventLog, EventLoop, derive_rng
 from nrusim.errors import CodecError
 from nrusim.metrics import MonitorReport, PassiveSession, flow_session_id
 from nrusim.network import GNB, RADIO, RadioLink, SimNetwork
+from nrusim.userplane import ForwardDecision
 from nrusim.scenario import load_bundled, scenario_from_dict
 from nrusim.userplane import (
     GTPU_PORT,
@@ -318,9 +327,9 @@ def bulk_scenarios(draw) -> dict:
     return raw
 
 
-def closure_bulk_run(scenario) -> runner.RunResult:
-    """``run_scenario`` with the lambda-and-closure bulk ticks."""
-    with mock.patch.object(runner, "SimNetwork", wraps=ClosureBulkSimNetwork) as closure_network:
+def run_with(scenario, network_class: type[SimNetwork]) -> runner.RunResult:
+    """``run_scenario`` on ``network_class`` instead of ``SimNetwork``."""
+    with mock.patch.object(runner, "SimNetwork", wraps=network_class) as closure_network:
         result = runner.run_scenario(scenario)
     closure_network.assert_called_once()
     return result
@@ -335,7 +344,7 @@ def assert_same_text(partial_run: runner.RunResult, closure_run: runner.RunResul
 @given(raw=bulk_scenarios())
 def test_partial_bulk_ticks_write_what_the_closures_wrote(raw):
     assert_same_text(runner.run_scenario(scenario_from_dict(raw)),
-                     closure_bulk_run(scenario_from_dict(raw)))
+                     run_with(scenario_from_dict(raw), ClosureBulkSimNetwork))
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS) + sorted(INLINE_CASES))
@@ -344,4 +353,147 @@ def test_golden_cases_write_what_the_closure_bulk_ticks_wrote(bundled_results, n
         result, scenario = bundled_results[name], load_bundled(name)
     else:
         result, scenario = _inline_result(name), scenario_from_dict(INLINE_CASES[name][0]())
-    assert_same_text(result, closure_bulk_run(scenario))
+    assert_same_text(result, run_with(scenario, ClosureBulkSimNetwork))
+
+
+class ClosurePacketSimNetwork(SimNetwork):
+    """Packet continuations as closures and lambdas; an LBT substream on every link.
+
+    A ping leaves from an ``emit`` closure, ``_send`` hands ``_traverse`` a
+    ``done`` lambda, the gNB stop is a ``gnb_step`` closure and both N6
+    legs are lambdas.
+    """
+
+    def __init__(self, scenario, loop, log, calib):
+        super().__init__(scenario, loop, log, calib)
+        for name, link in self.links.items():
+            link.rng = derive_rng(scenario.seed, f"lbt:{name}")
+
+    def schedule_icmp_echo(self, ue_name, dst_ip, ident, seq, at_us, rng) -> None:
+        def emit():
+            session = self.core.sessions.get(ue_name)
+            if session is None:
+                self.log.append({"t_us": self.loop.now_us, "actor": ue_name,
+                                 "action": "ping_no_route", "seq": seq})
+                return
+            inner = userplane.icmp_echo_request(session.ip, dst_ip, ident, seq)
+            self.log.append({"t_us": self.loop.now_us, "actor": ue_name, "action": "ping_tx",
+                             "dst": dst_ip, "seq": seq, "ident": ident})
+            self._send(ue_name, "UL", inner, rng)
+
+        self.loop.schedule_at(at_us, emit)
+
+    def _send(self, ue_name: str, direction: str, inner: InnerPacket, rng: Random) -> None:
+        now = self.loop.now_us
+        inner = self._with_ident(inner)
+        link = self.links[ue_name]
+        if direction == "UL":
+            self._tap(link.ue_tap, inner)
+            done = lambda: self._upf_ingress(inner, rng)
+        else:
+            done = lambda: self._deliver_to_ue(ue_name, inner, rng)
+        self._traverse(link, direction, now, userplane.ip_length(inner), done, rng, inner)
+
+    def _traverse(self, link: RadioLink, direction: str, t: int, size: int, done,
+                  rng: Random | None = None, pkt: InnerPacket | None = None,
+                  start: int = 0) -> None:
+        hops = link.hops[direction]
+        for index in range(start, len(hops)):
+            hop = hops[index]
+            if hop is RADIO:
+                gate = access.lbt_gate(self._occupancy, self._lbt, t, link.rng)
+                t = access.next_transmit_time(self._tdd, direction, gate.grant_us)
+                if not relay_passes(link.viable, size):
+                    self.log.append({"t_us": self.loop.now_us, "actor": link.gnb.name,
+                                     "action": "radio_drop", "direction": direction,
+                                     "size": size})
+                    return
+                t += link.radio_us
+                if rng is not None:
+                    t += rng.randrange(self._jitter_max_us + 1)
+            elif hop is GNB:
+                if pkt is not None:
+                    def gnb_step():
+                        self._gnb_step(link, direction, pkt, size)
+                        self._traverse(link, direction, self.loop.now_us, size, done, rng, pkt,
+                                       index + 1)
+
+                    self.loop.schedule_at(t, gnb_step)
+                    return
+            else:
+                t += hop
+        self.loop.schedule_at(t, done)
+
+    def _apply_forward(self, decision: ForwardDecision, inner: InnerPacket, rng: Random) -> None:
+        now = self.loop.now_us
+        if decision.action == userplane.FORWARD_DROP:
+            self.log.append({"t_us": now, "actor": "upf", "action": "upf_drop",
+                             "dst": inner.dst})
+            return
+        if decision.action == userplane.FORWARD_TUNNEL:
+            session = decision.session
+            self.log.append({"t_us": now, "actor": "upf", "action": "upf_tunnel",
+                             "dst": inner.dst, "teid": session.teid_downlink})
+            self._send(session.ue_id, "DL", decision.packet, rng)
+            return
+        rewritten = decision.packet
+        if inner.protocol == "ICMP":
+            self._nat[("ICMP", inner.icmp_id)] = inner.src
+        self.log.append({"t_us": now, "actor": "upf", "action": "upf_egress",
+                         "dst": rewritten.dst, "visible_src": rewritten.src})
+        self._tap("n6", rewritten)
+        self.loop.schedule_after(self.scenario.external.one_way_delay_us,
+                                 lambda: self._external_ingress(rewritten, rng))
+
+    def _external_ingress(self, pkt: InnerPacket, rng: Random) -> None:
+        now = self.loop.now_us
+        if pkt.icmp_type != userplane.ICMP_ECHO_REQUEST:
+            return
+        reply = userplane.echo_reply_for(pkt, ttl=self.scenario.external.ttl)
+        self.log.append({"t_us": now, "actor": "external", "action": "external_reply",
+                         "to": reply.dst, "seq": reply.icmp_seq})
+        self.loop.schedule_after(self.scenario.external.one_way_delay_us,
+                                 lambda: self._n6_ingress(reply, rng))
+
+
+def assert_same_output(partial_run: runner.RunResult, closure_run: runner.RunResult) -> None:
+    assert_same_text(partial_run, closure_run)
+    assert list(partial_run.taps) == list(closure_run.taps)
+    for tap in closure_run.taps:
+        assert partial_run.frames(tap) == closure_run.frames(tap), tap
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw=ping_scenarios(), taps=st.sets(st.sampled_from(VALID_TAPS)),
+       sessionless_ue2=st.booleans())
+def test_partial_packets_write_and_capture_what_the_closures_did(raw, taps, sessionless_ue2):
+    raw["taps"] = sorted(taps)
+    if sessionless_ue2:  # its pings log ping_no_route, and pings to it drop at the UPF
+        raw["core"]["subscribers"].pop()
+        raw["nodes"][-1]["unprovisioned"] = True
+    assert_same_output(runner.run_scenario(scenario_from_dict(raw)),
+                       run_with(scenario_from_dict(raw), ClosurePacketSimNetwork))
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS) + sorted(INLINE_CASES))
+def test_golden_cases_write_what_the_closure_packets_wrote(bundled_results, name):
+    if name in BUNDLED_DIGESTS:
+        result, scenario = bundled_results[name], load_bundled(name)
+    else:
+        result, scenario = _inline_result(name), scenario_from_dict(INLINE_CASES[name][0]())
+    assert_same_output(result, run_with(scenario, ClosurePacketSimNetwork))
+
+
+# golden_contended and long_burst have foreign bursts; the other cases have none.
+@pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS) + sorted(INLINE_CASES))
+def test_links_derive_an_lbt_substream_only_under_bursts(name):
+    scenario = load_bundled(name) if name in BUNDLED_DIGESTS else \
+        scenario_from_dict(INLINE_CASES[name][0]())
+    net = SimNetwork(scenario, EventLoop(), EventLog(), load_calibration())
+    assert net.links
+    for ue, link in net.links.items():
+        if scenario.occupancy.bursts:
+            assert link.rng.getstate() == derive_rng(scenario.seed, f"lbt:{ue}").getstate()
+        else:
+            assert link.rng is None
+

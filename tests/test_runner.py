@@ -3,6 +3,7 @@ import json
 import statistics
 import struct
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -184,7 +185,31 @@ class TestSuiteTable:
             assert ping["mdev_ms"] <= ping["max_ms"] - ping["min_ms"]
 
 
+# What a report holds, and the corners of json.dumps's text: non-finite and
+# signed-zero floats, ints past 64 bits, non-ASCII and control characters,
+# empty and nested containers.
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(2**63, 2**100)
+                | st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])
+                | st.text() | st.sampled_from(["\x00\x1f\x7f", "é\u2028😀", '"\\/']))
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=4) | st.tuples(children, children)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=40,
+)
+
+
 class TestOutputs:
+    @pytest.mark.parametrize("make_encoder", [json.encoder.c_make_encoder, None],
+                             ids=["C encoder", "no C encoder"])
+    @settings(max_examples=200, deadline=None)
+    @given(tree=JSON_TREES)
+    def test_report_json_is_json_dumps_indented(self, make_encoder, tree):
+        assert json.encoder.c_make_encoder is not None  # the C accelerator is built
+        with mock.patch.object(json.encoder, "c_make_encoder", make_encoder):
+            text = RunResult(None, tree, None, {}).report_json()
+        assert text == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
     def test_write_outputs_and_pcap_round_trip(self, tmp_path):
         raw = variant()
         raw["taps"] = ["ue:ue1"]

@@ -90,6 +90,16 @@ def _second_gnb(n3_address, **overrides) -> dict:
     return raw
 
 
+def _renamed_ue(name: str, *extra_ues: str) -> dict:
+    """``ue1`` renamed ``name`` everywhere and tapped, with unprovisioned UEs
+    ``extra_ues`` on gnb1, each tapped too."""
+    raw = variant(**{"nodes.1.name": name, "traffic.0.src": name})
+    for extra in extra_ues:
+        raw["nodes"].append({**raw["nodes"][1], "name": extra, "unprovisioned": True})
+    raw["taps"] = [f"ue:{ue}" for ue in (name, *extra_ues)]
+    return raw
+
+
 # (case, raw scenario, text the ScenarioError must contain)
 MALFORMED = [
     ("burst without power_dbm", _occupancy(power_dbm=...), "occupancy[0]: missing required"),
@@ -282,6 +292,13 @@ UNRUNNABLE = [
     ("name escaping out/", variant(name="../../escaped"),
      "name must be one directory name"),
     ("name with a NUL", variant(name="a\0b"), "name must be one directory name"),
+    # run --pcap writes a UE's tap to tap_ue_<name>.pcap: this one wrote two levels above
+    # it, and two taps on one file name kept only the second capture.
+    ("node name escaping out/", _renamed_ue("x/../../y"),
+     "nodes: name must be one directory name (not empty, '.' or '..'; no '/', '\\' or NUL), "
+     "got 'x/../../y'"),
+    ("two taps on one pcap file", _renamed_ue("a:b", "a_b"),
+     "taps: 'ue:a:b' and 'ue:a_b' would both write tap_ue_a_b.pcap"),
 ]
 
 HOSTILE = MALFORMED + UNRUNNABLE
@@ -371,6 +388,12 @@ class TestValidation:
         raw["taps"] = ["ue:ue9"]
         with pytest.raises(ScenarioError, match="unknown tap"):
             scenario_from_dict(raw)
+
+    def test_renamed_ues_with_distinct_file_names_load(self):
+        """The two tap-path rows fail on their names alone."""
+        scenario = scenario_from_dict(_renamed_ue("x..y", "a:b", "a.b"))
+        assert [ue.name for ue in scenario.ues()] == ["x..y", "a:b", "a.b"]
+        assert scenario.taps == ["ue:x..y", "ue:a:b", "ue:a.b"]
 
     @pytest.mark.parametrize("raw, needle", [case[1:] for case in HOSTILE],
                              ids=[case[0] for case in HOSTILE])
