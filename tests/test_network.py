@@ -44,12 +44,12 @@ from nrusim.engine import EventLog, EventLoop, derive_rng
 from nrusim.errors import CodecError
 from nrusim.metrics import MonitorReport, PassiveSession, flow_session_id
 from nrusim.network import GNB, RADIO, RadioLink, SimNetwork
-from nrusim.userplane import ForwardDecision
 from nrusim.scenario import load_bundled, scenario_from_dict
 from nrusim.userplane import (
     GTPU_PORT,
     ICMP_ECHO_REPLY,
     ICMP_ECHO_REQUEST,
+    ForwardDecision,
     InnerPacket,
     decode_gtpu,
     decode_ip,
