@@ -2,9 +2,18 @@
 
 One loop per run, single-threaded.  Events pop in nondecreasing timestamp
 order with ties broken by insertion sequence, and scheduling into the
-past aborts the run rather than silently corrupting it.  Randomness never
-lives here: actors derive named substreams from the scenario seed so a
-stream's draws do not depend on unrelated activity.
+past aborts the run rather than silently corrupting it.  Most events are
+scheduled in time order (every ping and bulk tick is queued before the
+loop runs), so the loop keeps them in a sorted run, a deque appended at
+its tail, beside a heap for the few that arrive out of order.  Randomness
+never lives here: actors derive named substreams from the scenario seed
+so a stream's draws do not depend on unrelated activity.
+
+``EventLog.to_jsonl`` writes each record as ``json.dumps(record,
+sort_keys=True)`` does, through one shared C encoder that keeps no
+circular-reference markers and so holds no state between calls.  A
+circular or too-deep record makes it raise ``RecursionError``; the log is
+then encoded again with ``json.dumps``, which raises what it raises.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from collections import deque
 from heapq import heappop, heappush
 from random import Random
 from typing import Any, Callable
@@ -20,25 +30,29 @@ from .errors import InvariantBreach
 
 # ``json.dumps(record, sort_keys=True)`` would build a new encoder per record.
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+_c_record_encoder: Callable[[dict[str, Any]], str] | None = None  # built on first use
 
 
 def _record_encoder() -> Callable[[dict[str, Any]], str]:
-    """``_RECORD_ENCODER.encode`` for the records of one log, sharing one C encoder.
+    """``_RECORD_ENCODER.encode`` of one record, through one C encoder for every log.
 
-    ``JSONEncoder.encode`` builds a C encoder on every call.  One is built
-    here per log, not per process: its circular-reference markers keep
-    their entries when an encode raises, so a shared one would report a
-    circular reference on a later, valid record.  Without the C
-    accelerator (``c_make_encoder``, a private name, is ``None``) this is
-    ``_RECORD_ENCODER.encode`` itself.
+    ``JSONEncoder.encode`` builds a C encoder on every call.  This one is
+    built once, with no circular-reference markers (``markers=None``), so
+    it keeps no state between calls: a failed encode leaves nothing behind
+    for a later record.  Without markers a cycle recurses until it raises
+    ``RecursionError``.  Without the C accelerator (``c_make_encoder``, a
+    private name, is ``None``) this is ``_RECORD_ENCODER.encode`` itself.
     """
+    global _c_record_encoder
     make = json.encoder.c_make_encoder
     if make is None:
         return _RECORD_ENCODER.encode
-    e = _RECORD_ENCODER
-    encode = make({}, e.default, json.encoder.encode_basestring_ascii, e.indent,
-                  e.key_separator, e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
-    return lambda record: "".join(encode(record, 0))
+    if _c_record_encoder is None:
+        e = _RECORD_ENCODER
+        encode = make(None, e.default, json.encoder.encode_basestring_ascii, e.indent,
+                      e.key_separator, e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
+        _c_record_encoder = lambda record: "".join(encode(record, 0))  # noqa: E731
+    return _c_record_encoder
 
 
 def derive_rng(seed: int, label: str) -> Random:
@@ -51,11 +65,17 @@ class EventLog:
     """Append-only record list; one JSON object per record when exported.
 
     ``append(record)`` keeps the dict its call site built, as given: one
-    dict display, ``{"t_us": ..., "actor": ..., "action": ..., **fields}``.
-    The log does not copy it, so a caller builds a new dict per record and
-    never reuses or changes one after logging it.  ``append`` is the
-    record list's own bound method, which skips a Python-level call per
-    record.
+    dict display that lists its literal keys in sorted order, so the
+    encoder's key sort meets a sorted run.  The log does not copy it, so a
+    caller builds a new dict per record and never reuses or changes one
+    after logging it.  ``append`` is the record list's own bound method,
+    which skips a Python-level call per record.
+
+    ``to_jsonl`` is ``json.dumps(record, sort_keys=True) + "\\n"`` per
+    record for any records, in key order or not.  It encodes through the
+    shared marker-free C encoder; on ``RecursionError`` (a circular or
+    too-deep record) it encodes again with ``json.dumps``, so it raises
+    exactly what ``json.dumps`` raises.
     """
 
     def __init__(self):
@@ -66,29 +86,53 @@ class EventLog:
         return len(self.records)
 
     def to_jsonl(self) -> str:
-        encode = _record_encoder()
-        return "".join([encode(r) + "\n" for r in self.records])
+        records = self.records
+        if not records:
+            return ""
+        try:
+            text = "\n".join(map(_record_encoder(), records))
+        except RecursionError:
+            text = "\n".join([json.dumps(r, sort_keys=True) for r in records])
+        return text + "\n"
 
 
 class EventLoop:
+    """Pending events as ``(at_us, seq, fn)`` in a sorted run and a heap.
+
+    ``schedule_at`` appends an entry to the run, a deque whose times never
+    decrease, when the run is empty or the entry is no earlier than its
+    tail; any other entry goes onto the heap.  ``run`` pops whichever head
+    is smaller.  ``(at_us, seq)`` is unique, so the pop order is that of a
+    single heap and ``fn`` is never compared.
+    """
+
     def __init__(self):
         self.now_us = 0
+        self._run: deque[tuple[int, int, Callable[[], None]]] = deque()
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = itertools.count()
 
     def schedule_at(self, at_us: int, fn: Callable[[], None]) -> None:
         if at_us < self.now_us:
             raise InvariantBreach(f"event scheduled at {at_us} us, before now ({self.now_us} us)")
-        heappush(self._heap, (at_us, next(self._seq), fn))
+        entry = (at_us, next(self._seq), fn)
+        run = self._run
+        if not run or at_us >= run[-1][0]:
+            run.append(entry)
+        else:
+            heappush(self._heap, entry)
 
     def schedule_after(self, delay_us: int, fn: Callable[[], None]) -> None:
         self.schedule_at(self.now_us + delay_us, fn)
 
     def run(self) -> None:
         """Execute until no events remain."""
-        heap = self._heap
-        pop = heappop
-        while heap:
-            at_us, _seq, fn = pop(heap)
+        run, heap = self._run, self._heap
+        popleft, pop = run.popleft, heappop
+        while run or heap:
+            if not heap or (run and run[0] < heap[0]):
+                at_us, _seq, fn = popleft()
+            else:
+                at_us, _seq, fn = pop(heap)
             self.now_us = at_us
             fn()

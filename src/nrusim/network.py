@@ -35,10 +35,12 @@ bursts.  On an empty timeline ``lbt_gate`` grants after one CCA without
 reading it, and a substream draws nothing from shared state, so leaving
 it out moves no draw; the link's ``rng`` is then ``None``.
 
-Each record is one dict display built by its call site,
-``{"t_us": ..., "actor": ..., "action": ..., **fields}``, which
+Each record is one dict display built by its call site, which
 ``EventLog.append`` keeps as given: a record is never reused or changed
-once logged.
+once logged.  Each display lists its literal keys in sorted order
+(``"action"``, ``"actor"``, ..., ``"t_us"``, ...), so the key sort of
+``EventLog.to_jsonl`` meets an already sorted run.  No value in a display
+has side effects, so the order moves no draw or ident.
 
 IP idents come from one counter per run, 1 to 65535 and round again
 (``_next_ident``).  A packet that enters the access leg (``_send``) or
@@ -167,36 +169,35 @@ class SimNetwork:
         cursor = 1000
         for ue in self.scenario.ues():
             link = self.links[ue.name]
-            self.log.append({"t_us": cursor, "actor": ue.name, "action": "link_budget",
-                             "rsrp_dbm": round(link.rsrp_dbm, 2),
-                             "required_msps": link.required_msps,
+            self.log.append({"action": "link_budget", "actor": ue.name,
                              "drop_fraction": link.drop_fraction,
+                             "required_msps": link.required_msps,
+                             "rsrp_dbm": round(link.rsrp_dbm, 2), "t_us": cursor,
                              "viable": link.viable})
             gscn = self.scenario.cell.ssb_gscn if link.gnb.on_air else None
             state = access.attach(band, gscn, self.core, ue.imsi, ue_id=ue.name)
             t = cursor
-            self.log.append({"t_us": t, "actor": ue.name, "action": "attach_phase",
-                             "phase": "SCANNING"})
+            self.log.append({"action": "attach_phase", "actor": ue.name, "phase": "SCANNING",
+                             "t_us": t})
             t += state.scan_steps * self.calib.scan_step_us
             if state.phase >= access.UePhase.SYNCED:
-                self.log.append({"t_us": t, "actor": ue.name, "action": "attach_phase",
-                                 "phase": "SYNCED", "gscn": state.found_gscn,
-                                 "scan_steps": state.scan_steps})
+                self.log.append({"action": "attach_phase", "actor": ue.name,
+                                 "gscn": state.found_gscn, "phase": "SYNCED",
+                                 "scan_steps": state.scan_steps, "t_us": t})
             if state.phase >= access.UePhase.REGISTERED:
                 t += self.calib.registration_us
-                self.log.append({"t_us": t, "actor": ue.name, "action": "attach_phase",
-                                 "phase": "REGISTERED", "imsi": ue.imsi})
+                self.log.append({"action": "attach_phase", "actor": ue.name, "imsi": ue.imsi,
+                                 "phase": "REGISTERED", "t_us": t})
             if state.phase >= access.UePhase.SESSION_ACTIVE:
                 t += self.calib.session_setup_us
-                self.log.append({"t_us": t, "actor": ue.name, "action": "attach_phase",
-                                 "phase": "SESSION_ACTIVE",
-                                 "ip": state.session.ip,
-                                 "interface": state.session.interface,
-                                 "teid_uplink": state.session.teid_uplink,
-                                 "teid_downlink": state.session.teid_downlink})
+                self.log.append({"action": "attach_phase", "actor": ue.name,
+                                 "interface": state.session.interface, "ip": state.session.ip,
+                                 "phase": "SESSION_ACTIVE", "t_us": t,
+                                 "teid_downlink": state.session.teid_downlink,
+                                 "teid_uplink": state.session.teid_uplink})
             if state.failure:
-                self.log.append({"t_us": t, "actor": ue.name, "action": "attach_failed",
-                                 "reason": state.failure, "phase": state.phase.name})
+                self.log.append({"action": "attach_failed", "actor": ue.name,
+                                 "phase": state.phase.name, "reason": state.failure, "t_us": t})
             cursor = t + 10_000
         self.attach_complete_us = cursor + 100_000
         self.gateway = str(self.core.pool.gateway)
@@ -228,12 +229,12 @@ class SimNetwork:
         """An echo request leaves the UE, or is logged as unroutable without a session."""
         session = self.core.sessions.get(ue_name)
         if session is None:
-            self.log.append({"t_us": self.loop.now_us, "actor": ue_name,
-                             "action": "ping_no_route", "seq": seq})
+            self.log.append({"action": "ping_no_route", "actor": ue_name, "seq": seq,
+                             "t_us": self.loop.now_us})
             return
         inner = icmp_echo_request(session.ip, dst_ip, ident, seq)
-        self.log.append({"t_us": self.loop.now_us, "actor": ue_name, "action": "ping_tx",
-                         "dst": dst_ip, "seq": seq, "ident": ident})
+        self.log.append({"action": "ping_tx", "actor": ue_name, "dst": dst_ip, "ident": ident,
+                         "seq": seq, "t_us": self.loop.now_us})
         self._send(ue_name, "UL", inner, rng)
 
     def schedule_bulk_tick(self, ue_name, direction, at_us, nbytes, tag, delivered_cb) -> None:
@@ -277,18 +278,17 @@ class SimNetwork:
         link = self.links[ue_name]
         now = self.loop.now_us
         sender, receiver = (ue_name, "core") if direction == "UL" else ("core", ue_name)
-        self.log.append({"t_us": now, "actor": sender, "action": "bulk_tx",
-                         "direction": direction, "size": nbytes, "window": tag[0],
-                         "sub": tag[1]})
+        self.log.append({"action": "bulk_tx", "actor": sender, "direction": direction,
+                         "size": nbytes, "sub": tag[1], "t_us": now, "window": tag[0]})
         delivered = nbytes if link.drop_fraction == 0 else round(nbytes * (1 - link.drop_fraction))
         self._traverse(link, direction, now, nbytes,
                        partial(self._bulk_rx, receiver, direction, delivered, tag, delivered_cb))
 
     def _bulk_rx(self, receiver, direction, delivered, tag, delivered_cb) -> None:
         """A bulk tick arrives: log what survived and hand it to the probe."""
-        self.log.append({"t_us": self.loop.now_us, "actor": receiver, "action": "bulk_rx",
-                         "direction": direction, "size": delivered, "window": tag[0],
-                         "sub": tag[1]})
+        self.log.append({"action": "bulk_rx", "actor": receiver, "direction": direction,
+                         "size": delivered, "sub": tag[1], "t_us": self.loop.now_us,
+                         "window": tag[0]})
         delivered_cb(tag, delivered)
 
     def _traverse(self, link: RadioLink, direction: str, t: int, size: int, done,
@@ -306,9 +306,9 @@ class SimNetwork:
                 gate = access.lbt_gate(self._occupancy, self._lbt, t, link.rng)
                 t = access.next_transmit_time(self._tdd, direction, gate.grant_us)
                 if not relay_passes(link.viable, size):
-                    self.log.append({"t_us": self.loop.now_us, "actor": link.gnb.name,
-                                     "action": "radio_drop", "direction": direction,
-                                     "size": size})
+                    self.log.append({"action": "radio_drop", "actor": link.gnb.name,
+                                     "direction": direction, "size": size,
+                                     "t_us": self.loop.now_us})
                     return
                 t += link.radio_us
                 if rng is not None:
@@ -338,9 +338,8 @@ class SimNetwork:
         uplink = direction == "UL"
         session = self.core.sessions.get(link.ue.name)
         teid = (session.teid_uplink if uplink else session.teid_downlink) if session else 0
-        self.log.append({"t_us": t, "actor": link.gnb.name,
-                         "action": "gtpu_ul" if uplink else "gtpu_dl", "teid": teid,
-                         "size": size})
+        self.log.append({"action": "gtpu_ul" if uplink else "gtpu_dl", "actor": link.gnb.name,
+                         "size": size, "t_us": t, "teid": teid})
         entries = self.taps.get(link.n3_tap)
         if entries is not None:
             gnb_addr, upf_addr = link.gnb.n3_address, self.core.config.upf_address
@@ -356,8 +355,8 @@ class SimNetwork:
         now = self.loop.now_us
         if inner.dst in (self.gateway, self.core.config.upf_address):
             if inner.icmp_type == userplane.ICMP_ECHO_REQUEST:
-                self.log.append({"t_us": now, "actor": "core", "action": "core_echo",
-                                 "src": inner.src, "seq": inner.icmp_seq})
+                self.log.append({"action": "core_echo", "actor": "core", "seq": inner.icmp_seq,
+                                 "src": inner.src, "t_us": now})
                 self._upf_ingress(echo_reply_for(inner), rng)
             return
         decision = upf_forward(inner, self.routes)
@@ -366,21 +365,20 @@ class SimNetwork:
     def _apply_forward(self, decision: ForwardDecision, inner: InnerPacket, rng: Random) -> None:
         now = self.loop.now_us
         if decision.action == userplane.FORWARD_DROP:
-            self.log.append({"t_us": now, "actor": "upf", "action": "upf_drop",
-                             "dst": inner.dst})
+            self.log.append({"action": "upf_drop", "actor": "upf", "dst": inner.dst, "t_us": now})
             return
         if decision.action == userplane.FORWARD_TUNNEL:
             session = decision.session
-            self.log.append({"t_us": now, "actor": "upf", "action": "upf_tunnel",
-                             "dst": inner.dst, "teid": session.teid_downlink})
+            self.log.append({"action": "upf_tunnel", "actor": "upf", "dst": inner.dst, "t_us": now,
+                             "teid": session.teid_downlink})
             self._send(session.ue_id, "DL", decision.packet, rng)
             return
         # Egress toward the external network with the UPF as visible source.
         rewritten = decision.packet
         if inner.protocol == "ICMP":
             self._nat[("ICMP", inner.icmp_id)] = inner.src
-        self.log.append({"t_us": now, "actor": "upf", "action": "upf_egress",
-                         "dst": rewritten.dst, "visible_src": rewritten.src})
+        self.log.append({"action": "upf_egress", "actor": "upf", "dst": rewritten.dst, "t_us": now,
+                         "visible_src": rewritten.src})
         self._tap("n6", rewritten)
         self.loop.schedule_after(self.scenario.external.one_way_delay_us,
                                  partial(self._external_ingress, rewritten, rng))
@@ -391,8 +389,8 @@ class SimNetwork:
         if pkt.icmp_type != userplane.ICMP_ECHO_REQUEST:
             return
         reply = echo_reply_for(pkt, ttl=self.scenario.external.ttl)
-        self.log.append({"t_us": now, "actor": "external", "action": "external_reply",
-                         "to": reply.dst, "seq": reply.icmp_seq})
+        self.log.append({"action": "external_reply", "actor": "external", "seq": reply.icmp_seq,
+                         "t_us": now, "to": reply.dst})
         self.loop.schedule_after(self.scenario.external.one_way_delay_us,
                                  partial(self._n6_ingress, reply, rng))
 
@@ -413,14 +411,14 @@ class SimNetwork:
         now = self.loop.now_us
         self._tap(self.links[ue_name].ue_tap, inner)
         if inner.icmp_type == userplane.ICMP_ECHO_REPLY:
-            self.log.append({"t_us": now, "actor": ue_name, "action": "rtt_sample",
-                             "ident": inner.icmp_id, "seq": inner.icmp_seq,
-                             "session": flow_session_id("ICMP", inner.icmp_id)})
+            self.log.append({"action": "rtt_sample", "actor": ue_name, "ident": inner.icmp_id,
+                             "seq": inner.icmp_seq,
+                             "session": flow_session_id("ICMP", inner.icmp_id), "t_us": now})
             return
         if inner.icmp_type == userplane.ICMP_ECHO_REQUEST:
             # Standard stack behaviour: answer pings addressed to us.
-            self.log.append({"t_us": now, "actor": ue_name, "action": "ue_echo",
-                             "src": inner.src, "seq": inner.icmp_seq})
+            self.log.append({"action": "ue_echo", "actor": ue_name, "seq": inner.icmp_seq,
+                             "src": inner.src, "t_us": now})
             self._send(ue_name, "UL", echo_reply_for(inner), rng)
 
     # -- taps ---------------------------------------------------------------------

@@ -260,12 +260,14 @@ def _parse_cell(raw: dict) -> CellConfig:
     scs_khz = _field(raw, "scs_khz", "cell", int, 30)
     tdd_default, lbt_default = TddConfig._field_defaults, LbtConfig._field_defaults
     try:
+        slot_us = slot_duration_us(scs_khz)
         tdd = TddConfig(
+            # A TDD pattern repeats within 10 ms (dl-UL-TransmissionPeriodicity, TS 38.331).
             period_slots=_field(tdd_raw, "period_slots", "cell.tdd", int,
-                                tdd_default["period_slots"]),
+                                tdd_default["period_slots"], low=2, high=10_000 // slot_us),
             dl_slots=_field(tdd_raw, "dl_slots", "cell.tdd", int, tdd_default["dl_slots"]),
             ul_slots=_field(tdd_raw, "ul_slots", "cell.tdd", int, tdd_default["ul_slots"]),
-            slot_us=slot_duration_us(scs_khz),
+            slot_us=slot_us,
         )
         lbt = LbtConfig(
             cca_threshold_dbm=_field(lbt_raw, "cca_threshold_dbm", "cell.lbt", float,
@@ -497,8 +499,9 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     ext_default = ExternalHostConfig._field_defaults
     external = ExternalHostConfig(
         address=_field(ext_raw, "address", "external_host", _ipv4, ext_default["address"]),
+        # At most 10 s, far past any real Internet path, so a ping's times stay bounded.
         one_way_delay_us=_field(ext_raw, "one_way_delay_us", "external_host", int,
-                                ext_default["one_way_delay_us"], low=0),
+                                ext_default["one_way_delay_us"], low=0, high=10_000_000),
         ttl=_field(ext_raw, "ttl", "external_host", int, ext_default["ttl"], low=0, high=255),
     )
     _done(ext_raw, "external_host")
@@ -517,10 +520,13 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     for tap in taps:
         if type(tap) is not str or tap not in valid_taps:
             raise ScenarioError(f"taps: unknown tap {tap!r}; valid: {sorted(valid_taps)}")
-        other = tap_files.setdefault(tap_file_name(tap), tap)
-        if other != tap:
-            raise ScenarioError(f"taps: {other!r} and {tap!r} would both write "
-                                f"{tap_file_name(tap)}")
+        file = tap_file_name(tap)
+        other = tap_files.get(file)
+        if other == tap:
+            raise ScenarioError(f"taps: {tap!r} listed twice")
+        if other is not None:
+            raise ScenarioError(f"taps: {other!r} and {tap!r} would both write {file}")
+        tap_files[file] = tap
     _done(raw, name)
 
     return Scenario(

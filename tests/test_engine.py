@@ -1,4 +1,10 @@
+import ast
+import itertools
 import json
+import sys
+from heapq import heappop, heappush
+from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +13,32 @@ from hypothesis import strategies as st
 from nrusim import engine
 from nrusim.engine import EventLog, EventLoop, derive_rng
 from nrusim.errors import InvariantBreach
+
+
+class HeapEventLoop:
+    """The heap-only loop that the sorted run beside the heap replaced, copied unchanged."""
+
+    def __init__(self):
+        self.now_us = 0
+        self._heap: list[tuple[int, int, Callable[[], None]]] = []
+        self._seq = itertools.count()
+
+    def schedule_at(self, at_us: int, fn: Callable[[], None]) -> None:
+        if at_us < self.now_us:
+            raise InvariantBreach(f"event scheduled at {at_us} us, before now ({self.now_us} us)")
+        heappush(self._heap, (at_us, next(self._seq), fn))
+
+    def schedule_after(self, delay_us: int, fn: Callable[[], None]) -> None:
+        self.schedule_at(self.now_us + delay_us, fn)
+
+    def run(self) -> None:
+        """Execute until no events remain."""
+        heap = self._heap
+        pop = heappop
+        while heap:
+            at_us, _seq, fn = pop(heap)
+            self.now_us = at_us
+            fn()
 
 
 class TestEventLoop:
@@ -44,6 +76,71 @@ class TestEventLoop:
         loop.schedule_at(100, lambda: loop.schedule_at(50, lambda: None))
         with pytest.raises(InvariantBreach):
             loop.run()
+
+    def test_scheduling_into_the_past_is_a_breach_while_the_run_holds_later_events(self):
+        loop = EventLoop()
+        seen = []
+        loop.schedule_at(100, lambda: loop.schedule_at(50, lambda: seen.append(50)))
+        for at_us in (200, 300):
+            loop.schedule_at(at_us, lambda at_us=at_us: seen.append(at_us))
+        with pytest.raises(InvariantBreach, match="scheduled at 50 us, before now"):
+            loop.run()
+        assert seen == [] and len(loop._run) == 2
+
+
+# An event is (how, offset, children): "at" schedules at now + offset with
+# schedule_at, "after" with schedule_after; firing schedules the children.
+# Small offsets give equal times, times earlier than the run's tail and
+# events at now.
+_EVENTS = st.recursive(
+    st.just([]),
+    lambda children: st.lists(
+        st.tuples(st.sampled_from(["at", "after"]), st.integers(0, 12), children), max_size=4),
+    max_leaves=40,
+)
+
+
+def _fired(loop, program) -> list[tuple[int, int]]:
+    """Run a schedule program; each callback records (label, now_us) as it fires."""
+    fired = []
+    labels = itertools.count()
+
+    def schedule(event):
+        how, offset, children = event
+        label = next(labels)
+
+        def fn():
+            fired.append((label, loop.now_us))
+            for child in children:
+                schedule(child)
+
+        if how == "at":
+            loop.schedule_at(loop.now_us + offset, fn)
+        else:
+            loop.schedule_after(offset, fn)
+
+    for event in program:
+        schedule(event)
+    loop.run()
+    return fired
+
+
+class TestSortedRunBesideTheHeap:
+    """The run-and-heap loop against the heap-only ``HeapEventLoop`` it replaced."""
+
+    @given(program=_EVENTS)
+    @settings(max_examples=300)
+    def test_fires_what_the_heap_only_loop_fires(self, program):
+        fired = _fired(EventLoop(), program)
+        assert fired == _fired(HeapEventLoop(), program)
+        assert [now for _label, now in fired] == sorted(now for _label, now in fired)
+
+    def test_out_of_order_events_take_the_heap(self):
+        loop = EventLoop()
+        for at_us in (10, 30, 20, 30, 5, 40):
+            loop.schedule_at(at_us, lambda: None)
+        assert [entry[0] for entry in loop._run] == [10, 30, 30, 40]
+        assert sorted(entry[0] for entry in loop._heap) == [5, 20]
 
 
 class TestDerivedStreams:
@@ -103,7 +200,7 @@ _RECORDS = st.lists(st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=
 
 
 class TestSharedEncoder:
-    """``to_jsonl`` reuses one C encoder per log; ``json.dumps`` per record is the reference."""
+    """``to_jsonl`` shares one marker-free C encoder; ``json.dumps`` per record is the reference."""
 
     @given(records=_RECORDS)
     @settings(max_examples=100)
@@ -138,3 +235,36 @@ class TestSharedEncoder:
             log.to_jsonl()
         record["bad"].pop()
         assert log.to_jsonl() == _dumps_per_record([record])
+
+    def test_record_deeper_than_the_recursion_limit_raises_recursion_error(self):
+        record: dict = {"t_us": 1, "actor": "a", "action": "x"}
+        for _ in range(sys.getrecursionlimit() * 100):  # past the C encoder's own limit too
+            record = {"child": record}
+        with pytest.raises(RecursionError):
+            json.dumps(record, sort_keys=True)
+        with pytest.raises(RecursionError):
+            _log_of([record]).to_jsonl()
+
+
+def _log_append_displays(tree: ast.AST):
+    """Every dict display passed to ``<...>.log.append`` or ``log.append``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "append"
+                and ast.unparse(node.func.value).split(".")[-1] == "log"):
+            assert len(node.args) == 1 and isinstance(node.args[0], ast.Dict), ast.unparse(node)
+            yield node.args[0]
+
+
+def test_every_logged_display_lists_literal_keys_in_sorted_order():
+    """``to_jsonl``'s key sort then meets a sorted run (``network.py``'s record paragraph)."""
+    displays = 0
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        for display in _log_append_displays(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{display.lineno}"
+            assert all(isinstance(k, ast.Constant) and type(k.value) is str
+                       for k in display.keys), where
+            keys = [k.value for k in display.keys]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys), where
+            displays += 1
+    assert displays == 19

@@ -17,8 +17,10 @@ import json
 
 import pytest
 
+from nrusim import runner
 from nrusim.runner import RunResult, run_scenario
-from nrusim.scenario import scenario_from_dict
+from nrusim.scenario import load_bundled, scenario_from_dict
+from tests.test_engine import HeapEventLoop
 from tests.test_scenario import variant
 
 BUNDLED_DIGESTS = {
@@ -284,3 +286,27 @@ def test_shared_encoder_writes_the_same_log(bundled_results, name):
     result = bundled_results[name] if name in BUNDLED_DIGESTS else _inline_result(name)
     assert result.log.records
     assert result.log.to_jsonl() == _dumps_per_record(result.log.records)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS) + sorted(INLINE_CASES))
+def test_every_logged_record_lists_its_keys_in_sorted_order(bundled_results, name):
+    result = bundled_results[name] if name in BUNDLED_DIGESTS else _inline_result(name)
+    assert result.log.records
+    assert all(list(record) == sorted(record) for record in result.log.records)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS) + sorted(INLINE_CASES))
+def test_heap_only_loop_writes_the_same_outputs(bundled_results, name, monkeypatch):
+    """The sorted run beside the heap against the heap-only loop it replaced."""
+    if name in BUNDLED_DIGESTS:
+        result, scenario = bundled_results[name], load_bundled(name)
+    else:
+        result, scenario = _inline_result(name), scenario_from_dict(INLINE_CASES[name][0]())
+    loops = []
+    monkeypatch.setattr(runner, "EventLoop", lambda: loops.append(HeapEventLoop()) or loops[-1])
+    oracle = run_scenario(scenario)
+    assert len(loops) == 1
+    assert oracle.events_jsonl() == result.events_jsonl()
+    assert oracle.report_json() == result.report_json()
+    assert {tap: oracle.frames(tap) for tap in oracle.taps} == {
+        tap: result.frames(tap) for tap in result.taps}

@@ -299,6 +299,14 @@ UNRUNNABLE = [
      "got 'x/../../y'"),
     ("two taps on one pcap file", _renamed_ue("a:b", "a_b"),
      "taps: 'ue:a:b' and 'ue:a_b' would both write tap_ue_a_b.pcap"),
+    # A repeat used to load: the run kept one capture and one passive row for both.
+    ("tap listed twice", _with("taps", ["n6", "ue:ue1", "n6"]), "taps: 'n6' listed twice"),
+    # Both used to pass validation, then `run --pcap` crashed writing a capture time past
+    # the 32-bit seconds of a pcap record header.
+    ("TDD period past 10 ms", variant(**{"cell.tdd": {"period_slots": 2**63}}),
+     "cell.tdd: period_slots must be in [2, 20], got 9223372036854775808"),
+    ("external delay past 10 s", _with("external_host", {"one_way_delay_us": 2**63}),
+     "external_host: one_way_delay_us must be in [0, 10000000]"),
 ]
 
 HOSTILE = MALFORMED + UNRUNNABLE
