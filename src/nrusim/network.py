@@ -6,22 +6,25 @@ unfolds identically.  Fixed processing costs come from the calibration
 file; per-traversal jitter comes from the probe's own substream so one
 probe's draws never depend on unrelated activity.
 
-The access leg of each link is one hop table per direction, built once:
+The access leg of each link runs in two fixed stages around the gNB stop:
 
-    UL: (UE processing, RADIO, GNB, gNB + core processing)
-    DL: (gNB + core processing, GNB, RADIO, UE processing)
+    UL: UE processing, radio; gNB stop; gNB + core processing
+    DL: gNB + core processing; gNB stop; radio, UE processing
 
-``_traverse`` walks it for packets and bulk ticks alike, adding delays.
-At RADIO it takes the LBT grant on the link's substream, aligns it to the
-direction's TDD slot, then checks the relay: a payload the gNB does not
-relay is logged as ``radio_drop`` at the current time and draws nothing
-further.  A surviving packet draws its jitter from the probe's substream.
-At GNB a packet stops as a scheduled event that logs ``gtpu_ul`` or
-``gtpu_dl`` and feeds the N3 tap; bulk ticks carry no packet and skip it.
+Each link keeps these as one hop table per direction, built once; the
+stages read their delays from its first and last entries.  ``_traverse``
+takes the first stage.  A packet then stops at the gNB as a scheduled
+event, ``_gnb_resume``, which logs ``gtpu_ul`` or ``gtpu_dl``, feeds the
+N3 tap and takes the second stage; a bulk tick carries no packet and
+takes both stages at once.  ``_radio`` holds the radio hop: the LBT
+grant, aligned to the direction's TDD slot, then the relay check.  A
+payload the gNB does not relay is logged as ``radio_drop`` at the current
+time and draws nothing further; a surviving packet draws its jitter from
+the probe's substream.
 Packets travel as ``InnerPacket`` named tuples, and taps keep them as
 packets too: wire bytes are made only at pcap export or on request, by
 ``tap_frames``.
-The event loop breaks timestamp ties by insertion order, so the walk
+The event loop breaks timestamp ties by insertion order, so each leg
 keeps one ``schedule_at`` per stop, in path order.  Every scheduled
 continuation is a ``functools.partial`` of a bound method, so neither a
 packet nor a bulk tick builds a closure: a ping leaves in ``_ping_tx``, a
@@ -33,7 +36,10 @@ when scheduled and ``_bulk_rx`` on arrival.
 A link's LBT substream is derived only when the channel has foreign
 bursts.  On an empty timeline ``lbt_gate`` grants after one CCA without
 reading it, and a substream draws nothing from shared state, so leaving
-it out moves no draw; the link's ``rng`` is then ``None``.
+it out moves no draw; the link's ``rng`` is then ``None``.  For the same
+reason a burst-free run takes that grant itself, ``t`` plus the CCA
+duration, and never calls ``lbt_gate``; ``SimNetwork.__init__`` decides
+this once, from the scenario's bursts.
 
 Each record is one dict display built by its call site, which
 ``EventLog.append`` keeps as given: a record is never reused or changed
@@ -153,6 +159,7 @@ class SimNetwork:
         # Read by every radio hop; the scenario and calibration never change in a run.
         self._occupancy = scenario.occupancy
         self._lbt = scenario.cell.lbt
+        self._cca_us = None if lbt_draws else self._lbt.cca_duration_us  # the burst-free grant
         self._tdd = tuple(scenario.cell.tdd)  # a plain tuple unpacks faster than a named one
         self._jitter_max_us = calib.jitter_max_us
         self.attach_complete_us = 0
@@ -292,41 +299,63 @@ class SimNetwork:
         delivered_cb(tag, delivered)
 
     def _traverse(self, link: RadioLink, direction: str, t: int, size: int, done,
-                  rng: Random | None = None, pkt: InnerPacket | None = None,
-                  start: int = 0) -> None:
-        """Walk the hop table from ``start`` at time ``t``; ``done`` runs on arrival.
+                  rng: Random | None = None, pkt: InnerPacket | None = None) -> None:
+        """One access leg from time ``t``; ``done`` runs on arrival.
 
-        ``pkt`` and ``rng`` are set for packets only: they add jitter and
-        the gNB stop.
+        ``pkt`` and ``rng`` are set for packets only: they add jitter, and
+        a packet stops at the gNB as a scheduled event that takes the
+        leg's second stage (``_gnb_resume``).  A bulk tick takes both
+        stages here, with no stop.
         """
-        hops = link.hops[direction]
-        for index in range(start, len(hops)):
-            hop = hops[index]
-            if hop is RADIO:
-                gate = access.lbt_gate(self._occupancy, self._lbt, t, link.rng)
-                t = access.next_transmit_time(self._tdd, direction, gate.grant_us)
-                if not relay_passes(link.viable, size):
-                    self.log.append({"action": "radio_drop", "actor": link.gnb.name,
-                                     "direction": direction, "size": size,
-                                     "t_us": self.loop.now_us})
-                    return
-                t += link.radio_us
-                if rng is not None:
-                    t += rng.randrange(self._jitter_max_us + 1)  # randint(0, max)'s draws
-            elif hop is GNB:
-                if pkt is not None:
-                    self.loop.schedule_at(t, partial(self._gnb_resume, link, direction, size,
-                                                     done, rng, pkt, index + 1))
-                    return
-            else:
-                t += hop
-        self.loop.schedule_at(t, done)
+        first_us, _, _, last_us = link.hops[direction]
+        t += first_us
+        if direction == "UL":
+            t = self._radio(link, direction, t, size, rng)
+            if t is None:
+                return
+        if pkt is not None:
+            self.loop.schedule_at(t, partial(self._gnb_resume, link, direction, size, done, rng,
+                                             pkt))
+            return
+        if direction == "DL":
+            t = self._radio(link, direction, t, size, rng)
+            if t is None:
+                return
+        self.loop.schedule_at(t + last_us, done)
 
     def _gnb_resume(self, link: RadioLink, direction: str, size: int, done, rng: Random,
-                    pkt: InnerPacket, start: int) -> None:
-        """A packet's gNB stop: relay it, then walk on from hop ``start``."""
+                    pkt: InnerPacket) -> None:
+        """A packet's gNB stop: relay it, then take the leg's second stage."""
         self._gnb_step(link, direction, pkt, size)
-        self._traverse(link, direction, self.loop.now_us, size, done, rng, pkt, start)
+        t = self.loop.now_us
+        if direction == "DL":
+            t = self._radio(link, direction, t, size, rng)
+            if t is None:
+                return
+        self.loop.schedule_at(t + link.hops[direction][-1], done)
+
+    def _radio(self, link: RadioLink, direction: str, t: int, size: int,
+               rng: Random | None) -> int | None:
+        """The radio hop from time ``t``: when it ends, or None if the gNB drops the payload.
+
+        On a burst-free channel the LBT grant is one CCA after ``t``, as
+        ``lbt_gate`` grants there without a draw; a bursty channel asks
+        ``lbt_gate``.  ``rng`` is the probe's jitter substream, None for a
+        bulk tick.
+        """
+        if self._cca_us is None:
+            t = access.lbt_gate(self._occupancy, self._lbt, t, link.rng).grant_us
+        else:
+            t += self._cca_us
+        t = access.next_transmit_time(self._tdd, direction, t)
+        if not relay_passes(link.viable, size):
+            self.log.append({"action": "radio_drop", "actor": link.gnb.name,
+                             "direction": direction, "size": size, "t_us": self.loop.now_us})
+            return None
+        t += link.radio_us
+        if rng is not None:
+            t += rng.randrange(self._jitter_max_us + 1)  # randint(0, max)'s draws
+        return t
 
     def _gnb_step(self, link: RadioLink, direction: str, pkt: InnerPacket, size: int) -> None:
         """The gNB relays a packet between radio and N3: log it and feed the N3 tap.

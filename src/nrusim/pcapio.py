@@ -16,10 +16,20 @@ from .errors import CodecError
 PCAP_MAGIC_US = 0xA1B2C3D4
 PCAP_MAGIC_NS = 0xA1B23C4D
 LINKTYPE_RAW = 101
+PCAP_HORIZON_US = 2**32 * 1_000_000  # a record's seconds are an unsigned 32-bit field
 
 
 def write_pcap(path: str | Path, packets: list[tuple[int, bytes]]) -> None:
-    """Write (timestamp_us, raw bytes) records to a classic pcap file."""
+    """Write (timestamp_us, raw bytes) records to a classic pcap file.
+
+    A record header keeps its seconds in an unsigned 32-bit field: a time
+    outside it is a CodecError naming the capture, raised before the file
+    is opened.
+    """
+    for t_us, _data in packets:
+        if not 0 <= t_us < PCAP_HORIZON_US:
+            raise CodecError(f"{path}: capture time {t_us} us is outside the 32-bit seconds "
+                             f"of a classic pcap record")
     with open(path, "wb") as handle:
         handle.write(struct.pack("<IHHiIII", PCAP_MAGIC_US, 2, 4, 0, 0, 65535, LINKTYPE_RAW))
         for t_us, data in packets:

@@ -296,25 +296,79 @@ def _rows(report: dict, section: str) -> list[dict]:
     return rows
 
 
-def extract_metric(report: dict, name: str) -> float | None:
-    """Pull one comparable metric out of a report dict; a malformed report is a ConfigError."""
-    if name.startswith("rtt_"):
-        pings = _rows(report, "pings")
-        value = pings[0].get(name[len("rtt_"):]) if pings else None
-    else:
-        direction = "UL" if name.startswith("ul_") else "DL"
-        rows = _rows(report, "throughput")
-        if any("direction" not in row for row in rows):
-            raise ConfigError("every report throughput row needs a 'direction'")
-        value = next((row.get(name[3:]) for row in rows if row["direction"] == direction), None)
+def _metric_rows(report: dict, metric: str) -> list[dict]:
+    """The rows a metric reads: every ping row, or the throughput rows of its direction."""
+    if metric.startswith("rtt_"):
+        return _rows(report, "pings")
+    direction = "UL" if metric.startswith("ul_") else "DL"
+    rows = _rows(report, "throughput")
+    if any("direction" not in row for row in rows):
+        raise ConfigError("every report throughput row needs a 'direction'")
+    return [row for row in rows if row["direction"] == direction]
+
+
+def _by_label(rows: list[dict], metric: str) -> dict[str, dict]:
+    by_label: dict[str, dict] = {}
+    for row in rows:
+        label = row.get("label")
+        if not isinstance(label, str) or label in by_label:
+            raise ConfigError(f"report rows of {metric} need distinct string labels, "
+                              f"got {label!r}")
+        by_label[label] = row
+    return by_label
+
+
+def _metric_value(row: dict, metric: str) -> float | None:
+    value = row.get(metric[len("rtt_"):] if metric.startswith("rtt_") else metric[3:])
     if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))
                               or value != value):  # NaN: json.loads accepts it
-        raise ConfigError(f"report metric {name} is not a number: {value!r}")
+        raise ConfigError(f"report metric {metric} is not a number: {value!r}")
     return value
 
 
+def extract_metric(report: dict, name: str) -> float | None:
+    """Pull one comparable metric out of a report dict; a malformed report is a ConfigError.
+
+    ``name`` is a metric, read from the metric's only row, or
+    ``metric@label``, read from the row with that traffic label.  None
+    when the report has no row for the metric; a label the report lacks,
+    or a bare metric over several rows, is a ConfigError.
+    """
+    metric, _, label = name.partition("@")
+    rows = _metric_rows(report, metric)
+    if label:
+        row = _by_label(rows, metric).get(label)
+        if row is None:
+            raise ConfigError(f"report has no {metric} row labelled {label!r}")
+        return _metric_value(row, metric)
+    if len(rows) > 1:
+        raise ConfigError(f"report has {len(rows)} {metric} rows; name one as {metric}@<label>")
+    return _metric_value(rows[0], metric) if rows else None
+
+
+def _row_pairs(report_a: dict, report_b: dict, metric: str) -> list[tuple[str, dict, dict]]:
+    """A metric's rows in both reports, paired by label, each with its name.
+
+    A report without the metric's rows pairs nothing.  One row in each
+    pairs whatever its labels, under the bare metric name.  Otherwise a
+    label in only one report is a ConfigError naming it, and each pair is
+    named ``metric@label``.
+    """
+    rows_a, rows_b = _metric_rows(report_a, metric), _metric_rows(report_b, metric)
+    if not rows_a or not rows_b:
+        return []
+    if len(rows_a) == len(rows_b) == 1:
+        return [(metric, rows_a[0], rows_b[0])]
+    by_label_a, by_label_b = _by_label(rows_a, metric), _by_label(rows_b, metric)
+    for label in [*by_label_a, *by_label_b]:
+        if label not in by_label_a or label not in by_label_b:
+            side = "a" if label in by_label_a else "b"
+            raise ConfigError(f"traffic label {label!r} has {metric} only in report {side}")
+    return [(f"{metric}@{label}", row, by_label_b[label]) for label, row in by_label_a.items()]
+
+
 class Expectation(NamedTuple):
-    metric: str
+    metric: str  # a metric, or metric@label for one traffic label's row
     op: str  # key into _OPS
 
     def __str__(self) -> str:
@@ -322,15 +376,18 @@ class Expectation(NamedTuple):
 
 
 def parse_expectation(text: str) -> Expectation:
-    """Parse "metric:a>b"-style expectation strings."""
+    """Parse "metric:a>b"-style expectation strings; "metric@label:a>b" names a row."""
     if ":" not in text:
         raise ConfigError(f"expectation {text!r} must look like 'dl_peak_mbps:a>b'")
-    metric, op = text.split(":", 1)
+    name, op = text.rsplit(":", 1)  # a label may hold ':', an operator never does
+    metric, at, label = name.partition("@")
     if metric not in _METRICS:
         raise ConfigError(f"unknown metric {metric!r}; known: {', '.join(_METRICS)}")
+    if at and not label:
+        raise ConfigError(f"expectation {text!r} names an empty label")
     if op not in _OPS:
         raise ConfigError(f"unknown comparison {op!r}; known: {', '.join(_OPS)}")
-    return Expectation(metric=metric, op=op)
+    return Expectation(metric=name, op=op)
 
 
 class ComparisonResult(NamedTuple):
@@ -352,12 +409,12 @@ def compare_reports(
         )
     result = ComparisonResult([], [])
     for metric in _METRICS:
-        a = extract_metric(report_a, metric)
-        b = extract_metric(report_b, metric)
-        if a is None or b is None:
-            continue
-        relation = "=" if a == b else ("<" if a < b else ">")
-        result.rows.append({"metric": metric, "a": a, "b": b, "relation": relation})
+        for name, row_a, row_b in _row_pairs(report_a, report_b, metric):
+            a, b = _metric_value(row_a, metric), _metric_value(row_b, metric)
+            if a is None or b is None:
+                continue
+            relation = "=" if a == b else ("<" if a < b else ">")
+            result.rows.append({"metric": name, "a": a, "b": b, "relation": relation})
     for expectation in expectations:
         a = extract_metric(report_a, expectation.metric)
         b = extract_metric(report_b, expectation.metric)

@@ -352,9 +352,9 @@ def _randint_lbt_gate(occupancy: ChannelOccupancy, cfg: LbtConfig, now_us: int,
 
 
 @st.composite
-def _lbt_configs(draw):
+def _lbt_configs(draw, thresholds=st.sampled_from((-85.0, -72.0, -62.5))):
     cw_max = draw(st.integers(7, 1023))
-    return LbtConfig(cca_threshold_dbm=draw(st.sampled_from((-85.0, -72.0, -62.5))),
+    return LbtConfig(cca_threshold_dbm=draw(thresholds),
                      cca_duration_us=draw(st.integers(25, 79)),
                      cw_min=draw(st.integers(3, min(15, cw_max))), cw_max=cw_max)
 
@@ -380,6 +380,12 @@ class TestLbtGateOracle:
             expected.grant_us, expected.busy_observations)
         assert got.granted and expected.granted
         assert rng.getstate() == reference_rng.getstate()
+
+    # SimNetwork takes this grant itself on a burst-free channel and never calls the gate.
+    @given(_lbt_configs(st.floats(allow_nan=False)), st.integers(-2**64, 2**64))
+    def test_a_burst_free_channel_grants_one_cca_later_without_a_draw(self, cfg, now_us):
+        grant = lbt_gate(ChannelOccupancy(()), cfg, now_us, None)
+        assert grant == LbtResult(now_us + cfg.cca_duration_us, 0)
 
     def test_result_keeps_its_field_names(self):
         result = lbt_gate(ChannelOccupancy(), LbtConfig(), 0, Random(0))

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from nrusim.cli import main
+from nrusim.runner import write_outputs
 from nrusim.scenario import bundled_scenario_path
 from nrusim.userplane import echo_reply_for, encode_ip, icmp_echo_request
 from tests.test_scenario import HOSTILE, variant
@@ -23,6 +24,22 @@ BAD_INPUTS = [
     ("compare throughput row without direction", "compare", "report.json",
      json.dumps({"schema": 1, "throughput": [{"label": "dl", "peak_mbps": 50.0}]})),
     ("monitor missing file", "monitor", "absent.pcap", None),
+]
+
+# What CI's compare step (test_b's report against test_a's) printed when compare read
+# each section's first row; every bundled report has one row per metric.
+CI_COMPARE_LINES = [
+    'rtt_min_ms         a=6.39       = b=6.39      ',
+    'rtt_avg_ms         a=11.135     = b=11.135    ',
+    'rtt_max_ms         a=15.565     = b=15.565    ',
+    'rtt_mdev_ms        a=1.587      = b=1.587     ',
+    'ul_peak_mbps       a=18         = b=18        ',
+    'ul_avg_low_mbps    a=9.9        = b=9.9       ',
+    'ul_avg_high_mbps   a=13.5       = b=13.5      ',
+    'dl_peak_mbps       a=63         > b=55        ',
+    'dl_avg_low_mbps    a=34.65      > b=30.25     ',
+    'dl_avg_high_mbps   a=47.25      > b=41.25     ',
+    'PASS dl_peak_mbps:a>b (a=63.0, b=55.0)',
 ]
 
 
@@ -215,6 +232,14 @@ class TestScenarioCommands:
                        "--expect", "rtt_avg_ms:a==b") == 0
         assert "PASS rtt_avg_ms:a==b" in capsys.readouterr().out
 
+    def test_compare_prints_what_the_ci_step_printed(self, bundled_results, tmp_path, capsys):
+        for name in ("test_a", "test_b"):
+            write_outputs(bundled_results[name], tmp_path / name)
+        assert run_cli("compare", str(tmp_path / "test_b" / "report.json"),
+                       str(tmp_path / "test_a" / "report.json"),
+                       "--expect", "dl_peak_mbps:a>b") == 0
+        assert capsys.readouterr().out.splitlines() == CI_COMPARE_LINES
+
     def test_monitor_over_exported_pcap(self, tmp_path, capsys):
         raw = variant()
         raw["taps"] = ["ue:ue1"]
@@ -313,6 +338,20 @@ class TestBadInputFiles:
         captured = capsys.readouterr()
         assert captured.err == f"error: {needle}\n" and captured.out == ""
         assert sorted(tmp_path.rglob("*")) == [tmp_path / "a", work, work / "unit.yaml"]
+
+    def test_run_pcap_past_the_32_bit_seconds_exits_1(self, tmp_path, capsys):
+        # The second echo leaves 2**52 ms after the first, so its capture time overflows
+        # a classic pcap record's 32-bit seconds: it crashed with a struct.error traceback.
+        raw = yaml.safe_load(bundled_scenario_path("north_south").read_text(encoding="utf-8"))
+        raw["traffic"][0].update(count=2, interval_ms=4503599627370496)
+        path = tmp_path / "far.yaml"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        assert run_cli("run", str(path), "--out", str(tmp_path / "out"), "--pcap") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {tmp_path / 'out' / 'tap_ue_ue1.pcap'}: "
+                                       "capture time 45035996273")
+        assert captured.err.count("\n") == 1 and "32-bit seconds" in captured.err
+        assert not list((tmp_path / "out").glob("*.pcap"))
 
     def test_compare_rejects_a_nan_metric(self, tmp_path, capsys):
         # json.loads reads NaN, and every comparison with it is false: it printed "a=nan > b=1".

@@ -26,11 +26,19 @@ continuations became ``functools.partial``s too, and derives every link's
 LBT substream whether or not the channel has bursts.  Over generated ping
 scenarios with random taps and over the golden cases, it must write the
 same ``events.jsonl`` and ``report.json`` text and capture the same frames.
+
+``HopTableSimNetwork`` keeps the access leg as it was before it became two
+fixed stages around the gNB stop: a walk over the link's hop table that
+tests each entry for ``RADIO`` or ``GNB`` and asks ``access.lbt_gate`` at
+every radio hop, burst-free channel or not.  Over generated ping and
+throughput scenarios and over the golden cases, it must write the same
+``events.jsonl`` and ``report.json`` text and capture the same frames.
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 from random import Random
 from unittest import mock
 
@@ -497,3 +505,92 @@ def test_links_derive_an_lbt_substream_only_under_bursts(name):
         else:
             assert link.rng is None
 
+
+class HopTableSimNetwork(SimNetwork):
+    """The access leg as a walk over the hop table, asking ``lbt_gate`` at every radio hop."""
+
+    def _traverse(self, link: RadioLink, direction: str, t: int, size: int, done,
+                  rng: Random | None = None, pkt: InnerPacket | None = None,
+                  start: int = 0) -> None:
+        hops = link.hops[direction]
+        for index in range(start, len(hops)):
+            hop = hops[index]
+            if hop is RADIO:
+                gate = access.lbt_gate(self._occupancy, self._lbt, t, link.rng)
+                t = access.next_transmit_time(self._tdd, direction, gate.grant_us)
+                if not relay_passes(link.viable, size):
+                    self.log.append({"action": "radio_drop", "actor": link.gnb.name,
+                                     "direction": direction, "size": size,
+                                     "t_us": self.loop.now_us})
+                    return
+                t += link.radio_us
+                if rng is not None:
+                    t += rng.randrange(self._jitter_max_us + 1)
+            elif hop is GNB:
+                if pkt is not None:
+                    self.loop.schedule_at(t, partial(self._gnb_resume, link, direction, size,
+                                                     done, rng, pkt, index + 1))
+                    return
+            else:
+                t += hop
+        self.loop.schedule_at(t, done)
+
+    def _gnb_resume(self, link: RadioLink, direction: str, size: int, done, rng: Random,
+                    pkt: InnerPacket, start: int) -> None:
+        self._gnb_step(link, direction, pkt, size)
+        self._traverse(link, direction, self.loop.now_us, size, done, rng, pkt, start)
+
+
+@st.composite
+def leg_scenarios(draw) -> dict:
+    """Pings and throughput plans on two UEs with random taps, under foreign
+    bursts or none, optionally behind an overloaded gNB host (every bulk tick
+    a ``radio_drop``) and with ue2 unprovisioned."""
+    raw = draw(ping_scenarios())
+    if not draw(st.booleans()):
+        raw["occupancy"] = []
+    if draw(st.booleans()):
+        raw["nodes"][0]["host"] = "nuc-i5-core"
+    if draw(st.booleans()):
+        raw["core"]["subscribers"].pop()
+        raw["nodes"][-1]["unprovisioned"] = True
+    for ue, direction in draw(st.lists(st.tuples(st.sampled_from(["ue1", "ue2"]),
+                                                 st.sampled_from(["UL", "DL"])), max_size=2)):
+        raw["traffic"].append({"probe": "throughput", "ue": ue, "direction": direction,
+                               "duration_s": 1})
+    raw["taps"] = sorted(draw(st.sets(st.sampled_from(VALID_TAPS))))
+    return raw
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw=leg_scenarios())
+def test_two_stage_legs_write_and_capture_what_the_hop_table_walk_did(raw):
+    assert_same_output(runner.run_scenario(scenario_from_dict(raw)),
+                       run_with(scenario_from_dict(raw), HopTableSimNetwork))
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS) + sorted(INLINE_CASES))
+def test_golden_cases_write_what_the_hop_table_walk_wrote(bundled_results, name):
+    if name in BUNDLED_DIGESTS:
+        result, scenario = bundled_results[name], load_bundled(name)
+    else:
+        result, scenario = _inline_result(name), scenario_from_dict(INLINE_CASES[name][0]())
+    assert_same_output(result, run_with(scenario, HopTableSimNetwork))
+
+
+def lbt_gate_calls(scenario, network_class: type[SimNetwork]) -> int:
+    with mock.patch.object(access, "lbt_gate", wraps=access.lbt_gate) as gate:
+        run_with(scenario, network_class)
+    return gate.call_count
+
+
+def test_lbt_gate_runs_at_every_radio_hop_under_bursts_and_never_without():
+    hops = {}  # golden case -> (radio hops, lbt_gate calls of the run, bursts or not)
+    for name in sorted(BUNDLED_DIGESTS) + sorted(INLINE_CASES):
+        scenario = load_bundled(name) if name in BUNDLED_DIGESTS else \
+            scenario_from_dict(INLINE_CASES[name][0]())
+        hops[name] = (lbt_gate_calls(scenario, HopTableSimNetwork),  # one per RADIO entry
+                      lbt_gate_calls(scenario, SimNetwork), bool(scenario.occupancy.bursts))
+    for name, (radio_hops, calls, bursty) in hops.items():
+        assert calls == (radio_hops if bursty else 0), name
+    assert {bursty for radio_hops, _calls, bursty in hops.values() if radio_hops} == {False, True}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrusim import access
+from nrusim import access, runner
 from nrusim.errors import CodecError, ConfigError
 from nrusim.metrics import ping_ident, ping_stats
 from nrusim.pcapio import read_pcap, write_pcap
@@ -227,6 +227,18 @@ class TestOutputs:
         write_pcap(path, packets)
         assert read_pcap(path) == packets
 
+    @pytest.mark.parametrize("t_us", [-1, 2**32 * 1_000_000, 2**63])
+    def test_pcap_writer_rejects_a_time_past_the_header_seconds(self, tmp_path, t_us):
+        path = tmp_path / "x.pcap"
+        with pytest.raises(CodecError, match=f"x.pcap: capture time {t_us} us is outside"):
+            write_pcap(path, [(0, b"first"), (t_us, b"late")])
+        assert not path.exists()
+
+    def test_pcap_writer_keeps_the_last_header_second(self, tmp_path):
+        packets = [(0, b""), ((2**32 - 1) * 1_000_000 + 999_999, b"last")]
+        write_pcap(tmp_path / "x.pcap", packets)
+        assert read_pcap(tmp_path / "x.pcap") == packets
+
     @pytest.mark.parametrize("endian", ["<", ">"])
     @pytest.mark.parametrize("nanos", [False, True])
     def test_pcap_reader_reads_every_magic_variant(self, tmp_path, endian, nanos):
@@ -254,6 +266,17 @@ class TestOutputs:
         _ethernet_echo_pcap(path, endian)
         with pytest.raises(CodecError, match="link type 1;"):
             read_pcap(path)
+
+
+def first_row_metric(report: dict, name: str) -> float | None:
+    """``extract_metric`` as it was before rows were matched by label: the first
+    ping row, or the first throughput row of the metric's direction."""
+    if name.startswith("rtt_"):
+        pings = report.get("pings", [])
+        return pings[0].get(name[len("rtt_"):]) if pings else None
+    direction = "UL" if name.startswith("ul_") else "DL"
+    return next((row.get(name[3:]) for row in report.get("throughput", [])
+                 if row["direction"] == direction), None)
 
 
 class TestCompare:
@@ -305,6 +328,79 @@ class TestCompare:
         assert extract_metric(a, "rtt_min_ms") == a["pings"][0]["min_ms"]
         assert extract_metric(a, "dl_peak_mbps") == a["throughput"][0]["peak_mbps"]
         assert extract_metric({}, "rtt_min_ms") is None
+
+    def test_bundled_reports_compare_as_the_first_row_reader(self, bundled_results):
+        # Each bundled report has one ping row and at most one throughput row per
+        # direction, so matching rows by label changes no comparison of any two of them.
+        reports = [bundled_results[name].report for name in BUNDLED]
+        for report in reports:
+            assert len(report["pings"]) == 1
+            assert sorted(Counter(row["direction"] for row in report["throughput"]).values()) \
+                in ([], [1, 1])
+        for a in reports:
+            for b in reports:
+                expected = []
+                for metric in runner._METRICS:
+                    x, y = first_row_metric(a, metric), first_row_metric(b, metric)
+                    if x is not None and y is not None:
+                        relation = "=" if x == y else ("<" if x < y else ">")
+                        expected.append({"metric": metric, "a": x, "b": y, "relation": relation})
+                assert compare_reports(a, b).rows == expected, (a["scenario"], b["scenario"])
+
+    def _fleet(self, count=3):
+        """A report with ``count`` ping rows and a DL throughput row, and a copy of it."""
+        raw = variant()
+        raw["traffic"] = [{"probe": "ping", "label": f"train-{n}", "src": "ue1",
+                           "dst": "core-gateway", "count": 3, "interval_ms": 100}
+                          for n in range(count)]
+        raw["traffic"].append({"probe": "throughput", "label": "downlink", "ue": "ue1",
+                               "direction": "DL", "duration_s": 1})
+        report = run_scenario(scenario_from_dict(raw)).report
+        return report, copy.deepcopy(report)
+
+    def test_rows_after_the_first_are_compared_by_label(self):
+        a, b = self._fleet()
+        b["pings"][2]["avg_ms"] = 9999.0  # the first-row reader compared this as "="
+        rows = {row["metric"]: row["relation"] for row in compare_reports(a, b).rows}
+        assert rows["rtt_avg_ms@train-2"] == "<"
+        assert rows["rtt_avg_ms@train-0"] == rows["rtt_avg_ms@train-1"] == "="
+        assert rows["dl_peak_mbps"] == "="  # one row in each keeps its bare name
+        assert "rtt_avg_ms" not in rows
+        b["pings"].reverse()  # rows pair by label, not by position
+        assert {row["metric"]: row["relation"] for row in compare_reports(a, b).rows} == rows
+
+    def test_a_label_in_only_one_report_is_a_config_error(self):
+        a, b = self._fleet()
+        b["pings"][1]["label"] = "renamed"
+        with pytest.raises(ConfigError, match="'train-1' has rtt_min_ms only in report a"):
+            compare_reports(a, b)
+        del b["pings"][1]
+        with pytest.raises(ConfigError, match="'train-1' has rtt_min_ms only in report a"):
+            compare_reports(a, b)
+        with pytest.raises(ConfigError, match="'train-1' has rtt_min_ms only in report b"):
+            compare_reports(b, a)
+
+    def test_an_expectation_names_a_row_by_label(self):
+        a, b = self._fleet()
+        b["pings"][2]["avg_ms"] = 9999.0
+        expectation = parse_expectation("rtt_avg_ms@train-2:a<b")
+        assert str(expectation) == "rtt_avg_ms@train-2:a<b"
+        verdict, = compare_reports(a, b, [expectation]).verdicts
+        assert verdict == {"expectation": "rtt_avg_ms@train-2:a<b", "a": a["pings"][2]["avg_ms"],
+                           "b": 9999.0, "passed": True}
+        assert extract_metric(a, "dl_peak_mbps@downlink") == extract_metric(a, "dl_peak_mbps")
+        with pytest.raises(ConfigError, match="3 rtt_avg_ms rows; name one as rtt_avg_ms@<label>"):
+            compare_reports(a, b, [parse_expectation("rtt_avg_ms:a<b")])
+        with pytest.raises(ConfigError, match="no rtt_avg_ms row labelled 'absent'"):
+            compare_reports(a, b, [parse_expectation("rtt_avg_ms@absent:a<b")])
+        with pytest.raises(ConfigError, match="no dl_peak_mbps row labelled 'train-0'"):
+            extract_metric(a, "dl_peak_mbps@train-0")
+
+    def test_expectation_labels_parse(self):
+        assert parse_expectation("rtt_avg_ms@a:b:a>=b") == ("rtt_avg_ms@a:b", "a>=b")
+        for text in ("rtt_avg_ms@:a>b", "nope@rtt:a>b"):
+            with pytest.raises(ConfigError):
+                parse_expectation(text)
 
     @pytest.mark.parametrize("report", [
         {"pings": {"min_ms": 1.0}},
