@@ -201,11 +201,10 @@ def lbt_gate(occupancy: ChannelOccupancy, cfg: LbtConfig, now_us: int,
     """Earliest transmit grant at/after ``now_us``.
 
     A grant at time g means the window [g - cca_duration, g) measured
-    idle.  A channel with no foreign bursts grants after one CCA without
-    reading ``rng``, which may then be ``None``.
+    idle.  A channel with no foreign bursts finds no blocker at the first
+    probe, so it grants after one CCA without reading ``rng``, which may
+    then be ``None``.
     """
-    if not occupancy.bursts:
-        return LbtResult(now_us + cfg.cca_duration_us)
     threshold_dbm, cca_us, cw, cw_max = cfg  # the window starts at cw_min
     t = now_us
     busy = 0

@@ -9,11 +9,12 @@ its tail, beside a heap for the few that arrive out of order.  Randomness
 never lives here: actors derive named substreams from the scenario seed
 so a stream's draws do not depend on unrelated activity.
 
-``EventLog.to_jsonl`` writes each record as ``json.dumps(record,
-sort_keys=True)`` does, through one shared C encoder that keeps no
-circular-reference markers and so holds no state between calls.  A
-circular or too-deep record makes it raise ``RecursionError``; the log is
-then encoded again with ``json.dumps``, which raises what it raises.
+``c_encoder`` is the one owner of the C JSON encoder: ``EventLog.to_jsonl``
+and the runner's ``report.json`` both write through it.  It keeps no
+circular-reference markers and so holds no state between calls.  Each
+caller has one fallback, ``json.dumps``, taken when there is no C
+accelerator; ``to_jsonl`` also takes it when a circular or too-deep record
+raises ``RecursionError``, so it raises what ``json.dumps`` raises.
 """
 
 from __future__ import annotations
@@ -28,31 +29,30 @@ from typing import Any, Callable
 
 from .errors import InvariantBreach
 
-# ``json.dumps(record, sort_keys=True)`` would build a new encoder per record.
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
-_c_record_encoder: Callable[[dict[str, Any]], str] | None = None  # built on first use
+_C_ENCODERS: dict[str, Callable[[Any, int], Any]] = {}  # item separator -> C encoder
 
 
-def _record_encoder() -> Callable[[dict[str, Any]], str]:
-    """``_RECORD_ENCODER.encode`` of one record, through one C encoder for every log.
+def c_encoder(item_separator: str) -> Callable[[Any, int], Any] | None:
+    """The shared C encoder of ``json.dumps(..., sort_keys=True)``, or None without one.
 
-    ``JSONEncoder.encode`` builds a C encoder on every call.  This one is
-    built once, with no circular-reference markers (``markers=None``), so
-    it keeps no state between calls: a failed encode leaves nothing behind
-    for a later record.  Without markers a cycle recurses until it raises
-    ``RecursionError``.  Without the C accelerator (``c_make_encoder``, a
-    private name, is ``None``) this is ``_RECORD_ENCODER.encode`` itself.
+    ``encode(obj, depth)`` returns ``obj``'s JSON text in parts, with ASCII
+    output, sorted keys, NaN allowed and ``": "`` after each key.  It is
+    built once per ``item_separator``; the C encoder ignores ``indent``, so
+    an indented caller puts the line break and indent in that separator.
+    It keeps no circular-reference markers (``markers=None``), so it holds
+    no state between calls: a failed encode leaves nothing behind, and a
+    cycle recurses until it raises ``RecursionError``.  None when the C
+    accelerator (``c_make_encoder``, a private name) is ``None``.
     """
-    global _c_record_encoder
     make = json.encoder.c_make_encoder
     if make is None:
-        return _RECORD_ENCODER.encode
-    if _c_record_encoder is None:
-        e = _RECORD_ENCODER
-        encode = make(None, e.default, json.encoder.encode_basestring_ascii, e.indent,
-                      e.key_separator, e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
-        _c_record_encoder = lambda record: "".join(encode(record, 0))  # noqa: E731
-    return _c_record_encoder
+        return None
+    encode = _C_ENCODERS.get(item_separator)
+    if encode is None:
+        encode = _C_ENCODERS[item_separator] = make(
+            None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+            ": ", item_separator, True, False, True)
+    return encode
 
 
 def derive_rng(seed: int, label: str) -> Random:
@@ -89,11 +89,13 @@ class EventLog:
         records = self.records
         if not records:
             return ""
-        try:
-            text = "\n".join(map(_record_encoder(), records))
-        except RecursionError:
-            text = "\n".join([json.dumps(r, sort_keys=True) for r in records])
-        return text + "\n"
+        encode = c_encoder(", ")
+        if encode is not None:
+            try:
+                return "\n".join(map("".join, map(encode, records, itertools.repeat(0)))) + "\n"
+            except RecursionError:
+                pass
+        return "\n".join([json.dumps(r, sort_keys=True) for r in records]) + "\n"
 
 
 class EventLoop:

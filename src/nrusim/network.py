@@ -34,12 +34,12 @@ packet resumes past its gNB stop in ``_gnb_resume`` and arrives in
 when scheduled and ``_bulk_rx`` on arrival.
 
 A link's LBT substream is derived only when the channel has foreign
-bursts.  On an empty timeline ``lbt_gate`` grants after one CCA without
-reading it, and a substream draws nothing from shared state, so leaving
-it out moves no draw; the link's ``rng`` is then ``None``.  For the same
-reason a burst-free run takes that grant itself, ``t`` plus the CCA
-duration, and never calls ``lbt_gate``; ``SimNetwork.__init__`` decides
-this once, from the scenario's bursts.
+bursts.  On an empty timeline the first CCA finds no blocker, so the
+grant is one CCA later and reads no draw; a substream draws nothing from
+shared state, so leaving it out moves no draw, and the link's ``rng`` is
+then ``None``.  A burst-free run takes that grant itself in ``_radio``
+and never calls ``lbt_gate``; ``SimNetwork.__init__`` decides this once,
+from the scenario's bursts.
 
 Each record is one dict display built by its call site, which
 ``EventLog.append`` keeps as given: a record is never reused or changed
@@ -339,9 +339,9 @@ class SimNetwork:
         """The radio hop from time ``t``: when it ends, or None if the gNB drops the payload.
 
         On a burst-free channel the LBT grant is one CCA after ``t``, as
-        ``lbt_gate`` grants there without a draw; a bursty channel asks
-        ``lbt_gate``.  ``rng`` is the probe's jitter substream, None for a
-        bulk tick.
+        ``lbt_gate``'s first probe would grant there without a draw; a
+        bursty channel asks ``lbt_gate``.  ``rng`` is the probe's jitter
+        substream, None for a bulk tick.
         """
         if self._cca_us is None:
             t = access.lbt_gate(self._occupancy, self._lbt, t, link.rng).grant_us

@@ -10,11 +10,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
-from .access import ue_cell_search
-from .calibration import load_calibration
-from .engine import EventLog, EventLoop, derive_rng
+from .calibration import Calibration, load_calibration
+from .engine import EventLog, EventLoop, c_encoder, derive_rng
 from .errors import ConfigError, InvariantBreach
 from .metrics import (
     ThroughputProbe,
@@ -29,53 +28,36 @@ from .metrics import (
 from .network import SimNetwork, tap_frames
 from .pcapio import write_pcap
 from .scenario import PingPlan, Scenario, ThroughputPlan, tap_file_name
-from .spectrum import get_band
 
 REPORT_SCHEMA = 1
-
-# depth -> C encoder of one scalar-only container whose items sit at depth + 1
-_REPORT_ENCODERS: dict[int, Callable[[Any, int], list[str]]] = {}
-
-
-def _scalar_encoder(depth: int) -> Callable[[Any, int], list[str]]:
-    """The C encoder that writes a scalar-only container's items, built on first use.
-
-    The C encoder ignores ``indent``, so its item separator carries the
-    line break and the items' indent.  It keeps no circular-reference
-    markers: a report is a fresh tree.
-    """
-    encode = _REPORT_ENCODERS.get(depth)
-    if encode is None:
-        encode = _REPORT_ENCODERS[depth] = json.encoder.c_make_encoder(
-            None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
-            ": ", ",\n" + "  " * (depth + 1), True, False, True)
-    return encode
-
 
 def _indented_json(obj: Any, depth: int = 0) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` of a string-keyed tree at ``depth``.
 
-    A dict or list whose values are all scalars is one C encoder call,
-    then wrapped in its indented brackets; any other container recurses
-    here in sorted key order.
+    A dict or list whose values are all scalars is one call of the shared
+    C encoder, whose item separator carries the line break and the items'
+    indent, then wrapped in its indented brackets; any other container
+    recurses here in sorted key order.
     """
+    inner = "  " * (depth + 1)
+    separator = ",\n" + inner
+    encode = c_encoder(separator)
     is_dict = isinstance(obj, dict)
     if not is_dict and not isinstance(obj, (list, tuple)):
-        return "".join(_scalar_encoder(depth)(obj, depth))
+        return "".join(encode(obj, depth))
     values = obj.values() if is_dict else obj
     brackets = "{}" if is_dict else "[]"
     if not values:
         return brackets
-    inner = "  " * (depth + 1)
     if any(isinstance(value, (dict, list, tuple)) for value in values):
         if is_dict:
             key = json.encoder.encode_basestring_ascii
             items = [f"{key(k)}: {_indented_json(v, depth + 1)}" for k, v in sorted(obj.items())]
         else:
             items = [_indented_json(v, depth + 1) for v in obj]
-        body = (",\n" + inner).join(items)
+        body = separator.join(items)
     else:
-        body = "".join(_scalar_encoder(depth)(obj, depth))[1:-1]
+        body = "".join(encode(obj, depth))[1:-1]
     return f"{brackets[0]}\n{inner}{body}\n{'  ' * depth}{brackets[1]}"
 
 
@@ -93,11 +75,10 @@ class RunResult(NamedTuple):
         """``json.dumps(report, sort_keys=True, indent=2)``'s bytes and a newline.
 
         With ``indent``, ``json.dumps`` encodes in pure Python; this writes
-        the same text through the C encoder (``_indented_json``).  Without
-        the C accelerator (``c_make_encoder``, a private name, is ``None``)
-        it is ``json.dumps`` itself.
+        the same text through the shared C encoder (``_indented_json``).
+        Its one fallback, when ``c_encoder`` is None, is ``json.dumps`` itself.
         """
-        if json.encoder.c_make_encoder is None:
+        if c_encoder(",\n  ") is None:
             return json.dumps(self.report, sort_keys=True, indent=2) + "\n"
         return _indented_json(self.report) + "\n"
 
@@ -141,7 +122,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     _check_invariants(net, log)
     return RunResult(
         scenario=scenario,
-        report=_build_report(scenario, log, tallies, net.taps),
+        report=_build_report(scenario, log, tallies, net.taps, calib),
         log=log,
         taps=net.taps,
     )
@@ -165,10 +146,11 @@ def _check_invariants(net: SimNetwork, log: EventLog) -> None:
 
 
 def _build_report(scenario: Scenario, log: EventLog, tallies: list[ThroughputProbe],
-                  taps: dict[str, list[tuple]]) -> dict:
+                  taps: dict[str, list[tuple]], calib: Calibration) -> dict:
     """Fold the event log, the throughput tallies and the tapped packets into a report."""
     attach = {ue.name: {"ue": ue.name, "phase": None, "ip": None, "scan_steps": None,
                         "failure": None} for ue in scenario.ues()}
+    scanning_us: dict[str, int] = {}  # UE -> when its cell search began
     budgets: dict[str, dict] = {}
     for record in log.records:
         action = record["action"]
@@ -177,13 +159,15 @@ def _build_report(scenario: Scenario, log: EventLog, tallies: list[ThroughputPro
             row["phase"] = record["phase"]
             row["scan_steps"] = record.get("scan_steps", row["scan_steps"])
             row["ip"] = record.get("ip", row["ip"])
+            if row["phase"] == "SCANNING":
+                scanning_us[record["actor"]] = record["t_us"]
         elif action == "attach_failed":
-            attach[record["actor"]]["failure"] = record["reason"]
+            row = attach[record["actor"]]
+            row["failure"] = record["reason"]
+            if row["scan_steps"] is None:  # no cell found: it failed when its sweep ended
+                row["scan_steps"] = (record["t_us"] - scanning_us[row["ue"]]) // calib.scan_step_us
         elif action == "link_budget":
             budgets[record["actor"]] = record
-    for row in attach.values():
-        if row["scan_steps"] is None:  # no cell found: the UE swept the whole raster
-            row["scan_steps"] = ue_cell_search(get_band(scenario.cell.band_id), None)[1]
     rtts = ping_rtts_ms(log.records)
     pings = [
         {"label": plan.label, "src": plan.src, "dst": plan.dst,
@@ -204,8 +188,8 @@ def _build_report(scenario: Scenario, log: EventLog, tallies: list[ThroughputPro
         "schema": REPORT_SCHEMA,
         "scenario": scenario.name,
         "seed": scenario.seed,
-        # Sibling log: everything but throughput, a no-cell UE's scan_steps
-        # and passive (tapped packets) is recomputable from it.
+        # Sibling log: everything but throughput and passive (tapped
+        # packets) is recomputable from it.
         "event_log": "events.jsonl",
         "notes": list(scenario.notes),
         "attach": list(attach.values()),
@@ -237,14 +221,18 @@ def make_out_dir(out_dir: str | Path) -> Path:
 
 
 def write_outputs(result: RunResult, out_dir: str | Path, pcap: bool = False) -> Path:
-    """Write report.json, events.jsonl, and optional per-tap pcap files."""
+    """Write the optional per-tap pcap files, then events.jsonl, then report.json.
+
+    report.json comes last, so it marks a complete run: a pcap that
+    cannot be written leaves neither of the other two.
+    """
     out = make_out_dir(out_dir)
     try:
-        (out / "report.json").write_text(result.report_json(), encoding="utf-8")
-        (out / "events.jsonl").write_text(result.events_jsonl(), encoding="utf-8")
         if pcap:
             for tap in result.taps:
                 write_pcap(out / tap_file_name(tap), result.frames(tap))
+        (out / "events.jsonl").write_text(result.events_jsonl(), encoding="utf-8")
+        (out / "report.json").write_text(result.report_json(), encoding="utf-8")
     except OSError as exc:  # e.g. report.json is a directory
         raise ConfigError(f"cannot write outputs to directory {out}: {exc}") from None
     return out

@@ -352,6 +352,9 @@ class TestBadInputFiles:
                                        "capture time 45035996273")
         assert captured.err.count("\n") == 1 and "32-bit seconds" in captured.err
         assert not list((tmp_path / "out").glob("*.pcap"))
+        # The pcaps are written first and report.json last: a failed run leaves no report.
+        assert not (tmp_path / "out" / "events.jsonl").exists()
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_compare_rejects_a_nan_metric(self, tmp_path, capsys):
         # json.loads reads NaN, and every comparison with it is false: it printed "a=nan > b=1".

@@ -213,7 +213,7 @@ class TestSharedEncoder:
         c_text = _log_of(records).to_jsonl()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(json.encoder, "c_make_encoder", None)
-            assert engine._record_encoder() == engine._RECORD_ENCODER.encode
+            assert engine.c_encoder(", ") is None
             assert _log_of(records).to_jsonl() == c_text
 
     @pytest.mark.parametrize("make_circular", [
@@ -244,6 +244,13 @@ class TestSharedEncoder:
             json.dumps(record, sort_keys=True)
         with pytest.raises(RecursionError):
             _log_of([record]).to_jsonl()
+
+
+def test_only_the_engine_reaches_the_c_encoder():
+    """``c_encoder`` is the one owner of the private ``json.encoder.c_make_encoder``."""
+    modules = sorted(Path(engine.__file__).parent.glob("*.py"))
+    reaching = [p.name for p in modules if "c_make_encoder" in p.read_text(encoding="utf-8")]
+    assert reaching == ["engine.py"]
 
 
 def _log_append_displays(tree: ast.AST):

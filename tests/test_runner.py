@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nrusim import access, runner
+from nrusim.calibration import load_calibration
 from nrusim.errors import CodecError, ConfigError
 from nrusim.metrics import ping_ident, ping_stats
 from nrusim.pcapio import read_pcap, write_pcap
@@ -38,20 +39,38 @@ class TestRunBasics:
         assert report["event_count"] == len(result.log)
 
     def test_every_report_number_recomputable_from_the_log(self, bundled_results):
-        """Every ping row of the six bundled reports, from the events.jsonl text alone."""
+        """Every ping row of the six bundled reports, and every attach row's scan_steps
+        there and in the attach_failures golden case, from the events.jsonl text alone."""
+        results = {name: bundled_results[name] for name in BUNDLED}
+        results["attach_failures"] = run_scenario(scenario_from_dict(_attach_failures()))
+        step_us = load_calibration().scan_step_us
         rows = 0
-        for name in BUNDLED:
-            result = bundled_results[name]
+        no_cell_steps = []
+        for name, result in results.items():
             sent, sent_at, rtts = Counter(), {}, {}
+            scanning_us, scan_steps = {}, {}
             for line in result.events_jsonl().splitlines():
                 record = json.loads(line)
                 key = (record["actor"], record.get("ident"), record.get("seq"))
-                if record["action"] == "ping_tx":
+                if record["action"] == "attach_phase" and record["phase"] == "SCANNING":
+                    scanning_us[record["actor"]] = record["t_us"]
+                elif record["action"] == "attach_phase" and record["phase"] == "SYNCED":
+                    scan_steps[record["actor"]] = record["scan_steps"]
+                elif record["action"] == "attach_failed" and record["actor"] not in scan_steps:
+                    # No cell found: the UE fails when its sweep of the raster ends.
+                    steps = (record["t_us"] - scanning_us[record["actor"]]) // step_us
+                    scan_steps[record["actor"]] = steps
+                    no_cell_steps.append(steps)
+                elif record["action"] == "ping_tx":
                     sent[record["ident"]] += 1
                     sent_at[key] = record["t_us"]
                 elif record["action"] == "rtt_sample" and key in sent_at:
                     rtt = (record["t_us"] - sent_at.pop(key)) / 1000
                     rtts.setdefault(record["ident"], []).append(rtt)
+            assert {row["ue"]: row["scan_steps"] for row in result.report["attach"]} == (
+                scan_steps), name
+            if name not in BUNDLED:  # no attach_failures UE has an address to send pings from
+                continue
             idents = [ping_ident(index) for index, plan in enumerate(result.scenario.traffic)
                       if isinstance(plan, PingPlan)]
             assert len(idents) == len(result.report["pings"])
@@ -66,6 +85,7 @@ class TestRunBasics:
                     ), name
                     rows += 1
         assert rows >= len(BUNDLED)
+        assert no_cell_steps == [538]
 
     def test_zero_counts_and_durations_report_zero_rows(self):
         raw = variant(**{"traffic.0.count": 0, "traffic.0.interval_ms": 0})
