@@ -12,15 +12,17 @@ The access leg of each link runs in two fixed stages around the gNB stop:
     DL: gNB + core processing; gNB stop; radio, UE processing
 
 Each link keeps these as one hop table per direction, built once; the
-stages read their delays from its first and last entries.  ``_traverse``
-takes the first stage.  A packet then stops at the gNB as a scheduled
-event, ``_gnb_resume``, which logs ``gtpu_ul`` or ``gtpu_dl``, feeds the
-N3 tap and takes the second stage; a bulk tick carries no packet and
-takes both stages at once.  ``_radio`` holds the radio hop: the LBT
-grant, aligned to the direction's TDD slot, then the relay check.  A
-payload the gNB does not relay is logged as ``radio_drop`` at the current
-time and draws nothing further; a surviving packet draws its jitter from
-the probe's substream.
+stages read their delays from its first and last entries.  ``_send``
+takes a packet's first stage.  The packet then stops at the gNB as a
+scheduled event, ``_gnb_resume``, which logs ``gtpu_ul`` or ``gtpu_dl``,
+feeds the N3 tap and takes the second stage; ``_bulk`` takes a bulk
+tick's whole leg at once, with no packet and no stop.  ``_radio`` holds
+the radio hop: the LBT grant, aligned to the direction's TDD slot, then
+the relay check.  A payload the gNB does not relay is logged as
+``radio_drop`` at the current time and draws nothing further; a
+surviving packet draws its jitter from the probe's substream.
+The only traffic is ICMP echoes, and only a UE sends a request, so every
+reply goes back to a UE and the path tests for nothing else.
 Packets travel as ``InnerPacket`` named tuples, and taps keep them as
 packets too: wire bytes are made only at pcap export or on request, by
 ``tap_frames``.
@@ -51,9 +53,9 @@ has side effects, so the order moves no draw or ident.
 IP idents come from one counter per run, 1 to 65535 and round again
 (``_next_ident``).  A packet that enters the access leg (``_send``) or
 arrives from N6 with ident 0 takes the next one in ``_with_ident``; a
-packet that has one keeps it through forwarding.  When its gNB's N3 tap
-exists, ``_gnb_step`` builds the outer header with the next ident in
-place, as the frame passes.
+packet that has one keeps it through forwarding.  Every gNB stop draws
+the next ident for the outer header, tapped or not, so a tap's capture
+never depends on which other taps the run sets.
 """
 
 from __future__ import annotations
@@ -267,16 +269,20 @@ class SimNetwork:
         return tuple.__new__(InnerPacket, (*pkt[:5], self._next_ident(), *pkt[6:]))
 
     def _send(self, ue_name: str, direction: str, inner: InnerPacket, rng: Random) -> None:
-        """One packet over the access leg: UE -> UPF ingress ("UL") or UPF -> UE ("DL")."""
-        now = self.loop.now_us
+        """A packet's first stage, up to its gNB stop, where ``_gnb_resume`` takes it on."""
         inner = self._with_ident(inner)
         link = self.links[ue_name]
+        size = ip_length(inner)
+        t = self.loop.now_us + link.hops[direction][0]
         if direction == "UL":
             self._tap(link.ue_tap, inner)
+            t = self._radio(link, direction, t, size, rng)
+            if t is None:
+                return
             done = partial(self._upf_ingress, inner, rng)
         else:
             done = partial(self._deliver_to_ue, ue_name, inner, rng)
-        self._traverse(link, direction, now, ip_length(inner), done, rng, inner)
+        self.loop.schedule_at(t, partial(self._gnb_resume, link, direction, size, done, rng, inner))
 
     def _bulk(self, ue_name, direction, nbytes, tag, delivered_cb) -> None:
         """One aggregate tick over the access leg; no bytes, no jitter, no gNB stop."""
@@ -288,8 +294,11 @@ class SimNetwork:
         self.log.append({"action": "bulk_tx", "actor": sender, "direction": direction,
                          "size": nbytes, "sub": tag[1], "t_us": now, "window": tag[0]})
         delivered = nbytes if link.drop_fraction == 0 else round(nbytes * (1 - link.drop_fraction))
-        self._traverse(link, direction, now, nbytes,
-                       partial(self._bulk_rx, receiver, direction, delivered, tag, delivered_cb))
+        first_us, _, _, last_us = link.hops[direction]
+        t = self._radio(link, direction, now + first_us, nbytes, None)
+        if t is not None:
+            self.loop.schedule_at(t + last_us, partial(self._bulk_rx, receiver, direction,
+                                                       delivered, tag, delivered_cb))
 
     def _bulk_rx(self, receiver, direction, delivered, tag, delivered_cb) -> None:
         """A bulk tick arrives: log what survived and hand it to the probe."""
@@ -297,31 +306,6 @@ class SimNetwork:
                          "size": delivered, "sub": tag[1], "t_us": self.loop.now_us,
                          "window": tag[0]})
         delivered_cb(tag, delivered)
-
-    def _traverse(self, link: RadioLink, direction: str, t: int, size: int, done,
-                  rng: Random | None = None, pkt: InnerPacket | None = None) -> None:
-        """One access leg from time ``t``; ``done`` runs on arrival.
-
-        ``pkt`` and ``rng`` are set for packets only: they add jitter, and
-        a packet stops at the gNB as a scheduled event that takes the
-        leg's second stage (``_gnb_resume``).  A bulk tick takes both
-        stages here, with no stop.
-        """
-        first_us, _, _, last_us = link.hops[direction]
-        t += first_us
-        if direction == "UL":
-            t = self._radio(link, direction, t, size, rng)
-            if t is None:
-                return
-        if pkt is not None:
-            self.loop.schedule_at(t, partial(self._gnb_resume, link, direction, size, done, rng,
-                                             pkt))
-            return
-        if direction == "DL":
-            t = self._radio(link, direction, t, size, rng)
-            if t is None:
-                return
-        self.loop.schedule_at(t + last_us, done)
 
     def _gnb_resume(self, link: RadioLink, direction: str, size: int, done, rng: Random,
                     pkt: InnerPacket) -> None:
@@ -360,21 +344,21 @@ class SimNetwork:
     def _gnb_step(self, link: RadioLink, direction: str, pkt: InnerPacket, size: int) -> None:
         """The gNB relays a packet between radio and N3: log it and feed the N3 tap.
 
-        The tap keeps the packet with its tunnel: the outer header, whose
-        ident is assigned here as the frame passes, and the TEID.
+        The tap keeps the packet with its tunnel: the outer header, with
+        the ident every stop draws, and the TEID.
         """
         t = self.loop.now_us
         uplink = direction == "UL"
-        session = self.core.sessions.get(link.ue.name)
-        teid = (session.teid_uplink if uplink else session.teid_downlink) if session else 0
+        session = self.core.sessions[link.ue.name]
+        teid = session.teid_uplink if uplink else session.teid_downlink
         self.log.append({"action": "gtpu_ul" if uplink else "gtpu_dl", "actor": link.gnb.name,
                          "size": size, "t_us": t, "teid": teid})
+        ident = self._next_ident()
         entries = self.taps.get(link.n3_tap)
         if entries is not None:
             gnb_addr, upf_addr = link.gnb.n3_address, self.core.config.upf_address
             src, dst = (gnb_addr, upf_addr) if uplink else (upf_addr, gnb_addr)
-            outer = InnerPacket(src, dst, "UDP", ident=self._next_ident(), sport=GTPU_PORT,
-                                dport=GTPU_PORT)
+            outer = InnerPacket(src, dst, "UDP", ident=ident, sport=GTPU_PORT, dport=GTPU_PORT)
             entries.append((t, pkt, outer, teid))
 
     # -- UPF --------------------------------------------------------------------
@@ -382,11 +366,10 @@ class SimNetwork:
     def _upf_ingress(self, inner: InnerPacket, rng: Random) -> None:
         """Decapsulated packet at the UPF, from the tunnel side."""
         now = self.loop.now_us
-        if inner.dst in (self.gateway, self.core.config.upf_address):
-            if inner.icmp_type == userplane.ICMP_ECHO_REQUEST:
-                self.log.append({"action": "core_echo", "actor": "core", "seq": inner.icmp_seq,
-                                 "src": inner.src, "t_us": now})
-                self._upf_ingress(echo_reply_for(inner), rng)
+        if inner.dst in (self.gateway, self.core.config.upf_address):  # always a request
+            self.log.append({"action": "core_echo", "actor": "core", "seq": inner.icmp_seq,
+                             "src": inner.src, "t_us": now})
+            self._upf_ingress(echo_reply_for(inner), rng)
             return
         decision = upf_forward(inner, self.routes)
         self._apply_forward(decision, inner, rng)
@@ -404,8 +387,7 @@ class SimNetwork:
             return
         # Egress toward the external network with the UPF as visible source.
         rewritten = decision.packet
-        if inner.protocol == "ICMP":
-            self._nat[("ICMP", inner.icmp_id)] = inner.src
+        self._nat[("ICMP", inner.icmp_id)] = inner.src
         self.log.append({"action": "upf_egress", "actor": "upf", "dst": rewritten.dst, "t_us": now,
                          "visible_src": rewritten.src})
         self._tap("n6", rewritten)
@@ -413,10 +395,8 @@ class SimNetwork:
                                  partial(self._external_ingress, rewritten, rng))
 
     def _external_ingress(self, pkt: InnerPacket, rng: Random) -> None:
-        """The simulated Internet responder."""
+        """The simulated Internet responder; only echo requests egress."""
         now = self.loop.now_us
-        if pkt.icmp_type != userplane.ICMP_ECHO_REQUEST:
-            return
         reply = echo_reply_for(pkt, ttl=self.scenario.external.ttl)
         self.log.append({"action": "external_reply", "actor": "external", "seq": reply.icmp_seq,
                          "t_us": now, "to": reply.dst})
@@ -427,11 +407,7 @@ class SimNetwork:
         """Reply arriving at the UPF from the external network."""
         pkt = self._with_ident(pkt)
         self._tap("n6", pkt)
-        original = self._nat.get((pkt.protocol, pkt.icmp_id))
-        if original is None:
-            self._apply_forward(ForwardDecision(action=userplane.FORWARD_DROP), pkt, rng)
-            return
-        restored = pkt._replace(dst=original)
+        restored = pkt._replace(dst=self._nat[("ICMP", pkt.icmp_id)])  # kept since its request
         self._apply_forward(upf_forward(restored, self.routes), restored, rng)
 
     # -- UE stack -----------------------------------------------------------------
@@ -444,11 +420,10 @@ class SimNetwork:
                              "seq": inner.icmp_seq,
                              "session": flow_session_id("ICMP", inner.icmp_id), "t_us": now})
             return
-        if inner.icmp_type == userplane.ICMP_ECHO_REQUEST:
-            # Standard stack behaviour: answer pings addressed to us.
-            self.log.append({"action": "ue_echo", "actor": ue_name, "seq": inner.icmp_seq,
-                             "src": inner.src, "t_us": now})
-            self._send(ue_name, "UL", echo_reply_for(inner), rng)
+        # Standard stack behaviour: answer pings addressed to us.
+        self.log.append({"action": "ue_echo", "actor": ue_name, "seq": inner.icmp_seq,
+                         "src": inner.src, "t_us": now})
+        self._send(ue_name, "UL", echo_reply_for(inner), rng)
 
     # -- taps ---------------------------------------------------------------------
 

@@ -270,7 +270,7 @@ def load_report(path: str | Path) -> dict:
         report = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read report {path}: {exc}") from None
-    except ValueError as exc:  # undecodable bytes or not JSON
+    except (ValueError, RecursionError) as exc:  # undecodable bytes, not JSON, or too deep
         raise ConfigError(f"{path}: not a JSON report: {exc}") from None
     if not isinstance(report, dict):
         raise ConfigError(f"{path}: a report is a JSON object, not a {type(report).__name__}")

@@ -29,7 +29,7 @@ from .corenet import CoreConfig, CoreNetwork, SubscriberRecord
 from .errors import ConfigError, DomainError, ScenarioError
 from .rflink import Cable, HostModel, LinkMedium, OverAir, SdrModel, compute_rsrp, get_host, get_sdr
 from .spectrum import ChannelAssignment, arfcn_to_frequency, check_assignment, get_band
-from .yamlio import parse as parse_yaml
+from . import yamlio
 
 SCHEMA_VERSION = 1
 BUNDLED = ("test_a", "test_b", "test_c", "test_d", "north_south", "east_west")
@@ -553,8 +553,18 @@ def load_scenario(path: str | Path) -> Scenario:
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from None
     try:
-        raw = parse_yaml(text)
-    except yaml.YAMLError as exc:
+        # libyaml composes nested nodes on the C stack, which deep enough nesting
+        # overflows; every level takes a character, so a short text cannot.
+        if len(text) > 2048:
+            depth = 0
+            for event in yaml.parse(text, Loader=yamlio.LOADER):
+                depth += isinstance(event, yaml.CollectionStartEvent)
+                depth -= isinstance(event, yaml.CollectionEndEvent)
+                if depth > 64:
+                    raise ScenarioError(f"{path}: nested past 64 levels at line "
+                                        f"{event.start_mark.line + 1}")
+        raw = yamlio.parse(text)
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:  # a bad date, a huge int
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ScenarioError(f"{path}: parse error{where}: {exc}") from None

@@ -23,6 +23,8 @@ BAD_INPUTS = [
     ("compare JSON list", "compare", "report.json", "[1, 2, 3]\n"),
     ("compare throughput row without direction", "compare", "report.json",
      json.dumps({"schema": 1, "throughput": [{"label": "dl", "peak_mbps": 50.0}]})),
+    ("compare JSON nested 100,000 deep", "compare", "report.json",
+     "[" * 100_000 + "]" * 100_000),
     ("monitor missing file", "monitor", "absent.pcap", None),
 ]
 
@@ -192,6 +194,17 @@ class TestScenarioCommands:
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
         assert needle in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_validate_deep_nesting_subprocess_exits_1(self, tmp_path):
+        """libyaml would compose 50,000 levels on the C stack and kill the process."""
+        path = tmp_path / "deep.yaml"
+        path.write_text("[" * 50_000 + "]" * 50_000, encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "nrusim.cli", "validate", str(path)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "nested past 64 levels at line 1" in proc.stderr
+
     def test_run_writes_report_and_prints_table(self, tmp_path, capsys):
         path = tmp_path / "unit.yaml"
         path.write_text(yaml.safe_dump(variant()), encoding="utf-8")
@@ -279,7 +292,8 @@ class TestBadInputFiles:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert captured.out == ""
 
-    @pytest.mark.parametrize("name", ["compare JSON list", "monitor missing file"])
+    @pytest.mark.parametrize("name", ["compare JSON list", "compare JSON nested 100,000 deep",
+                                      "monitor missing file"])
     def test_subprocess_prints_no_traceback(self, tmp_path, name):
         _name, command, filename, content = next(c for c in BAD_INPUTS if c[0] == name)
         proc = subprocess.run([sys.executable, "-m", "nrusim.cli",

@@ -14,7 +14,14 @@ Two earlier paths are kept verbatim as oracles:
 
 Over generated ping scenarios with random tap subsets and over the golden
 cases, every path must capture the same frames, fold the same ``passive``
-section and log the same records.
+section and log the same records.  Each draws a gNB stop's outer IP ident
+as ``SimNetwork`` does, at every stop, tapped or not; and a tap captures
+the same frames whichever other taps the run sets.
+
+``TraverseSimNetwork`` keeps the access leg as it was before ``_send``
+and ``_bulk`` took their stages themselves: one ``_traverse`` for both,
+which branches on whether it carries a packet.  ``ClosureBulkSimNetwork``
+and ``HopTableSimNetwork`` build on it, so each still runs its own walk.
 
 ``ClosureBulkSimNetwork`` keeps the bulk tick as it was before ticks
 became ``functools.partial``s: a lambda per scheduled tick and an ``rx``
@@ -23,7 +30,11 @@ cases, it must write the same ``events.jsonl`` text and report.
 
 ``ClosurePacketSimNetwork`` keeps the packet path as it was before its
 continuations became ``functools.partial``s too, and derives every link's
-LBT substream whether or not the channel has bursts.  Over generated ping
+LBT substream whether or not the channel has bursts.  It keeps the checks
+the packet path made for traffic a run cannot make: a packet to the
+gateway or the UPF that is not a request, a non-ICMP egress or N6 packet,
+an N6 reply with no NAT entry, and a packet at a UE that is neither a
+request nor a reply.  Over generated ping
 scenarios with random taps and over the golden cases, it must write the
 same ``events.jsonl`` and ``report.json`` text and capture the same frames.
 
@@ -38,6 +49,7 @@ throughput scenarios and over the golden cases, it must write the same
 from __future__ import annotations
 
 import hashlib
+import itertools
 from functools import partial
 from random import Random
 from unittest import mock
@@ -83,16 +95,15 @@ class ByteTapSimNetwork(SimNetwork):
         self.log.append({"t_us": t, "actor": link.gnb.name,
                          "action": "gtpu_ul" if uplink else "gtpu_dl", "teid": teid,
                          "size": size})
+        ident = self._next_ident()  # at every stop, tapped or not, as SimNetwork draws it
         tap = f"n3:{link.gnb.name}"
         if tap in self.taps:
             gnb_addr = link.gnb.n3_address or self.core.config.amf_address
             upf_addr = self.core.config.upf_address
             src, dst = (gnb_addr, upf_addr) if uplink else (upf_addr, gnb_addr)
             tunnel = encode_gtpu(teid, encode_ip(pkt))
-            outer = self._with_ident(
-                InnerPacket(src=src, dst=dst, protocol="UDP", payload=tunnel,
-                            sport=userplane.GTPU_PORT, dport=userplane.GTPU_PORT)
-            )
+            outer = InnerPacket(src=src, dst=dst, protocol="UDP", payload=tunnel, ident=ident,
+                                sport=userplane.GTPU_PORT, dport=userplane.GTPU_PORT)
             self._tap(tap, outer)
 
     def _tap(self, name: str, pkt: InnerPacket) -> None:
@@ -152,16 +163,15 @@ class EagerSimNetwork(ByteTapSimNetwork):
         self.log.append({"t_us": t, "actor": link.gnb.name,
                          "action": "gtpu_ul" if uplink else "gtpu_dl", "teid": teid,
                          "size": len(wire)})
+        ident = self._next_ident()  # at every stop, tapped or not, as SimNetwork draws it
         tap = f"n3:{link.gnb.name}"
         if tap in self.taps:
             gnb_addr = link.gnb.n3_address or self.core.config.amf_address
             upf_addr = self.core.config.upf_address
             src, dst = (gnb_addr, upf_addr) if uplink else (upf_addr, gnb_addr)
             tunnel = encode_gtpu(teid, wire)
-            outer = self._with_ident(
-                InnerPacket(src=src, dst=dst, protocol="UDP", payload=tunnel,
-                            sport=userplane.GTPU_PORT, dport=userplane.GTPU_PORT)
-            )
+            outer = InnerPacket(src=src, dst=dst, protocol="UDP", payload=tunnel, ident=ident,
+                                sport=userplane.GTPU_PORT, dport=userplane.GTPU_PORT)
             self._tap(tap, outer)
 
     def _tap(self, name: str, frame: bytes | InnerPacket) -> None:
@@ -259,6 +269,20 @@ def test_golden_cases_capture_fold_and_log_as_the_byte_tap_path(bundled_results,
     assert_same_run(lazy, byte_run(scenario, ByteTapSimNetwork))
 
 
+@settings(max_examples=40, deadline=None)
+@given(raw=ping_scenarios())
+def test_each_tap_captures_the_same_frames_whatever_other_taps_are_set(raw):
+    raw["taps"] = VALID_TAPS
+    every = runner.run_scenario(scenario_from_dict(raw))
+    for size in range(len(VALID_TAPS)):
+        for taps in itertools.combinations(VALID_TAPS, size):
+            raw["taps"] = list(taps)
+            some = runner.run_scenario(scenario_from_dict(raw))
+            assert some.events_jsonl() == every.events_jsonl()
+            for tap in taps:
+                assert some.frames(tap) == every.frames(tap), (taps, tap)
+
+
 def test_a_run_with_taps_encodes_and_decodes_nothing():
     def refuse(*_args):
         raise AssertionError("the run touched the codec")
@@ -286,7 +310,56 @@ def test_passive_monitor_decodes_then_folds_as_the_single_loop():
             assert metrics.passive_monitor(capture) == byte_passive_monitor(capture)
 
 
-class ClosureBulkSimNetwork(SimNetwork):
+class TraverseSimNetwork(SimNetwork):
+    """One ``_traverse`` for a packet's first stage and a bulk tick's whole leg.
+
+    It branches on which one it carries: a packet (``pkt`` and ``rng``
+    set) stops at the gNB, a bulk tick runs on with no stop.
+    """
+
+    def _send(self, ue_name: str, direction: str, inner: InnerPacket, rng: Random) -> None:
+        now = self.loop.now_us
+        inner = self._with_ident(inner)
+        link = self.links[ue_name]
+        if direction == "UL":
+            self._tap(link.ue_tap, inner)
+            done = partial(self._upf_ingress, inner, rng)
+        else:
+            done = partial(self._deliver_to_ue, ue_name, inner, rng)
+        self._traverse(link, direction, now, userplane.ip_length(inner), done, rng, inner)
+
+    def _bulk(self, ue_name, direction, nbytes, tag, delivered_cb) -> None:
+        if ue_name not in self.core.sessions:
+            return
+        link = self.links[ue_name]
+        now = self.loop.now_us
+        sender, receiver = (ue_name, "core") if direction == "UL" else ("core", ue_name)
+        self.log.append({"action": "bulk_tx", "actor": sender, "direction": direction,
+                         "size": nbytes, "sub": tag[1], "t_us": now, "window": tag[0]})
+        delivered = nbytes if link.drop_fraction == 0 else round(nbytes * (1 - link.drop_fraction))
+        self._traverse(link, direction, now, nbytes,
+                       partial(self._bulk_rx, receiver, direction, delivered, tag, delivered_cb))
+
+    def _traverse(self, link: RadioLink, direction: str, t: int, size: int, done,
+                  rng: Random | None = None, pkt: InnerPacket | None = None) -> None:
+        first_us, _, _, last_us = link.hops[direction]
+        t += first_us
+        if direction == "UL":
+            t = self._radio(link, direction, t, size, rng)
+            if t is None:
+                return
+        if pkt is not None:
+            self.loop.schedule_at(t, partial(self._gnb_resume, link, direction, size, done, rng,
+                                             pkt))
+            return
+        if direction == "DL":
+            t = self._radio(link, direction, t, size, rng)
+            if t is None:
+                return
+        self.loop.schedule_at(t + last_us, done)
+
+
+class ClosureBulkSimNetwork(TraverseSimNetwork):
     """Schedules each bulk tick as a lambda and logs its arrival from an ``rx`` closure."""
 
     def schedule_bulk_tick(self, ue_name, direction, at_us, nbytes, tag, delivered_cb) -> None:
@@ -463,6 +536,40 @@ class ClosurePacketSimNetwork(SimNetwork):
         self.loop.schedule_after(self.scenario.external.one_way_delay_us,
                                  lambda: self._n6_ingress(reply, rng))
 
+    def _upf_ingress(self, inner: InnerPacket, rng: Random) -> None:
+        now = self.loop.now_us
+        if inner.dst in (self.gateway, self.core.config.upf_address):
+            if inner.icmp_type == userplane.ICMP_ECHO_REQUEST:
+                self.log.append({"action": "core_echo", "actor": "core", "seq": inner.icmp_seq,
+                                 "src": inner.src, "t_us": now})
+                self._upf_ingress(userplane.echo_reply_for(inner), rng)
+            return
+        decision = userplane.upf_forward(inner, self.routes)
+        self._apply_forward(decision, inner, rng)
+
+    def _n6_ingress(self, pkt: InnerPacket, rng: Random) -> None:
+        pkt = self._with_ident(pkt)
+        self._tap("n6", pkt)
+        original = self._nat.get((pkt.protocol, pkt.icmp_id))
+        if original is None:
+            self._apply_forward(ForwardDecision(action=userplane.FORWARD_DROP), pkt, rng)
+            return
+        restored = pkt._replace(dst=original)
+        self._apply_forward(userplane.upf_forward(restored, self.routes), restored, rng)
+
+    def _deliver_to_ue(self, ue_name: str, inner: InnerPacket, rng: Random) -> None:
+        now = self.loop.now_us
+        self._tap(self.links[ue_name].ue_tap, inner)
+        if inner.icmp_type == userplane.ICMP_ECHO_REPLY:
+            self.log.append({"action": "rtt_sample", "actor": ue_name, "ident": inner.icmp_id,
+                             "seq": inner.icmp_seq,
+                             "session": flow_session_id("ICMP", inner.icmp_id), "t_us": now})
+            return
+        if inner.icmp_type == userplane.ICMP_ECHO_REQUEST:
+            self.log.append({"action": "ue_echo", "actor": ue_name, "seq": inner.icmp_seq,
+                             "src": inner.src, "t_us": now})
+            self._send(ue_name, "UL", userplane.echo_reply_for(inner), rng)
+
 
 def assert_same_output(partial_run: runner.RunResult, closure_run: runner.RunResult) -> None:
     assert_same_text(partial_run, closure_run)
@@ -506,7 +613,7 @@ def test_links_derive_an_lbt_substream_only_under_bursts(name):
             assert link.rng is None
 
 
-class HopTableSimNetwork(SimNetwork):
+class HopTableSimNetwork(TraverseSimNetwork):
     """The access leg as a walk over the hop table, asking ``lbt_gate`` at every radio hop."""
 
     def _traverse(self, link: RadioLink, direction: str, t: int, size: int, done,

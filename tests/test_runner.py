@@ -443,8 +443,9 @@ PEER = {"ue1": "ue2", "ue2": "ue1"}
 
 @st.composite
 def ping_scenarios(draw) -> dict:
-    """Two UEs pinging a peer, the external host, the gateway, themselves or
-    a sessionless pool address, optionally under foreign bursts."""
+    """Two UEs pinging a peer, the external host, the gateway, the UPF,
+    themselves, a sessionless pool address or a literal address outside the
+    pool (out over N6), optionally under foreign bursts."""
     raw = variant(name="oracle", seed=draw(st.integers(0, 2**16)))
     raw["core"]["subscribers"].append({"imsi": "001010000000002"})
     raw["nodes"].append({"name": "ue2", "role": "ue", "host": "nuc-i5", "sdr": "b210",
@@ -453,7 +454,8 @@ def ping_scenarios(draw) -> dict:
     raw["traffic"] = []
     for src, dst, count, interval_ms in draw(st.lists(st.tuples(
             st.sampled_from(["ue1", "ue2"]),
-            st.sampled_from(["peer", "external", "core-gateway", "own", "12.1.1.99"]),
+            st.sampled_from(["peer", "external", "core-gateway", "192.168.70.134", "own",
+                             "12.1.1.99", "198.51.100.7"]),
             st.integers(1, 4), st.integers(0, 150)), min_size=1, max_size=3)):
         dst = {"peer": PEER[src], "own": OWN_ADDRESS[src]}.get(dst, dst)
         raw["traffic"].append({"probe": "ping", "src": src, "dst": dst, "count": count,

@@ -497,6 +497,12 @@ MALFORMED_YAML = [
     ("python tag", "seed: !!python/object:os.system x\n", yaml.constructor.ConstructorError, 1, 7),
 ]
 
+# (case, well-formed text whose value Python cannot build, what the ValueError says)
+UNBUILDABLE_YAML = [
+    ("month 13", "seed: 2001-13-45\n", "month must be in 1..12"),
+    ("5,000-digit integer", "seed: " + "7" * 5000 + "\n", "integer string conversion"),
+]
+
 
 @pytest.fixture(params=["SafeLoader", "CSafeLoader"])
 def loader(request, monkeypatch):
@@ -553,4 +559,26 @@ class TestLoaderParity:
         path = tmp_path / "bad.yaml"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ScenarioError, match=f"parse error at line {line}, column {column}:"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("text, message", [case[1:] for case in UNBUILDABLE_YAML],
+                             ids=[case[0] for case in UNBUILDABLE_YAML])
+    def test_unbuildable_value_is_a_parse_error(self, loader, tmp_path, text, message):
+        with pytest.raises(ValueError, match=message):
+            yaml.load(text, Loader=loader)
+        path = tmp_path / "bad.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ScenarioError, match=f"parse error: .*{message}"):
+            load_scenario(path)
+
+    def test_deep_nesting_is_a_scenario_error(self, loader, tmp_path):
+        path = tmp_path / "deep.yaml"
+        # 2,000 characters: too short to need the depth walk, and too deep for
+        # SafeLoader's recursive composer.
+        path.write_text("[" * 1000 + "]" * 1000, encoding="utf-8")
+        with pytest.raises(ScenarioError):
+            load_scenario(path)
+        path.write_text("seed: 1\ncell: " + "[" * 64 + "]" * 64 + "\n" + "#" * 2048 + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ScenarioError, match="nested past 64 levels at line 2$"):
             load_scenario(path)
