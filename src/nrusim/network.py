@@ -11,16 +11,17 @@ The access leg of each link runs in two fixed stages around the gNB stop:
     UL: UE processing, radio; gNB stop; gNB + core processing
     DL: gNB + core processing; gNB stop; radio, UE processing
 
-Each link keeps these as one hop table per direction, built once; the
-stages read their delays from its first and last entries.  ``_send``
-takes a packet's first stage.  The packet then stops at the gNB as a
-scheduled event, ``_gnb_resume``, which logs ``gtpu_ul`` or ``gtpu_dl``,
-feeds the N3 tap and takes the second stage; ``_bulk`` takes a bulk
-tick's whole leg at once, with no packet and no stop.  ``_radio`` holds
-the radio hop: the LBT grant, aligned to the direction's TDD slot, then
-the relay check.  A payload the gNB does not relay is logged as
-``radio_drop`` at the current time and draws nothing further; a
-surviving packet draws its jitter from the probe's substream.
+Each link keeps the fixed delays as ``hops[direction]``, a
+``(first_us, last_us)`` pair built once.  ``_send`` takes a packet's
+first stage.  The packet then stops at the gNB as a scheduled event,
+``_gnb_resume``, which logs ``gtpu_ul`` or ``gtpu_dl``, feeds the N3 tap
+and takes the second stage; ``_bulk`` takes a bulk tick's whole leg at
+once, with no packet and no stop.  ``_radio`` holds the radio hop: the
+LBT grant, aligned to the direction's TDD slot, the radio delay and a
+packet's jitter from the probe's substream.  Every packet is an ICMP
+echo far below the relay cutoff (``relay_passes``), so only ``_bulk``
+checks the relay, after its radio hop so the LBT draws keep their order,
+and logs a tick the gNB does not relay as ``radio_drop``.
 The only traffic is ICMP echoes, and only a UE sends a request, so every
 reply goes back to a UE and the path tests for nothing else.
 Packets travel as ``InnerPacket`` named tuples, and taps keep them as
@@ -84,10 +85,6 @@ from .userplane import (
     upf_forward,
 )
 
-# Hop-table stops; every other entry is a fixed delay in microseconds.
-RADIO = "radio"
-GNB = "gnb"
-
 
 class RadioLink:
     """One UE's link to its gNB; every hop reads it, so a ``__slots__`` class like PduSession."""
@@ -100,7 +97,7 @@ class RadioLink:
                  required_msps: float, drop_fraction: float, rsrp_dbm: float,
                  rng: Random | None,  # LBT backoff substream; None on a burst-free channel
                  radio_us: int,  # radio processing plus the over-air extra
-                 hops: dict[str, tuple],  # direction -> hop table
+                 hops: dict[str, tuple[int, int]],  # direction -> (first, last) stage delay
                  ue_tap: str, n3_tap: str):  # taps at this link's UE and its gNB's N3 side
         self.ue, self.gnb, self.viable, self.rng = ue, gnb, viable, rng
         self.required_msps, self.drop_fraction = required_msps, drop_fraction
@@ -148,7 +145,7 @@ class SimNetwork:
                 rsrp_dbm=rsrp,
                 rng=derive_rng(scenario.seed, f"lbt:{ue.name}") if lbt_draws else None,
                 radio_us=calib.radio_proc_us + air_us,
-                hops={"UL": (ue_us, RADIO, GNB, core_us), "DL": (core_us, GNB, RADIO, ue_us)},
+                hops={"UL": (ue_us, core_us), "DL": (core_us, ue_us)},
                 ue_tap=f"ue:{ue.name}",
                 n3_tap=f"n3:{gnb.name}",
             )
@@ -276,9 +273,7 @@ class SimNetwork:
         t = self.loop.now_us + link.hops[direction][0]
         if direction == "UL":
             self._tap(link.ue_tap, inner)
-            t = self._radio(link, direction, t, size, rng)
-            if t is None:
-                return
+            t = self._radio(link, direction, t, rng)
             done = partial(self._upf_ingress, inner, rng)
         else:
             done = partial(self._deliver_to_ue, ue_name, inner, rng)
@@ -293,12 +288,15 @@ class SimNetwork:
         sender, receiver = (ue_name, "core") if direction == "UL" else ("core", ue_name)
         self.log.append({"action": "bulk_tx", "actor": sender, "direction": direction,
                          "size": nbytes, "sub": tag[1], "t_us": now, "window": tag[0]})
+        first_us, last_us = link.hops[direction]
+        t = self._radio(link, direction, now + first_us, None)
+        if not relay_passes(link.viable, nbytes):
+            self.log.append({"action": "radio_drop", "actor": link.gnb.name,
+                             "direction": direction, "size": nbytes, "t_us": now})
+            return
         delivered = nbytes if link.drop_fraction == 0 else round(nbytes * (1 - link.drop_fraction))
-        first_us, _, _, last_us = link.hops[direction]
-        t = self._radio(link, direction, now + first_us, nbytes, None)
-        if t is not None:
-            self.loop.schedule_at(t + last_us, partial(self._bulk_rx, receiver, direction,
-                                                       delivered, tag, delivered_cb))
+        self.loop.schedule_at(t + last_us, partial(self._bulk_rx, receiver, direction,
+                                                   delivered, tag, delivered_cb))
 
     def _bulk_rx(self, receiver, direction, delivered, tag, delivered_cb) -> None:
         """A bulk tick arrives: log what survived and hand it to the probe."""
@@ -313,30 +311,23 @@ class SimNetwork:
         self._gnb_step(link, direction, pkt, size)
         t = self.loop.now_us
         if direction == "DL":
-            t = self._radio(link, direction, t, size, rng)
-            if t is None:
-                return
-        self.loop.schedule_at(t + link.hops[direction][-1], done)
+            t = self._radio(link, direction, t, rng)
+        self.loop.schedule_at(t + link.hops[direction][1], done)
 
-    def _radio(self, link: RadioLink, direction: str, t: int, size: int,
-               rng: Random | None) -> int | None:
-        """The radio hop from time ``t``: when it ends, or None if the gNB drops the payload.
+    def _radio(self, link: RadioLink, direction: str, t: int, rng: Random | None) -> int:
+        """When the radio hop that starts at ``t`` ends: the LBT grant, the TDD slot, the delay.
 
         On a burst-free channel the LBT grant is one CCA after ``t``, as
         ``lbt_gate``'s first probe would grant there without a draw; a
         bursty channel asks ``lbt_gate``.  ``rng`` is the probe's jitter
-        substream, None for a bulk tick.
+        substream, None for a bulk tick.  The hop drops nothing: a bulk
+        tick's relay check is ``_bulk``'s, after this call.
         """
         if self._cca_us is None:
             t = access.lbt_gate(self._occupancy, self._lbt, t, link.rng).grant_us
         else:
             t += self._cca_us
-        t = access.next_transmit_time(self._tdd, direction, t)
-        if not relay_passes(link.viable, size):
-            self.log.append({"action": "radio_drop", "actor": link.gnb.name,
-                             "direction": direction, "size": size, "t_us": self.loop.now_us})
-            return None
-        t += link.radio_us
+        t = access.next_transmit_time(self._tdd, direction, t) + link.radio_us
         if rng is not None:
             t += rng.randrange(self._jitter_max_us + 1)  # randint(0, max)'s draws
         return t

@@ -89,9 +89,16 @@ def khz_to_arfcn(freq_khz: int) -> int:
 
 
 def frequency_to_arfcn(freq_mhz: float) -> int:
-    """Inverse of :func:`arfcn_to_frequency`; rejects off-grid frequencies."""
+    """Inverse of :func:`arfcn_to_frequency`; rejects off-grid frequencies.
+
+    The span is checked in MHz before the kHz conversion, which overflows
+    near ``1e308``.
+    """
     if not math.isfinite(freq_mhz):
         raise RasterRangeError(f"{freq_mhz} MHz is not a finite frequency")
+    top_mhz = arfcn_to_frequency(ARFCN_MAX)
+    if not 0 <= freq_mhz <= top_mhz:
+        raise RasterRangeError(f"{freq_mhz} MHz outside the global raster span (0..{top_mhz} MHz)")
     freq_khz = round(freq_mhz * KHZ_PER_MHZ)
     if abs(freq_mhz * KHZ_PER_MHZ - freq_khz) > 1e-6:
         raise OffRasterError(f"{freq_mhz} MHz has sub-kHz precision; the raster grid is kHz-exact")

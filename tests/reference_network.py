@@ -1,0 +1,317 @@
+"""A frozen reference network for the differential tests of ``SimNetwork``.
+
+``ReferenceNetwork`` has the surface that ``run_scenario`` and the probes
+use, and ``reference_run`` runs a scenario on it in place of
+``SimNetwork``.  It holds a ``SimNetwork`` for the link budget, attach and
+the route table only; every event after attach runs in its own code, in
+the designs the live path replaced:
+
+- Eager bytes: a packet is encoded as it enters the access leg, its size
+  is the length of those bytes, and the taps keep wire bytes (the N3 tap
+  the tunnelled frame).  The run folds its ``passive`` section by
+  decoding them again with ``byte_passive_monitor``.
+- Closures and lambdas for every continuation, a lambda per bulk tick
+  and an ``rx`` closure per arrival.
+- A walk over a hop table per link and direction, whose ``RADIO`` and
+  ``GNB`` markers sit between fixed delays computed from the calibration.
+  Every radio hop asks ``access.lbt_gate``, on an LBT substream that
+  every link derives, bursts or none, and then checks the relay.
+- Every guard for traffic no run makes: a packet to the gateway or the
+  UPF that is not a request, a non-ICMP egress, a non-request at the
+  external host, an N6 reply with no NAT entry, a packet at a UE that is
+  neither request nor reply, a gNB stop without a session or N3 address.
+
+It keeps its own IP ident counter, NAT table and taps.
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+from nrusim import access, runner
+from nrusim.engine import derive_rng
+from nrusim.errors import CodecError
+from nrusim.metrics import MonitorReport, PassiveSession, flow_session_id
+from nrusim.network import SimNetwork
+from nrusim.rflink import OverAir
+from nrusim.userplane import (
+    FORWARD_DROP,
+    FORWARD_TUNNEL,
+    GTPU_PORT,
+    ICMP_ECHO_REPLY,
+    ICMP_ECHO_REQUEST,
+    ForwardDecision,
+    InnerPacket,
+    decode_gtpu,
+    decode_ip,
+    echo_reply_for,
+    encode_gtpu,
+    encode_ip,
+    icmp_echo_request,
+    relay_passes,
+    upf_forward,
+)
+
+# Hop-table stops; every other entry is a fixed delay in microseconds.
+RADIO = "radio"
+GNB = "gnb"
+
+
+class ReferenceNetwork:
+    """One scenario run's traffic, from the first ping or bulk tick on."""
+
+    def __init__(self, scenario, loop, log, calib):
+        self.sim = SimNetwork(scenario, loop, log, calib)  # link budget, attach, routes
+        self.scenario, self.loop, self.log, self.calib = scenario, loop, log, calib
+        self.core, self.links = self.sim.core, self.sim.links
+        self.taps: dict[str, list[tuple[int, bytes]]] = {t: [] for t in scenario.taps}
+        self.attach_complete_us = 0
+        self.nat: dict[tuple[str, int | None], str] = {}
+        self.ident = 0
+        self.lbt_rng, self.radio_us, self.hops = {}, {}, {}
+        for ue in scenario.ues():
+            gnb = scenario.node(ue.gnb)
+            ue_us = calib.ue_proc_us + ue.host.added_latency_us
+            core_us = calib.gnb_proc_us + gnb.host.added_latency_us + calib.core_proc_us
+            self.lbt_rng[ue.name] = derive_rng(scenario.seed, f"lbt:{ue.name}")
+            self.radio_us[ue.name] = calib.radio_proc_us + (
+                calib.over_air_extra_us if isinstance(ue.medium, OverAir) else 0)
+            self.hops[ue.name] = {"UL": (ue_us, RADIO, GNB, core_us),
+                                  "DL": (core_us, GNB, RADIO, ue_us)}
+
+    def attach_all(self) -> None:
+        self.sim.attach_all()
+        self.attach_complete_us = self.sim.attach_complete_us
+
+    def resolve_dst(self, dst: str) -> str | None:
+        return self.sim.resolve_dst(dst)
+
+    def next_ident(self) -> int:
+        self.ident = self.ident % 0xFFFF + 1
+        return self.ident
+
+    def tap(self, name: str, frame: bytes | InnerPacket) -> None:
+        frames = self.taps.get(name)
+        if frames is not None:
+            frames.append((self.loop.now_us, frame if type(frame) is bytes else encode_ip(frame)))
+
+    # -- pings ---------------------------------------------------------------
+
+    def schedule_icmp_echo(self, ue_name, dst_ip, ident, seq, at_us, rng) -> None:
+        def emit():
+            session = self.core.sessions.get(ue_name)
+            if session is None:
+                self.log.append({"t_us": self.loop.now_us, "actor": ue_name,
+                                 "action": "ping_no_route", "seq": seq})
+                return
+            inner = icmp_echo_request(session.ip, dst_ip, ident, seq)
+            self.log.append({"t_us": self.loop.now_us, "actor": ue_name, "action": "ping_tx",
+                             "dst": dst_ip, "seq": seq, "ident": ident})
+            self.send(ue_name, "UL", inner, rng)
+
+        self.loop.schedule_at(at_us, emit)
+
+    def send(self, ue_name, direction, inner, rng) -> None:
+        if not inner.ident:
+            inner = inner._replace(ident=self.next_ident())
+        wire = encode_ip(inner)
+        if direction == "UL":
+            self.tap(f"ue:{ue_name}", wire)
+            done = lambda: self.upf_ingress(inner, rng)
+        else:
+            done = lambda: self.deliver_to_ue(ue_name, inner, rng)
+        self.traverse(self.links[ue_name], direction, self.loop.now_us, len(wire), done, rng,
+                      wire)
+
+    # -- access leg ------------------------------------------------------------
+
+    def traverse(self, link, direction, t, size, done, rng=None, wire=None, start=0) -> None:
+        """Walk the hop table from ``start``; a packet (``wire`` set) stops at the gNB."""
+        name = link.ue.name
+        hops = self.hops[name][direction]
+        for index in range(start, len(hops)):
+            hop = hops[index]
+            if hop is RADIO:
+                gate = access.lbt_gate(self.scenario.occupancy, self.scenario.cell.lbt, t,
+                                       self.lbt_rng[name])
+                t = access.next_transmit_time(self.scenario.cell.tdd, direction, gate.grant_us)
+                if not relay_passes(link.viable, size):
+                    self.log.append({"t_us": self.loop.now_us, "actor": link.gnb.name,
+                                     "action": "radio_drop", "direction": direction,
+                                     "size": size})
+                    return
+                t += self.radio_us[name]
+                if rng is not None:
+                    t += rng.randint(0, self.calib.jitter_max_us)
+            elif hop is GNB:
+                if wire is not None:
+                    def gnb_step():
+                        self.gnb_step(link, direction, wire)
+                        self.traverse(link, direction, self.loop.now_us, size, done, rng, wire,
+                                      index + 1)
+
+                    self.loop.schedule_at(t, gnb_step)
+                    return
+            else:
+                t += hop
+        self.loop.schedule_at(t, done)
+
+    def gnb_step(self, link, direction, wire: bytes) -> None:
+        uplink = direction == "UL"
+        session = self.core.sessions.get(link.ue.name)
+        teid = (session.teid_uplink if uplink else session.teid_downlink) if session else 0
+        self.log.append({"t_us": self.loop.now_us, "actor": link.gnb.name,
+                         "action": "gtpu_ul" if uplink else "gtpu_dl", "teid": teid,
+                         "size": len(wire)})
+        ident = self.next_ident()  # at every stop, tapped or not
+        gnb_addr = link.gnb.n3_address or self.core.config.amf_address
+        upf_addr = self.core.config.upf_address
+        src, dst = (gnb_addr, upf_addr) if uplink else (upf_addr, gnb_addr)
+        self.tap(f"n3:{link.gnb.name}",
+                 InnerPacket(src=src, dst=dst, protocol="UDP", payload=encode_gtpu(teid, wire),
+                             ident=ident, sport=GTPU_PORT, dport=GTPU_PORT))
+
+    # -- UPF, N6 and the UE stack ----------------------------------------------
+
+    def upf_ingress(self, inner, rng) -> None:
+        if inner.dst in (self.sim.gateway, self.core.config.upf_address):
+            if inner.icmp_type == ICMP_ECHO_REQUEST:
+                self.log.append({"t_us": self.loop.now_us, "actor": "core",
+                                 "action": "core_echo", "seq": inner.icmp_seq, "src": inner.src})
+                self.upf_ingress(echo_reply_for(inner), rng)
+            return
+        self.apply_forward(upf_forward(inner, self.sim.routes), inner, rng)
+
+    def apply_forward(self, decision: ForwardDecision, inner, rng) -> None:
+        now = self.loop.now_us
+        if decision.action == FORWARD_DROP:
+            self.log.append({"t_us": now, "actor": "upf", "action": "upf_drop", "dst": inner.dst})
+            return
+        if decision.action == FORWARD_TUNNEL:
+            session = decision.session
+            self.log.append({"t_us": now, "actor": "upf", "action": "upf_tunnel",
+                             "dst": inner.dst, "teid": session.teid_downlink})
+            self.send(session.ue_id, "DL", decision.packet, rng)
+            return
+        rewritten = decision.packet
+        if inner.protocol == "ICMP":
+            self.nat[("ICMP", inner.icmp_id)] = inner.src
+        self.log.append({"t_us": now, "actor": "upf", "action": "upf_egress",
+                         "dst": rewritten.dst, "visible_src": rewritten.src})
+        self.tap("n6", rewritten)
+        self.loop.schedule_after(self.scenario.external.one_way_delay_us,
+                                 lambda: self.external_ingress(rewritten, rng))
+
+    def external_ingress(self, pkt, rng) -> None:
+        if pkt.icmp_type != ICMP_ECHO_REQUEST:
+            return
+        reply = echo_reply_for(pkt, ttl=self.scenario.external.ttl)
+        self.log.append({"t_us": self.loop.now_us, "actor": "external",
+                         "action": "external_reply", "to": reply.dst, "seq": reply.icmp_seq})
+        self.loop.schedule_after(self.scenario.external.one_way_delay_us,
+                                 lambda: self.n6_ingress(reply, rng))
+
+    def n6_ingress(self, pkt, rng) -> None:
+        if not pkt.ident:
+            pkt = pkt._replace(ident=self.next_ident())
+        self.tap("n6", pkt)
+        original = self.nat.get((pkt.protocol, pkt.icmp_id))
+        if original is None:
+            self.apply_forward(ForwardDecision(action=FORWARD_DROP), pkt, rng)
+            return
+        restored = pkt._replace(dst=original)
+        self.apply_forward(upf_forward(restored, self.sim.routes), restored, rng)
+
+    def deliver_to_ue(self, ue_name, inner, rng) -> None:
+        now = self.loop.now_us
+        self.tap(f"ue:{ue_name}", inner)
+        if inner.icmp_type == ICMP_ECHO_REPLY:
+            self.log.append({"t_us": now, "actor": ue_name, "action": "rtt_sample",
+                             "ident": inner.icmp_id, "seq": inner.icmp_seq,
+                             "session": flow_session_id("ICMP", inner.icmp_id)})
+        elif inner.icmp_type == ICMP_ECHO_REQUEST:
+            self.log.append({"t_us": now, "actor": ue_name, "action": "ue_echo",
+                             "seq": inner.icmp_seq, "src": inner.src})
+            self.send(ue_name, "UL", echo_reply_for(inner), rng)
+
+    # -- bulk ticks ------------------------------------------------------------
+
+    def schedule_bulk_tick(self, ue_name, direction, at_us, nbytes, tag, delivered_cb) -> None:
+        self.loop.schedule_at(at_us, lambda: self.bulk(ue_name, direction, nbytes, tag,
+                                                       delivered_cb))
+
+    def bulk(self, ue_name, direction, nbytes, tag, delivered_cb) -> None:
+        if ue_name not in self.core.sessions:
+            return
+        link = self.links[ue_name]
+        sender, receiver = (ue_name, "core") if direction == "UL" else ("core", ue_name)
+        self.log.append({"t_us": self.loop.now_us, "actor": sender, "action": "bulk_tx",
+                         "direction": direction, "size": nbytes, "window": tag[0],
+                         "sub": tag[1]})
+        delivered = nbytes if link.drop_fraction == 0 else round(nbytes * (1 - link.drop_fraction))
+
+        def rx():
+            self.log.append({"t_us": self.loop.now_us, "actor": receiver, "action": "bulk_rx",
+                             "direction": direction, "size": delivered, "window": tag[0],
+                             "sub": tag[1]})
+            delivered_cb(tag, delivered)
+
+        self.traverse(link, direction, self.loop.now_us, nbytes, rx)
+
+
+def byte_passive_monitor(frames) -> MonitorReport:
+    """The passive monitor as one loop that decodes and folds each frame in turn.
+
+    Each session is a dict of its fields while it is folded.
+    """
+    sessions: list[dict] = []
+    unparsed = 0
+    by_id: dict[int, dict] = {}
+    pending: dict[tuple[int, int], int] = {}
+    for t_us, raw in frames:
+        try:
+            pkt = decode_ip(raw)
+            if pkt.protocol == "UDP" and GTPU_PORT in (pkt.sport, pkt.dport):
+                _teid, inner = decode_gtpu(pkt.payload)
+                pkt = decode_ip(inner)
+        except CodecError:
+            unparsed += 1
+            continue
+        if pkt.protocol != "ICMP" or pkt.icmp_type not in (ICMP_ECHO_REQUEST, ICMP_ECHO_REPLY):
+            continue
+        sid = flow_session_id("ICMP", pkt.icmp_id)
+        session = by_id.get(sid)
+        if session is None:
+            request_side = pkt.icmp_type == ICMP_ECHO_REQUEST
+            session = dict(
+                session_id=sid,
+                left=pkt.src if request_side else pkt.dst,
+                right=pkt.dst if request_side else pkt.src,
+                packet_count=0,
+                rtt_latest_ms=None,
+            )
+            by_id[sid] = session
+            sessions.append(session)
+        session["packet_count"] += 1
+        key = (pkt.icmp_id, pkt.icmp_seq)
+        if pkt.icmp_type == ICMP_ECHO_REQUEST:
+            pending[key] = t_us
+        else:
+            sent = pending.pop(key, None)
+            if sent is not None and t_us >= sent:
+                session["rtt_latest_ms"] = round((t_us - sent) / 1000, 3)
+    return MonitorReport([PassiveSession(**session) for session in sessions], unparsed)
+
+
+def byte_fold_sessions(frames) -> list[PassiveSession]:
+    """The run's fold over byte taps: the single loop's sessions, every frame parsed."""
+    report = byte_passive_monitor(frames)
+    assert report.unparsed_frames == 0  # a tap keeps only frames the run built
+    return report.sessions
+
+
+def reference_run(scenario) -> runner.RunResult:
+    """``run_scenario`` on ``ReferenceNetwork``; its taps hold ``(t_us, wire bytes)``."""
+    with mock.patch.object(runner, "SimNetwork", ReferenceNetwork), \
+            mock.patch.object(runner, "fold_sessions", byte_fold_sessions):
+        return runner.run_scenario(scenario)

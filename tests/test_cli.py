@@ -114,10 +114,12 @@ class TestPlan:
     @pytest.mark.parametrize("argv", [
         ["convert", "--freq", "nan"],
         ["convert", "--freq", "inf"],
+        ["convert", "--freq=1e308"],  # the "=" form: argparse reads "-1e308" as an option
+        ["convert", "--freq=-1e308"],
         ["check", "--arfcn", "786667", "--bandwidth", "20", "--eirp", "nan"],
         ["check", "--arfcn", "786667", "--bandwidth", "nan", "--eirp", "20"],
         ["check", "--arfcn", "786667", "--bandwidth", "-20", "--eirp", "20"],
-    ], ids=["freq nan", "freq inf", "eirp nan", "bandwidth nan", "bandwidth negative"])
+    ], ids=["freq nan", "freq inf", "freq 1e308", "freq -1e308", "eirp nan", "bandwidth nan", "bandwidth negative"])
     def test_non_finite_or_negative_numbers_exit_1(self, capsys, argv):
         assert run_cli("plan", *argv) == 1
         captured = capsys.readouterr()

@@ -93,6 +93,16 @@ def _non_viable() -> dict:
     return raw
 
 
+def _lossy_link() -> dict:
+    """The overloaded gNB host at 39.42 MHz: its link stays viable but loses
+    about 0.05% of its samples, so each bulk tick delivers a rounded share."""
+    raw = _non_viable()
+    raw["name"] = "golden_lossy_link"
+    raw["cell"]["bandwidth_mhz"] = 39.42
+    del raw["taps"]
+    return raw
+
+
 def _sessionless() -> dict:
     """Pings to a pool address with no session: every request is a UPF drop."""
     raw = variant(**{"name": "golden_sessionless", "traffic.0.dst": "12.1.1.99"})
@@ -166,6 +176,11 @@ INLINE_CASES = {
         _non_viable,
         "76209787b29ce7e9fbc973778373cab2e73e148addc5da2db4534e67b2191bdc",
         "378d9b4411090e22585f5e504cb50dd2912175058283fb537bf24c94902370c9",
+    ),
+    "lossy_link": (
+        _lossy_link,
+        "72be137a7b40b573f3bb47f91677c1dc15599d0d5a0b308abff45d5f47df7327",
+        "29293e915f2433914765f03b7dc77e4260ea085576fe922e94d552f72ce272a4",
     ),
     "sessionless": (
         _sessionless,

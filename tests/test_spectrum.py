@@ -61,6 +61,12 @@ class TestArfcnConversion:
         with pytest.raises(RasterRangeError):
             frequency_to_arfcn(-1.0)
 
+    # 1e308 MHz is finite, but its kHz product is not: the span check comes first.
+    @pytest.mark.parametrize("freq", [1e308, -1e308, 100_000.0])
+    def test_far_out_frequency_out_of_range_in_mhz(self, freq):
+        with pytest.raises(RasterRangeError, match=r"MHz outside the global raster span"):
+            frequency_to_arfcn(freq)
+
     @pytest.mark.parametrize("freq", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_frequency_out_of_range(self, freq):
         with pytest.raises(RasterRangeError, match="not a finite frequency"):
