@@ -19,6 +19,7 @@ link derives an LBT substream only under bursts, and the live run calls
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from unittest import mock
@@ -46,13 +47,17 @@ def golden_scenario(name: str):
         scenario_from_dict(INLINE_CASES[name][0]())
 
 
+def assert_same_capture(live: runner.RunResult, reference: runner.RunResult) -> None:
+    assert list(live.taps) == list(reference.taps)
+    for tap, frames in reference.taps.items():
+        assert live.frames(tap) == frames, tap
+
+
 def assert_same_as_reference(live: runner.RunResult, scenario) -> None:
     reference = reference_run(scenario)
     assert live.events_jsonl() == reference.events_jsonl()
     assert live.report_json() == reference.report_json()  # the passive section above all
-    assert list(live.taps) == list(reference.taps)
-    for tap, frames in reference.taps.items():
-        assert live.frames(tap) == frames, tap
+    assert_same_capture(live, reference)
 
 
 @settings(max_examples=40, deadline=None)
@@ -125,10 +130,30 @@ def test_access_legs_write_and_capture_what_the_reference_did(raw):
     assert_same_as_reference(runner.run_scenario(scenario_from_dict(raw)), scenario_from_dict(raw))
 
 
+@functools.lru_cache(maxsize=None)
+def golden_reference(name: str) -> runner.RunResult:
+    return reference_run(golden_scenario(name))
+
+
+def golden_live(bundled_results, name: str) -> runner.RunResult:
+    return bundled_results[name] if name in BUNDLED_DIGESTS else _inline_result(name)
+
+
 @pytest.mark.parametrize("name", GOLDEN_CASES)
-def test_golden_cases_write_and_capture_what_the_reference_did(bundled_results, name):
-    live = bundled_results[name] if name in BUNDLED_DIGESTS else _inline_result(name)
-    assert_same_as_reference(live, golden_scenario(name))
+def test_golden_cases_log_what_the_reference_logged(bundled_results, name):
+    assert golden_live(bundled_results, name).events_jsonl() == \
+        golden_reference(name).events_jsonl()
+
+
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_golden_cases_report_what_the_reference_reported(bundled_results, name):
+    assert golden_live(bundled_results, name).report_json() == \
+        golden_reference(name).report_json()
+
+
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_golden_cases_capture_what_the_reference_captured(bundled_results, name):
+    assert_same_capture(golden_live(bundled_results, name), golden_reference(name))
 
 
 @settings(max_examples=40, deadline=None)
