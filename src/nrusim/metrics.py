@@ -1,8 +1,9 @@
 """Active probes, passive RTT monitoring, and report shaping.
 
 Ping and throughput plans inject real traffic through the simulated
-stack.  Ping results are a fold over the event log's ``ping_tx`` and
-``rtt_sample`` records; the throughput probe keeps its own per-window
+stack.  The runner folds ping rows from the event log's ``ping_tx`` and
+``rtt_sample`` records, in its one pass over the log, and shapes them
+with ``ping_stats``; the throughput probe keeps its own per-window
 tally, because bulk records carry no probe key.  The passive monitor
 is a pure fold over an observed packet stream, pairing ICMP echoes by
 (id, seq): a run folds the packets its taps kept, and ``passive_monitor``
@@ -159,25 +160,6 @@ def schedule_pings(net, plan: PingPlan, start_us: int, ident: int, rng: Random) 
         if dst_ip is not None:
             net.schedule_icmp_echo(plan.src, dst_ip, ident, seq, at, rng)
     return start_us + plan.count * plan.interval_ms * 1000 + phase_max + 1_000_000
-
-
-def ping_rtts_ms(records: Iterable[dict]) -> dict[int, list[float]]:
-    """RTTs in ms per ICMP identifier, folded from event-log records.
-
-    Each ``ping_tx`` pairs with the first ``rtt_sample`` on the same
-    (actor, ident, seq); a later duplicate reply pairs with nothing.
-    """
-    sent_at: dict[tuple[str, int, int], int] = {}
-    rtts: dict[int, list[float]] = {}
-    for record in records:
-        action = record["action"]
-        if action == "ping_tx":
-            sent_at[(record["actor"], record["ident"], record["seq"])] = record["t_us"]
-        elif action == "rtt_sample":
-            t0 = sent_at.pop((record["actor"], record["ident"], record["seq"]), None)
-            if t0 is not None:
-                rtts.setdefault(record["ident"], []).append((record["t_us"] - t0) / 1000)
-    return rtts
 
 
 class ThroughputProbe:

@@ -8,7 +8,6 @@ substream of the scenario seed, and serialisation sorts its keys.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -21,7 +20,6 @@ from .metrics import (
     link_capacity_mbps,
     passive_monitor,  # unused here, but perfbench/tracer.py patches runner.passive_monitor
     ping_ident,
-    ping_rtts_ms,
     ping_stats,
     schedule_pings,
 )
@@ -119,7 +117,6 @@ def run_scenario(scenario: Scenario) -> RunResult:
             raise ConfigError(f"unknown traffic plan {plan!r}")
 
     loop.run()
-    _check_invariants(net, log)
     return RunResult(
         scenario=scenario,
         report=_build_report(scenario, log, tallies, net.taps, calib),
@@ -128,47 +125,60 @@ def run_scenario(scenario: Scenario) -> RunResult:
     )
 
 
-def _check_invariants(net: SimNetwork, log: EventLog) -> None:
-    active = net.core.active_sessions()
-    ips = [s.ip for s in active]
-    if len(set(ips)) != len(ips):
-        raise InvariantBreach(f"duplicate session IP among active sessions: {sorted(ips)}")
-    teids = [t for s in active for t in (s.teid_uplink, s.teid_downlink)]
-    if len(set(teids)) != len(teids):
-        raise InvariantBreach(f"duplicate TEID among active sessions: {sorted(teids)}")
-    last = -1
-    for record in log.records:
-        if record["t_us"] < last:
-            raise InvariantBreach(
-                f"event log timestamps decreased at {record['actor']}/{record['action']}"
-            )
-        last = record["t_us"]
-
-
 def _build_report(scenario: Scenario, log: EventLog, tallies: list[ThroughputProbe],
                   taps: dict[str, list[tuple]], calib: Calibration) -> dict:
-    """Fold the event log, the throughput tallies and the tapped packets into a report."""
+    """Fold the event log, the throughput tallies and the tapped packets into a report.
+
+    One pass over the log builds every section it holds and checks the
+    run: timestamps never decrease, and no two ``SESSION_ACTIVE`` records
+    share an IP or a TEID; a breach raises ``InvariantBreach``.  Each
+    ``ping_tx`` pairs with the first ``rtt_sample`` on the same (actor,
+    ident, seq); a later duplicate reply pairs with nothing.
+    """
     attach = {ue.name: {"ue": ue.name, "phase": None, "ip": None, "scan_steps": None,
                         "failure": None} for ue in scenario.ues()}
     scanning_us: dict[str, int] = {}  # UE -> when its cell search began
     budgets: dict[str, dict] = {}
+    sent_at: dict[tuple[str, int, int], int] = {}  # (actor, ident, seq) -> ping_tx time
+    rtts: dict[int, list[float]] = {}  # ident -> RTTs in ms
+    counts = {"upf_drop": 0, "radio_drop": 0, "lbt_deferred": 0}
+    ips: list[str] = []
+    teids: list[int] = []
+    last = -1
     for record in log.records:
-        action = record["action"]
-        if action == "attach_phase":
+        t_us, action = record["t_us"], record["action"]
+        if t_us < last:
+            raise InvariantBreach(f"event log timestamps decreased at {record['actor']}/{action}")
+        last = t_us
+        if action in counts:
+            counts[action] += 1
+        elif action == "ping_tx":
+            sent_at[(record["actor"], record["ident"], record["seq"])] = t_us
+        elif action == "rtt_sample":
+            t0 = sent_at.pop((record["actor"], record["ident"], record["seq"]), None)
+            if t0 is not None:
+                rtts.setdefault(record["ident"], []).append((t_us - t0) / 1000)
+        elif action == "attach_phase":
             row = attach[record["actor"]]
-            row["phase"] = record["phase"]
+            row["phase"] = phase = record["phase"]
             row["scan_steps"] = record.get("scan_steps", row["scan_steps"])
             row["ip"] = record.get("ip", row["ip"])
-            if row["phase"] == "SCANNING":
-                scanning_us[record["actor"]] = record["t_us"]
+            if phase == "SCANNING":
+                scanning_us[record["actor"]] = t_us
+            elif phase == "SESSION_ACTIVE":
+                ips.append(record["ip"])
+                teids += (record["teid_uplink"], record["teid_downlink"])
         elif action == "attach_failed":
             row = attach[record["actor"]]
             row["failure"] = record["reason"]
             if row["scan_steps"] is None:  # no cell found: it failed when its sweep ended
-                row["scan_steps"] = (record["t_us"] - scanning_us[row["ue"]]) // calib.scan_step_us
+                row["scan_steps"] = (t_us - scanning_us[row["ue"]]) // calib.scan_step_us
         elif action == "link_budget":
             budgets[record["actor"]] = record
-    rtts = ping_rtts_ms(log.records)
+    if len(set(ips)) != len(ips):
+        raise InvariantBreach(f"duplicate session IP among active sessions: {sorted(ips)}")
+    if len(set(teids)) != len(teids):
+        raise InvariantBreach(f"duplicate TEID among active sessions: {sorted(teids)}")
     pings = [
         {"label": plan.label, "src": plan.src, "dst": plan.dst,
          **ping_stats(plan.count, rtts.get(ping_ident(index), []))._asdict()}
@@ -179,11 +189,10 @@ def _build_report(scenario: Scenario, log: EventLog, tallies: list[ThroughputPro
         {"label": probe.plan.label, "ue": probe.plan.ue, **probe.stats()._asdict()}
         for probe in tallies
     ]
-    # Kept packets always parse; ROADMAP item 3 drops the always-0 unparsed_frames key.
+    # Kept packets always parse; ROADMAP item 5 drops the always-0 unparsed_frames key.
     passive = {tap: {"unparsed_frames": 0,
                      "sessions": [s._asdict() for s in fold_sessions(entries)]}
                for tap, entries in taps.items()}
-    actions = Counter(record["action"] for record in log.records)
     return {
         "schema": REPORT_SCHEMA,
         "scenario": scenario.name,
@@ -202,9 +211,9 @@ def _build_report(scenario: Scenario, log: EventLog, tallies: list[ThroughputPro
         "throughput": throughput,
         "passive": passive,
         "counters": {
-            "upf_dropped_no_session": actions["upf_drop"],
-            "radio_dropped_bulk": actions["radio_drop"],
-            "lbt_deferred": actions["lbt_deferred"],
+            "upf_dropped_no_session": counts["upf_drop"],
+            "radio_dropped_bulk": counts["radio_drop"],
+            "lbt_deferred": counts["lbt_deferred"],
         },
         "event_count": len(log),
     }

@@ -88,6 +88,11 @@ class ThroughputPlan(NamedTuple):
     duration_s: int = 30
 
 
+# A throughput plan schedules about 13 ticks per second up front: one hour
+# is 120 times the bundled runs' 30 s.
+MAX_DURATION_S = 3600
+
+
 class ExternalHostConfig(NamedTuple):
     address: str = "142.250.204.4"
     one_way_delay_us: int = 5000
@@ -356,7 +361,7 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
         notes.append("seed defaulted to 0")
     seed = _field(raw, "seed", name, int, 0)
     duration_s = _field(raw, "duration_s", name, int, ThroughputPlan._field_defaults["duration_s"],
-                        low=0)
+                        low=0, high=MAX_DURATION_S)
     jurisdiction = _field(raw, "jurisdiction", name, str, "AU")
     allow_noncompliant = _field(raw, "allow_noncompliant", name, bool, False)
 
@@ -483,7 +488,8 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
                                  f"throughput-{direction.lower()}-{idx}"),
                     ue=ue,
                     direction=direction,
-                    duration_s=_field(step, "duration_s", context, int, duration_s, low=0),
+                    duration_s=_field(step, "duration_s", context, int, duration_s, low=0,
+                                      high=MAX_DURATION_S),
                 )
             )
         else:

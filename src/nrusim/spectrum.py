@@ -376,8 +376,14 @@ def check_assignment(assignment: ChannelAssignment, jurisdiction: str) -> list[V
             f"ARFCN {assignment.arfcn} not on the {band.band_id} raster "
             f"({dl.first}-<{dl.step}>-{dl.last})"
         )
-    lo, hi = assignment.span_khz()
     band_lo, band_hi = band.frequency_span_khz()
+    # In MHz first: the kHz edges of a bandwidth near 1e308 overflow to infinity.
+    if assignment.bandwidth_mhz > (band_hi - band_lo) / KHZ_PER_MHZ:
+        raise ConfigError(
+            f"bandwidth {assignment.bandwidth_mhz} MHz is wider than the {band.band_id} span "
+            f"{band_lo / 1000:.3f}-{band_hi / 1000:.3f} MHz"
+        )
+    lo, hi = assignment.span_khz()
     if lo < band_lo or hi > band_hi:
         raise ConfigError(
             f"carrier edges {lo / 1000:.3f}-{hi / 1000:.3f} MHz fall outside the "

@@ -22,18 +22,27 @@ the designs the live path replaced:
   neither request nor reply, a gNB stop without a session or N3 address.
 
 It keeps its own IP ident counter, NAT table and taps.
+
+The reference run folds its report as the runner once did, in several
+passes: ``check_invariants`` reads the sessions from the core after the
+run and walks the log's timestamps, and ``multi_pass_report`` folds the
+log, pairs pings in ``ping_rtts_ms`` and counts actions with a
+``Counter``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from typing import Iterable
 from unittest import mock
 
 from nrusim import access, runner
 from nrusim.engine import derive_rng
-from nrusim.errors import CodecError
-from nrusim.metrics import MonitorReport, PassiveSession, flow_session_id
+from nrusim.errors import CodecError, InvariantBreach
+from nrusim.metrics import MonitorReport, PassiveSession, flow_session_id, ping_ident, ping_stats
 from nrusim.network import SimNetwork
 from nrusim.rflink import OverAir
+from nrusim.scenario import PingPlan
 from nrusim.userplane import (
     FORWARD_DROP,
     FORWARD_TUNNEL,
@@ -310,8 +319,122 @@ def byte_fold_sessions(frames) -> list[PassiveSession]:
     return report.sessions
 
 
+def ping_rtts_ms(records: Iterable[dict]) -> dict[int, list[float]]:
+    """RTTs in ms per ICMP identifier, folded from event-log records.
+
+    Each ``ping_tx`` pairs with the first ``rtt_sample`` on the same
+    (actor, ident, seq); a later duplicate reply pairs with nothing.
+    """
+    sent_at: dict[tuple[str, int, int], int] = {}
+    rtts: dict[int, list[float]] = {}
+    for record in records:
+        action = record["action"]
+        if action == "ping_tx":
+            sent_at[(record["actor"], record["ident"], record["seq"])] = record["t_us"]
+        elif action == "rtt_sample":
+            t0 = sent_at.pop((record["actor"], record["ident"], record["seq"]), None)
+            if t0 is not None:
+                rtts.setdefault(record["ident"], []).append((record["t_us"] - t0) / 1000)
+    return rtts
+
+
+def check_invariants(net, log) -> None:
+    active = net.core.active_sessions()
+    ips = [s.ip for s in active]
+    if len(set(ips)) != len(ips):
+        raise InvariantBreach(f"duplicate session IP among active sessions: {sorted(ips)}")
+    teids = [t for s in active for t in (s.teid_uplink, s.teid_downlink)]
+    if len(set(teids)) != len(teids):
+        raise InvariantBreach(f"duplicate TEID among active sessions: {sorted(teids)}")
+    last = -1
+    for record in log.records:
+        if record["t_us"] < last:
+            raise InvariantBreach(
+                f"event log timestamps decreased at {record['actor']}/{record['action']}"
+            )
+        last = record["t_us"]
+
+
+def multi_pass_report(scenario, log, tallies, taps, calib) -> dict:
+    """Fold the event log, the throughput tallies and the tapped packets into a report."""
+    attach = {ue.name: {"ue": ue.name, "phase": None, "ip": None, "scan_steps": None,
+                        "failure": None} for ue in scenario.ues()}
+    scanning_us: dict[str, int] = {}  # UE -> when its cell search began
+    budgets: dict[str, dict] = {}
+    for record in log.records:
+        action = record["action"]
+        if action == "attach_phase":
+            row = attach[record["actor"]]
+            row["phase"] = record["phase"]
+            row["scan_steps"] = record.get("scan_steps", row["scan_steps"])
+            row["ip"] = record.get("ip", row["ip"])
+            if row["phase"] == "SCANNING":
+                scanning_us[record["actor"]] = record["t_us"]
+        elif action == "attach_failed":
+            row = attach[record["actor"]]
+            row["failure"] = record["reason"]
+            if row["scan_steps"] is None:  # no cell found: it failed when its sweep ended
+                row["scan_steps"] = (record["t_us"] - scanning_us[row["ue"]]) // calib.scan_step_us
+        elif action == "link_budget":
+            budgets[record["actor"]] = record
+    rtts = ping_rtts_ms(log.records)
+    pings = [
+        {"label": plan.label, "src": plan.src, "dst": plan.dst,
+         **ping_stats(plan.count, rtts.get(ping_ident(index), []))._asdict()}
+        for index, plan in enumerate(scenario.traffic)
+        if isinstance(plan, PingPlan)
+    ]
+    throughput = [
+        {"label": probe.plan.label, "ue": probe.plan.ue, **probe.stats()._asdict()}
+        for probe in tallies
+    ]
+    passive = {tap: {"unparsed_frames": 0,
+                     "sessions": [s._asdict() for s in runner.fold_sessions(entries)]}
+               for tap, entries in taps.items()}
+    actions = Counter(record["action"] for record in log.records)
+    return {
+        "schema": runner.REPORT_SCHEMA,
+        "scenario": scenario.name,
+        "seed": scenario.seed,
+        # Sibling log: everything but throughput and passive (tapped
+        # packets) is recomputable from it.
+        "event_log": "events.jsonl",
+        "notes": list(scenario.notes),
+        "attach": list(attach.values()),
+        "rsrp_dbm": {name: budget["rsrp_dbm"] for name, budget in budgets.items()},
+        "link": {
+            name: {key: budget[key] for key in ("required_msps", "drop_fraction", "viable")}
+            for name, budget in budgets.items()
+        },
+        "pings": pings,
+        "throughput": throughput,
+        "passive": passive,
+        "counters": {
+            "upf_dropped_no_session": actions["upf_drop"],
+            "radio_dropped_bulk": actions["radio_drop"],
+            "lbt_deferred": actions["lbt_deferred"],
+        },
+        "event_count": len(log),
+    }
+
+
 def reference_run(scenario) -> runner.RunResult:
-    """``run_scenario`` on ``ReferenceNetwork``; its taps hold ``(t_us, wire bytes)``."""
-    with mock.patch.object(runner, "SimNetwork", ReferenceNetwork), \
-            mock.patch.object(runner, "fold_sessions", byte_fold_sessions):
+    """``run_scenario`` on ``ReferenceNetwork``; its taps hold ``(t_us, wire bytes)``.
+
+    Its report is the multi-pass fold's, after ``check_invariants`` on the
+    reference network.
+    """
+    nets: list[ReferenceNetwork] = []
+
+    def network(*args) -> ReferenceNetwork:
+        nets.append(ReferenceNetwork(*args))
+        return nets[-1]
+
+    def build_report(scenario, log, *args) -> dict:
+        check_invariants(nets[-1], log)
+        return multi_pass_report(scenario, log, *args)
+
+    with mock.patch.object(runner, "SimNetwork", network), \
+            mock.patch.object(runner, "fold_sessions", byte_fold_sessions), \
+            mock.patch.object(runner, "_build_report", build_report):
         return runner.run_scenario(scenario)

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from nrusim.cli import main
+from nrusim.network import SimNetwork
 from nrusim.runner import write_outputs
 from nrusim.scenario import bundled_scenario_path
 from nrusim.userplane import echo_reply_for, encode_ip, icmp_echo_request
@@ -119,11 +120,14 @@ class TestPlan:
         ["check", "--arfcn", "786667", "--bandwidth", "20", "--eirp", "nan"],
         ["check", "--arfcn", "786667", "--bandwidth", "nan", "--eirp", "20"],
         ["check", "--arfcn", "786667", "--bandwidth", "-20", "--eirp", "20"],
-    ], ids=["freq nan", "freq inf", "freq 1e308", "freq -1e308", "eirp nan", "bandwidth nan", "bandwidth negative"])
+        ["check", "--arfcn", "786667", "--bandwidth", "1e308", "--eirp", "20"],
+    ], ids=["freq nan", "freq inf", "freq 1e308", "freq -1e308", "eirp nan", "bandwidth nan",
+            "bandwidth negative", "bandwidth 1e308"])
     def test_non_finite_or_negative_numbers_exit_1(self, capsys, argv):
         assert run_cli("plan", *argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "inf-" not in captured.err and "-inf" not in captured.err
         assert captured.out == ""
 
     def test_non_finite_eirp_subprocess_prints_no_traceback(self):
@@ -227,6 +231,22 @@ class TestScenarioCommands:
         assert run_cli("run", str(path), "--out", str(tmp_path / "taken")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write outputs to directory") and err.count("\n") == 1
+
+    def test_run_exits_2_on_an_invariant_breach(self, tmp_path, capsys, monkeypatch):
+        attach_all = SimNetwork.attach_all
+
+        def attach_then_log_out_of_order(net):
+            attach_all(net)
+            net.log.append({"action": "late", "actor": "ue1", "t_us": 0})
+
+        monkeypatch.setattr(SimNetwork, "attach_all", attach_then_log_out_of_order)
+        path = tmp_path / "unit.yaml"
+        path.write_text(yaml.safe_dump(variant()), encoding="utf-8")
+        assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "invariant breach: event log timestamps decreased at ue1/late\n"
+        assert captured.out == ""
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_run_json_records(self, tmp_path, capsys):
         path = tmp_path / "unit.yaml"

@@ -5,13 +5,16 @@ event after attach in the designs the live path replaced: eager bytes with
 byte taps, folded by the passive monitor of the time; closures; a walk over
 a hop table with ``RADIO`` and ``GNB`` markers that asks ``access.lbt_gate``
 at every radio hop; every guard for traffic no run makes; and a bulk tick
-per lambda.  Over generated ping, throughput and mixed scenarios and over
+per lambda.  Its report is the runner's old multi-pass fold, so every
+report comparison also checks the one-pass fold against it.  Over
+generated ping, throughput and mixed scenarios and over
 the golden cases, a live run must write the same ``events.jsonl`` and
 ``report.json`` text as the reference run, and every tap must capture the
 same frames.
 
 The other tests pin what no reference run can see: a tap captures the
-same frames whichever other taps the run sets, a run with taps encodes
+same frames whichever other taps the run sets, the log's
+``SESSION_ACTIVE`` records are the core's sessions, a run with taps encodes
 and decodes nothing, the passive monitor folds as the single loop did, a
 link derives an LBT substream only under bursts, and the live run calls
 ``lbt_gate`` once per reference radio hop under bursts and never without.
@@ -195,6 +198,18 @@ def test_passive_monitor_decodes_then_folds_as_the_single_loop():
         assert byte_passive_monitor(mangled).unparsed_frames > 0
         for capture in (frames, mangled):
             assert metrics.passive_monitor(capture) == byte_passive_monitor(capture)
+
+
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_session_active_records_are_the_cores_active_sessions(name):
+    """The report fold checks sessions from the log: attach_all logs each
+    session the core holds, and no event releases one."""
+    net = SimNetwork(golden_scenario(name), EventLoop(), EventLog(), load_calibration())
+    net.attach_all()
+    logged = [(r["ip"], r["teid_uplink"], r["teid_downlink"]) for r in net.log.records
+              if r["action"] == "attach_phase" and r["phase"] == "SESSION_ACTIVE"]
+    active = [(s.ip, s.teid_uplink, s.teid_downlink) for s in net.core.active_sessions()]
+    assert logged == active
 
 
 # golden_contended and long_burst have foreign bursts; the other cases have none.

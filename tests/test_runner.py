@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from nrusim import access, runner
 from nrusim.calibration import load_calibration
-from nrusim.errors import CodecError, ConfigError
+from nrusim.engine import EventLog, EventLoop
+from nrusim.errors import CodecError, ConfigError, InvariantBreach
 from nrusim.metrics import ping_ident, ping_stats
+from nrusim.network import SimNetwork
 from nrusim.pcapio import read_pcap, write_pcap
 from nrusim.runner import (
     RunResult,
@@ -24,6 +26,7 @@ from nrusim.runner import (
 )
 from nrusim.scenario import BUNDLED, PingPlan, load_bundled, scenario_from_dict
 from nrusim.userplane import ICMP_ECHO_REPLY, ICMP_ECHO_REQUEST, decode_ip
+from tests.reference_network import multi_pass_report
 from tests.test_cli import _ethernet_echo_pcap
 from tests.test_golden import _attach_failures
 from tests.test_scenario import variant
@@ -578,3 +581,119 @@ class TestAttachOracle:
     def test_attach_rows_match_the_states(self, raw):
         result, rows = run_with_attach_states(scenario_from_dict(raw))
         assert result.report["attach"] == rows
+
+
+# ---------------------------------------------------------------------------
+# The report fold: one pass over the log that also checks the run
+# ---------------------------------------------------------------------------
+
+
+def fold(records) -> dict:
+    """``_build_report`` of the unit scenario over hand-made records, no probes, no taps."""
+    log = EventLog()
+    for record in records:
+        log.append(record)
+    return runner._build_report(scenario_from_dict(variant()), log, [], {}, load_calibration())
+
+
+def session_active(t_us, ip, teid_uplink, teid_downlink, actor="ue1") -> dict:
+    return {"action": "attach_phase", "actor": actor, "interface": "N3", "ip": ip,
+            "phase": "SESSION_ACTIVE", "t_us": t_us, "teid_downlink": teid_downlink,
+            "teid_uplink": teid_uplink}
+
+
+def ping_record(action, t_us, seq, ident=0x1000, actor="ue1") -> dict:
+    return {"action": action, "actor": actor, "ident": ident, "seq": seq, "t_us": t_us}
+
+
+def two_ping_plans() -> dict:
+    """Two UEs with a ping plan each, as the record tails below address them;
+    each plan's count is at least a tail's replies."""
+    raw = variant(name="fold")
+    raw["traffic"][0]["count"] = 60
+    raw["core"]["subscribers"].append({"imsi": "001010000000002"})
+    raw["nodes"].append({"name": "ue2", "role": "ue", "host": "nuc-i5", "sdr": "b210",
+                         "imsi": "001010000000002", "gnb": "gnb1",
+                         "medium": {"kind": "cable", "length_cm": 50}})
+    raw["traffic"].append({"probe": "ping", "src": "ue2", "dst": "ue1", "count": 60,
+                           "interval_ms": 100})
+    return raw
+
+
+@st.composite
+def record_tails(draw) -> list[dict]:
+    """Echoes with no, one or two replies, lone pings and replies, and counted
+    drops after attach, for two UEs and two ping plans, at non-decreasing
+    times, some equal."""
+    records, t_us = [], 10_000_000
+    for step, action, actor, index, seq in draw(st.lists(st.tuples(
+            st.integers(0, 3), st.sampled_from(["echo", "ping_tx", "rtt_sample", "upf_drop",
+                                                 "radio_drop", "lbt_deferred", "bulk_tx"]),
+            st.sampled_from(["ue1", "ue2"]), st.integers(0, 1), st.integers(0, 1)), max_size=30)):
+        t_us += step * 1000
+        if action == "echo":
+            records.append(ping_record("ping_tx", t_us, seq, ping_ident(index), actor))
+            for _reply in range(draw(st.integers(0, 2))):
+                t_us += draw(st.integers(0, 3000))
+                records.append(ping_record("rtt_sample", t_us, seq, ping_ident(index), actor))
+        elif action in ("ping_tx", "rtt_sample"):
+            records.append(ping_record(action, t_us, seq, ping_ident(index), actor))
+        else:
+            records.append({"action": action, "actor": actor, "t_us": t_us})
+    return records
+
+
+class TestReportFold:
+    def test_a_decreasing_timestamp_names_the_record(self):
+        records = [ping_record("ping_tx", 5_000, 0),
+                   {"action": "upf_drop", "actor": "upf", "dst": "12.1.1.9", "t_us": 4_999}]
+        with pytest.raises(InvariantBreach) as caught:
+            fold(records)
+        assert str(caught.value) == "event log timestamps decreased at upf/upf_drop"
+
+    def test_equal_timestamps_are_in_order(self):
+        report = fold([ping_record("ping_tx", 5_000, 0), ping_record("rtt_sample", 5_000, 0)])
+        assert report["pings"][0]["received"] == 1
+
+    def test_two_sessions_on_one_ip_breach(self):
+        records = [session_active(1_000, "12.1.1.2", 1, 2),
+                   session_active(2_000, "12.1.1.2", 3, 4)]
+        with pytest.raises(InvariantBreach) as caught:
+            fold(records)
+        assert str(caught.value) == \
+            "duplicate session IP among active sessions: ['12.1.1.2', '12.1.1.2']"
+
+    @pytest.mark.parametrize("teids", [(1, 2, 3, 1), (1, 2, 2, 3), (5, 5, 6, 7)],
+                             ids=["uplink on downlink", "downlink on uplink", "one session"])
+    def test_two_tunnels_on_one_teid_breach(self, teids):
+        records = [session_active(1_000, "12.1.1.2", *teids[:2]),
+                   session_active(2_000, "12.1.1.3", *teids[2:])]
+        with pytest.raises(InvariantBreach) as caught:
+            fold(records)
+        assert str(caught.value) == \
+            f"duplicate TEID among active sessions: {sorted(teids)}"
+
+    def test_a_duplicate_reply_pairs_with_nothing(self):
+        records = [ping_record("ping_tx", 1_000, 0), ping_record("rtt_sample", 3_000, 0),
+                   ping_record("rtt_sample", 9_000, 0), ping_record("rtt_sample", 9_500, 1)]
+        row = fold(records)["pings"][0]
+        assert (row["sent"], row["received"], row["min_ms"], row["max_ms"]) == (5, 1, 2.0, 2.0)
+
+    def test_counters_count_their_actions(self):
+        records = [{"action": action, "actor": "upf", "t_us": t_us}
+                   for t_us, action in enumerate(["upf_drop", "radio_drop", "radio_drop",
+                                                  "lbt_deferred", "bulk_tx"])]
+        assert fold(records)["counters"] == \
+            {"upf_dropped_no_session": 1, "radio_dropped_bulk": 2, "lbt_deferred": 1}
+
+    @settings(max_examples=80, deadline=None)
+    @given(tail=record_tails())
+    def test_one_pass_folds_what_the_multi_pass_fold_did(self, tail):
+        calib = load_calibration()
+        scenario = scenario_from_dict(two_ping_plans())
+        net = SimNetwork(scenario, EventLoop(), EventLog(), calib)
+        net.attach_all()
+        for record in tail:
+            net.log.append(record)
+        args = (scenario, net.log, [], {}, calib)
+        assert runner._build_report(*args) == multi_pass_report(*args)

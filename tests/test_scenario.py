@@ -169,6 +169,13 @@ UNRUNNABLE = [
                         "duration_s": -1}]),
      "duration_s"),
     ("negative default duration", variant(duration_s=-5), "duration_s"),
+    # A throughput plan schedules its ticks up front: a billion seconds would fill memory.
+    ("throughput duration past an hour",
+     _with("traffic", [{"probe": "throughput", "ue": "ue1", "direction": "DL",
+                        "duration_s": 3601}]),
+     "traffic[0]: duration_s must be in [0, 3600], got 3601"),
+    ("default duration past an hour", variant(duration_s=1_000_000_000),
+     "duration_s must be in [0, 3600], got 1000000000"),
     ("negative contention window", variant(**{"cell.lbt": {"cw_min": -1}}), "cw_min"),
     ("prior allocations past the pool",
      variant(**{"core.prior_allocations": 300}), "prior_allocations must be in [0, 253]"),
@@ -181,6 +188,9 @@ UNRUNNABLE = [
     ("zero bandwidth", variant(**{"cell.bandwidth_mhz": 0}), "cell: bandwidth must be positive"),
     ("negative bandwidth", variant(**{"cell.bandwidth_mhz": -40}),
      "cell: bandwidth must be positive"),
+    # Its kHz carrier edges overflow: the error named the edges "-inf-inf MHz".
+    ("bandwidth of 1e308 MHz", variant(**{"cell.bandwidth_mhz": 1e308}),
+     "cell: bandwidth 1e+308 MHz is wider than the n46 span 5149.995-5925.000 MHz"),
     ("NaN tx power", variant(**{"cell.tx_power_dbm": float("nan")}), "cell: tx_power_dbm"),
     ("infinite tx power", variant(**{"cell.tx_power_dbm": float("inf")}), "cell: tx_power_dbm"),
     ("NaN attenuation factor", variant(**{"cell.attenuation_factor": float("nan")}),

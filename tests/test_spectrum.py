@@ -290,3 +290,18 @@ class TestRegulatory:
         wide = ChannelAssignment("n46", 795000, 40.0, eirp_mw=1.0, indoor=True)
         with pytest.raises(ConfigError, match="outside"):
             check_assignment(wide, "AU")
+
+    @pytest.mark.parametrize("bandwidth", [775.006, 1e308])
+    def test_validate_assignment_names_a_bandwidth_wider_than_the_band(self, bandwidth):
+        wide = ChannelAssignment("n46", 786667, bandwidth, eirp_mw=1.0, indoor=True)
+        with pytest.raises(ConfigError) as caught:
+            check_assignment(wide, "AU")
+        message = str(caught.value)
+        assert message.startswith(f"bandwidth {bandwidth} MHz is wider than the n46 span")
+        assert "inf" not in message
+
+    def test_validate_assignment_keeps_a_bandwidth_as_wide_as_the_band_to_the_edge_check(self):
+        # 775.005 MHz is the n46 span; centred off the middle, the carrier overhangs it.
+        whole = ChannelAssignment("n46", 786667, 775.005, eirp_mw=1.0, indoor=True)
+        with pytest.raises(ConfigError, match="carrier edges .* fall outside the n46 span"):
+            check_assignment(whole, "AU")
