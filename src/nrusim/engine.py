@@ -9,12 +9,13 @@ its tail, beside a heap for the few that arrive out of order.  Randomness
 never lives here: actors derive named substreams from the scenario seed
 so a stream's draws do not depend on unrelated activity.
 
-``c_encoder`` is the one owner of the C JSON encoder: ``EventLog.to_jsonl``
-and the runner's ``report.json`` both write through it.  It keeps no
+``c_encoder`` is the one owner of the C JSON encoder: the runner's
+``report.json`` is written through it, and so is every ``events.jsonl``
+record that has no line of its own (``LINES``).  It keeps no
 circular-reference markers and so holds no state between calls.  Each
-caller has one fallback, ``json.dumps``, taken when there is no C
-accelerator; ``to_jsonl`` also takes it when a circular or too-deep record
-raises ``RecursionError``, so it raises what ``json.dumps`` raises.
+caller has one fallback, ``json.dumps``, taken in its place when there is
+no C accelerator; ``to_jsonl`` also takes it when a circular or too-deep
+record raises ``RecursionError``, so it raises what ``json.dumps`` raises.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import hashlib
 import itertools
 import json
 from collections import deque
+from functools import partial
 from heapq import heappop, heappush
 from random import Random
 from typing import Any, Callable
@@ -61,6 +63,120 @@ def derive_rng(seed: int, label: str) -> Random:
     return Random(int.from_bytes(digest[:8], "big"))
 
 
+# One line per record shape that network.py logs from the event loop.  A
+# line's parameters are its shape's keys in display order, which is sorted
+# order, so its table key is its signature.  It writes what ``json.dumps(r,
+# sort_keys=True)`` writes when every value has the type it expects, exactly
+# ``str`` or exactly ``int``, and returns None otherwise.
+_q = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it, quotes included
+
+
+def _ping_no_route(action, actor, seq, t_us):
+    if str is type(action) is type(actor) and int is type(seq) is type(t_us):
+        return f'{{"action": {_q(action)}, "actor": {_q(actor)}, "seq": {seq}, "t_us": {t_us}}}'
+    return None
+
+
+def _ping_tx(action, actor, dst, ident, seq, t_us):
+    if (str is type(action) is type(actor) is type(dst)
+            and int is type(ident) is type(seq) is type(t_us)):
+        return (f'{{"action": {_q(action)}, "actor": {_q(actor)}, "dst": {_q(dst)}, '
+                f'"ident": {ident}, "seq": {seq}, "t_us": {t_us}}}')
+    return None
+
+
+def _bulk(action, actor, direction, size, sub, t_us, window):  # bulk_tx, bulk_rx
+    if (str is type(action) is type(actor) is type(direction)
+            and int is type(size) is type(sub) is type(t_us) is type(window)):
+        return (f'{{"action": {_q(action)}, "actor": {_q(actor)}, "direction": {_q(direction)}, '
+                f'"size": {size}, "sub": {sub}, "t_us": {t_us}, "window": {window}}}')
+    return None
+
+
+def _radio_drop(action, actor, direction, size, t_us):
+    if str is type(action) is type(actor) is type(direction) and int is type(size) is type(t_us):
+        return (f'{{"action": {_q(action)}, "actor": {_q(actor)}, "direction": {_q(direction)}, '
+                f'"size": {size}, "t_us": {t_us}}}')
+    return None
+
+
+def _gtpu(action, actor, size, t_us, teid):  # gtpu_ul, gtpu_dl
+    if str is type(action) is type(actor) and int is type(size) is type(t_us) is type(teid):
+        return (f'{{"action": {_q(action)}, "actor": {_q(actor)}, "size": {size}, '
+                f'"t_us": {t_us}, "teid": {teid}}}')
+    return None
+
+
+def _echo(action, actor, seq, src, t_us):  # core_echo, ue_echo
+    if str is type(action) is type(actor) is type(src) and int is type(seq) is type(t_us):
+        return (f'{{"action": {_q(action)}, "actor": {_q(actor)}, "seq": {seq}, '
+                f'"src": {_q(src)}, "t_us": {t_us}}}')
+    return None
+
+
+def _upf_drop(action, actor, dst, t_us):
+    if str is type(action) is type(actor) is type(dst) and int is type(t_us):
+        return f'{{"action": {_q(action)}, "actor": {_q(actor)}, "dst": {_q(dst)}, "t_us": {t_us}}}'
+    return None
+
+
+def _upf_tunnel(action, actor, dst, t_us, teid):
+    if str is type(action) is type(actor) is type(dst) and int is type(t_us) is type(teid):
+        return (f'{{"action": {_q(action)}, "actor": {_q(actor)}, "dst": {_q(dst)}, '
+                f'"t_us": {t_us}, "teid": {teid}}}')
+    return None
+
+
+def _upf_egress(action, actor, dst, t_us, visible_src):
+    if str is type(action) is type(actor) is type(dst) is type(visible_src) and int is type(t_us):
+        return (f'{{"action": {_q(action)}, "actor": {_q(actor)}, "dst": {_q(dst)}, '
+                f'"t_us": {t_us}, "visible_src": {_q(visible_src)}}}')
+    return None
+
+
+def _external_reply(action, actor, seq, t_us, to):
+    if str is type(action) is type(actor) is type(to) and int is type(seq) is type(t_us):
+        return (f'{{"action": {_q(action)}, "actor": {_q(actor)}, "seq": {seq}, '
+                f'"t_us": {t_us}, "to": {_q(to)}}}')
+    return None
+
+
+def _rtt_sample(action, actor, ident, seq, session, t_us):
+    if (str is type(action) is type(actor)
+            and int is type(ident) is type(seq) is type(session) is type(t_us)):
+        return (f'{{"action": {_q(action)}, "actor": {_q(actor)}, "ident": {ident}, '
+                f'"seq": {seq}, "session": {session}, "t_us": {t_us}}}')
+    return None
+
+
+def _keys(line: Callable[..., str | None]) -> tuple[str, ...]:
+    """A line's table key: its parameter names, in order."""
+    code = line.__code__
+    return code.co_varnames[:code.co_argcount]
+
+
+LINES: dict[tuple[str, ...], Callable[..., str | None]] = {
+    _keys(line): line
+    for line in (_ping_no_route, _ping_tx, _bulk, _radio_drop, _gtpu, _echo, _upf_drop,
+                 _upf_tunnel, _upf_egress, _external_reply, _rtt_sample)
+}
+
+
+def _jsonl(records: list, encode: Callable[[Any], str]) -> str:
+    """One line per record, each from its ``LINES`` entry or else from ``encode``."""
+    out: list[str] = []
+    append, line_for = out.append, LINES.get
+    for r in records:
+        line = None
+        if type(r) is dict:
+            write = line_for(tuple(r))
+            if write is not None:
+                line = write(*r.values())
+        append(encode(r) if line is None else line)
+    append("")  # the join writes the last newline; no second copy of the text
+    return "\n".join(out)
+
+
 class EventLog:
     """Append-only record list; one JSON object per record when exported.
 
@@ -72,10 +188,16 @@ class EventLog:
     which skips a Python-level call per record.
 
     ``to_jsonl`` is ``json.dumps(record, sort_keys=True) + "\\n"`` per
-    record for any records, in key order or not.  It encodes through the
-    shared marker-free C encoder; on ``RecursionError`` (a circular or
-    too-deep record) it encodes again with ``json.dumps``, so it raises
-    exactly what ``json.dumps`` raises.
+    record for any records, in key order or not.  A plain dict whose keys
+    are, in order, those of an event-loop record shape (``LINES``) is
+    written by that shape's f-string line, if every value is exactly the
+    ``str`` or ``int`` the line expects.  Every other record (the attach
+    records, a record in another key order, or one with a ``bool``, a
+    float, a subclass or a container) goes to the shared marker-free C
+    encoder, or to ``json.dumps`` without the C accelerator.  On
+    ``RecursionError`` (a circular or too-deep record) the misses are
+    encoded again with ``json.dumps``, so it raises exactly what
+    ``json.dumps`` raises.
     """
 
     def __init__(self):
@@ -86,16 +208,13 @@ class EventLog:
         return len(self.records)
 
     def to_jsonl(self) -> str:
-        records = self.records
-        if not records:
-            return ""
         encode = c_encoder(", ")
         if encode is not None:
             try:
-                return "\n".join(map("".join, map(encode, records, itertools.repeat(0)))) + "\n"
+                return _jsonl(self.records, lambda r: "".join(encode(r, 0)))
             except RecursionError:
                 pass
-        return "\n".join([json.dumps(r, sort_keys=True) for r in records]) + "\n"
+        return _jsonl(self.records, partial(json.dumps, sort_keys=True))
 
 
 class EventLoop:

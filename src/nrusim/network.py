@@ -47,9 +47,13 @@ from the scenario's bursts.
 Each record is one dict display built by its call site, which
 ``EventLog.append`` keeps as given: a record is never reused or changed
 once logged.  Each display lists its literal keys in sorted order
-(``"action"``, ``"actor"``, ..., ``"t_us"``, ...), so the key sort of
-``EventLog.to_jsonl`` meets an already sorted run.  No value in a display
-has side effects, so the order moves no draw or ident.
+(``"action"``, ``"actor"``, ..., ``"t_us"``, ...), so the key sort of the
+C encoder meets an already sorted run.  No value in a display has side
+effects, so the order moves no draw or ident.  A display logged from the
+event loop (any but ``attach_all``'s) also needs a line for its key list
+in ``engine.LINES``, which ``EventLog.to_jsonl`` writes it through; a
+test fails on a loop-time display without one, and on a line no display
+uses.
 
 IP idents come from one counter per run, 1 to 65535 and round again
 (``_next_ident``).  A packet that enters the access leg (``_send``) or
@@ -90,7 +94,7 @@ class RadioLink:
     """One UE's link to its gNB; every hop reads it, so a ``__slots__`` class like PduSession."""
 
     __slots__ = ("ue", "gnb", "viable", "required_msps", "drop_fraction", "rsrp_dbm", "rng",
-                 "radio_us", "hops", "ue_tap", "n3_tap")
+                 "radio_us", "hops", "ue_tap", "n3_tap", "teids")
 
     def __init__(self, ue: UeNode, gnb: GnbNode,
                  viable: bool,  # the host drains the sample stream: bulk data survives
@@ -103,6 +107,7 @@ class RadioLink:
         self.required_msps, self.drop_fraction = required_msps, drop_fraction
         self.rsrp_dbm, self.radio_us, self.hops = rsrp_dbm, radio_us, hops
         self.ue_tap, self.n3_tap = ue_tap, n3_tap
+        self.teids: dict[str, int] | None = None  # direction -> TEID, set once attach completes
 
 
 class SimNetwork:
@@ -169,7 +174,7 @@ class SimNetwork:
         """Attach every UE in scenario order, logging timed milestones.
 
         No event establishes or releases a session, so the UPF's route
-        table is built once, here.
+        table and each attached link's TEID pair are set once, here.
         """
         band = get_band(self.scenario.cell.band_id)
         cursor = 1000
@@ -207,9 +212,12 @@ class SimNetwork:
             cursor = t + 10_000
         self.attach_complete_us = cursor + 100_000
         self.gateway = str(self.core.pool.gateway)
+        sessions = self.core.active_sessions()
+        for s in sessions:
+            self.links[s.ue_id].teids = {"UL": s.teid_uplink, "DL": s.teid_downlink}
         self.routes = RouteTable(
             pool=self.core.pool,
-            sessions={s.ip: s for s in self.core.active_sessions()},
+            sessions={s.ip: s for s in sessions},
             upf_address=self.core.config.upf_address,
         )
 
@@ -340,8 +348,7 @@ class SimNetwork:
         """
         t = self.loop.now_us
         uplink = direction == "UL"
-        session = self.core.sessions[link.ue.name]
-        teid = session.teid_uplink if uplink else session.teid_downlink
+        teid = link.teids[direction]
         self.log.append({"action": "gtpu_ul" if uplink else "gtpu_dl", "actor": link.gnb.name,
                          "size": size, "t_us": t, "teid": teid})
         ident = self._next_ident()

@@ -3,7 +3,8 @@
 Captures are raw IPv4 packets (LINKTYPE_RAW, 101) with microsecond
 timestamps, so any standard dissector can open them.  The reader also
 accepts the byte-swapped and nanosecond magic variants, and rejects any
-other link type, since it cannot strip a link-layer header.
+other link type, since it cannot strip a link-layer header, and any
+record whose sub-second field is a whole second or more.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ def read_pcap(path: str | Path) -> list[tuple[int, bytes]]:
     else:
         raise CodecError(f"{path}: unknown pcap magic {magic:#x}")
     nanos = magic == PCAP_MAGIC_NS
+    frac_unit, frac_limit = ("ns", 1_000_000_000) if nanos else ("us", 1_000_000)
     linktype = struct.unpack(f"{endian}I", raw[20:24])[0]
     if linktype != LINKTYPE_RAW:
         raise CodecError(f"{path}: unsupported link type {linktype}; "
@@ -66,6 +68,9 @@ def read_pcap(path: str | Path) -> list[tuple[int, bytes]]:
         offset += 16
         if offset + caplen > len(raw):
             raise CodecError(f"{path}: truncated packet body")
+        if frac >= frac_limit:
+            raise CodecError(f"{path}: packet record {len(packets) + 1} has sub-second field "
+                             f"{frac} {frac_unit}, not below one second")
         t_us = sec * 1_000_000 + (frac // 1000 if nanos else frac)
         packets.append((t_us, raw[offset : offset + caplen]))
         offset += caplen

@@ -403,6 +403,17 @@ class TestBadInputFiles:
         assert captured.err == "error: report metric rtt_min_ms is not a number: nan\n"
         assert captured.out == ""
 
+    def test_monitor_rejects_a_record_a_second_past_its_second(self, tmp_path, capsys):
+        path = tmp_path / "late.pcap"
+        with open(path, "wb") as handle:
+            handle.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 101))
+            handle.write(struct.pack("<IIII", 1, 5_000_000, 0, 0))
+        assert run_cli("monitor", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {path}: packet record 1 has sub-second field "
+                                f"5000000 us, not below one second\n")
+        assert captured.out == ""
+
     def test_monitor_rejects_an_ethernet_capture(self, tmp_path, capsys):
         path = tmp_path / "eth.pcap"
         _ethernet_echo_pcap(path)

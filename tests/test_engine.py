@@ -1,4 +1,5 @@
 import ast
+import enum
 import itertools
 import json
 import sys
@@ -246,6 +247,91 @@ class TestSharedEncoder:
             _log_of([record]).to_jsonl()
 
 
+class _Level(enum.IntEnum):
+    HIGH = 7
+
+
+class _Str(str):
+    """Writes as its text in JSON, and as something else through ``str`` or ``format``."""
+
+    def __str__(self):
+        return "not the text"
+
+    def __format__(self, spec):
+        return "not the text"
+
+
+class _Int(int):
+    """Writes as its digits in JSON, and as something else through ``format``."""
+
+    def __format__(self, spec):
+        return "not the digits"
+
+
+# The type each key of a loop-time record holds (network.py); every other value misses its line.
+_STR_KEYS = {"action", "actor", "direction", "dst", "src", "to", "visible_src"}
+_INT_KEYS = {"ident", "seq", "session", "size", "sub", "t_us", "teid", "window"}
+_EXACT = {**dict.fromkeys(_STR_KEYS, st.text(max_size=8)
+                          | st.text(alphabet=st.characters(max_codepoint=0x1F), max_size=4)),
+          **dict.fromkeys(_INT_KEYS, st.integers()
+                          | st.sampled_from([2**63, -(2**64) - 1, 10**40, 0, -1]))}
+_OTHER = (_JSON_VALUES | st.sampled_from([True, False, _Level.HIGH, _Int(3), _Str("ue1"),
+                                          float("nan"), float("inf"), -0.0, 1.0])
+          | st.text(max_size=4).map(_Str) | st.integers().map(_Int))
+
+
+@st.composite
+def _shaped_record(draw, keys):
+    """A record with ``keys`` in display order or shuffled; at most one value (``odd``'s) may
+    miss its line's type, so each check of a line's guard decides alone."""
+    order = draw(st.just(keys) | st.permutations(keys))
+    odd = draw(st.sampled_from((None, *keys)))
+    return {k: draw(_OTHER if k == odd else _EXACT[k]) for k in order}
+
+
+class TestLineTable:
+    """``to_jsonl`` writes an event-loop record shape through its ``LINES`` entry, byte for byte."""
+
+    @pytest.mark.parametrize("keys", sorted(engine.LINES), ids="-".join)
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_matches_json_dumps_per_record(self, keys, data):
+        records = data.draw(st.lists(_shaped_record(keys), min_size=1, max_size=4))
+        expected = _dumps_per_record(records)
+        assert _log_of(records).to_jsonl() == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(json.encoder, "c_make_encoder", None)
+            assert _log_of(records).to_jsonl() == expected
+        for r in records:
+            line = engine.LINES[keys](*r.values()) if tuple(r) == keys else None
+            exact = all(type(v) is (str if k in _STR_KEYS else int) for k, v in r.items())
+            if tuple(r) == keys and exact:
+                assert line == json.dumps(r, sort_keys=True)  # the record took its line
+            else:
+                assert line is None
+
+    @pytest.mark.parametrize("keys", sorted(engine.LINES), ids="-".join)
+    def test_one_value_of_another_type_takes_the_encoder(self, keys):
+        exact = {k: "ue1" if k in _STR_KEYS else 7 for k in keys}
+        assert engine.LINES[keys](*exact.values()) == json.dumps(exact, sort_keys=True)
+        for key in keys:
+            for odd in (True, _Level.HIGH, _Int(7), _Str("ue1"), 7.0, None, [7], "7", 7):
+                record = {**exact, key: odd}
+                if type(odd) is type(exact[key]):
+                    continue
+                assert engine.LINES[keys](*record.values()) is None, (key, odd)
+                assert _log_of([record]).to_jsonl() == _dumps_per_record([record])
+
+    @pytest.mark.parametrize("keys", sorted(engine.LINES), ids="-".join)
+    def test_an_int_too_long_for_str_raises_what_json_dumps_raises(self, keys):
+        record = {k: "x" if k in _STR_KEYS else 10**5000 for k in keys}
+        with pytest.raises(ValueError) as dumps:
+            json.dumps(record, sort_keys=True)
+        with pytest.raises(ValueError) as lines:
+            _log_of([record]).to_jsonl()
+        assert str(lines.value) == str(dumps.value)
+
+
 def test_only_the_engine_reaches_the_c_encoder():
     """``c_encoder`` is the one owner of the private ``json.encoder.c_make_encoder``."""
     modules = sorted(Path(engine.__file__).parent.glob("*.py"))
@@ -275,3 +361,23 @@ def test_every_logged_display_lists_literal_keys_in_sorted_order():
             assert keys == sorted(keys) and len(set(keys)) == len(keys), where
             displays += 1
     assert displays == 19
+
+
+def test_every_loop_time_display_has_its_line():
+    """Every display outside ``attach_all`` (one the event loop logs) has a ``LINES`` entry for
+    its keys, and every entry is such a display's keys: no event-loop record takes the C
+    encoder by omission, and no line is left that no display uses."""
+    loop_time, attach = set(), 0
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for display in _log_append_displays(function):
+                if function.name == "attach_all":
+                    attach += 1
+                else:
+                    loop_time.add(tuple(k.value for k in display.keys))
+    assert attach == 6
+    assert set(engine.LINES) == loop_time
+    assert len(loop_time) == 11

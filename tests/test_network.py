@@ -212,6 +212,17 @@ def test_session_active_records_are_the_cores_active_sessions(name):
     assert logged == active
 
 
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_attach_sets_each_sessions_teid_pair_on_its_link(name):
+    """_gnb_step reads a link's TEIDs, not the core's sessions; a link without a session has none."""
+    net = SimNetwork(golden_scenario(name), EventLoop(), EventLog(), load_calibration())
+    net.attach_all()
+    for ue, link in net.links.items():
+        session = net.core.sessions.get(ue)
+        expected = session and {"UL": session.teid_uplink, "DL": session.teid_downlink}
+        assert link.teids == expected
+
+
 # golden_contended and long_burst have foreign bursts; the other cases have none.
 @pytest.mark.parametrize("name", GOLDEN_CASES)
 def test_links_derive_an_lbt_substream_only_under_bursts(name):

@@ -9,8 +9,8 @@ record must raise what its dataclass raised, or hold the same fields
 with the same ``repr``.  A list factory is the one default a named tuple
 cannot keep (it would be one list shared by every record), so those
 fields are required now.  ``network.RadioLink`` is read on every hop, so
-it became a ``__slots__`` class instead: it holds the same fields, and
-has no ``repr`` of its own.
+it became a ``__slots__`` class instead: it holds the same fields, plus
+the TEID pair that ``attach_all`` sets, and has no ``repr`` of its own.
 """
 
 from __future__ import annotations
@@ -381,13 +381,15 @@ def test_new_record_builds_and_fails_as_its_dataclass(name, data):
 
 def test_radio_link_holds_what_its_dataclass_held():
     # Every hop reads it, so it is a __slots__ class: the same fields, no repr of its own.
+    # One slot more, the TEID pair, is no argument: attach_all sets it.
     fields = [f.name for f in dataclasses.fields(RadioLink)]
-    assert network.RadioLink.__slots__ == tuple(fields)
+    assert network.RadioLink.__slots__ == (*fields, "teids")
     values = [object() for _ in fields]
     for split in range(len(fields) + 1):
         args, kwargs = values[:split], dict(zip(fields[split:], values[split:]))
         new, old = network.RadioLink(*args, **kwargs), RadioLink(*args, **kwargs)
         assert [getattr(new, name) for name in fields] == [getattr(old, name) for name in fields]
+        assert new.teids is None
 
 
 @pytest.mark.parametrize("name", [*PLAIN, "RadioLink"])

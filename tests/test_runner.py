@@ -277,6 +277,25 @@ class TestOutputs:
                 handle.write(data)
         assert read_pcap(path) == packets
 
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    @pytest.mark.parametrize("nanos, frac, unit", [(False, 1_000_000, "us"),
+                                                    (False, 5_000_000, "us"),
+                                                    (True, 1_000_000_000, "ns"),
+                                                    (True, 4_000_000_000, "ns")])
+    def test_pcap_reader_rejects_a_sub_second_field_of_a_second_or_more(
+            self, tmp_path, endian, nanos, frac, unit):
+        # Read as is, the record moved 1 s or more later: sec=1, usec=5_000_000 read as 6 s.
+        magic = 0xA1B23C4D if nanos else 0xA1B2C3D4
+        last = 999_999_999 if nanos else 999_999
+        path = tmp_path / "x.pcap"
+        with open(path, "wb") as handle:
+            handle.write(struct.pack(f"{endian}IHHiIII", magic, 2, 4, 0, 0, 65535, 101))
+            for frac_field in (last, frac):
+                handle.write(struct.pack(f"{endian}IIII", 1, frac_field, 5, 5) + b"hello")
+        with pytest.raises(CodecError, match=f"x.pcap: packet record 2 has sub-second field "
+                                             f"{frac} {unit}, not below one second$"):
+            read_pcap(path)
+
     def test_pcap_reader_reports_an_unknown_magic_little_endian(self, tmp_path):
         path = tmp_path / "x.pcap"
         path.write_bytes(bytes((1, 2, 3, 4)) + bytes(20))
