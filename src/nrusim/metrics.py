@@ -1,10 +1,10 @@
 """Active probes, passive RTT monitoring, and report shaping.
 
 Ping and throughput plans inject real traffic through the simulated
-stack.  The runner folds ping rows from the event log's ``ping_tx`` and
-``rtt_sample`` records, in its one pass over the log, and shapes them
-with ``ping_stats``; the throughput probe keeps its own per-window
-tally, because bulk records carry no probe key.  The passive monitor
+stack; no probe keeps a tally.  The runner folds ping rows from the
+event log's ``ping_tx`` and ``rtt_sample`` records, and throughput rows
+from its ``bulk_tx`` records, in its one pass over the log, and shapes
+them with ``ping_stats`` and ``throughput_stats``.  The passive monitor
 is a pure fold over an observed packet stream, pairing ICMP echoes by
 (id, seq): a run folds the packets its taps kept, and ``passive_monitor``
 decodes a capture's frames first, unwrapping GTP-U tunnels.
@@ -30,6 +30,8 @@ from .userplane import (
     decode_gtpu,
     decode_ip,
 )
+
+SUBS_PER_WINDOW = 10  # 100 ms peak-detection sub-windows of a throughput window
 
 # ---------------------------------------------------------------------------
 # Statistics containers
@@ -162,59 +164,52 @@ def schedule_pings(net, plan: PingPlan, start_us: int, ident: int, rng: Random) 
     return start_us + plan.count * plan.interval_ms * 1000 + phase_max + 1_000_000
 
 
-class ThroughputProbe:
-    """iPerf-style saturating load in one direction.
+def schedule_throughput(net, plan: ThroughputPlan, start_us: int, capacity_mbps: float,
+                        rng: Random) -> int:
+    """Queue an iPerf-style saturating load in one direction; returns when it is over.
 
     Each one-second window transmits a contiguous burst of line-rate
     ticks covering a seeded fraction of the window, so the best 100 ms
     sub-window observes the full line rate while window means wander the
-    way interval reports do.  Delivery is whatever actually survives the
-    simulated path; a dead link reports zeros.
+    way interval reports do.  Every tick falls before the returned time.
     """
+    calib = net.calib
+    tick_us = calib.tick_ms * 1000
+    ticks_per_window = 1_000_000 // tick_us
+    bytes_per_tick = round(capacity_mbps * 1e6 * calib.tick_ms / 1000 / 8)
+    sub_ticks = ticks_per_window // SUBS_PER_WINDOW
+    # Read and bound once, not per tick.
+    ue, direction, schedule_tick = plan.ue, plan.direction, net.schedule_bulk_tick
+    for window in range(plan.duration_s):
+        burst = rng.uniform(calib.window_burst_low, calib.window_burst_high)
+        on_ticks = round(burst * ticks_per_window)
+        base_us = start_us + window * 1_000_000
+        for j in range(on_ticks):
+            schedule_tick(ue, direction, base_us + j * tick_us, bytes_per_tick, window,
+                          j // sub_ticks)
+    return start_us + plan.duration_s * 1_000_000 + 1_000_000
 
-    SUBS_PER_WINDOW = 10  # 100 ms peak-detection sub-windows
 
-    def __init__(self, plan: ThroughputPlan, capacity_mbps: float, calib: Calibration,
-                 rng: Random):
-        self.plan = plan
-        self.capacity_mbps = capacity_mbps
-        self.calib = calib
-        self.rng = rng
-        self.delivered: dict[tuple[int, int], int] = {}
+def surviving_bytes(nbytes: int, drop_fraction: float) -> int:
+    """The bytes of one bulk tick that survive a link losing ``drop_fraction`` of its samples."""
+    return nbytes if drop_fraction == 0 else round(nbytes * (1 - drop_fraction))
 
-    def schedule(self, net, start_us: int) -> int:
-        tick_us = self.calib.tick_ms * 1000
-        ticks_per_window = 1_000_000 // tick_us
-        bytes_per_tick = round(self.capacity_mbps * 1e6 * self.calib.tick_ms / 1000 / 8)
-        sub_ticks = ticks_per_window // self.SUBS_PER_WINDOW
-        # Read and bound once, not per tick.
-        ue, direction = self.plan.ue, self.plan.direction
-        schedule_tick, on_delivered = net.schedule_bulk_tick, self._on_delivered
-        for window in range(self.plan.duration_s):
-            burst = self.rng.uniform(self.calib.window_burst_low, self.calib.window_burst_high)
-            on_ticks = round(burst * ticks_per_window)
-            base_us = start_us + window * 1_000_000
-            for j in range(on_ticks):
-                schedule_tick(ue, direction, base_us + j * tick_us, bytes_per_tick,
-                              (window, j // sub_ticks), on_delivered)
-        return start_us + self.plan.duration_s * 1_000_000 + 1_000_000
 
-    def _on_delivered(self, tag: tuple[int, int], nbytes: int) -> None:
-        self.delivered[tag] = self.delivered.get(tag, 0) + nbytes
-
-    def stats(self) -> ThroughputStats:
-        sub_s = 1.0 / self.SUBS_PER_WINDOW
-        peak = max((b * 8 / sub_s / 1e6 for b in self.delivered.values()), default=0.0)
-        windows = [0.0] * self.plan.duration_s
-        for (window, _sub), nbytes in self.delivered.items():
-            windows[window] += nbytes * 8 / 1e6
-        return ThroughputStats(
-            direction=self.plan.direction,
-            peak_mbps=round(peak, 3),
-            avg_low_mbps=round(min(windows, default=0.0), 3),
-            avg_high_mbps=round(max(windows, default=0.0), 3),
-            delivered_bytes=sum(self.delivered.values()),
-        )
+def throughput_stats(plan: ThroughputPlan, delivered: dict[tuple[int, int], int]
+                     ) -> ThroughputStats:
+    """iPerf-style stats of the bytes delivered per (window, sub); a dead link reports zeros."""
+    sub_s = 1.0 / SUBS_PER_WINDOW
+    peak = max((b * 8 / sub_s / 1e6 for b in delivered.values()), default=0.0)
+    windows = [0.0] * plan.duration_s
+    for (window, _sub), nbytes in delivered.items():
+        windows[window] += nbytes * 8 / 1e6
+    return ThroughputStats(
+        direction=plan.direction,
+        peak_mbps=round(peak, 3),
+        avg_low_mbps=round(min(windows, default=0.0), 3),
+        avg_high_mbps=round(max(windows, default=0.0), 3),
+        delivered_bytes=sum(delivered.values()),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,9 @@ continuation is a ``functools.partial`` of a bound method, so neither a
 packet nor a bulk tick builds a closure: a ping leaves in ``_ping_tx``, a
 packet resumes past its gNB stop in ``_gnb_resume`` and arrives in
 ``_upf_ingress`` or ``_deliver_to_ue``, N6 legs go through
-``_external_ingress`` and ``_n6_ingress``, and a bulk tick is ``_bulk``
-when scheduled and ``_bulk_rx`` on arrival.
+``_external_ingress`` and ``_n6_ingress``.  A bulk tick is ``_bulk``, and
+its arrival only logs what survived: it appends the ``bulk_rx`` record
+that ``_bulk`` built, timed at the arrival, to the log.
 
 A link's LBT substream is derived only when the channel has foreign
 bursts.  On an empty timeline the first CCA finds no blocker, so the
@@ -72,7 +73,7 @@ from . import access, rflink, userplane
 from .calibration import Calibration
 from .corenet import CoreNetwork
 from .engine import EventLog, EventLoop, derive_rng
-from .metrics import flow_session_id
+from .metrics import flow_session_id, surviving_bytes
 from .scenario import GnbNode, Scenario, UeNode
 from .spectrum import arfcn_to_frequency, get_band
 from .userplane import (
@@ -251,9 +252,8 @@ class SimNetwork:
                          "seq": seq, "t_us": self.loop.now_us})
         self._send(ue_name, "UL", inner, rng)
 
-    def schedule_bulk_tick(self, ue_name, direction, at_us, nbytes, tag, delivered_cb) -> None:
-        self.loop.schedule_at(at_us, partial(self._bulk, ue_name, direction, nbytes, tag,
-                                             delivered_cb))
+    def schedule_bulk_tick(self, ue_name, direction, at_us, nbytes, window, sub) -> None:
+        self.loop.schedule_at(at_us, partial(self._bulk, ue_name, direction, nbytes, window, sub))
 
     # -- access leg -----------------------------------------------------------------
 
@@ -287,7 +287,7 @@ class SimNetwork:
             done = partial(self._deliver_to_ue, ue_name, inner, rng)
         self.loop.schedule_at(t, partial(self._gnb_resume, link, direction, size, done, rng, inner))
 
-    def _bulk(self, ue_name, direction, nbytes, tag, delivered_cb) -> None:
+    def _bulk(self, ue_name, direction, nbytes, window, sub) -> None:
         """One aggregate tick over the access leg; no bytes, no jitter, no gNB stop."""
         if ue_name not in self.core.sessions:
             return
@@ -295,23 +295,18 @@ class SimNetwork:
         now = self.loop.now_us
         sender, receiver = (ue_name, "core") if direction == "UL" else ("core", ue_name)
         self.log.append({"action": "bulk_tx", "actor": sender, "direction": direction,
-                         "size": nbytes, "sub": tag[1], "t_us": now, "window": tag[0]})
+                         "size": nbytes, "sub": sub, "t_us": now, "window": window})
         first_us, last_us = link.hops[direction]
         t = self._radio(link, direction, now + first_us, None)
         if not relay_passes(link.viable, nbytes):
             self.log.append({"action": "radio_drop", "actor": link.gnb.name,
                              "direction": direction, "size": nbytes, "t_us": now})
             return
-        delivered = nbytes if link.drop_fraction == 0 else round(nbytes * (1 - link.drop_fraction))
-        self.loop.schedule_at(t + last_us, partial(self._bulk_rx, receiver, direction,
-                                                   delivered, tag, delivered_cb))
-
-    def _bulk_rx(self, receiver, direction, delivered, tag, delivered_cb) -> None:
-        """A bulk tick arrives: log what survived and hand it to the probe."""
-        self.log.append({"action": "bulk_rx", "actor": receiver, "direction": direction,
-                         "size": delivered, "sub": tag[1], "t_us": self.loop.now_us,
-                         "window": tag[0]})
-        delivered_cb(tag, delivered)
+        t += last_us  # its arrival, which only logs what survived
+        self.loop.schedule_at(t, partial(self.log.append, {
+            "action": "bulk_rx", "actor": receiver, "direction": direction,
+            "size": surviving_bytes(nbytes, link.drop_fraction), "sub": sub, "t_us": t,
+            "window": window}))
 
     def _gnb_resume(self, link: RadioLink, direction: str, size: int, done, rng: Random,
                     pkt: InnerPacket) -> None:

@@ -8,6 +8,9 @@ substream of the scenario seed, and serialisation sorts its keys.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, NamedTuple
 
@@ -15,17 +18,19 @@ from .calibration import Calibration, load_calibration
 from .engine import EventLog, EventLoop, c_encoder, derive_rng
 from .errors import ConfigError, InvariantBreach
 from .metrics import (
-    ThroughputProbe,
     fold_sessions,
     link_capacity_mbps,
     passive_monitor,  # unused here, but perfbench/tracer.py patches runner.passive_monitor
     ping_ident,
     ping_stats,
     schedule_pings,
+    schedule_throughput,
+    surviving_bytes,
+    throughput_stats,
 )
 from .network import SimNetwork, tap_frames
 from .pcapio import write_pcap
-from .scenario import PingPlan, Scenario, ThroughputPlan, tap_file_name
+from .scenario import PingPlan, Scenario, tap_file_name
 
 REPORT_SCHEMA = 1
 
@@ -92,13 +97,13 @@ def run_scenario(scenario: Scenario) -> RunResult:
     net = SimNetwork(scenario, loop, log, calib)
     net.attach_all()
 
-    tallies: list[ThroughputProbe] = []
+    starts: list[int] = []  # when each throughput plan's ticks begin, in plan order
     cursor = net.attach_complete_us
     for index, plan in enumerate(scenario.traffic):
         rng = derive_rng(scenario.seed, f"probe:{plan.label}")
         if isinstance(plan, PingPlan):
             cursor = schedule_pings(net, plan, cursor, ping_ident(index), rng)
-        elif isinstance(plan, ThroughputPlan):
+        else:
             link = net.links[plan.ue]
             capacity = link_capacity_mbps(
                 plan.direction,
@@ -110,30 +115,29 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 link.ue.medium,
                 calib,
             )
-            probe = ThroughputProbe(plan, capacity, calib, rng)
-            cursor = probe.schedule(net, cursor)
-            tallies.append(probe)
-        else:  # pragma: no cover - loader rejects unknown probes
-            raise ConfigError(f"unknown traffic plan {plan!r}")
+            starts.append(cursor)
+            cursor = schedule_throughput(net, plan, cursor, capacity, rng)
 
     loop.run()
     return RunResult(
         scenario=scenario,
-        report=_build_report(scenario, log, tallies, net.taps, calib),
+        report=_build_report(scenario, log, starts, net.taps, calib),
         log=log,
         taps=net.taps,
     )
 
 
-def _build_report(scenario: Scenario, log: EventLog, tallies: list[ThroughputProbe],
+def _build_report(scenario: Scenario, log: EventLog, starts: list[int],
                   taps: dict[str, list[tuple]], calib: Calibration) -> dict:
-    """Fold the event log, the throughput tallies and the tapped packets into a report.
+    """Fold the event log and the tapped packets into a report.
 
     One pass over the log builds every section it holds and checks the
     run: timestamps never decrease, and no two ``SESSION_ACTIVE`` records
     share an IP or a TEID; a breach raises ``InvariantBreach``.  Each
     ``ping_tx`` pairs with the first ``rtt_sample`` on the same (actor,
-    ident, seq); a later duplicate reply pairs with nothing.
+    ident, seq); a later duplicate reply pairs with nothing.  A ``bulk_tx``
+    counts for the last throughput plan that ``starts`` had begun by its
+    time, unless a ``radio_drop`` follows it in the same event.
     """
     attach = {ue.name: {"ue": ue.name, "phase": None, "ip": None, "scan_steps": None,
                         "failure": None} for ue in scenario.ues()}
@@ -141,6 +145,7 @@ def _build_report(scenario: Scenario, log: EventLog, tallies: list[ThroughputPro
     budgets: dict[str, dict] = {}
     sent_at: dict[tuple[str, int, int], int] = {}  # (actor, ident, seq) -> ping_tx time
     rtts: dict[int, list[float]] = {}  # ident -> RTTs in ms
+    ticks: list[dict] = []  # the bulk_tx records of the ticks the relay passed, in time order
     counts = {"upf_drop": 0, "radio_drop": 0, "lbt_deferred": 0}
     ips: list[str] = []
     teids: list[int] = []
@@ -150,8 +155,12 @@ def _build_report(scenario: Scenario, log: EventLog, tallies: list[ThroughputPro
         if t_us < last:
             raise InvariantBreach(f"event log timestamps decreased at {record['actor']}/{action}")
         last = t_us
-        if action in counts:
+        if action == "bulk_tx":
+            ticks.append(record)
+        elif action in counts:
             counts[action] += 1
+            if action == "radio_drop" and ticks and ticks[-1]["t_us"] == t_us:
+                ticks.pop()  # the relay dropped the tick this event logged
         elif action == "ping_tx":
             sent_at[(record["actor"], record["ident"], record["seq"])] = t_us
         elif action == "rtt_sample":
@@ -179,16 +188,23 @@ def _build_report(scenario: Scenario, log: EventLog, tallies: list[ThroughputPro
         raise InvariantBreach(f"duplicate session IP among active sessions: {sorted(ips)}")
     if len(set(teids)) != len(teids):
         raise InvariantBreach(f"duplicate TEID among active sessions: {sorted(teids)}")
-    pings = [
-        {"label": plan.label, "src": plan.src, "dst": plan.dst,
-         **ping_stats(plan.count, rtts.get(ping_ident(index), []))._asdict()}
-        for index, plan in enumerate(scenario.traffic)
-        if isinstance(plan, PingPlan)
-    ]
-    throughput = [
-        {"label": probe.plan.label, "ue": probe.plan.ue, **probe.stats()._asdict()}
-        for probe in tallies
-    ]
+    edges = [bisect_left(ticks, start, key=itemgetter("t_us")) for start in starts]
+    bounds = zip(edges, [*edges[1:], len(ticks)])  # each throughput plan's ticks, in plan order
+    pings, throughput = [], []
+    for index, plan in enumerate(scenario.traffic):
+        if isinstance(plan, PingPlan):
+            stats = ping_stats(plan.count, rtts.get(ping_ident(index), []))
+            pings.append({"label": plan.label, "src": plan.src, "dst": plan.dst, **stats._asdict()})
+            continue
+        begin, end = next(bounds)
+        drop = budgets[plan.ue]["drop_fraction"]
+        delivered: dict[tuple[int, int], int] = {}  # (window, sub) -> surviving bytes
+        tally = Counter(map(itemgetter("window", "sub", "size"), ticks[begin:end]))
+        for (window, sub, size), n in tally.items():
+            nbytes = n * surviving_bytes(size, drop)
+            delivered[window, sub] = delivered.get((window, sub), 0) + nbytes
+        throughput.append({"label": plan.label, "ue": plan.ue,
+                           **throughput_stats(plan, delivered)._asdict()})
     # Kept packets always parse; ROADMAP item 5 drops the always-0 unparsed_frames key.
     passive = {tap: {"unparsed_frames": 0,
                      "sessions": [s._asdict() for s in fold_sessions(entries)]}
@@ -197,8 +213,7 @@ def _build_report(scenario: Scenario, log: EventLog, tallies: list[ThroughputPro
         "schema": REPORT_SCHEMA,
         "scenario": scenario.name,
         "seed": scenario.seed,
-        # Sibling log: everything but throughput and passive (tapped
-        # packets) is recomputable from it.
+        # Sibling log: everything but passive (tapped packets) is recomputable from it.
         "event_log": "events.jsonl",
         "notes": list(scenario.notes),
         "attach": list(attach.values()),

@@ -11,7 +11,8 @@ the designs the live path replaced:
   the tunnelled frame).  The run folds its ``passive`` section by
   decoding them again with ``byte_passive_monitor``.
 - Closures and lambdas for every continuation, a lambda per bulk tick
-  and an ``rx`` closure per arrival.
+  and an ``rx`` closure per arrival, which hands the tick's surviving
+  bytes and its ``(window, sub)`` tag to its probe's callback.
 - A walk over a hop table per link and direction, whose ``RADIO`` and
   ``GNB`` markers sit between fixed delays computed from the calibration.
   Every radio hop asks ``access.lbt_gate``, on an LBT substream that
@@ -23,26 +24,38 @@ the designs the live path replaced:
 
 It keeps its own IP ident counter, NAT table and taps.
 
-The reference run folds its report as the runner once did, in several
-passes: ``check_invariants`` reads the sessions from the core after the
-run and walks the log's timestamps, and ``multi_pass_report`` folds the
-log, pairs pings in ``ping_rtts_ms`` and counts actions with a
-``Counter``.
+``reference_run`` runs the runner's old loop over it.  Each throughput
+plan is a ``ThroughputProbe`` that tallies the bytes each arrival hands
+it, and the report is folded as the runner once did, in several passes:
+``check_invariants`` reads the sessions from the core after the run and
+walks the log's timestamps, and ``multi_pass_report`` folds the log,
+pairs pings in ``ping_rtts_ms``, counts actions with a ``Counter`` and
+takes each throughput row from its probe's tally.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from random import Random
 from typing import Iterable
-from unittest import mock
 
 from nrusim import access, runner
-from nrusim.engine import derive_rng
+from nrusim.calibration import Calibration, load_calibration
+from nrusim.engine import EventLog, EventLoop, derive_rng
 from nrusim.errors import CodecError, InvariantBreach
-from nrusim.metrics import MonitorReport, PassiveSession, flow_session_id, ping_ident, ping_stats
+from nrusim.metrics import (
+    MonitorReport,
+    PassiveSession,
+    ThroughputStats,
+    flow_session_id,
+    link_capacity_mbps,
+    ping_ident,
+    ping_stats,
+    schedule_pings,
+)
 from nrusim.network import SimNetwork
 from nrusim.rflink import OverAir
-from nrusim.scenario import PingPlan
+from nrusim.scenario import PingPlan, ThroughputPlan
 from nrusim.userplane import (
     FORWARD_DROP,
     FORWARD_TUNNEL,
@@ -268,6 +281,61 @@ class ReferenceNetwork:
         self.traverse(link, direction, self.loop.now_us, nbytes, rx)
 
 
+class ThroughputProbe:
+    """iPerf-style saturating load in one direction.
+
+    Each one-second window transmits a contiguous burst of line-rate
+    ticks covering a seeded fraction of the window, so the best 100 ms
+    sub-window observes the full line rate while window means wander the
+    way interval reports do.  Delivery is whatever actually survives the
+    simulated path; a dead link reports zeros.
+    """
+
+    SUBS_PER_WINDOW = 10  # 100 ms peak-detection sub-windows
+
+    def __init__(self, plan: ThroughputPlan, capacity_mbps: float, calib: Calibration,
+                 rng: Random):
+        self.plan = plan
+        self.capacity_mbps = capacity_mbps
+        self.calib = calib
+        self.rng = rng
+        self.delivered: dict[tuple[int, int], int] = {}
+
+    def schedule(self, net, start_us: int) -> int:
+        tick_us = self.calib.tick_ms * 1000
+        ticks_per_window = 1_000_000 // tick_us
+        bytes_per_tick = round(self.capacity_mbps * 1e6 * self.calib.tick_ms / 1000 / 8)
+        sub_ticks = ticks_per_window // self.SUBS_PER_WINDOW
+        # Read and bound once, not per tick.
+        ue, direction = self.plan.ue, self.plan.direction
+        schedule_tick, on_delivered = net.schedule_bulk_tick, self._on_delivered
+        for window in range(self.plan.duration_s):
+            burst = self.rng.uniform(self.calib.window_burst_low, self.calib.window_burst_high)
+            on_ticks = round(burst * ticks_per_window)
+            base_us = start_us + window * 1_000_000
+            for j in range(on_ticks):
+                schedule_tick(ue, direction, base_us + j * tick_us, bytes_per_tick,
+                              (window, j // sub_ticks), on_delivered)
+        return start_us + self.plan.duration_s * 1_000_000 + 1_000_000
+
+    def _on_delivered(self, tag: tuple[int, int], nbytes: int) -> None:
+        self.delivered[tag] = self.delivered.get(tag, 0) + nbytes
+
+    def stats(self) -> ThroughputStats:
+        sub_s = 1.0 / self.SUBS_PER_WINDOW
+        peak = max((b * 8 / sub_s / 1e6 for b in self.delivered.values()), default=0.0)
+        windows = [0.0] * self.plan.duration_s
+        for (window, _sub), nbytes in self.delivered.items():
+            windows[window] += nbytes * 8 / 1e6
+        return ThroughputStats(
+            direction=self.plan.direction,
+            peak_mbps=round(peak, 3),
+            avg_low_mbps=round(min(windows, default=0.0), 3),
+            avg_high_mbps=round(max(windows, default=0.0), 3),
+            delivered_bytes=sum(self.delivered.values()),
+        )
+
+
 def byte_passive_monitor(frames) -> MonitorReport:
     """The passive monitor as one loop that decodes and folds each frame in turn.
 
@@ -389,7 +457,7 @@ def multi_pass_report(scenario, log, tallies, taps, calib) -> dict:
         for probe in tallies
     ]
     passive = {tap: {"unparsed_frames": 0,
-                     "sessions": [s._asdict() for s in runner.fold_sessions(entries)]}
+                     "sessions": [s._asdict() for s in byte_fold_sessions(entries)]}
                for tap, entries in taps.items()}
     actions = Counter(record["action"] for record in log.records)
     return {
@@ -419,22 +487,31 @@ def multi_pass_report(scenario, log, tallies, taps, calib) -> dict:
 
 
 def reference_run(scenario) -> runner.RunResult:
-    """``run_scenario`` on ``ReferenceNetwork``; its taps hold ``(t_us, wire bytes)``.
+    """``run_scenario``'s old loop on ``ReferenceNetwork``; its taps hold ``(t_us, wire bytes)``.
 
-    Its report is the multi-pass fold's, after ``check_invariants`` on the
+    Each throughput plan keeps its tally in a ``ThroughputProbe``; the
+    report is the multi-pass fold's, after ``check_invariants`` on the
     reference network.
     """
-    nets: list[ReferenceNetwork] = []
-
-    def network(*args) -> ReferenceNetwork:
-        nets.append(ReferenceNetwork(*args))
-        return nets[-1]
-
-    def build_report(scenario, log, *args) -> dict:
-        check_invariants(nets[-1], log)
-        return multi_pass_report(scenario, log, *args)
-
-    with mock.patch.object(runner, "SimNetwork", network), \
-            mock.patch.object(runner, "fold_sessions", byte_fold_sessions), \
-            mock.patch.object(runner, "_build_report", build_report):
-        return runner.run_scenario(scenario)
+    calib = load_calibration()
+    loop, log = EventLoop(), EventLog()
+    net = ReferenceNetwork(scenario, loop, log, calib)
+    net.attach_all()
+    tallies: list[ThroughputProbe] = []
+    cursor = net.attach_complete_us
+    for index, plan in enumerate(scenario.traffic):
+        rng = derive_rng(scenario.seed, f"probe:{plan.label}")
+        if isinstance(plan, PingPlan):
+            cursor = schedule_pings(net, plan, cursor, ping_ident(index), rng)
+        else:
+            link = net.links[plan.ue]
+            capacity = link_capacity_mbps(plan.direction, scenario.cell.bandwidth_mhz,
+                                          scenario.cell.scs_khz, scenario.cell.tdd,
+                                          link.ue.sdr, link.gnb.sdr, link.ue.medium, calib)
+            probe = ThroughputProbe(plan, capacity, calib, rng)
+            cursor = probe.schedule(net, cursor)
+            tallies.append(probe)
+    loop.run()
+    check_invariants(net, log)
+    report = multi_pass_report(scenario, log, tallies, net.taps, calib)
+    return runner.RunResult(scenario=scenario, report=report, log=log, taps=net.taps)

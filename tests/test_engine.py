@@ -339,14 +339,26 @@ def test_only_the_engine_reaches_the_c_encoder():
     assert reaching == ["engine.py"]
 
 
+def _is_log_append(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "append"
+            and ast.unparse(node.value).split(".")[-1] == "log")
+
+
 def _log_append_displays(tree: ast.AST):
-    """Every dict display passed to ``<...>.log.append`` or ``log.append``."""
+    """Every dict display passed to ``<...>.log.append`` or ``log.append``, or bound to it
+    by ``partial`` for a later event to append."""
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "append"
-                and ast.unparse(node.func.value).split(".")[-1] == "log"):
-            assert len(node.args) == 1 and isinstance(node.args[0], ast.Dict), ast.unparse(node)
-            yield node.args[0]
+        if not isinstance(node, ast.Call):
+            continue
+        if _is_log_append(node.func):
+            args = node.args
+        elif (isinstance(node.func, ast.Name) and node.func.id == "partial" and node.args
+              and _is_log_append(node.args[0])):
+            args = node.args[1:]
+        else:
+            continue
+        assert len(args) == 1 and isinstance(args[0], ast.Dict), ast.unparse(node)
+        yield args[0]
 
 
 def test_every_logged_display_lists_literal_keys_in_sorted_order():

@@ -123,7 +123,8 @@ def _long_burst() -> dict:
     Ticks of plan ``a`` granted after the burst arrive during plan ``b``,
     so the per-plan delivered bytes (1,237,500 and 1,687,500) differ from
     an attribution of ``bulk_rx`` records by arrival time (1,125,000 and
-    1,800,000): the probe's own tally is what this pins.
+    1,800,000): this pins the report's attribution of ticks by their
+    ``bulk_tx`` times.
     """
     raw = variant(name="golden_long_burst")
     raw["occupancy"] = [{"start_us": 781_000, "end_us": 3_781_000, "power_dbm": -40.0}]

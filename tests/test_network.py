@@ -5,8 +5,10 @@ event after attach in the designs the live path replaced: eager bytes with
 byte taps, folded by the passive monitor of the time; closures; a walk over
 a hop table with ``RADIO`` and ``GNB`` markers that asks ``access.lbt_gate``
 at every radio hop; every guard for traffic no run makes; and a bulk tick
-per lambda.  Its report is the runner's old multi-pass fold, so every
-report comparison also checks the one-pass fold against it.  Over
+per lambda, whose arrival hands its bytes to its plan's probe tally.  Its
+report is the runner's old multi-pass fold with those tallies, so every
+report comparison also checks the one-pass fold, throughput rows
+included, against it.  Over
 generated ping, throughput and mixed scenarios and over
 the golden cases, a live run must write the same ``events.jsonl`` and
 ``report.json`` text as the reference run, and every tap must capture the
@@ -28,7 +30,7 @@ import itertools
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nrusim import access, metrics, network, runner
@@ -76,18 +78,31 @@ def test_packets_write_and_capture_what_the_reference_did(raw, taps, sessionless
 
 @st.composite
 def bulk_scenarios(draw) -> dict:
-    """UL and DL throughput plans on ue1 and on an unprovisioned ue2 (whose
-    ticks return early), optionally behind an overloaded gNB host (every
-    tick a ``radio_drop``, or at 39.42 MHz a viable link that loses a few
-    samples), under zero or more foreign bursts."""
+    """UL and DL throughput plans on ue1 and on ue2, optionally behind an
+    overloaded gNB host, under zero or more foreign bursts.  At 40 MHz an
+    overloaded host's link drops every tick (``radio_drop``); at 39.42 MHz
+    it stays viable but loses a few samples.  ue2 is unprovisioned (its
+    ticks return early) or provisioned on its own host, SDR and medium, so
+    its ticks carry another size, take other delays and may lose another
+    share, and under bursts one plan's arrivals fall among the next plan's
+    ticks."""
     raw = variant(name="bulk_oracle", seed=draw(st.integers(0, 2**16)))
     if draw(st.booleans()):
         raw["nodes"][0]["host"] = "nuc-i5-core"
-        if draw(st.booleans()):
-            raw["cell"]["bandwidth_mhz"] = 39.42
-    raw["nodes"].append({"name": "ue2", "role": "ue", "host": "nuc-i5", "sdr": "b210",
-                         "imsi": "001010000000002", "gnb": "gnb1", "unprovisioned": True,
-                         "medium": {"kind": "cable", "length_cm": 50}})
+    if draw(st.booleans()):
+        raw["cell"]["bandwidth_mhz"] = 39.42
+    ue2 = {"name": "ue2", "role": "ue", "host": "nuc-i5", "sdr": "b210",
+           "imsi": "001010000000002", "gnb": "gnb1", "unprovisioned": True,
+           "medium": {"kind": "cable", "length_cm": 50}}
+    if draw(st.booleans()):  # an attenuated cable shrinks its ticks, an Ethernet SDR its DL ones
+        raw["core"]["subscribers"].append({"imsi": ue2["imsi"]})
+        ue2.update(unprovisioned=False,
+                   host=draw(st.sampled_from(["nuc-i5-core", "precision-5820"])),
+                   sdr=draw(st.sampled_from(["b200", "n300", "x300"])),
+                   medium=draw(st.sampled_from([
+                       {"kind": "cable", "length_cm": 50, "attenuator_db": 30.0},
+                       {"kind": "over_air", "distance_m": 5.0}])))
+    raw["nodes"].append(ue2)
     for ue, direction, duration_s in draw(st.lists(st.tuples(
             st.sampled_from(["ue1", "ue2"]), st.sampled_from(["UL", "DL"]),
             st.integers(1, 2)), min_size=1, max_size=3)):
@@ -100,8 +115,25 @@ def bulk_scenarios(draw) -> dict:
     return raw
 
 
+def two_ue_bulk() -> dict:
+    """ue1's UL plan, then UL and DL plans on ue2, whose host loses a few samples at
+    39.42 MHz and whose attenuated cable and X300 give its ticks other sizes.  A loud
+    burst defers ue1's last ticks until ue2's UL plan has begun."""
+    raw = variant(name="two_ue_bulk", seed=7)
+    raw["cell"]["bandwidth_mhz"] = 39.42
+    raw["core"]["subscribers"].append({"imsi": "001010000000002"})
+    raw["nodes"].append({"name": "ue2", "role": "ue", "host": "nuc-i5-core", "sdr": "x300",
+                         "imsi": "001010000000002", "gnb": "gnb1",
+                         "medium": {"kind": "cable", "length_cm": 50, "attenuator_db": 30.0}})
+    raw["traffic"] = [{"probe": "throughput", "ue": ue, "direction": direction, "duration_s": 1}
+                      for ue, direction in (("ue1", "UL"), ("ue2", "UL"), ("ue2", "DL"))]
+    raw["occupancy"] = [{"start_us": 800_000, "end_us": 2_500_000, "power_dbm": -40.0}]
+    return raw
+
+
 @settings(max_examples=40, deadline=None)
 @given(raw=bulk_scenarios())
+@example(raw=two_ue_bulk())
 def test_bulk_ticks_write_what_the_reference_wrote(raw):
     assert_same_as_reference(runner.run_scenario(scenario_from_dict(raw)), scenario_from_dict(raw))
 

@@ -647,7 +647,7 @@ def record_tails(draw) -> list[dict]:
     records, t_us = [], 10_000_000
     for step, action, actor, index, seq in draw(st.lists(st.tuples(
             st.integers(0, 3), st.sampled_from(["echo", "ping_tx", "rtt_sample", "upf_drop",
-                                                 "radio_drop", "lbt_deferred", "bulk_tx"]),
+                                                 "radio_drop", "lbt_deferred", "bulk_rx"]),
             st.sampled_from(["ue1", "ue2"]), st.integers(0, 1), st.integers(0, 1)), max_size=30)):
         t_us += step * 1000
         if action == "echo":
@@ -660,6 +660,37 @@ def record_tails(draw) -> list[dict]:
         else:
             records.append({"action": action, "actor": actor, "t_us": t_us})
     return records
+
+
+def bulk_record(action, t_us, size, window=0, sub=0) -> dict:
+    return {"action": action, "actor": "core" if action == "bulk_rx" else "ue1",
+            "direction": "UL", "size": size, "sub": sub, "t_us": t_us, "window": window}
+
+
+def bulk_fold(labels, tail) -> dict:
+    """``_build_report`` over the attach records of ue1 and an unprovisioned
+    ue2, then the records ``tail(*starts)`` returns.
+
+    Each label names a UL plan: ``ue2`` one on ue2, ``zero`` a zero-duration
+    one on ue1, any other a one-second one on ue1.  Each plan starts a
+    second after the one before it ends, as ``run_scenario`` schedules them.
+    """
+    raw = variant(name="fold")
+    raw["nodes"].append({"name": "ue2", "role": "ue", "host": "nuc-i5", "sdr": "b210",
+                         "imsi": "001010000000002", "gnb": "gnb1", "unprovisioned": True,
+                         "medium": {"kind": "cable", "length_cm": 50}})
+    raw["traffic"] = [{"probe": "throughput", "label": label,
+                       "ue": "ue2" if label == "ue2" else "ue1", "direction": "UL",
+                       "duration_s": 0 if label == "zero" else 1} for label in labels]
+    scenario, calib = scenario_from_dict(raw), load_calibration()
+    net = SimNetwork(scenario, EventLoop(), EventLog(), calib)
+    net.attach_all()
+    starts = [net.attach_complete_us]
+    for plan in scenario.traffic[:-1]:
+        starts.append(starts[-1] + plan.duration_s * 1_000_000 + 1_000_000)
+    for record in tail(*starts):
+        net.log.append(record)
+    return runner._build_report(scenario, net.log, starts, {}, calib)
 
 
 class TestReportFold:
@@ -701,7 +732,7 @@ class TestReportFold:
     def test_counters_count_their_actions(self):
         records = [{"action": action, "actor": "upf", "t_us": t_us}
                    for t_us, action in enumerate(["upf_drop", "radio_drop", "radio_drop",
-                                                  "lbt_deferred", "bulk_tx"])]
+                                                  "lbt_deferred", "bulk_rx"])]
         assert fold(records)["counters"] == \
             {"upf_dropped_no_session": 1, "radio_dropped_bulk": 2, "lbt_deferred": 1}
 
@@ -714,5 +745,49 @@ class TestReportFold:
         net.attach_all()
         for record in tail:
             net.log.append(record)
-        args = (scenario, net.log, [], {}, calib)
-        assert runner._build_report(*args) == multi_pass_report(*args)
+        # No throughput plan: no plan starts for the fold and no probe tallies for the reference.
+        assert runner._build_report(scenario, net.log, [], {}, calib) == \
+            multi_pass_report(scenario, net.log, [], {}, calib)
+
+    def test_a_tick_granted_during_the_next_plan_counts_for_its_own_plan(self):
+        rows = bulk_fold(["a", "b"], lambda a, b: [
+            bulk_record("bulk_tx", a + 500_000, 1_000, sub=5),
+            bulk_record("bulk_tx", b, 3_000),  # at the start itself: plan b's
+            bulk_record("bulk_rx", b + 100_000, 1_000, sub=5),  # plan a's arrival, during b
+            bulk_record("bulk_rx", b + 200_000, 3_000)])["throughput"]
+        assert [row["delivered_bytes"] for row in rows] == [1_000, 3_000]
+        assert [row["peak_mbps"] for row in rows] == [0.08, 0.24]
+
+    def test_ticks_in_one_sub_window_add_up_whatever_their_sizes(self):
+        rows = bulk_fold(["a"], lambda a: [
+            bulk_record("bulk_tx", a, 1_000), bulk_record("bulk_tx", a + 1_000, 3_000),
+            bulk_record("bulk_tx", a + 2_000, 1_000)])["throughput"]
+        assert (rows[0]["delivered_bytes"], rows[0]["peak_mbps"]) == (5_000, 0.4)
+
+    def test_a_tick_dropped_by_the_relay_adds_to_the_counter_only(self):
+        """A ``radio_drop`` takes back the tick logged in its own event, and no other."""
+        def radio_drop(t_us):
+            return {"action": "radio_drop", "actor": "gnb1", "direction": "UL", "size": 1_000,
+                    "t_us": t_us}
+
+        report = bulk_fold(["a"], lambda a: [
+            bulk_record("bulk_tx", a, 1_000), radio_drop(a),
+            bulk_record("bulk_tx", a + 1_000, 2_000, sub=1),
+            bulk_record("bulk_rx", a + 9_000, 2_000, sub=1), radio_drop(a + 9_000)])
+        assert report["throughput"][0]["delivered_bytes"] == 2_000
+        assert report["counters"]["radio_dropped_bulk"] == 2
+
+    def test_a_plan_whose_ue_has_no_session_reports_zeros(self):
+        rows = bulk_fold(["a", "ue2", "b"], lambda a, _ue2, b: [
+            bulk_record("bulk_tx", a, 1_000), bulk_record("bulk_tx", b, 3_000)])["throughput"]
+        assert [row["delivered_bytes"] for row in rows] == [1_000, 0, 3_000]
+        assert rows[1] == {"label": "ue2", "ue": "ue2", "direction": "UL", "peak_mbps": 0.0,
+                           "avg_low_mbps": 0.0, "avg_high_mbps": 0.0, "delivered_bytes": 0}
+
+    def test_a_zero_duration_plan_between_two_others_reports_zeros(self):
+        rows = bulk_fold(["a", "zero", "b"], lambda a, _zero, b: [
+            bulk_record("bulk_tx", a + 900_000, 1_000, sub=9),
+            bulk_record("bulk_tx", b, 3_000)])["throughput"]
+        assert [row["delivered_bytes"] for row in rows] == [1_000, 0, 3_000]
+        assert (rows[1]["peak_mbps"], rows[1]["avg_low_mbps"], rows[1]["avg_high_mbps"]) == \
+            (0.0, 0.0, 0.0)
