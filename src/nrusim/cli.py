@@ -4,7 +4,8 @@ Subcommands: ``plan`` (spectrum queries), ``validate`` (scenario lint),
 ``run`` (execute a scenario), ``compare`` (ordering verdicts between two
 reports), ``monitor`` (passive RTT over a pcap capture).  Exit codes:
 0 success, 1 usage, validation or configuration failure, 2 runtime
-invariant breach.
+invariant breach.  Each handler imports its own modules, so ``monitor``
+loads neither the scenario loader nor PyYAML.
 """
 
 from __future__ import annotations
@@ -13,13 +14,7 @@ import argparse
 import json
 import sys
 
-from . import spectrum
-from .errors import InvariantBreach, NrusimError
-from .metrics import passive_monitor, render_monitor, render_table, report_records
-from .pcapio import read_pcap
-from .runner import (compare_reports, load_report, make_out_dir, parse_expectation,
-                     run_scenario, write_outputs)
-from .scenario import load_scenario
+from .errors import ConfigError, InvariantBreach, NrusimError
 
 
 def _emit(obj: dict) -> None:
@@ -27,6 +22,8 @@ def _emit(obj: dict) -> None:
 
 
 def _cmd_plan(args) -> int:
+    from . import spectrum
+
     if args.plan_cmd == "convert":
         if args.arfcn is not None:
             _emit({"arfcn": args.arfcn, "frequency_mhz": spectrum.arfcn_to_frequency(args.arfcn)})
@@ -59,6 +56,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .scenario import load_scenario
+
     scenario = load_scenario(args.scenario)
     print(f"OK: {scenario.name} (seed {scenario.seed}, {len(scenario.nodes)} nodes, "
           f"{len(scenario.traffic)} traffic steps)")
@@ -68,8 +67,17 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .metrics import render_table, report_records
+    from .runner import make_out_dir, run_scenario, write_outputs
+    from .scenario import load_scenario
+
     scenario = load_scenario(args.scenario)
     out = make_out_dir(args.out or f"out/{scenario.name}")  # before the run, which may be long
+    for name in ("report.json", "events.jsonl"):  # an earlier run's, which this run replaces
+        try:
+            (out / name).unlink(missing_ok=True)
+        except OSError as exc:  # e.g. report.json is a directory
+            raise ConfigError(f"cannot write outputs to directory {out}: {exc}") from None
     result = run_scenario(scenario)
     write_outputs(result, out, pcap=args.pcap)
     if args.json:
@@ -84,6 +92,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .runner import compare_reports, load_report, parse_expectation
+
     expectations = [parse_expectation(e) for e in args.expect]
     result = compare_reports(load_report(args.report_a), load_report(args.report_b), expectations)
     if args.json:
@@ -99,6 +109,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_monitor(args) -> int:
+    from .metrics import passive_monitor, render_monitor
+    from .pcapio import read_pcap
+
     frames = read_pcap(args.pcap_file)
     report = passive_monitor(frames)
     if args.json:

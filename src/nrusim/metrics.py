@@ -1,27 +1,23 @@
-"""Active probes, passive RTT monitoring, and report shaping.
+"""Probe statistics, passive RTT monitoring, and report shaping.
 
-Ping and throughput plans inject real traffic through the simulated
-stack; no probe keeps a tally.  The runner folds ping rows from the
-event log's ``ping_tx`` and ``rtt_sample`` records, and throughput rows
-from its ``bulk_tx`` records, in its one pass over the log, and shapes
-them with ``ping_stats`` and ``throughput_stats``.  The passive monitor
-is a pure fold over an observed packet stream, pairing ICMP echoes by
-(id, seq): a run folds the packets its taps kept, and ``passive_monitor``
-decodes a capture's frames first, unwrapping GTP-U tunnels.
+``SimNetwork`` schedules the traffic of ping and throughput plans, and
+no probe keeps a tally.  The runner folds ping rows from the event log's
+``ping_tx`` and ``rtt_sample`` records, and throughput rows from its
+``bulk_tx`` records, in its one pass over the log, and shapes them with
+``ping_stats`` and ``throughput_stats``.  The passive monitor is a pure
+fold over an observed packet stream, pairing ICMP echoes by (id, seq): a
+run folds the packets its taps kept, and ``passive_monitor`` decodes a
+capture's frames first, unwrapping GTP-U tunnels.  It imports only
+``errors`` and ``userplane``, so ``nrusim monitor`` loads no YAML.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from random import Random
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .access import TddConfig
-from .calibration import Calibration
 from .errors import CheckedRecord, CodecError
-from .rflink import Cable, LinkMedium, SdrModel
-from .scenario import PingPlan, ThroughputPlan
 from .userplane import (
     GTPU_PORT,
     ICMP_ECHO_REPLY,
@@ -31,10 +27,13 @@ from .userplane import (
     decode_ip,
 )
 
+if TYPE_CHECKING:  # the loader's modules and PyYAML stay unloaded
+    from .scenario import ThroughputPlan
+
 SUBS_PER_WINDOW = 10  # 100 ms peak-detection sub-windows of a throughput window
 
 # ---------------------------------------------------------------------------
-# Statistics containers
+# Probe statistics
 # ---------------------------------------------------------------------------
 
 
@@ -98,96 +97,9 @@ class ThroughputStats(CheckedRecord, _ThroughputStatsFields):
         )
 
 
-# ---------------------------------------------------------------------------
-# Capacity model
-# ---------------------------------------------------------------------------
-
-
-def link_capacity_mbps(
-    direction: str,
-    bandwidth_mhz: float,
-    scs_khz: int,
-    tdd: TddConfig,
-    ue_sdr: SdrModel,
-    gnb_sdr: SdrModel,
-    medium: LinkMedium,
-    calib: Calibration,
-) -> float:
-    """Saturated line rate of one direction of the radio link.
-
-    Each direction is receive-bound: downlink by the UE's SDR chain,
-    uplink by the gNB's.  The effective bandwidth is capped by both SDRs,
-    the TDD split allots airtime, and a heavily attenuated cable run
-    forces the MCS back-off factor.
-    """
-    if direction not in ("UL", "DL"):
-        raise ValueError(f"direction must be 'UL' or 'DL', got {direction!r}")
-    eff_bw = min(bandwidth_mhz, ue_sdr.max_bandwidth_mhz, gnb_sdr.max_bandwidth_mhz)
-    if direction == "DL":
-        rate = calib.dl_bits_per_hz
-        fraction = tdd.dl_fraction
-        rx_sdr = ue_sdr
-    else:
-        rate = calib.ul_bits_per_hz
-        fraction = tdd.ul_fraction
-        rx_sdr = gnb_sdr
-    iface = calib.interface_efficiency[rx_sdr.interface]
-    scs = calib.scs_factor[scs_khz]
-    medium_factor = 1.0
-    if isinstance(medium, Cable) and medium.attenuator_db > 0:
-        medium_factor = calib.attenuated_cable_factor
-    return rate * eff_bw * fraction * iface * scs * medium_factor
-
-
-# ---------------------------------------------------------------------------
-# Active probes
-# ---------------------------------------------------------------------------
-
-
 def ping_ident(index: int) -> int:
     """ICMP identifier of the ping plan at ``index`` in the scenario's traffic."""
     return 0x1000 + index
-
-
-def schedule_pings(net, plan: PingPlan, start_us: int, ident: int, rng: Random) -> int:
-    """Queue the plan's echo requests; returns a completion-time estimate.
-
-    A destination without an address draws the same phases and sends
-    nothing: 100% loss.
-    """
-    dst_ip = net.resolve_dst(plan.dst)
-    phase_max = net.calib.ping_phase_max_us
-    for seq in range(plan.count):
-        at = start_us + seq * plan.interval_ms * 1000 + rng.randrange(phase_max)
-        if dst_ip is not None:
-            net.schedule_icmp_echo(plan.src, dst_ip, ident, seq, at, rng)
-    return start_us + plan.count * plan.interval_ms * 1000 + phase_max + 1_000_000
-
-
-def schedule_throughput(net, plan: ThroughputPlan, start_us: int, capacity_mbps: float,
-                        rng: Random) -> int:
-    """Queue an iPerf-style saturating load in one direction; returns when it is over.
-
-    Each one-second window transmits a contiguous burst of line-rate
-    ticks covering a seeded fraction of the window, so the best 100 ms
-    sub-window observes the full line rate while window means wander the
-    way interval reports do.  Every tick falls before the returned time.
-    """
-    calib = net.calib
-    tick_us = calib.tick_ms * 1000
-    ticks_per_window = 1_000_000 // tick_us
-    bytes_per_tick = round(capacity_mbps * 1e6 * calib.tick_ms / 1000 / 8)
-    sub_ticks = ticks_per_window // SUBS_PER_WINDOW
-    # Read and bound once, not per tick.
-    ue, direction, schedule_tick = plan.ue, plan.direction, net.schedule_bulk_tick
-    for window in range(plan.duration_s):
-        burst = rng.uniform(calib.window_burst_low, calib.window_burst_high)
-        on_ticks = round(burst * ticks_per_window)
-        base_us = start_us + window * 1_000_000
-        for j in range(on_ticks):
-            schedule_tick(ue, direction, base_us + j * tick_us, bytes_per_tick, window,
-                          j // sub_ticks)
-    return start_us + plan.duration_s * 1_000_000 + 1_000_000
 
 
 def surviving_bytes(nbytes: int, drop_fraction: float) -> int:

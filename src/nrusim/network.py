@@ -1,10 +1,16 @@
-"""Simulated network assembly: radio links, tunnels, taps, and responders.
+"""Simulated network assembly: radio links, tunnels, taps, responders and traffic.
 
 Every packet traversal is a chain of scheduled events, so the event log
 carries real timestamps for each milestone and the same scenario always
 unfolds identically.  Fixed processing costs come from the calibration
 file; per-traversal jitter comes from the probe's own substream so one
 probe's draws never depend on unrelated activity.
+
+``schedule_pings`` and ``schedule_throughput`` queue a plan's traffic.
+No event establishes or releases a session, so each plan decides once
+what it can send: a ping to a node without an address and a sessionless
+UE's throughput plan queue nothing and draw nothing, and the pings of a
+sessionless UE queue ``ping_no_route`` records.
 
 The access leg of each link runs in two fixed stages around the gNB stop:
 
@@ -73,8 +79,8 @@ from . import access, rflink, userplane
 from .calibration import Calibration
 from .corenet import CoreNetwork
 from .engine import EventLog, EventLoop, derive_rng
-from .metrics import flow_session_id, surviving_bytes
-from .scenario import GnbNode, Scenario, UeNode
+from .metrics import SUBS_PER_WINDOW, flow_session_id, surviving_bytes
+from .scenario import GnbNode, PingPlan, Scenario, ThroughputPlan, UeNode
 from .spectrum import arfcn_to_frequency, get_band
 from .userplane import (
     GTPU_PORT,
@@ -109,6 +115,42 @@ class RadioLink:
         self.rsrp_dbm, self.radio_us, self.hops = rsrp_dbm, radio_us, hops
         self.ue_tap, self.n3_tap = ue_tap, n3_tap
         self.teids: dict[str, int] | None = None  # direction -> TEID, set once attach completes
+
+
+def link_capacity_mbps(
+    direction: str,
+    bandwidth_mhz: float,
+    scs_khz: int,
+    tdd: access.TddConfig,
+    ue_sdr: rflink.SdrModel,
+    gnb_sdr: rflink.SdrModel,
+    medium: rflink.LinkMedium,
+    calib: Calibration,
+) -> float:
+    """Saturated line rate of one direction of the radio link.
+
+    Each direction is receive-bound: downlink by the UE's SDR chain,
+    uplink by the gNB's.  The effective bandwidth is capped by both SDRs,
+    the TDD split allots airtime, and a heavily attenuated cable run
+    forces the MCS back-off factor.
+    """
+    if direction not in ("UL", "DL"):
+        raise ValueError(f"direction must be 'UL' or 'DL', got {direction!r}")
+    eff_bw = min(bandwidth_mhz, ue_sdr.max_bandwidth_mhz, gnb_sdr.max_bandwidth_mhz)
+    if direction == "DL":
+        rate = calib.dl_bits_per_hz
+        fraction = tdd.dl_fraction
+        rx_sdr = ue_sdr
+    else:
+        rate = calib.ul_bits_per_hz
+        fraction = tdd.ul_fraction
+        rx_sdr = gnb_sdr
+    iface = calib.interface_efficiency[rx_sdr.interface]
+    scs = calib.scs_factor[scs_khz]
+    medium_factor = 1.0
+    if isinstance(medium, rflink.Cable) and medium.attenuator_db > 0:
+        medium_factor = calib.attenuated_cable_factor
+    return rate * eff_bw * fraction * iface * scs * medium_factor
 
 
 class SimNetwork:
@@ -235,25 +277,68 @@ class SimNetwork:
             return None  # known node without an address
         return dst  # literal IPv4
 
-    # -- probe entry points ------------------------------------------------------
+    # -- traffic ------------------------------------------------------------------
 
-    def schedule_icmp_echo(self, ue_name, dst_ip, ident, seq, at_us, rng) -> None:
-        self.loop.schedule_at(at_us, partial(self._ping_tx, ue_name, dst_ip, ident, seq, rng))
+    def schedule_pings(self, plan: PingPlan, start_us: int, ident: int, rng: Random) -> int:
+        """Queue the plan's echo requests; returns a completion-time estimate.
 
-    def _ping_tx(self, ue_name, dst_ip, ident, seq, rng) -> None:
-        """An echo request leaves the UE, or is logged as unroutable without a session."""
-        session = self.core.sessions.get(ue_name)
-        if session is None:
-            self.log.append({"action": "ping_no_route", "actor": ue_name, "seq": seq,
-                             "t_us": self.loop.now_us})
-            return
-        inner = icmp_echo_request(session.ip, dst_ip, ident, seq)
+        A destination without an address sends nothing and draws nothing:
+        100% loss.  A source without a session sends nothing either, and
+        each request is a ``ping_no_route`` record logged at its time.
+        """
+        phase_max = self.calib.ping_phase_max_us
+        end_us = start_us + plan.count * plan.interval_ms * 1000 + phase_max + 1_000_000
+        dst_ip = self.resolve_dst(plan.dst)
+        if dst_ip is None:
+            return end_us
+        session = self.core.sessions.get(plan.src)
+        for seq in range(plan.count):
+            at = start_us + seq * plan.interval_ms * 1000 + rng.randrange(phase_max)
+            if session is None:
+                event = partial(self.log.append, {"action": "ping_no_route", "actor": plan.src,
+                                                  "seq": seq, "t_us": at})
+            else:
+                event = partial(self._ping_tx, plan.src, session.ip, dst_ip, ident, seq, rng)
+            self.loop.schedule_at(at, event)
+        return end_us
+
+    def schedule_throughput(self, plan: ThroughputPlan, start_us: int, rng: Random) -> int:
+        """Queue an iPerf-style saturating load in one direction; returns when it is over.
+
+        Each one-second window transmits a contiguous burst of line-rate
+        ticks covering a seeded fraction of the window, so the best 100 ms
+        sub-window observes the full line rate while window means wander the
+        way interval reports do.  Every tick falls before the returned time.
+        A UE without a session sends nothing and draws nothing.
+        """
+        end_us = start_us + plan.duration_s * 1_000_000 + 1_000_000
+        if plan.ue not in self.core.sessions:
+            return end_us
+        link, cell, calib = self.links[plan.ue], self.scenario.cell, self.calib
+        capacity_mbps = link_capacity_mbps(plan.direction, cell.bandwidth_mhz, cell.scs_khz,
+                                           cell.tdd, link.ue.sdr, link.gnb.sdr, link.ue.medium,
+                                           calib)
+        tick_us = calib.tick_ms * 1000
+        ticks_per_window = 1_000_000 // tick_us
+        bytes_per_tick = round(capacity_mbps * 1e6 * calib.tick_ms / 1000 / 8)
+        sub_ticks = ticks_per_window // SUBS_PER_WINDOW
+        # Read and bound once, not per tick.
+        ue, direction = plan.ue, plan.direction
+        schedule_at, bulk = self.loop.schedule_at, self._bulk
+        for window in range(plan.duration_s):
+            burst = rng.uniform(calib.window_burst_low, calib.window_burst_high)
+            on_ticks = round(burst * ticks_per_window)
+            base_us = start_us + window * 1_000_000
+            for j in range(on_ticks):
+                schedule_at(base_us + j * tick_us,
+                            partial(bulk, ue, direction, bytes_per_tick, window, j // sub_ticks))
+        return end_us
+
+    def _ping_tx(self, ue_name, src_ip, dst_ip, ident, seq, rng) -> None:
+        """An echo request leaves the UE."""
         self.log.append({"action": "ping_tx", "actor": ue_name, "dst": dst_ip, "ident": ident,
                          "seq": seq, "t_us": self.loop.now_us})
-        self._send(ue_name, "UL", inner, rng)
-
-    def schedule_bulk_tick(self, ue_name, direction, at_us, nbytes, window, sub) -> None:
-        self.loop.schedule_at(at_us, partial(self._bulk, ue_name, direction, nbytes, window, sub))
+        self._send(ue_name, "UL", icmp_echo_request(src_ip, dst_ip, ident, seq), rng)
 
     # -- access leg -----------------------------------------------------------------
 
@@ -289,8 +374,6 @@ class SimNetwork:
 
     def _bulk(self, ue_name, direction, nbytes, window, sub) -> None:
         """One aggregate tick over the access leg; no bytes, no jitter, no gNB stop."""
-        if ue_name not in self.core.sessions:
-            return
         link = self.links[ue_name]
         now = self.loop.now_us
         sender, receiver = (ue_name, "core") if direction == "UL" else ("core", ue_name)

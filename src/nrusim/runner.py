@@ -19,12 +19,9 @@ from .engine import EventLog, EventLoop, c_encoder, derive_rng
 from .errors import ConfigError, InvariantBreach
 from .metrics import (
     fold_sessions,
-    link_capacity_mbps,
     passive_monitor,  # unused here, but perfbench/tracer.py patches runner.passive_monitor
     ping_ident,
     ping_stats,
-    schedule_pings,
-    schedule_throughput,
     surviving_bytes,
     throughput_stats,
 )
@@ -102,21 +99,10 @@ def run_scenario(scenario: Scenario) -> RunResult:
     for index, plan in enumerate(scenario.traffic):
         rng = derive_rng(scenario.seed, f"probe:{plan.label}")
         if isinstance(plan, PingPlan):
-            cursor = schedule_pings(net, plan, cursor, ping_ident(index), rng)
+            cursor = net.schedule_pings(plan, cursor, ping_ident(index), rng)
         else:
-            link = net.links[plan.ue]
-            capacity = link_capacity_mbps(
-                plan.direction,
-                scenario.cell.bandwidth_mhz,
-                scenario.cell.scs_khz,
-                scenario.cell.tdd,
-                link.ue.sdr,
-                link.gnb.sdr,
-                link.ue.medium,
-                calib,
-            )
             starts.append(cursor)
-            cursor = schedule_throughput(net, plan, cursor, capacity, rng)
+            cursor = net.schedule_throughput(plan, cursor, rng)
 
     loop.run()
     return RunResult(

@@ -1,6 +1,6 @@
 """A frozen reference network for the differential tests of ``SimNetwork``.
 
-``ReferenceNetwork`` has the surface that ``run_scenario`` and the probes
+``ReferenceNetwork`` has the surface that the old probe schedulers
 use, and ``reference_run`` runs a scenario on it in place of
 ``SimNetwork``.  It holds a ``SimNetwork`` for the link budget, attach and
 the route table only; every event after attach runs in its own code, in
@@ -21,10 +21,14 @@ the designs the live path replaced:
   UPF that is not a request, a non-ICMP egress, a non-request at the
   external host, an N6 reply with no NAT entry, a packet at a UE that is
   neither request nor reply, a gNB stop without a session or N3 address.
+- A session check per event: every echo request and every bulk tick is
+  scheduled, and each looks up its UE's session when it fires.
 
 It keeps its own IP ident counter, NAT table and taps.
 
-``reference_run`` runs the runner's old loop over it.  Each throughput
+``reference_run`` runs the runner's old loop over it, which queues pings
+with the old duck-typed ``schedule_pings``: it draws every phase, even
+for a destination without an address.  Each throughput
 plan is a ``ThroughputProbe`` that tallies the bytes each arrival hands
 it, and the report is folded as the runner once did, in several passes:
 ``check_invariants`` reads the sessions from the core after the run and
@@ -48,12 +52,10 @@ from nrusim.metrics import (
     PassiveSession,
     ThroughputStats,
     flow_session_id,
-    link_capacity_mbps,
     ping_ident,
     ping_stats,
-    schedule_pings,
 )
-from nrusim.network import SimNetwork
+from nrusim.network import SimNetwork, link_capacity_mbps
 from nrusim.rflink import OverAir
 from nrusim.scenario import PingPlan, ThroughputPlan
 from nrusim.userplane import (
@@ -334,6 +336,21 @@ class ThroughputProbe:
             avg_high_mbps=round(max(windows, default=0.0), 3),
             delivered_bytes=sum(self.delivered.values()),
         )
+
+
+def schedule_pings(net, plan: PingPlan, start_us: int, ident: int, rng: Random) -> int:
+    """Queue the plan's echo requests; returns a completion-time estimate.
+
+    A destination without an address draws the same phases and sends
+    nothing: 100% loss.
+    """
+    dst_ip = net.resolve_dst(plan.dst)
+    phase_max = net.calib.ping_phase_max_us
+    for seq in range(plan.count):
+        at = start_us + seq * plan.interval_ms * 1000 + rng.randrange(phase_max)
+        if dst_ip is not None:
+            net.schedule_icmp_echo(plan.src, dst_ip, ident, seq, at, rng)
+    return start_us + plan.count * plan.interval_ms * 1000 + phase_max + 1_000_000
 
 
 def byte_passive_monitor(frames) -> MonitorReport:

@@ -224,7 +224,7 @@ class TestScenarioCommands:
         def never(scenario):
             raise AssertionError("the scenario ran before --out was checked")
 
-        monkeypatch.setattr("nrusim.cli.run_scenario", never)
+        monkeypatch.setattr("nrusim.runner.run_scenario", never)  # cli imports it per run
         path = tmp_path / "unit.yaml"
         path.write_text(yaml.safe_dump(variant()), encoding="utf-8")
         (tmp_path / "taken").write_text("not a directory\n", encoding="utf-8")
@@ -247,6 +247,32 @@ class TestScenarioCommands:
         assert captured.err == "invariant breach: event log timestamps decreased at ue1/late\n"
         assert captured.out == ""
         assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("failure, code", [("pcap export", 1), ("invariant breach", 2)])
+    def test_a_failed_rerun_leaves_no_earlier_report(self, tmp_path, capsys, monkeypatch,
+                                                     failure, code):
+        """report.json marks a complete run, even in a directory an earlier run filled."""
+        out = tmp_path / "out"
+        assert run_cli("run", str(bundled_scenario_path("north_south")), "--out", str(out),
+                       "--pcap") == 0
+        assert (out / "report.json").exists() and (out / "events.jsonl").exists()
+        raw = yaml.safe_load(bundled_scenario_path("north_south").read_text(encoding="utf-8"))
+        if failure == "pcap export":  # the second echo is past a pcap record's 32-bit seconds
+            raw["traffic"][0].update(count=2, interval_ms=4503599627370496)
+        else:
+            attach_all = SimNetwork.attach_all
+
+            def attach_then_log_out_of_order(net):
+                attach_all(net)
+                net.log.append({"action": "late", "actor": "ue1", "t_us": 0})
+
+            monkeypatch.setattr(SimNetwork, "attach_all", attach_then_log_out_of_order)
+        path = tmp_path / "again.yaml"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("run", str(path), "--out", str(out), "--pcap") == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (out / "report.json").exists() and not (out / "events.jsonl").exists()
 
     def test_run_json_records(self, tmp_path, capsys):
         path = tmp_path / "unit.yaml"

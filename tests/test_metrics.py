@@ -13,13 +13,13 @@ from nrusim.metrics import (
     ThroughputStats,
     flow_session_id,
     fold_sessions,
-    link_capacity_mbps,
     passive_monitor,
     ping_stats,
     render_monitor,
     render_table,
     report_records,
 )
+from nrusim.network import link_capacity_mbps
 from nrusim.rflink import Cable, OverAir, get_sdr
 from nrusim.userplane import (
     ICMP_ECHO_REPLY,

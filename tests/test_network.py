@@ -70,10 +70,31 @@ def assert_same_as_reference(live: runner.RunResult, scenario) -> None:
        sessionless_ue2=st.booleans())
 def test_packets_write_and_capture_what_the_reference_did(raw, taps, sessionless_ue2):
     raw["taps"] = sorted(taps)
-    if sessionless_ue2:  # its pings log ping_no_route, and pings to it drop at the UPF
+    if sessionless_ue2:  # its pings log ping_no_route; resolve_dst gives it no address, so
+        # pings to it are never sent
         raw["core"]["subscribers"].pop()
         raw["nodes"][-1]["unprovisioned"] = True
     assert_same_as_reference(runner.run_scenario(scenario_from_dict(raw)), scenario_from_dict(raw))
+
+
+def test_a_plan_that_cannot_send_schedules_no_event():
+    """A sessionless UE's throughput plan queues no tick, and a ping to a node without an
+    address queues no request: each plan decides once, not per event."""
+    raw = variant(name="dead_plans")
+    raw["nodes"].append({"name": "ue2", "role": "ue", "host": "nuc-i5", "sdr": "b210",
+                         "imsi": "001010000000002", "gnb": "gnb1", "unprovisioned": True,
+                         "medium": {"kind": "cable", "length_cm": 50}})
+    raw["traffic"] = [{"probe": "throughput", "ue": "ue2", "direction": "UL", "duration_s": 1},
+                      {"probe": "ping", "src": "ue1", "dst": "ue2", "count": 3,
+                       "interval_ms": 100}]
+    with mock.patch.object(EventLoop, "schedule_at", autospec=True,
+                           side_effect=EventLoop.schedule_at) as schedule_at:
+        result = runner.run_scenario(scenario_from_dict(raw))
+    assert schedule_at.call_count == 0
+    assert {r["action"] for r in result.log.records} == {"link_budget", "attach_phase",
+                                                          "attach_failed"}
+    assert result.report["throughput"][0]["delivered_bytes"] == 0
+    assert result.report["pings"][0]["sent"] == 3 and result.report["pings"][0]["received"] == 0
 
 
 @st.composite

@@ -9,12 +9,16 @@ from pathlib import Path
 
 import pytest
 
+from nrusim.pcapio import write_pcap
+from nrusim.userplane import echo_reply_for, encode_ip, icmp_echo_request
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 
 
 @pytest.mark.parametrize("module, loaded", [
+    ("metrics", ["corenet", "errors", "metrics", "userplane"]),
     ("scenario", ["access", "corenet", "errors", "rflink", "scenario", "spectrum", "yamlio"]),
     ("spectrum", ["errors", "spectrum", "yamlio"]),
 ])
@@ -25,6 +29,24 @@ def test_importing_a_module_loads_only_its_own_imports(module, loaded):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=ENV, check=True)
     assert proc.stdout.split() == ["nrusim"] + [f"nrusim.{name}" for name in loaded]
+
+
+def test_monitor_loads_neither_yaml_nor_the_run_layers(tmp_path):
+    # A capture is all ``nrusim monitor`` reads, so its cold start skips the loader and the run.
+    request = icmp_echo_request("12.1.1.2", "12.1.1.1", 0x1000, 0)
+    write_pcap(tmp_path / "echo.pcap", [(0, encode_ip(request)),
+                                        (12_000, encode_ip(echo_reply_for(request)))])
+    code = textwrap.dedent("""\
+        import sys
+        import nrusim.cli
+        assert nrusim.cli.main(['monitor', 'echo.pcap']) == 0
+        unwanted = {'yaml', 'nrusim.scenario', 'nrusim.network', 'nrusim.runner'}
+        print('loaded:', *sorted(unwanted & set(sys.modules)))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=ENV, cwd=tmp_path, check=True)
+    assert "1 connections" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "loaded:"
 
 
 def test_readme_quickstart_runs(tmp_path):
