@@ -5,7 +5,9 @@ Subcommands: ``plan`` (spectrum queries), ``validate`` (scenario lint),
 reports), ``monitor`` (passive RTT over a pcap capture).  Exit codes:
 0 success, 1 usage, validation or configuration failure, 2 runtime
 invariant breach.  Each handler imports its own modules, so ``monitor``
-loads neither the scenario loader nor PyYAML.
+loads neither the scenario loader nor PyYAML.  Only a scenario file's
+text is YAML (the data tables are JSON), so ``plan`` and ``compare``
+load no PyYAML either.
 """
 
 from __future__ import annotations
@@ -73,9 +75,11 @@ def _cmd_run(args) -> int:
 
     scenario = load_scenario(args.scenario)
     out = make_out_dir(args.out or f"out/{scenario.name}")  # before the run, which may be long
-    for name in ("report.json", "events.jsonl"):  # an earlier run's, which this run replaces
+    # An earlier run's outputs, which this run replaces: its captures too, which a run
+    # with other taps, or without --pcap, would otherwise leave beside this run's report.
+    for stale in (out / "report.json", out / "events.jsonl", *out.glob("tap_*.pcap")):
         try:
-            (out / name).unlink(missing_ok=True)
+            stale.unlink(missing_ok=True)
         except OSError as exc:  # e.g. report.json is a directory
             raise ConfigError(f"cannot write outputs to directory {out}: {exc}") from None
     result = run_scenario(scenario)

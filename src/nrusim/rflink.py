@@ -15,7 +15,7 @@ import math
 from typing import NamedTuple, Union
 
 from .errors import CheckedRecord, ConfigError, DomainError
-from .yamlio import load_data, shipped
+from .tables import load_data, shipped
 
 # Digital attenuation applied per unit of the attenuation-factor setting.
 ATT_DB_PER_UNIT = 1.0
@@ -177,8 +177,22 @@ def link_viable(drop_fraction: float) -> bool:
 
 @functools.lru_cache(maxsize=1)
 def load_hardware_profiles() -> tuple[dict[str, HostModel], dict[str, SdrModel]]:
-    """(hosts, sdrs) shipped with the package, keyed by profile name."""
-    raw = load_data("hardware.yaml")
+    """(hosts, sdrs) shipped with the package in ``hardware.json``, keyed by profile name.
+
+    Hardware profiles referenced by name from scenario files.
+
+    Host capacity is the UHD-benchmark-style sustained sample rate the
+    machine can drain without drops.  colocated_core_load_msps is the
+    sample-rate-equivalent overhead of running the 5G core on the same box;
+    the *-core profiles exist for the gNB machines that also host the core.
+    added_latency_us is the extra one-way per-packet processing delay of a
+    slower host.
+
+    nuc-i5-core: 40 MSPS capacity minus the core's 0.6 MSPS-equivalent
+    overhead leaves 39.4 MSPS of headroom against a 40 MSPS stream: a 1.5%
+    deficit.
+    """
+    raw = load_data("hardware.json")
     hosts = {name: HostModel(name=name, **node) for name, node in raw["hosts"].items()}
     sdrs = {name: SdrModel(name=name, **node) for name, node in raw["sdrs"].items()}
     return hosts, sdrs

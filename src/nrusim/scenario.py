@@ -22,14 +22,11 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-import yaml
-
 from .access import Burst, ChannelOccupancy, LbtConfig, TddConfig, slot_duration_us
 from .corenet import CoreConfig, CoreNetwork, SubscriberRecord
 from .errors import ConfigError, DomainError, ScenarioError
 from .rflink import Cable, HostModel, LinkMedium, OverAir, SdrModel, compute_rsrp, get_host, get_sdr
 from .spectrum import ChannelAssignment, arfcn_to_frequency, check_assignment, get_band
-from . import yamlio
 
 SCHEMA_VERSION = 1
 BUNDLED = ("test_a", "test_b", "test_c", "test_d", "north_south", "east_west")
@@ -552,7 +549,15 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Load and validate a scenario file."""
+    """Load and validate a scenario file.
+
+    Only this function reads YAML, so it alone imports PyYAML: a scenario
+    built with ``scenario_from_dict`` never loads it.
+    """
+    import yaml
+
+    from . import yamlio
+
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")

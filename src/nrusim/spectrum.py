@@ -2,7 +2,7 @@
 
 All raster math runs on integer kilohertz so results are exact; floating
 point MHz values appear only at the API boundary.  Band definitions and
-regulatory rules are data, loaded from the packaged YAML files, so new
+regulatory rules are data, loaded from the packaged JSON tables, so new
 bands or jurisdictions never require code changes.
 """
 
@@ -13,7 +13,7 @@ import math
 from typing import NamedTuple
 
 from .errors import CheckedRecord, ConfigError, OffRasterError, RasterRangeError
-from .yamlio import load_data, shipped
+from .tables import load_data, shipped
 
 KHZ_PER_MHZ = 1000
 
@@ -203,8 +203,32 @@ class BandPlan(CheckedRecord, _BandPlanFields):
 
 @functools.lru_cache(maxsize=1)
 def load_band_plans() -> dict[str, BandPlan]:
-    """All band plans shipped with the package, keyed by band id."""
-    raw = load_data("bands.yaml")
+    """All band plans shipped with the package in ``bands.json``, keyed by band id.
+
+    NR operating-band raster tables (FR1 subset shipped with the package).
+
+    ``rasters`` rows are channel-raster entries: granularity (delta_f_khz)
+    plus the inclusive first-<step>-last NR-ARFCN spans per link.  ``sync``
+    rows are SS raster entries: SS block numerology plus the GSCN span a UE
+    sweeps.  Duplex modes follow the usual FR1 assignments (sdl = downlink
+    only).
+
+    Only n46 is exercised by the bundled scenarios; the other rows exist as
+    validation fodder for the raster engine.
+
+    Notes on single rows:
+
+    - n7, first sync row: First row kept as printed in the source table even
+      though the GSCN range matches a 2.5 GHz-adjacent band rather than
+      n7's 2.6 GHz.
+    - n7, second sync row: Printed as 6954 - <1> - 6718 (reversed); stored
+      ascending.
+    - n28 sync rows: The source table prints two n28 rows; both are kept.
+    - n29 duplex sdl: downlink only, no UL raster.
+    - n34 sync rows: The 15 kHz row carries a table note instead of a range;
+      omitted.
+    """
+    raw = load_data("bands.json")
     plans: dict[str, BandPlan] = {}
     for band_id, node in raw["bands"].items():
         rasters = tuple(
@@ -317,8 +341,13 @@ class Violation(NamedTuple):
 
 @functools.lru_cache(maxsize=None)  # only shipped jurisdictions return, so it stays small
 def load_regulatory_rules(jurisdiction: str = "AU") -> tuple[RegulatoryRule, ...]:
-    """Rules for one jurisdiction; raises ConfigError if it is not shipped."""
-    rows = shipped(load_data("regulatory.yaml")["jurisdictions"], "jurisdiction", jurisdiction)
+    """Rules for one jurisdiction in ``regulatory.json``; raises ConfigError if it is not shipped.
+
+    Jurisdiction rules for unlicensed 5 GHz operation.  Rules are data so
+    new jurisdictions can be added without code changes.  An absent
+    max_mean_eirp_mw means the rule places no EIRP bound.
+    """
+    rows = shipped(load_data("regulatory.json")["jurisdictions"], "jurisdiction", jurisdiction)
     return tuple(_rule(jurisdiction, **row) for row in rows)
 
 

@@ -274,6 +274,33 @@ class TestScenarioCommands:
         assert capsys.readouterr().err.count("\n") == 1
         assert not (out / "report.json").exists() and not (out / "events.jsonl").exists()
 
+    def test_a_rerun_leaves_no_earlier_capture(self, tmp_path, capsys):
+        """Every tap_*.pcap in --out is this run's, or the run failed: none is an earlier run's."""
+        out = tmp_path / "out"
+        north_south = str(bundled_scenario_path("north_south"))
+        captures = ["tap_n3_gnb1.pcap", "tap_n6.pcap", "tap_ue_ue1.pcap"]
+        assert run_cli("run", north_south, "--out", str(out), "--pcap") == 0
+        assert sorted(path.name for path in out.glob("tap_*.pcap")) == captures
+        # A failed re-run: its second echo is past a pcap record's 32-bit seconds.
+        raw = yaml.safe_load(bundled_scenario_path("north_south").read_text(encoding="utf-8"))
+        raw["traffic"][0].update(count=2, interval_ms=4503599627370496)
+        path = tmp_path / "far.yaml"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        assert run_cli("run", str(path), "--out", str(out), "--pcap") == 1
+        assert list(out.iterdir()) == []
+        # A re-run without --pcap, into a directory an earlier --pcap run filled.
+        assert run_cli("run", north_south, "--out", str(out), "--pcap") == 0
+        assert run_cli("run", north_south, "--out", str(out)) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["events.jsonl", "report.json"]
+        capsys.readouterr()
+
+    def test_run_exits_1_on_an_earlier_capture_it_cannot_remove(self, tmp_path, capsys):
+        (tmp_path / "out" / "tap_n6.pcap").mkdir(parents=True)
+        assert run_cli("run", str(bundled_scenario_path("north_south")), "--out",
+                       str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write outputs to directory") and err.count("\n") == 1
+
     def test_run_json_records(self, tmp_path, capsys):
         path = tmp_path / "unit.yaml"
         path.write_text(yaml.safe_dump(variant()), encoding="utf-8")

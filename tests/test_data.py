@@ -1,16 +1,23 @@
 """The packaged tables hold every value in the kind its class field declares.
 
-The loaders build each class from its YAML mapping by field name, with the
-values as written and nothing converted.  So a table value of another kind
-(``40`` where a float is meant, ``true`` where a count is) would reach the
-models as it is; these tests pin that none ships.
+The loaders build each class from its JSON mapping by field name, with the
+values as written and nothing converted but the ``scs_factor`` keys.  So a
+table value of another kind (``40`` where a float is meant, ``true`` where a
+count is) would reach the models as it is; these tests pin that none ships.
+
+The tables shipped as YAML before they were JSON.  That YAML is frozen in
+``tests/yaml_tables`` with its comments, and every record the loaders build
+from the JSON must equal the one they build from it through ``yamlio.parse``;
+a deliberate retune edits both.
 """
 
 import types
 import typing
+from pathlib import Path
 
 import pytest
 
+from nrusim import calibration, rflink, spectrum, yamlio
 from nrusim.calibration import Calibration, load_calibration
 from nrusim.rflink import HostModel, SdrModel, load_hardware_profiles
 from nrusim.spectrum import (
@@ -20,7 +27,9 @@ from nrusim.spectrum import (
     load_band_plans,
     load_regulatory_rules,
 )
-from nrusim.yamlio import load_data
+from nrusim.tables import load_data
+
+YAML_TABLES = Path(__file__).parent / "yaml_tables"
 
 
 def _fits(value, hint) -> bool:
@@ -56,7 +65,7 @@ def _shipped_records():
         SdrModel: list(sdrs.values()),
         RasterSpan: spans,
         SyncRasterEntry: [entry for plan in plans for entry in plan.sync_entries],
-        RegulatoryRule: [rule for jurisdiction in load_data("regulatory.yaml")["jurisdictions"]
+        RegulatoryRule: [rule for jurisdiction in load_data("regulatory.json")["jurisdictions"]
                          for rule in load_regulatory_rules(jurisdiction)],
     }
 
@@ -82,3 +91,31 @@ def test_every_shipped_field_has_its_annotated_kind(cls):
 ])
 def test_kind_check_tells_int_from_float_and_bool(value, hint, fits):
     assert _fits(value, hint) is fits
+
+
+def _frozen_yaml(name: str):
+    """A table as the loaders read it before it was JSON: its YAML through ``yamlio.parse``."""
+    text = (YAML_TABLES / name).with_suffix(".yaml").read_text(encoding="utf-8")
+    return yamlio.parse(text)
+
+
+def _every_jurisdiction_rules():
+    # spectrum.load_data, so the jurisdictions listed come from the table under test too.
+    return {jurisdiction: spectrum.load_regulatory_rules.__wrapped__(jurisdiction)
+            for jurisdiction in spectrum.load_data("regulatory.json")["jurisdictions"]}
+
+
+@pytest.mark.parametrize("module, build", [
+    (spectrum, spectrum.load_band_plans.__wrapped__),
+    (rflink, rflink.load_hardware_profiles.__wrapped__),
+    (calibration, calibration.load_calibration.__wrapped__),
+    (spectrum, _every_jurisdiction_rules),
+], ids=["load_band_plans", "load_hardware_profiles", "load_calibration",
+        "load_regulatory_rules"])
+def test_json_tables_build_the_records_the_frozen_yaml_built(monkeypatch, module, build):
+    records = build()
+    monkeypatch.setattr(module, "load_data", _frozen_yaml)
+    oracle = build()
+    # repr also tells 1 from 1.0 and True from 1, which == does not.
+    assert records == oracle and repr(records) == repr(oracle)
+    assert records

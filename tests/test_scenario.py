@@ -492,8 +492,11 @@ class TestFileLoading:
         assert scenario.cell.arfcn == 750000
 
 
+# Every YAML text the tests parse, by name: the bundled scenarios, and the frozen YAML of each
+# shipped table (test_data.py builds the tables' records from it, as the loaders did before JSON).
 DATA_ROOT = Path(yamlio.__file__).parent / "data"
-DATA_FILES = sorted(p.relative_to(DATA_ROOT).as_posix() for p in DATA_ROOT.rglob("*.yaml"))
+DATA_FILES = {**{p.relative_to(DATA_ROOT).as_posix(): p for p in DATA_ROOT.rglob("*.yaml")},
+              **{p.name: p for p in (Path(__file__).parent / "yaml_tables").glob("*.yaml")}}
 
 # (case, malformed text, error class, 1-based line and column of its problem mark)
 MALFORMED_YAML = [
@@ -534,12 +537,13 @@ class TestLoaderParity:
     def test_data_files_include_every_loaded_file(self):
         bundled = {bundled_scenario_path(name).relative_to(DATA_ROOT).as_posix()
                    for name in BUNDLED}
-        assert set(DATA_FILES) >= {"bands.yaml", "calibration.yaml", "hardware.yaml",
-                                   "regulatory.yaml"} | bundled
+        tables = {path.with_suffix(".yaml").name for path in DATA_ROOT.glob("*.json")}
+        assert tables == {"bands.yaml", "calibration.yaml", "hardware.yaml", "regulatory.yaml"}
+        assert set(DATA_FILES) == tables | bundled
 
-    @pytest.mark.parametrize("name", DATA_FILES)
+    @pytest.mark.parametrize("name", sorted(DATA_FILES))
     def test_data_file_parses_to_equal_objects(self, loader, name):
-        text = (DATA_ROOT / name).read_text(encoding="utf-8")
+        text = DATA_FILES[name].read_text(encoding="utf-8")
         got, expected = yamlio.parse(text), yaml.load(text, Loader=yaml.SafeLoader)
         # repr also tells 1 from 1.0 and True, which == does not.
         assert got == expected and repr(got) == repr(expected)
