@@ -25,7 +25,6 @@ link derives an LBT substream only under bursts, and the live run calls
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 from unittest import mock
 
@@ -38,18 +37,12 @@ from nrusim.calibration import load_calibration
 from nrusim.engine import EventLog, EventLoop, derive_rng
 from nrusim.network import SimNetwork
 from nrusim.scenario import load_bundled, scenario_from_dict
+from tests.golden import CASES, GOLDEN_CASES, file_digests, golden_result, golden_scenario
 from tests.reference_network import byte_passive_monitor, reference_run
-from tests.test_golden import BUNDLED_DIGESTS, INLINE_CASES, _inline_result
 from tests.test_runner import ping_scenarios
 from tests.test_scenario import variant
 
 VALID_TAPS = ["ue:ue1", "ue:ue2", "n3:gnb1", "n6"]
-GOLDEN_CASES = sorted(BUNDLED_DIGESTS) + sorted(INLINE_CASES)
-
-
-def golden_scenario(name: str):
-    return load_bundled(name) if name in BUNDLED_DIGESTS else \
-        scenario_from_dict(INLINE_CASES[name][0]())
 
 
 def assert_same_capture(live: runner.RunResult, reference: runner.RunResult) -> None:
@@ -191,25 +184,21 @@ def golden_reference(name: str) -> runner.RunResult:
     return reference_run(golden_scenario(name))
 
 
-def golden_live(bundled_results, name: str) -> runner.RunResult:
-    return bundled_results[name] if name in BUNDLED_DIGESTS else _inline_result(name)
-
-
 @pytest.mark.parametrize("name", GOLDEN_CASES)
 def test_golden_cases_log_what_the_reference_logged(bundled_results, name):
-    assert golden_live(bundled_results, name).events_jsonl() == \
+    assert golden_result(bundled_results, name).events_jsonl() == \
         golden_reference(name).events_jsonl()
 
 
 @pytest.mark.parametrize("name", GOLDEN_CASES)
 def test_golden_cases_report_what_the_reference_reported(bundled_results, name):
-    assert golden_live(bundled_results, name).report_json() == \
+    assert golden_result(bundled_results, name).report_json() == \
         golden_reference(name).report_json()
 
 
 @pytest.mark.parametrize("name", GOLDEN_CASES)
 def test_golden_cases_capture_what_the_reference_captured(bundled_results, name):
-    assert_same_capture(golden_live(bundled_results, name), golden_reference(name))
+    assert_same_capture(golden_result(bundled_results, name), golden_reference(name))
 
 
 @settings(max_examples=40, deadline=None)
@@ -237,8 +226,7 @@ def test_a_run_with_taps_encodes_and_decodes_nothing():
             mock.patch.object(metrics, "decode_ip", refuse):
         result = runner.run_scenario(scenario)
     assert all(result.taps.values())
-    report_digest = hashlib.sha256(result.report_json().encode("utf-8")).hexdigest()
-    assert report_digest == BUNDLED_DIGESTS["north_south"][0]
+    assert file_digests(result) == CASES["north_south"].files
 
 
 def test_passive_monitor_decodes_then_folds_as_the_single_loop():
@@ -276,7 +264,7 @@ def test_attach_sets_each_sessions_teid_pair_on_its_link(name):
         assert link.teids == expected
 
 
-# golden_contended and long_burst have foreign bursts; the other cases have none.
+# contended, long_burst and bulk_lbt_draws have foreign bursts; the other cases have none.
 @pytest.mark.parametrize("name", GOLDEN_CASES)
 def test_links_derive_an_lbt_substream_only_under_bursts(name):
     scenario = golden_scenario(name)

@@ -26,9 +26,9 @@ from nrusim.runner import (
 )
 from nrusim.scenario import BUNDLED, PingPlan, load_bundled, scenario_from_dict
 from nrusim.userplane import ICMP_ECHO_REPLY, ICMP_ECHO_REQUEST, decode_ip
+from tests.golden import golden_result, golden_scenario
 from tests.reference_network import multi_pass_report
 from tests.test_cli import _ethernet_echo_pcap
-from tests.test_golden import _attach_failures
 from tests.test_scenario import variant
 
 
@@ -45,7 +45,7 @@ class TestRunBasics:
         """Every ping row of the six bundled reports, and every attach row's scan_steps
         there and in the attach_failures golden case, from the events.jsonl text alone."""
         results = {name: bundled_results[name] for name in BUNDLED}
-        results["attach_failures"] = run_scenario(scenario_from_dict(_attach_failures()))
+        results["attach_failures"] = golden_result(bundled_results, "attach_failures")
         step_us = load_calibration().scan_step_us
         rows = 0
         no_cell_steps = []
@@ -591,7 +591,7 @@ class TestAttachOracle:
         assert result.report["attach"] == rows
 
     def test_failed_attach_rows_match_the_states(self):
-        result, rows = run_with_attach_states(scenario_from_dict(_attach_failures()))
+        result, rows = run_with_attach_states(golden_scenario("attach_failures"))
         assert [row["failure"] is not None for row in rows] == [True, True, True]
         assert result.report["attach"] == rows
 
