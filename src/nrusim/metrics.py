@@ -70,12 +70,14 @@ def ping_stats(sent: int, rtts_ms: list[float]) -> PingStats:
     # statistics.fmean's sum and division, without importing statistics on every run
     avg = math.fsum(rtts_ms) / len(rtts_ms)
     mdev = math.fsum(abs(r - avg) for r in rtts_ms) / len(rtts_ms)
+    low, high = min(rtts_ms), max(rtts_ms)
     return PingStats(
         sent=sent,
         received=len(rtts_ms),
-        min_ms=round(min(rtts_ms), 3),
-        max_ms=round(max(rtts_ms), 3),
-        avg_ms=round(avg, 3),
+        min_ms=round(low, 3),
+        max_ms=round(high, 3),
+        # The division can round past the extremes: RTTs near 1e21 ms sit 2**17 apart.
+        avg_ms=round(min(max(avg, low), high), 3),
         mdev_ms=round(mdev, 3),
     )
 

@@ -390,6 +390,12 @@ def scenario_from_dict(raw: dict, name_hint: str = "scenario") -> Scenario:
     provisioned = {s.imsi for s in subscribers}
     for node_raw in map(dict, _entries(raw, "nodes", name)):
         node_name = _directory_name(_field(node_raw, "name", "nodes"), "nodes")
+        # As a ping dst, such a name would name both the node and the gateway, the
+        # external host or an address.  Only a name that starts with a digit is a dotted quad.
+        if node_name in ("core-gateway", "external") or (node_name[0].isdigit()
+                                                         and _ipv4(node_name)):
+            raise ScenarioError(f"nodes: name {node_name!r} is reserved for a ping dst "
+                                f"('core-gateway', 'external' or a dotted-quad IPv4 address)")
         if node_name in gnbs or node_name in ues:
             raise ScenarioError(f"nodes: duplicate node name {node_name!r}")
         context = f"node {node_name}"

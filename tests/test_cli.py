@@ -112,21 +112,24 @@ class TestPlan:
         assert json.loads(lines[0])["kind"] == "eirp"
 
 
-    @pytest.mark.parametrize("argv", [
-        ["convert", "--freq", "nan"],
-        ["convert", "--freq", "inf"],
-        ["convert", "--freq=1e308"],  # the "=" form: argparse reads "-1e308" as an option
-        ["convert", "--freq=-1e308"],
-        ["check", "--arfcn", "786667", "--bandwidth", "20", "--eirp", "nan"],
-        ["check", "--arfcn", "786667", "--bandwidth", "nan", "--eirp", "20"],
-        ["check", "--arfcn", "786667", "--bandwidth", "-20", "--eirp", "20"],
-        ["check", "--arfcn", "786667", "--bandwidth", "1e308", "--eirp", "20"],
+    # (argv, how the one error line starts: it names the number at fault)
+    @pytest.mark.parametrize("argv, start", [
+        (["convert", "--freq", "nan"], "error: nan MHz"),
+        (["convert", "--freq", "inf"], "error: inf MHz"),
+        # the "=" form: argparse reads "-1e308" as an option
+        (["convert", "--freq=1e308"], "error: 1e+308 MHz"),
+        (["convert", "--freq=-1e308"], "error: -1e+308 MHz"),
+        (["check", "--arfcn", "786667", "--bandwidth", "20", "--eirp", "nan"], "error: EIRP "),
+        (["check", "--arfcn", "786667", "--bandwidth", "nan", "--eirp", "20"], "error: bandwidth "),
+        (["check", "--arfcn", "786667", "--bandwidth", "-20", "--eirp", "20"], "error: bandwidth "),
+        (["check", "--arfcn", "786667", "--bandwidth", "1e308", "--eirp", "20"],
+         "error: bandwidth "),
     ], ids=["freq nan", "freq inf", "freq 1e308", "freq -1e308", "eirp nan", "bandwidth nan",
             "bandwidth negative", "bandwidth 1e308"])
-    def test_non_finite_or_negative_numbers_exit_1(self, capsys, argv):
+    def test_non_finite_or_negative_numbers_exit_1(self, capsys, argv, start):
         assert run_cli("plan", *argv) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.err.startswith(start) and captured.err.count("\n") == 1
         assert "inf-" not in captured.err and "-inf" not in captured.err
         assert captured.out == ""
 
@@ -210,6 +213,25 @@ class TestScenarioCommands:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
         assert "nested past 64 levels at line 1" in proc.stderr
+
+    # Under one burst that long, every RTT is near 1e21 ms (1e27 ms for 10**30), where the
+    # mean of the float RTTs rounds past their maximum: the run crashed with a traceback.
+    @pytest.mark.parametrize("end_us", [10**24, 10**30], ids=["10**24", "10**30"])
+    def test_run_under_a_burst_ending_at_1e24_us_or_later_exits_0(self, tmp_path, end_us):
+        raw = yaml.safe_load(bundled_scenario_path("test_a").read_text(encoding="utf-8"))
+        raw["traffic"] = [plan for plan in raw["traffic"] if plan["probe"] == "ping"]
+        raw["occupancy"] = [{"start_us": 0, "end_us": end_us, "power_dbm": 0.0}]
+        path = tmp_path / "burst.yaml"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "nrusim.cli", "run", str(path),
+                               "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        [row] = json.loads((tmp_path / "out" / "report.json").read_text())["pings"]
+        assert row["received"] == 100
+        assert row["min_ms"] <= row["avg_ms"] <= row["max_ms"]
 
     def test_run_writes_report_and_prints_table(self, tmp_path, capsys):
         path = tmp_path / "unit.yaml"

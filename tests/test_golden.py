@@ -4,18 +4,28 @@ the outputs, and say why in CHANGES.md."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
 
 from nrusim import runner
+from nrusim.pcapio import read_pcap
 from nrusim.runner import run_scenario
-from nrusim.scenario import BUNDLED, scenario_from_dict
+from nrusim.scenario import (BUNDLED, bundled_scenario_path, load_scenario, scenario_from_dict,
+                             tap_file_name)
 from nrusim.userplane import GTPU_PORT, decode_gtpu, decode_ip, encode_gtpu, encode_ip
 from tests.golden import (BUNDLED_CASES, CASES, GENERATED, GENERATORS, GOLDEN_CASES,
                           INLINE_CASES, RECORDED, TAPPED_CASES, file_digests, golden_result,
                           golden_scenario, tap_digest, workloads)
 from tests.test_engine import HeapEventLoop
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.mark.parametrize("name", BUNDLED_CASES)
@@ -56,6 +66,50 @@ def test_tap_frames_without_their_idents_keep_their_bytes(bundled_results, name)
 def test_generated_sections_keep_their_bytes(workload, seed):
     report = run_scenario(scenario_from_dict(GENERATORS[workload](seed))).report
     assert workloads.sections_digest(report) == GENERATED[workload][str(seed)]
+
+
+def test_runs_under_two_string_hash_seeds_write_the_pinned_bytes(tmp_path):
+    """Each pytest session draws its own string-hash seed, so the pins above catch an
+    output that follows ``str`` hash order only by chance.  These runs fix two seeds.
+
+    north_south exports three taps; test_a runs bulk plans, whose throughput rows the
+    report folds from the log's ``bulk_tx`` records.
+    """
+    runs = {"north_south": ["--pcap"], "test_a": []}
+    written = {}
+    for seed in ("1", "2"):
+        for name, flags in runs.items():
+            out = tmp_path / seed / name
+            subprocess.run([sys.executable, "-m", "nrusim.cli", "run",
+                            str(bundled_scenario_path(name)), "--out", str(out), *flags],
+                           capture_output=True, timeout=120, check=True,
+                           env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed})
+            written[seed, name] = {path.name: path.read_bytes() for path in out.iterdir()}
+    for name in runs:
+        files = written["1", name]
+        assert files == written["2", name], name
+        assert {file: hashlib.sha256(files[file]).hexdigest()
+                for file in CASES[name].files} == CASES[name].files
+    out = tmp_path / "1" / "north_south"
+    assert sorted(file for file in written["1", "north_south"] if file.endswith(".pcap")) == \
+        sorted(tap_file_name(tap) for tap in CASES["north_south"].taps)
+    assert {tap: tap_digest(read_pcap(out / tap_file_name(tap)))
+            for tap in CASES["north_south"].taps} == CASES["north_south"].taps
+
+
+@pytest.mark.parametrize("workload", sorted(GENERATORS))
+def test_a_generated_scenario_read_from_yaml_writes_the_same_outputs(tmp_path, workload):
+    """The benchmark hands its generated scenarios to the loader as mappings; read one
+    as a file too.  Its text is hundreds of kB, so ``load_scenario`` first walks its
+    nesting depth, which it skips for a text of 2,048 characters or fewer, as every
+    bundled file is."""
+    raw = GENERATORS[workload](0)
+    path = tmp_path / f"{workload}.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    from_file = run_scenario(load_scenario(path))
+    from_dict = run_scenario(scenario_from_dict(raw))
+    assert from_file.report_json() == from_dict.report_json()
+    assert from_file.events_jsonl() == from_dict.events_jsonl()
 
 
 def test_every_pin_source_is_complete():

@@ -1,3 +1,4 @@
+import math
 import statistics
 from typing import Iterable
 
@@ -59,6 +60,15 @@ class TestPingStats:
     def test_received_cannot_exceed_sent(self):
         with pytest.raises(ValueError):
             PingStats(sent=1, received=2)
+
+    # Three equal RTTs near 1e21 ms, whose float mean falls one step below or above them.
+    # The unclamped mean failed the record's order check: "ping stats out of order".
+    @pytest.mark.parametrize("rtt", [7e21, 1e21 + 2**18], ids=["mean below", "mean above"])
+    def test_a_mean_rounded_past_the_extremes_is_clamped(self, rtt):
+        assert math.fsum([rtt] * 3) / 3 != rtt
+        stats = ping_stats(3, [rtt] * 3)
+        assert stats.min_ms == stats.avg_ms == stats.max_ms == rtt
+        assert stats.mdev_ms == math.ulp(rtt)  # from the unclamped mean
 
     # Reference: the statistics.fmean fold ping_stats made before it summed with math.fsum.
     @given(st.lists(st.floats(0.0, 1e6) | st.sampled_from((0.1, 0.2, 0.3, 1e-9)), min_size=1,

@@ -311,6 +311,16 @@ UNRUNNABLE = [
      "taps: 'ue:a:b' and 'ue:a_b' would both write tap_ue_a_b.pcap"),
     # A repeat used to load: the run kept one capture and one passive row for both.
     ("tap listed twice", _with("taps", ["n6", "ue:ue1", "n6"]), "taps: 'n6' listed twice"),
+    # A ping to a node of such a name went elsewhere: one to the UE named external got an
+    # external_reply, and one to 192.168.70.10 found the gNB, which has no address.
+    ("UE named external", _renamed_ue("external"),
+     "nodes: name 'external' is reserved for a ping dst ('core-gateway', 'external' or a "
+     "dotted-quad IPv4 address)"),
+    ("UE named core-gateway", _renamed_ue("core-gateway"),
+     "nodes: name 'core-gateway' is reserved for a ping dst"),
+    ("gNB named as a dotted quad",
+     variant(**{"nodes.0.name": "192.168.70.10", "nodes.1.gnb": "192.168.70.10"}),
+     "nodes: name '192.168.70.10' is reserved for a ping dst"),
     # Both used to pass validation, then `run --pcap` crashed writing a capture time past
     # the 32-bit seconds of a pcap record header.
     ("TDD period past 10 ms", variant(**{"cell.tdd": {"period_slots": 2**63}}),
@@ -406,6 +416,10 @@ class TestValidation:
         raw["taps"] = ["ue:ue9"]
         with pytest.raises(ScenarioError, match="unknown tap"):
             scenario_from_dict(raw)
+
+    def test_names_near_the_reserved_ones_load(self):
+        scenario = scenario_from_dict(_renamed_ue("5g-ue", "192.168.70.256", "External"))
+        assert [ue.name for ue in scenario.ues()] == ["5g-ue", "192.168.70.256", "External"]
 
     def test_renamed_ues_with_distinct_file_names_load(self):
         """The two tap-path rows fail on their names alone."""
@@ -508,6 +522,8 @@ MALFORMED_YAML = [
     ("nested mapping value", "seed: b: c\n", yaml.scanner.ScannerError, 1, 8),
     ("sequence then mapping", "- a\nb: c\n", yaml.parser.ParserError, 2, 1),
     ("python tag", "seed: !!python/object:os.system x\n", yaml.constructor.ConstructorError, 1, 7),
+    # PyYAML's own loaders keep the last value: the scenario ran seed 8.
+    ("repeated key", "seed: 7\nname: a\nseed: 8\n", yaml.constructor.ConstructorError, 3, 1),
 ]
 
 # (case, well-formed text whose value Python cannot build, what the ValueError says)
@@ -566,7 +582,7 @@ class TestLoaderParity:
     def test_malformed_text_same_error_and_mark(self, loader, tmp_path, text, error,
                                                 line, column):
         with pytest.raises(yaml.YAMLError) as raised:
-            yaml.load(text, Loader=loader)
+            yamlio.parse(text)
         assert type(raised.value) is error
         mark = raised.value.problem_mark
         assert (mark.line + 1, mark.column + 1) == (line, column)
@@ -575,6 +591,23 @@ class TestLoaderParity:
         with pytest.raises(ScenarioError, match=f"parse error at line {line}, column {column}:"):
             load_scenario(path)
 
+    # (text, what it parses to, the text with a repeat in the mapping that merges)
+    @pytest.mark.parametrize("text, expected, repeated", [
+        ("b: &b {k: 1, n: a}\nr: {<<: *b, k: 2}\n",
+         {"b": {"k": 1, "n": "a"}, "r": {"k": 2, "n": "a"}},
+         "b: &b {k: 1, n: a}\nr: {<<: *b, k: 2, k: 3}\n"),
+        ("a: &a {k: 1}\nb: &b {k: 2}\nc: {<<: [*a, *b], k: 3}\n",
+         {"a": {"k": 1}, "b": {"k": 2}, "c": {"k": 3}},
+         "a: &a {k: 1}\nb: &b {k: 2}\nc: {<<: [*a, *b], k: 3, k: 4}\n"),
+        # &m is merged into x before it is built as y's value.
+        ("x: {<<: &m {<<: {k: 1}, k: 2}}\ny: *m\n", {"x": {"k": 2}, "y": {"k": 2}},
+         "x: {<<: &m {<<: {k: 1}, k: 2, k: 3}}\ny: *m\n"),
+    ], ids=["one merge", "two merges", "a merged mapping built later"])
+    def test_a_key_may_override_a_merged_one(self, loader, text, expected, repeated):
+        assert yamlio.parse(text) == expected
+        with pytest.raises(yaml.constructor.ConstructorError, match="found duplicate key 'k'"):
+            yamlio.parse(repeated)
+
     @pytest.mark.parametrize("text, message", [case[1:] for case in UNBUILDABLE_YAML],
                              ids=[case[0] for case in UNBUILDABLE_YAML])
     def test_unbuildable_value_is_a_parse_error(self, loader, tmp_path, text, message):
@@ -582,8 +615,9 @@ class TestLoaderParity:
             yaml.load(text, Loader=loader)
         path = tmp_path / "bad.yaml"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(ScenarioError, match=f"parse error: .*{message}"):
+        with pytest.raises(ScenarioError, match=f"parse error: .*{message}") as err:
             load_scenario(path)
+        assert "\n" not in str(err.value)  # `nrusim validate` prints one error line
 
     def test_deep_nesting_is_a_scenario_error(self, loader, tmp_path):
         path = tmp_path / "deep.yaml"
