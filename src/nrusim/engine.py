@@ -14,8 +14,14 @@ so a stream's draws do not depend on unrelated activity.
 record that has no line of its own (``LINES``).  It keeps no
 circular-reference markers and so holds no state between calls.  Each
 caller has one fallback, ``json.dumps``, taken in its place when there is
-no C accelerator; ``to_jsonl`` also takes it when a circular or too-deep
-record raises ``RecursionError``, so it raises what ``json.dumps`` raises.
+no C accelerator; ``EventLog.jsonl_chunks`` also takes it for a chunk in
+which a circular or too-deep record raises ``RecursionError``, so it
+raises what ``json.dumps`` raises.
+
+``events.jsonl`` is made in chunks of ``_CHUNK`` records
+(``EventLog.jsonl_chunks``), which the runner writes to the file one at a
+time, so only one chunk's lines and text are in memory at once; the
+chunks joined are the whole text (``EventLog.to_jsonl``).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from collections import deque
 from functools import partial
 from heapq import heappop, heappush
 from random import Random
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .errors import InvariantBreach
 
@@ -162,6 +168,9 @@ LINES: dict[tuple[str, ...], Callable[..., str | None]] = {
 }
 
 
+_CHUNK = 1024  # records per events.jsonl chunk: one chunk's lines and text are alive at a time
+
+
 def _jsonl(records: list, encode: Callable[[Any], str]) -> str:
     """One line per record, each from its ``LINES`` entry or else from ``encode``."""
     out: list[str] = []
@@ -187,16 +196,19 @@ class EventLog:
     after logging it.  ``append`` is the record list's own bound method,
     which skips a Python-level call per record.
 
-    ``to_jsonl`` is ``json.dumps(record, sort_keys=True) + "\\n"`` per
-    record for any records, in key order or not.  A plain dict whose keys
-    are, in order, those of an event-loop record shape (``LINES``) is
+    ``jsonl_chunks`` yields the log's text in chunks of ``_CHUNK``
+    records: each chunk is ``json.dumps(record, sort_keys=True) + "\\n"``
+    per record, for any records, in key order or not.  ``to_jsonl`` is the
+    chunks joined, for tests and library callers; ``runner.write_outputs``
+    writes each chunk to ``events.jsonl`` as it is made.  A plain dict whose
+    keys are, in order, those of an event-loop record shape (``LINES``) is
     written by that shape's f-string line, if every value is exactly the
     ``str`` or ``int`` the line expects.  Every other record (the attach
     records, a record in another key order, or one with a ``bool``, a
     float, a subclass or a container) goes to the shared marker-free C
     encoder, or to ``json.dumps`` without the C accelerator.  On
-    ``RecursionError`` (a circular or too-deep record) the misses are
-    encoded again with ``json.dumps``, so it raises exactly what
+    ``RecursionError`` (a circular or too-deep record) the chunk's misses
+    are encoded again with ``json.dumps``, so it raises exactly what
     ``json.dumps`` raises.
     """
 
@@ -207,14 +219,21 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.records)
 
-    def to_jsonl(self) -> str:
-        encode = c_encoder(", ")
-        if encode is not None:
+    def jsonl_chunks(self) -> Iterator[str]:
+        dumps = partial(json.dumps, sort_keys=True)
+        c_encode = c_encoder(", ")
+        encode = dumps if c_encode is None else lambda r: "".join(c_encode(r, 0))
+        records = self.records
+        for start in range(0, len(records), _CHUNK):
+            chunk = records[start:start + _CHUNK]
             try:
-                return _jsonl(self.records, lambda r: "".join(encode(r, 0)))
-            except RecursionError:
-                pass
-        return _jsonl(self.records, partial(json.dumps, sort_keys=True))
+                text = _jsonl(chunk, encode)
+            except RecursionError:  # a circular or too-deep record: raise what json.dumps raises
+                text = _jsonl(chunk, dumps)
+            yield text
+
+    def to_jsonl(self) -> str:
+        return "".join(self.jsonl_chunks())
 
 
 class EventLoop:

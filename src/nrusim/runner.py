@@ -234,14 +234,26 @@ def write_outputs(result: RunResult, out_dir: str | Path, pcap: bool = False) ->
     """Write the optional per-tap pcap files, then events.jsonl, then report.json.
 
     report.json comes last, so it marks a complete run: a pcap that
-    cannot be written leaves neither of the other two.
+    cannot be written leaves neither of the other two.  events.jsonl is
+    written one ``EventLog.jsonl_chunks`` chunk at a time, so the whole log
+    text is never in memory; a record that cannot be encoded removes the
+    part written and raises what ``json.dumps`` raises.
     """
     out = make_out_dir(out_dir)
+    events = out / "events.jsonl"
     try:
         if pcap:
             for tap in result.taps:
                 write_pcap(out / tap_file_name(tap), result.frames(tap))
-        (out / "events.jsonl").write_text(result.events_jsonl(), encoding="utf-8")
+        with events.open("w", encoding="utf-8") as file:  # as Path.write_text opens it
+            try:
+                file.writelines(result.log.jsonl_chunks())
+            except OSError:  # a failed write keeps what it wrote, as Path.write_text did
+                raise
+            except BaseException:  # a record that cannot be encoded: leave no events.jsonl
+                file.close()
+                events.unlink()
+                raise
         (out / "report.json").write_text(result.report_json(), encoding="utf-8")
     except OSError as exc:  # e.g. report.json is a directory
         raise ConfigError(f"cannot write outputs to directory {out}: {exc}") from None

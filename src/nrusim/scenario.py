@@ -584,7 +584,11 @@ def load_scenario(path: str | Path) -> Scenario:
     except (yaml.YAMLError, ValueError, RecursionError) as exc:  # a bad date, a huge int
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ScenarioError(f"{path}: parse error{where}: {exc}") from None
+        if isinstance(exc, yaml.MarkedYAMLError):  # its text adds each mark on lines of its own
+            detail = ", ".join(filter(None, (exc.context, exc.problem)))
+        else:  # a ReaderError's second line: a position in characters, or bytes under libyaml
+            detail = str(exc).partition("\n")[0]
+        raise ScenarioError(f"{path}: parse error{where}: {detail}") from None
     return scenario_from_dict(raw, name_hint=path.stem)
 
 

@@ -17,6 +17,7 @@ refuses the repeat instead.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from typing import IO, Any
 
 import yaml
@@ -27,33 +28,44 @@ LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 class _UniqueKeys:
     """Loader mixin: a key written twice in one mapping is a ConstructorError at the second.
 
-    A key a merge (``<<``) brings in may still be overridden, and a
-    mapping written only as a ``<<`` value is merged unchecked.  A mapping
-    whose entries are all distinct keys pays one length comparison.
+    A key a merge (``<<``) brings in may still be overridden.  A mapping
+    written as a ``<<`` value, which PyYAML merges without building, has
+    its written keys checked as it is merged.  Any other mapping whose
+    entries are all distinct keys pays one length comparison.
     """
 
     def __init__(self, stream):
         super().__init__(stream)
         self._written: dict[yaml.MappingNode, list] = {}  # merged node -> its written pairs
+        self._merging = False  # in flatten_mapping: the mapping flattened next is a '<<' value
 
     def flatten_mapping(self, node):
         pairs = node.value
+        merging, self._merging = self._merging, True
         super().flatten_mapping(node)
+        self._merging = merging
         if node.value is not pairs:  # merged: the '<<' pairs were taken off ``pairs`` in place
             self._written.setdefault(node, pairs)
+        if merging:
+            self._check_unique(node)
 
     def construct_mapping(self, node, deep=False):
         mapping = super().construct_mapping(node, deep=deep)
         if len(mapping) != len(node.value):  # a repeat, or a written key over a merged one
-            seen = set()
-            for key_node, _ in self._written.get(node, node.value):
-                key = self.construct_object(key_node, deep=deep)
-                if key in seen:
-                    raise yaml.constructor.ConstructorError(
-                        "while constructing a mapping", node.start_mark,
-                        f"found duplicate key {key!r}", key_node.start_mark)
-                seen.add(key)
+            self._check_unique(node, deep)
         return mapping
+
+    def _check_unique(self, node, deep=False):
+        seen = set()
+        for key_node, _ in self._written.get(node, node.value):
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):  # the mapping it is merged into reports it
+                continue
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
 
 
 # Either PyYAML loader that LOADER may be, with _UniqueKeys (the tests set LOADER to each).

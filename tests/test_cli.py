@@ -27,6 +27,8 @@ BAD_INPUTS = [
     ("compare JSON nested 100,000 deep", "compare", "report.json",
      "[" * 100_000 + "]" * 100_000),
     ("monitor missing file", "monitor", "absent.pcap", None),
+    ("validate unclosed flow sequence", "validate", "bad.yaml", "schema: 1\ncell: [unclosed\n"),
+    ("validate control character", "validate", "bad.yaml", "seed: \x07\n"),
 ]
 
 # What CI's compare step (test_b's report against test_a's) printed when compare read

@@ -2,6 +2,7 @@ import copy
 import json
 import statistics
 import struct
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -26,7 +27,7 @@ from nrusim.runner import (
 )
 from nrusim.scenario import BUNDLED, PingPlan, load_bundled, scenario_from_dict
 from nrusim.userplane import ICMP_ECHO_REPLY, ICMP_ECHO_REQUEST, decode_ip
-from tests.golden import golden_result, golden_scenario
+from tests.golden import GENERATORS, GOLDEN_CASES, golden_result, golden_scenario
 from tests.reference_network import multi_pass_report
 from tests.test_cli import _ethernet_echo_pcap
 from tests.test_scenario import variant
@@ -308,6 +309,87 @@ class TestOutputs:
         _ethernet_echo_pcap(path, endian)
         with pytest.raises(CodecError, match="link type 1;"):
             read_pcap(path)
+
+
+def _mixed_records(count: int) -> list[dict]:
+    """``count`` records that cycle through ``engine.LINES`` shapes and records the shared
+    encoder writes: an attach record, a line shape holding a ``bool``, one out of key order."""
+    shapes = [
+        lambda i: {"action": "ping_tx", "actor": "ue1", "dst": "12.1.1.1", "ident": 7, "seq": i,
+                   "t_us": i},
+        lambda i: {"action": "attach_phase", "actor": "ue1", "ip": "12.1.1.2",
+                   "phase": "SESSION_ACTIVE", "t_us": i, "teid_downlink": 2, "teid_uplink": 1},
+        lambda i: {"action": "bulk_tx", "actor": "ue1", "direction": "UL", "size": 1400,
+                   "sub": i % 10, "t_us": i, "window": i // 10},
+        lambda i: {"action": "ue_echo", "actor": "ue2", "seq": True, "src": "é", "t_us": i},
+        lambda i: {"t_us": i, "actor": "upf", "action": "upf_drop", "dst": "10.0.0.9"},
+    ]
+    return [shapes[i % len(shapes)](i) for i in range(count)]
+
+
+def _result_of(records: list) -> RunResult:
+    log = EventLog()
+    log.records.extend(records)
+    return RunResult(None, {"event_count": len(records)}, log, {})
+
+
+class TestEventsWriter:
+    """``write_outputs`` writes events.jsonl one ``EventLog.jsonl_chunks`` chunk at a time."""
+
+    @pytest.mark.parametrize("name", GOLDEN_CASES)
+    def test_the_file_is_events_jsonl(self, bundled_results, tmp_path, name):
+        result = golden_result(bundled_results, name)
+        out = write_outputs(result, tmp_path)
+        assert (out / "events.jsonl").read_bytes() == result.events_jsonl().encode("utf-8")
+        assert (out / "report.json").read_bytes() == result.report_json().encode("utf-8")
+
+    # Every chunk edge: none, one partial chunk, one full, one full and one record, two full
+    # and one record.
+    @pytest.mark.parametrize("count, chunk_lines", [
+        (0, []), (1, [1]), (1023, [1023]), (1024, [1024]), (1025, [1024, 1]),
+        (2049, [1024, 1024, 1]),
+    ])
+    @pytest.mark.parametrize("make_encoder", [json.encoder.c_make_encoder, None],
+                             ids=["C encoder", "no C encoder"])
+    def test_chunk_edges_write_json_dumps_per_record(self, tmp_path, count, chunk_lines,
+                                                     make_encoder):
+        records = _mixed_records(count)
+        expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        with mock.patch.object(json.encoder, "c_make_encoder", make_encoder):
+            result = _result_of(records)
+            assert [chunk.count("\n") for chunk in result.log.jsonl_chunks()] == chunk_lines
+            assert result.events_jsonl() == expected
+            out = write_outputs(result, tmp_path)
+        assert (out / "events.jsonl").read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("make_bad", [
+        lambda r: r.__setitem__("self", r),
+        lambda r: r.__setitem__("list", [1, r]),
+        lambda r: r.__setitem__("bad", object()),
+    ], ids=["circular dict", "circular list", "no JSON type"])
+    def test_a_record_json_dumps_cannot_write_leaves_neither_file(self, tmp_path, make_bad):
+        records = _mixed_records(2049)
+        make_bad(records[1500])  # in the second chunk: the first is already written
+        with pytest.raises((ValueError, TypeError)) as dumps:
+            json.dumps(records[1500], sort_keys=True)
+        with pytest.raises(type(dumps.value)) as written:
+            write_outputs(_result_of(records), tmp_path)
+        assert str(written.value) == str(dumps.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memory_above_the_run_stays_under_a_quarter_of_the_file(self, tmp_path):
+        # Building the whole text first (every line, the joined text, then its UTF-8
+        # copy) took about 2.6 times the file's size.
+        raw = GENERATORS["ping_fleet"](0, pings_per_ue=21)
+        result = run_scenario(scenario_from_dict(raw))
+        assert len(result.log) >= 30_000
+        tracemalloc.start()
+        try:
+            write_outputs(result, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (tmp_path / "events.jsonl").stat().st_size / 4
 
 
 def first_row_metric(report: dict, name: str) -> float | None:

@@ -524,6 +524,8 @@ MALFORMED_YAML = [
     ("python tag", "seed: !!python/object:os.system x\n", yaml.constructor.ConstructorError, 1, 7),
     # PyYAML's own loaders keep the last value: the scenario ran seed 8.
     ("repeated key", "seed: 7\nname: a\nseed: 8\n", yaml.constructor.ConstructorError, 3, 1),
+    # The key of a mapping merged unbuilt is checked by the mapping it is merged into.
+    ("unhashable merged key", "a: {<<: {[1]: 2}}\n", yaml.constructor.ConstructorError, 1, 10),
 ]
 
 # (case, well-formed text whose value Python cannot build, what the ValueError says)
@@ -588,8 +590,10 @@ class TestLoaderParity:
         assert (mark.line + 1, mark.column + 1) == (line, column)
         path = tmp_path / "bad.yaml"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(ScenarioError, match=f"parse error at line {line}, column {column}:"):
+        prefix = f"parse error at line {line}, column {column}:"
+        with pytest.raises(ScenarioError, match=prefix) as err:
             load_scenario(path)
+        assert "\n" not in str(err.value)  # no mark's source snippet: one error line
 
     # (text, what it parses to, the text with a repeat in the mapping that merges)
     @pytest.mark.parametrize("text, expected, repeated", [
@@ -602,7 +606,10 @@ class TestLoaderParity:
         # &m is merged into x before it is built as y's value.
         ("x: {<<: &m {<<: {k: 1}, k: 2}}\ny: *m\n", {"x": {"k": 2}, "y": {"k": 2}},
          "x: {<<: &m {<<: {k: 1}, k: 2, k: 3}}\ny: *m\n"),
-    ], ids=["one merge", "two merges", "a merged mapping built later"])
+        # PyYAML merges the mapping written as the '<<' value without building it.
+        ("a: {<<: {k: 1, n: b}}\n", {"a": {"k": 1, "n": "b"}}, "a: {<<: {k: 1, k: 2}}\n"),
+    ], ids=["one merge", "two merges", "a merged mapping built later",
+            "a mapping written only as a merge value"])
     def test_a_key_may_override_a_merged_one(self, loader, text, expected, repeated):
         assert yamlio.parse(text) == expected
         with pytest.raises(yaml.constructor.ConstructorError, match="found duplicate key 'k'"):
