@@ -19,15 +19,18 @@ The access leg of each link runs in two fixed stages around the gNB stop:
 
 Each link keeps the fixed delays as ``hops[direction]``, a
 ``(first_us, last_us)`` pair built once.  ``_send`` takes a packet's
-first stage.  The packet then stops at the gNB as a scheduled event,
-``_gnb_resume``, which logs ``gtpu_ul`` or ``gtpu_dl``, feeds the N3 tap
-and takes the second stage; ``_bulk`` takes a bulk tick's whole leg at
-once, with no packet and no stop.  ``_radio`` holds the radio hop: the
-LBT grant, aligned to the direction's TDD slot, the radio delay and a
-packet's jitter from the probe's substream.  Every packet is an ICMP
-echo far below the relay cutoff (``relay_passes``), so only ``_bulk``
-checks the relay, after its radio hop so the LBT draws keep their order,
-and logs a tick the gNB does not relay as ``radio_drop``.
+first stage.  The packet then stops at the gNB, one scheduled event,
+``_gnb_stop``, which logs ``gtpu_ul`` or ``gtpu_dl``, feeds the N3 tap,
+takes the second stage and goes on to the UPF or the UE.  ``_bulk``
+takes a bulk tick's whole leg at once, with no packet and no stop.
+``_radio`` holds the radio hop: the LBT grant, aligned to the
+direction's TDD slot, the radio delay and a packet's jitter from the
+probe's substream.  Every packet is an ICMP echo far below the relay
+cutoff (``relay_passes``), so only bulk ticks meet the relay.  Its
+verdict is fixed for a plan, so ``schedule_throughput`` works it out
+once, with the bytes a relayed tick keeps, in a tuple every tick
+shares.  ``_bulk`` reads it after its radio hop, so the LBT draws keep
+their order, and logs a tick the gNB does not relay as ``radio_drop``.
 The only traffic is ICMP echoes, and only a UE sends a request, so every
 reply goes back to a UE and the path tests for nothing else.
 Packets travel as ``InnerPacket`` named tuples, and taps keep them as
@@ -37,7 +40,7 @@ The event loop breaks timestamp ties by insertion order, so each leg
 keeps one ``schedule_at`` per stop, in path order.  Every scheduled
 continuation is a ``functools.partial`` of a bound method, so neither a
 packet nor a bulk tick builds a closure: a ping leaves in ``_ping_tx``, a
-packet resumes past its gNB stop in ``_gnb_resume`` and arrives in
+packet stops at the gNB in ``_gnb_stop`` and arrives in
 ``_upf_ingress`` or ``_deliver_to_ue``, N6 legs go through
 ``_external_ingress`` and ``_n6_ingress``.  A bulk tick is ``_bulk``, and
 its arrival only logs what survived: it appends the ``bulk_rx`` record
@@ -168,9 +171,9 @@ class SimNetwork:
         self.links: dict[str, RadioLink] = {}
         carrier_mhz = arfcn_to_frequency(scenario.cell.arfcn)
         lbt_draws = bool(scenario.occupancy.bursts)  # else lbt_gate never reads a link's rng
+        required = rflink.required_sampling_rate(scenario.cell.bandwidth_mhz)
         for ue in scenario.ues():
             gnb = scenario.node(ue.gnb)
-            required = rflink.required_sampling_rate(scenario.cell.bandwidth_mhz)
             drop = max(
                 rflink.sample_drop_fraction(ue.host, required),
                 rflink.sample_drop_fraction(gnb.host, required),
@@ -322,16 +325,19 @@ class SimNetwork:
         ticks_per_window = 1_000_000 // tick_us
         bytes_per_tick = round(capacity_mbps * 1e6 * calib.tick_ms / 1000 / 8)
         sub_ticks = ticks_per_window // SUBS_PER_WINDOW
-        # Read and bound once, not per tick.
-        ue, direction = plan.ue, plan.direction
+        # Fixed for the plan, so worked out once and shared by every tick: the bytes
+        # a tick keeps past the relay, or None when the relay drops every tick.
+        sender, receiver = (plan.ue, "core") if plan.direction == "UL" else ("core", plan.ue)
+        delivered = (surviving_bytes(bytes_per_tick, link.drop_fraction)
+                     if relay_passes(link.viable, bytes_per_tick) else None)
+        tick = (link, plan.direction, sender, receiver, bytes_per_tick, delivered)
         schedule_at, bulk = self.loop.schedule_at, self._bulk
         for window in range(plan.duration_s):
             burst = rng.uniform(calib.window_burst_low, calib.window_burst_high)
             on_ticks = round(burst * ticks_per_window)
             base_us = start_us + window * 1_000_000
             for j in range(on_ticks):
-                schedule_at(base_us + j * tick_us,
-                            partial(bulk, ue, direction, bytes_per_tick, window, j // sub_ticks))
+                schedule_at(base_us + j * tick_us, partial(bulk, tick, window, j // sub_ticks))
         return end_us
 
     def _ping_tx(self, ue_name, src_ip, dst_ip, ident, seq, rng) -> None:
@@ -359,46 +365,56 @@ class SimNetwork:
         return tuple.__new__(InnerPacket, (*pkt[:5], self._next_ident(), *pkt[6:]))
 
     def _send(self, ue_name: str, direction: str, inner: InnerPacket, rng: Random) -> None:
-        """A packet's first stage, up to its gNB stop, where ``_gnb_resume`` takes it on."""
+        """A packet's first stage, up to its stop at the gNB, ``_gnb_stop``."""
         inner = self._with_ident(inner)
         link = self.links[ue_name]
-        size = ip_length(inner)
         t = self.loop.now_us + link.hops[direction][0]
         if direction == "UL":
             self._tap(link.ue_tap, inner)
             t = self._radio(link, direction, t, rng)
-            done = partial(self._upf_ingress, inner, rng)
-        else:
-            done = partial(self._deliver_to_ue, ue_name, inner, rng)
-        self.loop.schedule_at(t, partial(self._gnb_resume, link, direction, size, done, rng, inner))
+        self.loop.schedule_at(t, partial(self._gnb_stop, link, direction, inner, rng))
 
-    def _bulk(self, ue_name, direction, nbytes, window, sub) -> None:
+    def _gnb_stop(self, link: RadioLink, direction: str, pkt: InnerPacket, rng: Random) -> None:
+        """The gNB relays a packet between radio and N3, then sends it on to the UPF or the UE.
+
+        The N3 tap keeps the packet with its tunnel: the outer header, with
+        the ident every stop draws, and the TEID.
+        """
+        t = self.loop.now_us
+        uplink = direction == "UL"
+        teid = link.teids[direction]
+        self.log.append({"action": "gtpu_ul" if uplink else "gtpu_dl", "actor": link.gnb.name,
+                         "size": ip_length(pkt), "t_us": t, "teid": teid})
+        ident = self._next_ident()
+        entries = self.taps.get(link.n3_tap)
+        if entries is not None:
+            gnb_addr, upf_addr = link.gnb.n3_address, self.core.config.upf_address
+            src, dst = (gnb_addr, upf_addr) if uplink else (upf_addr, gnb_addr)
+            outer = InnerPacket(src, dst, "UDP", ident=ident, sport=GTPU_PORT, dport=GTPU_PORT)
+            entries.append((t, pkt, outer, teid))
+        if uplink:
+            done = partial(self._upf_ingress, pkt, rng)
+        else:
+            t = self._radio(link, direction, t, rng)
+            done = partial(self._deliver_to_ue, link.ue.name, pkt, rng)
+        self.loop.schedule_at(t + link.hops[direction][1], done)
+
+    def _bulk(self, tick: tuple, window: int, sub: int) -> None:
         """One aggregate tick over the access leg; no bytes, no jitter, no gNB stop."""
-        link = self.links[ue_name]
+        link, direction, sender, receiver, nbytes, delivered = tick
         now = self.loop.now_us
-        sender, receiver = (ue_name, "core") if direction == "UL" else ("core", ue_name)
         self.log.append({"action": "bulk_tx", "actor": sender, "direction": direction,
                          "size": nbytes, "sub": sub, "t_us": now, "window": window})
         first_us, last_us = link.hops[direction]
         t = self._radio(link, direction, now + first_us, None)
-        if not relay_passes(link.viable, nbytes):
+        if delivered is None:
             self.log.append({"action": "radio_drop", "actor": link.gnb.name,
                              "direction": direction, "size": nbytes, "t_us": now})
             return
         t += last_us  # its arrival, which only logs what survived
         self.loop.schedule_at(t, partial(self.log.append, {
-            "action": "bulk_rx", "actor": receiver, "direction": direction,
-            "size": surviving_bytes(nbytes, link.drop_fraction), "sub": sub, "t_us": t,
-            "window": window}))
-
-    def _gnb_resume(self, link: RadioLink, direction: str, size: int, done, rng: Random,
-                    pkt: InnerPacket) -> None:
-        """A packet's gNB stop: relay it, then take the leg's second stage."""
-        self._gnb_step(link, direction, pkt, size)
-        t = self.loop.now_us
-        if direction == "DL":
-            t = self._radio(link, direction, t, rng)
-        self.loop.schedule_at(t + link.hops[direction][1], done)
+            "action": "bulk_rx", "actor": receiver, "direction": direction, "size": delivered,
+            "sub": sub, "t_us": t, "window": window}))
 
     def _radio(self, link: RadioLink, direction: str, t: int, rng: Random | None) -> int:
         """When the radio hop that starts at ``t`` ends: the LBT grant, the TDD slot, the delay.
@@ -407,7 +423,7 @@ class SimNetwork:
         ``lbt_gate``'s first probe would grant there without a draw; a
         bursty channel asks ``lbt_gate``.  ``rng`` is the probe's jitter
         substream, None for a bulk tick.  The hop drops nothing: a bulk
-        tick's relay check is ``_bulk``'s, after this call.
+        tick's relay verdict is its plan's, which ``_bulk`` reads after this call.
         """
         if self._cca_us is None:
             t = access.lbt_gate(self._occupancy, self._lbt, t, link.rng).grant_us
@@ -417,25 +433,6 @@ class SimNetwork:
         if rng is not None:
             t += rng.randrange(self._jitter_max_us + 1)  # randint(0, max)'s draws
         return t
-
-    def _gnb_step(self, link: RadioLink, direction: str, pkt: InnerPacket, size: int) -> None:
-        """The gNB relays a packet between radio and N3: log it and feed the N3 tap.
-
-        The tap keeps the packet with its tunnel: the outer header, with
-        the ident every stop draws, and the TEID.
-        """
-        t = self.loop.now_us
-        uplink = direction == "UL"
-        teid = link.teids[direction]
-        self.log.append({"action": "gtpu_ul" if uplink else "gtpu_dl", "actor": link.gnb.name,
-                         "size": size, "t_us": t, "teid": teid})
-        ident = self._next_ident()
-        entries = self.taps.get(link.n3_tap)
-        if entries is not None:
-            gnb_addr, upf_addr = link.gnb.n3_address, self.core.config.upf_address
-            src, dst = (gnb_addr, upf_addr) if uplink else (upf_addr, gnb_addr)
-            outer = InnerPacket(src, dst, "UDP", ident=ident, sport=GTPU_PORT, dport=GTPU_PORT)
-            entries.append((t, pkt, outer, teid))
 
     # -- UPF --------------------------------------------------------------------
 

@@ -132,7 +132,7 @@ def _build_report(scenario: Scenario, log: EventLog, starts: list[int],
     sent_at: dict[tuple[str, int, int], int] = {}  # (actor, ident, seq) -> ping_tx time
     rtts: dict[int, list[float]] = {}  # ident -> RTTs in ms
     ticks: list[dict] = []  # the bulk_tx records of the ticks the relay passed, in time order
-    counts = {"upf_drop": 0, "radio_drop": 0, "lbt_deferred": 0}
+    counts = {"upf_drop": 0, "radio_drop": 0}
     ips: list[str] = []
     teids: list[int] = []
     last = -1
@@ -214,7 +214,7 @@ def _build_report(scenario: Scenario, log: EventLog, starts: list[int],
         "counters": {
             "upf_dropped_no_session": counts["upf_drop"],
             "radio_dropped_bulk": counts["radio_drop"],
-            "lbt_deferred": counts["lbt_deferred"],
+            "lbt_deferred": 0,  # the LBT gate always grants; ROADMAP item 5 drops this key
         },
         "event_count": len(log),
     }

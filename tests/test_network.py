@@ -18,8 +18,9 @@ The other tests pin what no reference run can see: a tap captures the
 same frames whichever other taps the run sets, the log's
 ``SESSION_ACTIVE`` records are the core's sessions, a run with taps encodes
 and decodes nothing, the passive monitor folds as the single loop did, a
-link derives an LBT substream only under bursts, and the live run calls
-``lbt_gate`` once per reference radio hop under bursts and never without.
+link derives an LBT substream only under bursts, the live run calls
+``lbt_gate`` once per reference radio hop under bursts and never without,
+and each throughput plan decides its relay verdict once.
 """
 
 from __future__ import annotations
@@ -152,6 +153,27 @@ def test_bulk_ticks_write_what_the_reference_wrote(raw):
     assert_same_as_reference(runner.run_scenario(scenario_from_dict(raw)), scenario_from_dict(raw))
 
 
+@pytest.mark.parametrize("gnb_host", ["precision-5820-core", "nuc-i5-core"],
+                         ids=["viable link", "non-viable link"])
+def test_each_throughput_plan_decides_its_relay_once(gnb_host):
+    """The relay verdict and the bytes a relayed tick keeps are fixed for a plan: each
+    plan that sends asks ``relay_passes`` once and ``surviving_bytes`` at most once,
+    however many ticks it has."""
+    raw = variant(name="relay_once")
+    raw["nodes"][0]["host"] = gnb_host  # at 40 MHz a nuc-i5-core cannot drain the stream
+    raw["traffic"] = [{"probe": "throughput", "ue": "ue1", "direction": direction,
+                       "duration_s": 2} for direction in ("UL", "DL")]
+    with mock.patch.object(network, "relay_passes", wraps=network.relay_passes) as passes, \
+            mock.patch.object(network, "surviving_bytes", wraps=network.surviving_bytes) as keeps:
+        result = runner.run_scenario(scenario_from_dict(raw))
+    actions = [r["action"] for r in result.log.records]
+    viable = gnb_host == "precision-5820-core"
+    assert actions.count("bulk_tx") > 20  # many ticks per plan
+    assert actions.count("bulk_rx" if viable else "radio_drop") == actions.count("bulk_tx")
+    assert passes.call_count == 2
+    assert keeps.call_count <= 2
+
+
 @st.composite
 def leg_scenarios(draw) -> dict:
     """Pings and throughput plans on two UEs with random taps, under foreign
@@ -255,7 +277,7 @@ def test_session_active_records_are_the_cores_active_sessions(name):
 
 @pytest.mark.parametrize("name", GOLDEN_CASES)
 def test_attach_sets_each_sessions_teid_pair_on_its_link(name):
-    """_gnb_step reads a link's TEIDs, not the core's sessions; a link without a session has none."""
+    """_gnb_stop reads a link's TEIDs, not the core's sessions; a link without a session has none."""
     net = SimNetwork(golden_scenario(name), EventLoop(), EventLog(), load_calibration())
     net.attach_all()
     for ue, link in net.links.items():

@@ -1,5 +1,7 @@
-"""The package boundary: what one import loads, and the README's quickstart."""
+"""The package boundary: what one import loads, the README's quickstart, and no dead
+private names."""
 
+import ast
 import os
 import re
 import subprocess
@@ -85,6 +87,38 @@ def test_generated_scenarios_plan_and_compare_load_no_yaml(bundled_results, tmp_
     lines = [line for line in proc.stdout.splitlines()
              if line.startswith(("load:", "plan, compare:", "load_scenario:"))]
     assert lines == ["load: False", "plan, compare: False", "load_scenario: True"]
+
+
+def _private_names(tree: ast.Module) -> dict[str, int]:
+    """Private functions, methods and classes anywhere, and module-level private names."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):  # a tuple target binds several
+                    if isinstance(name, ast.Name):
+                        names.setdefault(name.id, name.lineno)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.setdefault(node.name, node.lineno)
+    return {name: line for name, line in names.items()
+            if name.startswith("_") and not name.endswith("__")}
+
+
+def test_every_private_name_is_used_in_the_package():
+    # A name used only in a docstring, a comment, a test or perfbench is dead code.
+    defined, used = {}, set()
+    for path in sorted((SRC / "nrusim").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for name, line in _private_names(tree).items():
+            defined.setdefault(name, f"{path.relative_to(SRC)}:{line}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    assert len(defined) > 50
+    assert {name: where for name, where in defined.items() if name not in used} == {}
 
 
 def _package_data_globs() -> list[str]:
